@@ -1,21 +1,13 @@
 #!/usr/bin/env python
-"""Backend microbenchmark: reference vs. blocked vs. compiled PLF kernels.
+"""Backend microbenchmark: reference vs. compiled PLF kernels.
 
 Times the two hot kernels of a likelihood evaluation — ``newview``
 (inner-inner case) and ``evaluate`` — at alignment widths spanning the
-paper's Table III range, for every benchmarked backend.  At small widths
-the whole working set is cache-resident and the numpy backends tie; from
-~100K sites the reference backend's full-width temporaries spill to
-DRAM while the blocked backend's chunks stay in L2 (the same reasoning
-as the paper's Sec. V-B cache blocking), so ``blocked`` must win there —
-and the generated-C ``compiled`` backend, which fuses the whole kernel
-into one pass with no temporaries at all, must beat ``blocked``.
-
-Each width also records the autotuner's view of the same workload
-(predicted vs probe-measured seconds and the chosen configuration), so
-``repro bench --compare`` tracks cost-model drift alongside raw kernel
-time (``autotune.*`` metrics are informational/mispredict-only by the
-ledger's direction rules).
+paper's Table III range, for every benchmarked backend.  The reference
+backend materialises full-width ``(patterns, rates, states)``
+temporaries that spill to DRAM from ~100K sites; the generated-C
+``compiled`` backend fuses the whole kernel into one pass with no
+temporaries at all, so it must win there.
 
 Usage::
 
@@ -23,9 +15,9 @@ Usage::
         [--out BENCH_backends.json] [--sites 1000 10000 100000]
 
 Writes a JSON report (default ``BENCH_backends.json`` next to the repo
-root) and exits non-zero if ``blocked`` fails to beat ``reference``, or
-``compiled`` fails to beat ``blocked``, at the largest width >= 100K
-sites (the compiled gate is skipped when no C toolchain is available).
+root) and exits non-zero if ``compiled`` fails to beat ``reference`` at
+the largest width >= 100K sites (the gate is skipped when no C toolchain
+is available).
 """
 
 from __future__ import annotations
@@ -44,7 +36,7 @@ import numpy as np  # noqa: E402
 from repro.core.backends import get_backend  # noqa: E402
 from repro.core.ckernels import probe_status  # noqa: E402
 
-BACKENDS = ("reference", "blocked", "compiled")
+BACKENDS = ("reference", "compiled")
 DEFAULT_SITES = (1_000, 10_000, 100_000)
 N_RATES = 4
 N_STATES = 4
@@ -89,7 +81,7 @@ def bench_width(n_sites: int, repeats: int, backends: tuple) -> dict:
     row: dict = {"sites": n_sites}
     for name in backends:
         backend = get_backend(name)
-        _one_pass(backend, d)  # warm-up: scratch alloc, first-use compile
+        _one_pass(backend, d)  # warm-up: first-use compile
         best_nv = best_ev = float("inf")
         for _ in range(repeats):
             nv, ev = _one_pass(backend, d)
@@ -100,53 +92,11 @@ def bench_width(n_sites: int, repeats: int, backends: tuple) -> dict:
             "evaluate_s": best_ev,
             "total_s": best_nv + best_ev,
         }
-    row["speedup_blocked_vs_reference"] = (
-        row["reference"]["total_s"] / row["blocked"]["total_s"]
-    )
     if "compiled" in row:
-        row["speedup_compiled_vs_blocked"] = (
-            row["blocked"]["total_s"] / row["compiled"]["total_s"]
+        row["speedup_compiled_vs_reference"] = (
+            row["reference"]["total_s"] / row["compiled"]["total_s"]
         )
     return row
-
-
-def autotune_row(n_sites: int) -> dict:
-    """The autotuner's decision for this width (no cache side effects).
-
-    Probes run fresh (rounds=1) and nothing is persisted; the mispredict
-    ratio compares the winner's predicted time against its own probe
-    measurement, both normalised per traversal unit at the probe width.
-    """
-    from repro.perf.autotune import (
-        WorkloadSignature,
-        decide,
-        enumerate_candidates,
-        predict_seconds,
-        run_probes,
-    )
-
-    signature = WorkloadSignature.from_workload(n_sites, N_STATES, N_RATES)
-    probes = run_probes(signature, rounds=1)
-    # Price at the probe width so predicted and probe-measured seconds
-    # are directly comparable.
-    probe_sites = next(iter(probes.values())).probe_sites
-    candidates = enumerate_candidates(probes, probe_sites)
-    decision = decide(signature, candidates)
-    chosen = next(
-        c for c in decision.candidates if c.config == decision.chosen
-    )
-    out = {
-        "chosen": decision.chosen.label,
-        "predicted_s": decision.predicted_s,
-        "default_predicted_s": decision.default_predicted_s,
-    }
-    if chosen.measured_probe_s:
-        out["measured_probe_s"] = chosen.measured_probe_s
-        out["mispredict_ratio"] = (
-            abs(decision.predicted_s - chosen.measured_probe_s)
-            / chosen.measured_probe_s
-        )
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,26 +128,19 @@ def main(argv: list[str] | None = None) -> int:
         print("note: no C toolchain; skipping the compiled backend rows")
 
     rows = []
-    hdr = f"{'sites':>9}  {'reference':>11}  {'blocked':>11}"
+    hdr = f"{'sites':>9}  {'reference':>11}"
     if compiled_ok:
-        hdr += f"  {'compiled':>11}"
-    print(hdr + f"  {'speedup':>7}  autotune choice")
+        hdr += f"  {'compiled':>11}  {'speedup':>7}"
+    print(hdr)
     for n_sites in sorted(args.sites):
         row = bench_width(n_sites, repeats, backends)
-        row["autotune"] = autotune_row(n_sites)
         rows.append(row)
-        line = (
-            f"{n_sites:>9}  "
-            f"{row['reference']['total_s'] * 1e3:>9.3f}ms  "
-            f"{row['blocked']['total_s'] * 1e3:>9.3f}ms  "
-        )
+        line = f"{n_sites:>9}  {row['reference']['total_s'] * 1e3:>9.3f}ms"
         if compiled_ok:
-            line += f"{row['compiled']['total_s'] * 1e3:>9.3f}ms  "
-        speedup = row.get(
-            "speedup_compiled_vs_blocked",
-            row["speedup_blocked_vs_reference"],
-        )
-        line += f"{speedup:>6.2f}x  {row['autotune']['chosen']}"
+            line += (
+                f"  {row['compiled']['total_s'] * 1e3:>9.3f}ms"
+                f"  {row['speedup_compiled_vs_reference']:>6.2f}x"
+            )
         print(line)
 
     report = {
@@ -210,34 +153,22 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    # Acceptance gates at the largest >=100K width: blocked beats
-    # reference, and (with a toolchain) compiled beats blocked.
+    # Acceptance gate at the largest >=100K width (needs a toolchain).
     large = [r for r in rows if r["sites"] >= 100_000]
-    if large:
+    if large and compiled_ok:
         gate = large[-1]
-        if gate["speedup_blocked_vs_reference"] <= 1.0:
+        speedup = gate["speedup_compiled_vs_reference"]
+        if speedup <= 1.0:
             print(
-                f"FAIL: blocked slower than reference at {gate['sites']} "
-                f"sites ({gate['speedup_blocked_vs_reference']:.2f}x)",
+                f"FAIL: compiled slower than reference at {gate['sites']} "
+                f"sites ({speedup:.2f}x)",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"OK: blocked {gate['speedup_blocked_vs_reference']:.2f}x faster "
-            f"than reference at {gate['sites']} sites"
+            f"OK: compiled {speedup:.2f}x faster than reference at "
+            f"{gate['sites']} sites"
         )
-        if "speedup_compiled_vs_blocked" in gate:
-            if gate["speedup_compiled_vs_blocked"] <= 1.0:
-                print(
-                    f"FAIL: compiled slower than blocked at {gate['sites']} "
-                    f"sites ({gate['speedup_compiled_vs_blocked']:.2f}x)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"OK: compiled {gate['speedup_compiled_vs_blocked']:.2f}x "
-                f"faster than blocked at {gate['sites']} sites"
-            )
     return 0
 
 

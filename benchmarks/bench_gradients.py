@@ -55,7 +55,7 @@ from repro.phylo.tree import Tree  # noqa: E402
 DEFAULT_SITES = (1_000, 10_000, 100_000)
 N_TAXA = 16
 BRANCH_LENGTH = 0.1
-BACKEND = "blocked"
+BACKEND = "compiled"
 
 
 def balanced_tree(n_leaves: int, length: float = BRANCH_LENGTH) -> Tree:
@@ -248,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": (
             "all-branch derivatives from valid CLAs: 2N-3 re-rooted "
             "derivativeSum sweeps vs one bidirectional traversal, "
-            "balanced tree, blocked backend, best of repeats"
+            "balanced tree, compiled backend, best of repeats"
         ),
         "backend": BACKEND,
         "n_taxa": N_TAXA,

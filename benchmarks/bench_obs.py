@@ -54,7 +54,7 @@ from repro.phylo.rates import GammaRates  # noqa: E402
 from repro.phylo.tree import Tree  # noqa: E402
 
 #: Guard evaluations a single kernel dispatch performs on the hot path
-#: (one in ``_BackendBase._finish``; wave/plan guards amortise over many
+#: (one in ``_BackendBase._record``; wave/plan guards amortise over many
 #: dispatches but are counted here anyway, erring on the high side).
 PROBES_PER_DISPATCH = 3
 
@@ -63,7 +63,7 @@ MAX_DISABLED_OVERHEAD = 0.02
 
 N_TAXA = 8
 N_SITES = 2000
-BACKEND = "blocked"
+BACKEND = "compiled"
 
 
 def balanced_tree(n_leaves: int, length: float = 0.1) -> Tree:
@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "benchmark": (
             "obs overhead: guard probes vs cold ensure_valid dispatch, "
-            "balanced tree, blocked backend, median of repeats"
+            "balanced tree, compiled backend, median of repeats"
         ),
         "backend": BACKEND,
         "n_taxa": N_TAXA,

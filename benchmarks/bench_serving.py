@@ -47,7 +47,7 @@ from repro.serve import PlacementServer  # noqa: E402
 
 DEFAULT_BATCH_SIZES = (1, 4, 16)
 N_TAXA = 8
-BACKEND = "blocked"
+BACKEND = "compiled"
 
 
 def build_reference(n_sites: int, seed: int = 77):

@@ -25,7 +25,7 @@ in practice — files in, files out:
                         (``--compare BASELINE``)
 
 ``repro search`` and ``repro place`` accept ``--backend`` to pick the
-kernel implementation (reference / blocked / shadow); the
+kernel implementation (reference / compiled / shadow); the
 ``REPRO_BACKEND`` environment variable sets the process-wide default.
 
 Tracing: ``repro search`` checkpoints crash-safely with ``--checkpoint ck.json``
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -65,13 +66,12 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "--backend",
-        choices=[info.name for info in available_backends()] + ["auto"],
+        choices=[info.name for info in available_backends()],
         default=None,
         help=(
-            "PLF kernel backend, or 'auto' to let the cost-model "
-            "autotuner pick one per workload (default: $"
+            "PLF kernel backend (default: $"
             + DEFAULT_BACKEND_ENV
-            + " or 'reference'; see 'repro backends' and 'repro tune')"
+            + " or 'reference'; see 'repro backends')"
         ),
     )
 
@@ -277,32 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallel_flags(p_serve)
 
     sub.add_parser("backends", help="list registered PLF kernel backends")
-
-    p_tune = sub.add_parser(
-        "tune",
-        help="probe kernel backends and cache the predicted-fastest "
-             "configuration (used by --backend auto)",
-    )
-    p_tune.add_argument(
-        "--sites", type=int, default=100_000,
-        help="workload width (site patterns) to tune for",
-    )
-    p_tune.add_argument("--states", type=int, default=4,
-                        help="alphabet size (DNA: 4)")
-    p_tune.add_argument("--rates", type=int, default=4,
-                        help="rate categories (Gamma default: 4)")
-    p_tune.add_argument(
-        "--rounds", type=int, default=2,
-        help="timed probe rounds per candidate (more = steadier estimates)",
-    )
-    p_tune.add_argument(
-        "--refresh", action="store_true",
-        help="re-probe even when the tuning cache already has a decision",
-    )
-    p_tune.add_argument(
-        "--show", action="store_true",
-        help="print every cached decision and exit without probing",
-    )
 
     p_plan = sub.add_parser(
         "plan", help="print the levelized execution plan (dependency waves)"
@@ -691,7 +665,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_backends(_args: argparse.Namespace) -> int:
     import inspect
-    import os
 
     from .core.backends import DEFAULT_BACKEND_ENV, available_backends
 
@@ -701,11 +674,6 @@ def _cmd_backends(_args: argparse.Namespace) -> int:
     default = env if env is not None else "reference"
     source = f"${DEFAULT_BACKEND_ENV}" if env is not None else "built-in default"
     print(f"process default: {default}  (from {source})")
-    if default not in names:
-        print(
-            f"warning: {default!r} is not a registered backend — "
-            "engine construction will fail until it is fixed"
-        )
     print()
     width = max(len(n) for n in names)
     for info in infos:
@@ -745,7 +713,7 @@ def _cmd_backends(_args: argparse.Namespace) -> int:
         print(f"  compiler: {status.compiler}")
         print(f"  flags:    {' '.join(status.flags)}")
     else:
-        print("  unavailable — engines fall back to 'blocked'")
+        print("  unavailable — engines fall back to 'reference'")
         print(f"  reason:   {status.reason}")
     print(f"  cache:    {status.cache_dir}")
     if status.cached_objects:
@@ -755,83 +723,7 @@ def _cmd_backends(_args: argparse.Namespace) -> int:
     else:
         print("  objects:  none cached yet (compiled at first use)")
 
-    from .perf.autotune import TUNE_CACHE_ENV, TuningCache, default_cache_path
-
-    tune_cache = TuningCache()
-    entries = tune_cache.entries()
-    t_src = (
-        f"${TUNE_CACHE_ENV}"
-        if os.environ.get(TUNE_CACHE_ENV)
-        else "built-in default"
-    )
-    print("\nautotune cache:")
-    print(f"  path:     {default_cache_path()}  (from {t_src})")
-    if entries:
-        print(f"  entries:  {len(entries)} tuned workload(s) — "
-              "see 'repro tune --show'")
-    else:
-        print("  entries:  none yet ('repro tune' or --backend auto "
-              "populates it)")
     _print_metrics_snapshot()
-    return 0
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from .perf.autotune import (
-        TuningCache,
-        WorkloadSignature,
-        autotune,
-        default_cache_path,
-    )
-
-    cache = TuningCache()
-    if args.show:
-        entries = cache.entries()
-        print(f"tuning cache: {default_cache_path()}")
-        if not entries:
-            print("  (empty — run 'repro tune' or '--backend auto')")
-            return 0
-        for key in sorted(entries):
-            entry = entries[key]
-            chosen = entry.get("chosen", {})
-            label = chosen.get("backend", "?")
-            if chosen.get("block_sites"):
-                label += f" block={chosen['block_sites']}"
-            if chosen.get("workers", 1) > 1:
-                label += f" {chosen['execution']}x{chosen['workers']}"
-            print(f"  {key:<22s} -> {label:<28s} "
-                  f"predicted {entry.get('predicted_s', 0.0):.4g}s "
-                  f"(default {entry.get('default_predicted_s', 0.0):.4g}s)")
-        return 0
-
-    signature = WorkloadSignature.from_workload(
-        args.sites, args.states, args.rates
-    )
-    print(f"tuning {signature.key} "
-          f"(sites={args.sites}, states={args.states}, rates={args.rates})")
-    decision = autotune(
-        signature, cache=cache, refresh=args.refresh, rounds=args.rounds
-    )
-    if not decision.candidates:
-        # cache hit: the stored decision has no candidate table
-        print(f"cache hit: {decision.chosen.label} "
-              f"(predicted {decision.predicted_s:.4g}s; "
-              "use --refresh to re-probe)")
-        return 0
-    print(f"\n  {'configuration':<28s} {'predicted':>12s} {'probe':>12s}")
-    for cand in decision.candidates:
-        measured = (
-            f"{cand.measured_probe_s:.5f}s"
-            if cand.measured_probe_s is not None
-            else "-"
-        )
-        marker = "*" if cand.config == decision.chosen else " "
-        print(f"{marker} {cand.config.label:<28s} "
-              f"{cand.predicted_s:>11.5f}s {measured:>12s}")
-    print(f"\nchosen: {decision.chosen.label} "
-          f"(predicted {decision.predicted_s:.4g}s vs default "
-          f"{decision.default_predicted_s:.4g}s)")
-    print(f"cached in {cache.path} — 'repro ... --backend auto' applies it")
     return 0
 
 
@@ -876,13 +768,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         d, taxa = jc_distance(alignment)
         tree = neighbor_joining(d, taxa)
         print("tree: neighbor joining on JC distances")
-    backend = args.backend
-    if backend == "auto":
-        from .perf.autotune import resolve_auto_backend
-
-        backend = resolve_auto_backend(patterns.n_patterns, 4, 4)
     engine = LikelihoodEngine(
-        patterns, tree, gtr(), GammaRates(1.0, 4), backend=backend
+        patterns, tree, gtr(), GammaRates(1.0, 4), backend=args.backend
     )
     batched = getattr(engine.backend, "newview_batch", None) is not None
     print(
@@ -1178,7 +1065,6 @@ _HANDLERS = {
     "serve": _cmd_serve,
     "stats": _cmd_stats,
     "backends": _cmd_backends,
-    "tune": _cmd_tune,
     "plan": _cmd_plan,
     "kernels": _cmd_kernels,
     "predict": _cmd_predict,
@@ -1208,6 +1094,18 @@ def main(argv: list[str] | None = None) -> int:
     the same ``finally``.
     """
     args = build_parser().parse_args(argv)
+    from .core.backends import DEFAULT_BACKEND_ENV, available_backends
+
+    env_backend = os.environ.get(DEFAULT_BACKEND_ENV)
+    registered = [info.name for info in available_backends()]
+    if env_backend is not None and env_backend not in registered:
+        # a stale environment (e.g. a backend removed since it was set)
+        print(
+            f"repro: ${DEFAULT_BACKEND_ENV} names unknown backend "
+            f"{env_backend!r} (registered: {', '.join(registered)})",
+            file=sys.stderr,
+        )
+        return 2
     trace_path = getattr(args, "trace", None)
     serve_port = getattr(args, "serve_metrics", None)
     profile_path = getattr(args, "profile", None)

@@ -13,7 +13,6 @@ interleaved memory layout of Sec. V-B3.
 from .backends import (
     BackendInfo,
     BackendMismatchError,
-    BlockedBackend,
     KernelBackend,
     KernelProfile,
     ReferenceBackend,
@@ -51,7 +50,6 @@ from .traversal import (
 __all__ = [
     "BackendInfo",
     "BackendMismatchError",
-    "BlockedBackend",
     "KernelBackend",
     "KernelProfile",
     "ReferenceBackend",

@@ -24,24 +24,30 @@ backend (NumPy kernels already release it inside ufuncs; here the whole
 kernel body runs GIL-free).
 
 When no C toolchain is available (or a compile fails), the instance
-permanently degrades to a private :class:`~repro.core.backends.
-BlockedBackend` that shares this backend's profile, emits a one-time
-``RuntimeWarning``, and records the reason for ``repro backends``.
+permanently swaps its arithmetic hooks for the reference backend's
+NumPy ones (``newview_batch`` degrades to the per-op loop), emits a
+one-time ``RuntimeWarning``, and records the reason for ``repro
+backends``.  Timing and accounting live in the shared base class either
+way, so the profile keeps one stream across the switch.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 import warnings
 
 import numpy as np
 
-from ..backends import BlockedBackend, _BackendBase
+from ..backends import ReferenceBackend, _BackendBase
+from ..schedule import dispatch_call
 from ..traversal import KernelKind
-from .. import kernels
-from ..scaling import LOG_SCALE_STEP
-from .build import CompilerUnavailable, ProbeStatus, load_kernels, probe_status
+from .build import (
+    CompilerUnavailable,
+    ProbeStatus,
+    load_kernels,
+    probe_status,
+    probe_toolchain,
+)
 
 __all__ = ["CompiledBackend"]
 
@@ -66,20 +72,7 @@ def _estrides(a: np.ndarray) -> tuple[int, ...]:
     return tuple(s // a.itemsize for s in a.strides)
 
 
-def _guarded(method):
-    """Route through the fallback delegate; degrade on compile failure."""
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        if self._delegate is not None:
-            return getattr(self._delegate, method.__name__)(*args, **kwargs)
-        try:
-            return method(self, *args, **kwargs)
-        except CompilerUnavailable as exc:
-            self._activate_fallback(str(exc))
-            return getattr(self._delegate, method.__name__)(*args, **kwargs)
-
-    return wrapper
+_TIP_TIP_KINDS = (KernelKind.NEWVIEW_TIP_TIP, KernelKind.PREORDER_TIP_TIP)
 
 
 class CompiledBackend(_BackendBase):
@@ -89,37 +82,43 @@ class CompiledBackend(_BackendBase):
     description = (
         "C kernels generated per (states, rates), compiled at first use "
         "with the system compiler and loaded via ctypes; falls back to "
-        "blocked when no toolchain is available"
+        "reference when no toolchain is available"
     )
 
     def __init__(self, pair_table_max: int = 4096) -> None:
         super().__init__()
+        #: Largest ``codes1 x codes2`` pair-table the stacked tip-tip
+        #: path will materialise (DNA ambiguity alphabet: 16 x 16 = 256).
         self.pair_table_max = int(pair_table_max)
         self._libs: dict[tuple[int, int], object] = {}
-        self._delegate: BlockedBackend | None = None
         self.fallback_reason: str | None = None
         try:
-            from .build import probe_toolchain
-
             probe_toolchain()
         except CompilerUnavailable as exc:
             self._activate_fallback(str(exc))
 
     # -- toolchain plumbing -------------------------------------------
     def _activate_fallback(self, reason: str) -> None:
+        """Swap every arithmetic hook for the reference backend's."""
         global _warned_fallback
         self.fallback_reason = reason
-        delegate = BlockedBackend(pair_table_max=self.pair_table_max)
-        delegate.profile = self.profile  # one shared accounting stream
-        self._delegate = delegate
+        for hook in self._HOOKS:
+            setattr(self, hook, getattr(ReferenceBackend, hook))
         if not _warned_fallback:
             _warned_fallback = True
             warnings.warn(
                 f"compiled kernels unavailable ({reason}); "
-                "falling back to the blocked backend",
+                "falling back to the reference kernels",
                 RuntimeWarning,
                 stacklevel=3,
             )
+
+    def _dispatch(self, *call):
+        try:
+            return super()._dispatch(*call)
+        except CompilerUnavailable as exc:  # compile failed at first use
+            self._activate_fallback(str(exc))
+            return super()._dispatch(*call)  # hooks are looked up by name
 
     def _lib(self, states: int, rates: int):
         key = (states, rates)
@@ -135,7 +134,7 @@ class CompiledBackend(_BackendBase):
         return probe_status()
 
     # -- newview -------------------------------------------------------
-    def _tip_tip_impl(self, u_inv, lookup1, codes1, lookup2, codes2):
+    def _tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
         lookup1, lookup2 = _f64(lookup1), _f64(lookup2)
         codes1, codes2 = _u32(codes1), _u32(codes2)
         c, m1, k = lookup1.shape
@@ -153,7 +152,7 @@ class CompiledBackend(_BackendBase):
         )
         return z, np.zeros(p, dtype=np.int64)
 
-    def _tip_inner_impl(self, u_inv, lookup1, codes1, a2, z2, scale2):
+    def _tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
         lookup1, a2, z2 = _f64(lookup1), _f64(a2), _f64(z2)
         codes1 = _u32(codes1)
         p, c, k = z2.shape
@@ -172,7 +171,7 @@ class CompiledBackend(_BackendBase):
         )
         return z, sc
 
-    def _inner_inner_impl(self, u_inv, a1, a2, z1, z2, scale1, scale2):
+    def _inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
         a1, a2, z1, z2 = _f64(a1), _f64(a2), _f64(z1), _f64(z2)
         p, c, k = z1.shape
         lib = self._lib(k, c)
@@ -189,139 +188,80 @@ class CompiledBackend(_BackendBase):
         )
         return z, sc
 
-    @_guarded
-    def newview_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_tip_impl(u_inv, lookup1, codes1, lookup2, codes2)
-        self._finish(
-            KernelKind.NEWVIEW_TIP_TIP, codes1.shape[0], t0,
-            lookup1, lookup2, codes1, codes2, z, sc,
-        )
-        return z, sc
-
-    @_guarded
-    def newview_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_inner_impl(u_inv, lookup1, codes1, a2, z2, scale2)
-        self._finish(
-            KernelKind.NEWVIEW_TIP_INNER, z2.shape[0], t0,
-            lookup1, codes1, a2, z2, scale2, z, sc,
-        )
-        return z, sc
-
-    @_guarded
-    def newview_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._inner_inner_impl(u_inv, a1, a2, z1, z2, scale1, scale2)
-        self._finish(
-            KernelKind.NEWVIEW_INNER_INNER, z1.shape[0], t0,
-            a1, a2, z1, z2, scale1, scale2, z, sc,
-        )
-        return z, sc
-
-    # -- pre-order partials (identical math, different KernelKind) -----
-    @_guarded
-    def preorder_tip_tip(self, u_inv, lookup1, codes1, lookup2, codes2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_tip_impl(u_inv, lookup1, codes1, lookup2, codes2)
-        self._finish(
-            KernelKind.PREORDER_TIP_TIP, codes1.shape[0], t0,
-            lookup1, lookup2, codes1, codes2, z, sc,
-        )
-        return z, sc
-
-    @_guarded
-    def preorder_tip_inner(self, u_inv, lookup1, codes1, a2, z2, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._tip_inner_impl(u_inv, lookup1, codes1, a2, z2, scale2)
-        self._finish(
-            KernelKind.PREORDER_TIP_INNER, z2.shape[0], t0,
-            lookup1, codes1, a2, z2, scale2, z, sc,
-        )
-        return z, sc
-
-    @_guarded
-    def preorder_inner_inner(self, u_inv, a1, a2, z1, z2, scale1, scale2):
-        t0 = time.perf_counter()
-        z, sc = self._inner_inner_impl(u_inv, a1, a2, z1, z2, scale1, scale2)
-        self._finish(
-            KernelKind.PREORDER_INNER_INNER, z1.shape[0], t0,
-            a1, a2, z1, z2, scale1, scale2, z, sc,
-        )
-        return z, sc
-
     # -- stacked wave dispatch ----------------------------------------
-    @_guarded
     def newview_batch(self, calls) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Wave dispatch with a C-built tip-tip pair table.
+        """Stacked ``newview`` dispatch for one wave of independent ops.
 
-        Mirrors :meth:`BlockedBackend.newview_batch`: tip-tip ops that
-        share lookup operands gather from one all-pairs table.  The
+        The win is the **tip-tip pair table**: within a wave, all
+        tip-tip ops sharing the same two tip-lookup operands (the engine
+        caches operands per branch *length*, so equal-length cherries
+        share them) reduce to gathers from one precomputed table
+
+            T[m, n, c, k] = sum_i u_inv[k, i] lut1[c, m, i] lut2[c, n, i]
+
+        over the (tiny) code alphabet: ``z = T[codes1, codes2]``.  The
         table is built by the same C arithmetic as the per-op tip-tip
         kernel, so gathered CLAs are bit-identical to per-op dispatch.
+
+        Everything else — tip-inner / inner-inner ops, tables that would
+        not pay (``m1 * m2`` beyond :attr:`pair_table_max`, or fewer
+        patterns than table entries), and every op once the backend has
+        fallen back to the reference arithmetic — goes through the
+        per-op kernels.  Results are returned in call order.
         """
         results: list = [None] * len(calls)
         groups: dict[tuple, list[int]] = {}
         for i, call in enumerate(calls):
-            case = call.kind.value.rsplit("_", 2)
-            if case[-2:] == ["tip", "tip"]:
-                u_inv, lut1, codes1, lut2, codes2 = call.args
-                m1, m2 = lut1.shape[1], lut2.shape[1]
-                if m1 * m2 <= self.pair_table_max and codes1.shape[0] >= m1 * m2:
+            if call.kind in _TIP_TIP_KINDS and self.fallback_reason is None:
+                u_inv, lut1, codes1, lut2, _ = call.args
+                n_pairs = lut1.shape[1] * lut2.shape[1]
+                if n_pairs <= min(self.pair_table_max, codes1.shape[0]):
                     groups.setdefault(
                         (call.kind, id(u_inv), id(lut1), id(lut2)), []
                     ).append(i)
-                else:
-                    results[i] = (
-                        self.newview_tip_tip(*call.args)
-                        if call.kind is KernelKind.NEWVIEW_TIP_TIP
-                        else self.preorder_tip_tip(*call.args)
-                    )
-            elif case[-1] == "inner" and case[-2] == "tip":
-                results[i] = (
-                    self.newview_tip_inner(*call.args)
-                    if call.kind is KernelKind.NEWVIEW_TIP_INNER
-                    else self.preorder_tip_inner(*call.args)
-                )
-            else:
-                results[i] = (
-                    self.newview_inner_inner(*call.args)
-                    if call.kind is KernelKind.NEWVIEW_INNER_INNER
-                    else self.preorder_inner_inner(*call.args)
-                )
+                    continue
+            results[i] = dispatch_call(self, call)
         for (kind, *_ids), idxs in groups.items():
             u_inv, lut1, _, lut2, _ = calls[idxs[0]].args
-            t_table0 = time.perf_counter()
-            lut1c, lut2c = _f64(lut1), _f64(lut2)
-            c, m1, k = lut1c.shape
-            m2 = lut2c.shape[1]
-            lib = self._lib(k, c)
-            table = np.empty((m1, m2, c, k))
-            ui = np.asarray(u_inv, dtype=np.float64)
-            s0, s1 = _estrides(ui)
-            lib.tip_pair_table(
-                ui.ctypes.data, s0, s1,
-                lut1c.ctypes.data, m1, lut2c.ctypes.data, m2,
-                table.ctypes.data,
-            )
-            table_s = time.perf_counter() - t_table0
-            for j, i in enumerate(idxs):
+            t0 = time.perf_counter()
+            try:
+                table = self._pair_table(u_inv, lut1, lut2)
+            except CompilerUnavailable as exc:
+                self._activate_fallback(str(exc))
+                for i in idxs:
+                    results[i] = dispatch_call(self, calls[i])
+                continue
+            for i in idxs:
                 codes1, codes2 = calls[i].args[2], calls[i].args[4]
-                t0 = time.perf_counter()
                 z = table[codes1, codes2]
                 sc = np.zeros(codes1.shape[0], dtype=np.int64)
-                elapsed = time.perf_counter() - t0
-                if j == 0:  # charge the shared table build to the head
-                    elapsed += table_s
-                nbytes = codes1.nbytes + codes2.nbytes + z.nbytes + sc.nbytes
-                self.profile.record_timed(
-                    kind, codes1.shape[0], elapsed, nbytes
+                # the group head's interval includes the shared table build
+                t1 = time.perf_counter()
+                self._record(
+                    kind, codes1.shape[0], t0, t1 - t0,
+                    codes1.nbytes + codes2.nbytes + z.nbytes + sc.nbytes,
                 )
                 results[i] = (z, sc)
+                t0 = t1
         return results
 
+    def _pair_table(self, u_inv, lut1, lut2) -> np.ndarray:
+        lut1, lut2 = _f64(lut1), _f64(lut2)
+        c, m1, k = lut1.shape
+        m2 = lut2.shape[1]
+        lib = self._lib(k, c)
+        table = np.empty((m1, m2, c, k))
+        u_inv = np.asarray(u_inv, dtype=np.float64)
+        s0, s1 = _estrides(u_inv)
+        lib.tip_pair_table(
+            u_inv.ctypes.data, s0, s1,
+            lut1.ctypes.data, m1, lut2.ctypes.data, m2,
+            table.ctypes.data,
+        )
+        return table
+
     # -- evaluate ------------------------------------------------------
-    def _site_linear(self, z_left, z_right, exps, rate_weights):
+    def _site_likelihoods(self, z_left, z_right, exps, rate_weights):
         """Linear-scale per-site likelihoods via the C site loop."""
         exps = _f64(exps)
         rate_weights = _f64(rate_weights)
@@ -338,50 +278,8 @@ class CompiledBackend(_BackendBase):
         )
         return out
 
-    @staticmethod
-    def _check_positive(site_l: np.ndarray) -> None:
-        if np.any(site_l <= 0.0):
-            bad = int(np.argmin(site_l))
-            raise FloatingPointError(
-                f"non-positive site likelihood {site_l[bad]:g} at pattern "
-                f"{bad}; tree or model is numerically degenerate"
-            )
-
-    @_guarded
-    def site_log_likelihoods(
-        self, z_left, z_right, exps, rate_weights, scale_counts
-    ):
-        t0 = time.perf_counter()
-        site_l = self._site_linear(z_left, z_right, exps, rate_weights)
-        self._check_positive(site_l)
-        out = np.log(site_l)
-        out -= scale_counts * LOG_SCALE_STEP
-        self._finish(
-            KernelKind.EVALUATE, out.shape[0], t0,
-            z_left, z_right, exps, scale_counts, out,
-        )
-        return out
-
-    @_guarded
-    def evaluate_edge(
-        self, z_left, z_right, exps, rate_weights, pattern_weights, scale_counts
-    ):
-        t0 = time.perf_counter()
-        site_l = self._site_linear(z_left, z_right, exps, rate_weights)
-        self._check_positive(site_l)
-        lnls = np.log(site_l)
-        lnls -= scale_counts * LOG_SCALE_STEP
-        lnl = float(np.dot(lnls, pattern_weights))
-        self._finish(
-            KernelKind.EVALUATE, site_l.shape[0], t0,
-            z_left, z_right, exps, pattern_weights, scale_counts,
-        )
-        return lnl
-
     # -- derivatives ---------------------------------------------------
-    @_guarded
-    def derivative_sum(self, z_left, z_right):
-        t0 = time.perf_counter()
+    def _product(self, z_left, z_right):
         p, c, k = np.broadcast_shapes(z_left.shape, z_right.shape)
         zl = np.broadcast_to(np.asarray(z_left, dtype=np.float64), (p, c, k))
         zr = np.broadcast_to(np.asarray(z_right, dtype=np.float64), (p, c, k))
@@ -390,9 +288,6 @@ class CompiledBackend(_BackendBase):
         lib.ew_product(
             p, zl.ctypes.data, *_estrides(zl),
             zr.ctypes.data, *_estrides(zr), out.ctypes.data,
-        )
-        self._finish(
-            KernelKind.DERIVATIVE_SUM, p, t0, z_left, z_right, out
         )
         return out
 
@@ -420,28 +315,6 @@ class CompiledBackend(_BackendBase):
         )
         return l0, l1, l2
 
-    @_guarded
-    def derivative_site_terms(self, sumbuf, eigenvalues, rates, rate_weights, t):
-        t0 = time.perf_counter()
-        out = self._site_terms(sumbuf, eigenvalues, rates, rate_weights, t)
-        self._finish(
-            KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0, sumbuf, *out
-        )
-        return out
-
-    @_guarded
-    def derivative_core(
-        self, sumbuf, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        l0, l1, l2 = self._site_terms(sumbuf, eigenvalues, rates, rate_weights, t)
-        out = kernels.derivative_reduce(l0, l1, l2, pattern_weights)
-        self._finish(
-            KernelKind.DERIVATIVE_CORE, sumbuf.shape[0], t0,
-            sumbuf, pattern_weights,
-        )
-        return out
-
     # -- fused edge gradient (up-sweep) --------------------------------
     def _gradient_terms(
         self, z_top, z_bottom, eigenvalues, rates, rate_weights, t
@@ -460,32 +333,3 @@ class CompiledBackend(_BackendBase):
             l0.ctypes.data, l1.ctypes.data, l2.ctypes.data,
         )
         return l0, l1, l2
-
-    @_guarded
-    def edge_gradient(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t, pattern_weights
-    ):
-        t0 = time.perf_counter()
-        l0, l1, l2 = self._gradient_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        out = kernels.derivative_reduce(l0, l1, l2, pattern_weights)
-        self._finish(
-            KernelKind.EDGE_GRADIENT, l0.shape[0], t0,
-            z_top, z_bottom, pattern_weights,
-        )
-        return out
-
-    @_guarded
-    def edge_gradient_terms(
-        self, z_top, z_bottom, eigenvalues, rates, rate_weights, t
-    ):
-        t0 = time.perf_counter()
-        out = self._gradient_terms(
-            z_top, z_bottom, eigenvalues, rates, rate_weights, t
-        )
-        self._finish(
-            KernelKind.EDGE_GRADIENT, out[0].shape[0], t0,
-            z_top, z_bottom, *out,
-        )
-        return out

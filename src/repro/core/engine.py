@@ -72,7 +72,7 @@ class LikelihoodEngine:
         ``GammaRates(alpha, 4)``); ``None`` means a single unit rate.
     backend:
         Kernel implementation: a registered backend name
-        (``"reference"``, ``"blocked"``, ``"shadow"``), an already
+        (``"reference"``, ``"compiled"``, ``"shadow"``), an already
         constructed :class:`~repro.core.backends.KernelBackend`, or
         ``None`` for the process default (``REPRO_BACKEND`` environment
         variable, falling back to the reference kernels).
@@ -395,21 +395,9 @@ class LikelihoodEngine:
         ``scales`` (combined scale counts of the two operands) is unused
         here — the derivative ratios are scale-invariant — but engines
         whose mixture needs true per-site likelihoods (+I) override this
-        hook and consume it.  Backends predating the fused kernel fall
-        back to the paper's ``derivativeSum`` + ``derivativeCore`` pair.
+        hook and consume it.
         """
-        eg = getattr(self.backend, "edge_gradient", None)
-        if eg is None:
-            sumbuf = self.backend.derivative_sum(z_top, z_bottom)
-            return self.backend.derivative_core(
-                sumbuf,
-                self.eigen.eigenvalues,
-                self.rate_values,
-                self.rate_weights,
-                t,
-                self.patterns.weights,
-            )
-        return eg(
+        return self.backend.edge_gradient(
             z_top,
             z_bottom,
             self.eigen.eigenvalues,
@@ -423,14 +411,7 @@ class LikelihoodEngine:
         self, z_top: np.ndarray, z_bottom: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pattern ``(l, l', l'')`` of one edge gradient (parallel path)."""
-        f = getattr(self.backend, "edge_gradient_terms", None)
-        if f is None:
-            sumbuf = self.backend.derivative_sum(z_top, z_bottom)
-            return kernels.derivative_site_terms(
-                sumbuf, self.eigen.eigenvalues, self.rate_values,
-                self.rate_weights, t,
-            )
-        return f(
+        return self.backend.edge_gradient_terms(
             z_top, z_bottom, self.eigen.eigenvalues, self.rate_values,
             self.rate_weights, t,
         )
@@ -691,10 +672,7 @@ class LikelihoodEngine:
         worker-count-independent order, so the reduced derivatives are
         bit-identical to :meth:`branch_derivatives`.
         """
-        site_terms = getattr(self.backend, "derivative_site_terms", None)
-        if site_terms is None:  # protocol-minimal backends
-            site_terms = lambda *a: kernels.derivative_site_terms(*a)  # noqa: E731
-        out = site_terms(
+        out = self.backend.derivative_site_terms(
             sumbuf,
             self.eigen.eigenvalues,
             self.rate_values,

@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..phylo.models import EigenSystem
-from .scaling import rescale_clv
+from .scaling import LOG_SCALE_STEP, rescale_clv
 
 __all__ = [
     "branch_exponentials",
@@ -61,6 +61,8 @@ __all__ = [
     "derivative_core",
     "edge_gradient_terms",
     "edge_gradient",
+    "site_likelihoods",
+    "log_site_likelihoods",
     "site_log_likelihoods",
 ]
 
@@ -174,6 +176,41 @@ def newview_tip_tip(
     return z_out, scale_out
 
 
+def site_likelihoods(
+    z_left: np.ndarray,
+    z_right: np.ndarray,
+    exps: np.ndarray,
+    rate_weights: np.ndarray,
+) -> np.ndarray:
+    """Per-pattern *linear-scale* likelihoods at a virtual root.
+
+    ``exps`` is the :func:`branch_exponentials` table of the root branch.
+    The identity ``U^T diag(pi) U = I`` reduces the root computation to
+
+        L_p = sum_c w_c sum_k z_l[p,c,k] z_r[p,c,k] exps[c,k]
+    """
+    terms = z_left * z_right * exps[None, :, :]
+    return np.einsum("pck,c->p", terms, rate_weights)
+
+
+def log_site_likelihoods(
+    site_l: np.ndarray, scale_counts: np.ndarray
+) -> np.ndarray:
+    """Log phase of ``evaluate``: ``log L_p`` with the scaling undone.
+
+    ``scale_counts`` is the summed scaling counter of both root sides.
+    Shared by every backend, so the positivity check and the scale
+    correction are applied to their per-site values by the same code.
+    """
+    if np.any(site_l <= 0.0):
+        bad = int(np.argmin(site_l))
+        raise FloatingPointError(
+            f"non-positive site likelihood {site_l[bad]:g} at pattern {bad}; "
+            "tree or model is numerically degenerate"
+        )
+    return np.log(site_l) - scale_counts * LOG_SCALE_STEP
+
+
 def site_log_likelihoods(
     z_left: np.ndarray,
     z_right: np.ndarray,
@@ -181,25 +218,10 @@ def site_log_likelihoods(
     rate_weights: np.ndarray,
     scale_counts: np.ndarray,
 ) -> np.ndarray:
-    """Per-pattern log-likelihoods at a virtual root.
-
-    ``exps`` is the :func:`branch_exponentials` table of the root branch;
-    ``scale_counts`` is the summed scaling counter of both sides.  The
-    identity ``U^T diag(pi) U = I`` reduces the root computation to
-
-        L_p = sum_c w_c sum_k z_l[p,c,k] z_r[p,c,k] exps[c,k]
-    """
-    terms = z_left * z_right * exps[None, :, :]
-    site_l = np.einsum("pck,c->p", terms, rate_weights)
-    if np.any(site_l <= 0.0):
-        bad = int(np.argmin(site_l))
-        raise FloatingPointError(
-            f"non-positive site likelihood {site_l[bad]:g} at pattern {bad}; "
-            "tree or model is numerically degenerate"
-        )
-    from .scaling import LOG_SCALE_STEP
-
-    return np.log(site_l) - scale_counts * LOG_SCALE_STEP
+    """Per-pattern log-likelihoods at a virtual root."""
+    return log_site_likelihoods(
+        site_likelihoods(z_left, z_right, exps, rate_weights), scale_counts
+    )
 
 
 def evaluate_edge(
@@ -280,8 +302,8 @@ def derivative_site_terms(
     bit-identical to the sequential code path.
 
     The weight tables are associated as ``m0 = w*e``, ``m1 = m0*g``,
-    ``m2 = m1*g`` — the same association the blocked backend's chunked
-    path uses — so per-pattern values are bitwise identical whichever
+    ``m2 = m1*g`` — the same association the compiled backend feeds its
+    C site loop — so per-pattern values are bitwise identical whichever
     backend or slice width computed them.
     """
     g = np.multiply.outer(np.asarray(rates, dtype=np.float64), eigenvalues)

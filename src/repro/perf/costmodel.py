@@ -372,19 +372,13 @@ class MeasuredKernelCost:
     bytes_moved: int
 
     @property
-    def timed(self) -> bool:
-        """Whether this kernel was actually observed (dispatched at all)."""
-        return self.site_units > 0
-
-    @property
     def seconds_per_site(self) -> float | None:
         """Measured wall seconds per (pattern x call) work unit.
 
         ``None`` for kernels the profile never observed — an untimed
         kernel has no measured cost, and returning ``0.0`` would let
-        cost-model consumers (the autotuner above all) price it as
-        *free*.  Callers must skip ``None`` entries (or check
-        :attr:`timed`).
+        cost-model consumers price it as *free*.  Callers must skip
+        ``None`` entries.
         """
         return self.seconds / self.site_units if self.site_units else None
 

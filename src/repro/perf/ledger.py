@@ -56,23 +56,12 @@ SCHEMA = "repro-perf-ledger/1"
 DEFAULT_THRESHOLD = 0.10
 
 #: Name fragments marking a metric as lower-is-better (durations,
-#: overheads, prediction error) — checked before the higher-is-better
-#: set.
+#: overheads) — checked before the higher-is-better set.
 _LOWER_BETTER_SUFFIXES = ("_s", "_seconds", "_ns", "_us", "_ms")
-_LOWER_BETTER_SUBSTRINGS = ("overhead", "mispredict")
+_LOWER_BETTER_SUBSTRINGS = ("overhead",)
 
 #: Name fragments marking a metric as higher-is-better.
 _HIGHER_BETTER_SUBSTRINGS = ("speedup",)
-
-#: Full-name prefixes that are *informational* despite a timing-style
-#: suffix: the autotuner's cost-model predictions (``predicted_s``,
-#: ``default_predicted_s``) describe the model's belief, not a measured
-#: duration — a prediction drifting up is a model recalibration, not a
-#: performance regression.
-_INFORMATIONAL_PREFIXES = (
-    "autotune.predicted",
-    "autotune.default_predicted",
-)
 
 
 def config_fingerprint(config: dict) -> str:
@@ -379,13 +368,10 @@ def metric_direction(name: str) -> str | None:
     """``"lower"``/``"higher"``-is-better, or ``None`` for informational.
 
     Classified by name convention: duration/overhead metrics (``*_s``,
-    ``*_seconds``, ``*_ns``, ``*overhead*``) and prediction error
-    (``*mispredict*``) want to go down, speedups want to go up;
-    anything else (counts, deltas, bucket data, the autotuner's
-    cost-model *predictions*) is not a regression signal on its own.
+    ``*_seconds``, ``*_ns``, ``*overhead*``) want to go down, speedups
+    want to go up; anything else (counts, deltas, bucket data) is not a
+    regression signal on its own.
     """
-    if name.startswith(_INFORMATIONAL_PREFIXES):
-        return None
     leaf = name.rsplit(".", 1)[-1]
     if any(s in leaf for s in _HIGHER_BETTER_SUBSTRINGS):
         return "higher"

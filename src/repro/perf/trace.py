@@ -216,7 +216,7 @@ def trace_from_spans(
     seconds).
 
     .. warning:: Record the source trace with the **reference** or
-       **blocked** backend.  The shadow backend dispatches every kernel
+       **compiled** backend.  The shadow backend dispatches every kernel
        twice (primary + reference), so its span stream double-counts
        calls relative to the engine's own counters.
     """

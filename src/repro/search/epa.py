@@ -109,11 +109,6 @@ def _resolve_session_backend(
     resolves to one shared instance so every per-query engine feeds a
     single profile (and so lockstep batching can fuse across engines).
     """
-    if isinstance(backend, str) and backend == "auto":
-        raise ValueError(
-            "backend='auto' must be resolved before session construction "
-            "(see PlacementSession; it needs the reference workload shape)"
-        )
     if workers > 1:
         if (
             backend is not None
@@ -177,15 +172,6 @@ class PlacementSession:
         self.workers = workers
         self.execution = execution
         self.max_resident = max_resident
-        if isinstance(backend, str) and backend == "auto":
-            from ..perf.autotune import resolve_auto_backend
-
-            backend = resolve_auto_backend(
-                reference_alignment.n_patterns,
-                model.n_states,
-                gamma.n_categories if gamma is not None else 4,
-                prefer_name=workers > 1 and execution != "simulated",
-            )
         self._backend = _resolve_session_backend(backend, workers, execution)
         self.tree = reference_tree.copy()  # pristine; never mutated
         # Decode reference rows once; _merge re-uses them per query.

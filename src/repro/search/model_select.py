@@ -168,10 +168,6 @@ def select_model(
     """
     if criterion not in ("aic", "aicc", "bic"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    if isinstance(backend, str) and backend == "auto":
-        from ..perf.autotune import resolve_auto_backend
-
-        backend = resolve_auto_backend(patterns.n_patterns, 4, 4)
     backend = get_backend(backend)
     fits: list[ModelFit] = []
     variants = [(False, False)]

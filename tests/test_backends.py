@@ -1,9 +1,8 @@
 """Backend dispatch-seam tests.
 
-Parity: every registered backend (plus deliberately small-block
-configurations that force the chunked code paths) must agree with the
-reference NumPy kernels to 1e-10 on randomized CLAs across tip/inner
-combinations, Gamma and single-rate shapes, and rescaled inputs.
+Parity: every registered backend must agree with the reference NumPy
+kernels to 1e-10 on randomized CLAs across tip/inner combinations,
+Gamma and single-rate shapes, and rescaled inputs.
 
 Shadow: the differential-testing backend must catch a deliberately
 perturbed kernel and stay silent on honest ones.
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.core.backends import (
     BackendMismatchError,
-    BlockedBackend,
     KernelProfile,
     ReferenceBackend,
     ShadowBackend,
@@ -31,6 +29,7 @@ from repro.core.backends import (
     make_engine,
 )
 from repro.core.cat import CatLikelihoodEngine
+from repro.core.ckernels import CompiledBackend
 from repro.core.engine import LikelihoodEngine
 from repro.core.invariant import InvariantSitesEngine
 from repro.core.memsave import MemorySavingEngine
@@ -41,17 +40,11 @@ N_CODES = 16
 ATOL = 1e-10
 
 #: (label, zero-arg factory) for every backend whose outputs must match
-#: the reference kernels.  The small-block variants force the chunked
-#: loops even on test-sized inputs (the registry default of 2048 sites
-#: would otherwise fall through to the whole-array path).
+#: the reference kernels.
 PARITY_BACKENDS = [
     (info.name, info.factory)
     for info in available_backends()
     if info.name != "reference"
-] + [
-    ("blocked[17]", lambda: BlockedBackend(block_sites=17)),
-    ("shadow[blocked17]", lambda: ShadowBackend(
-        primary=BlockedBackend(block_sites=17))),
 ]
 PARITY_IDS = [label for label, _ in PARITY_BACKENDS]
 PARITY_FACTORIES = [factory for _, factory in PARITY_BACKENDS]
@@ -232,9 +225,6 @@ class TestEngineParity:
         for info in available_backends():
             lnl = self._engine(sim, info.name).log_likelihood()
             assert lnl == pytest.approx(ref, abs=1e-9), info.name
-        # forced chunking too
-        lnl = self._engine(sim, BlockedBackend(block_sites=13)).log_likelihood()
-        assert lnl == pytest.approx(ref, abs=1e-9)
 
     def test_branch_derivatives_all_backends(self, sim):
         eng_ref = self._engine(sim, "reference")
@@ -249,7 +239,7 @@ class TestEngineParity:
 
     def test_site_log_likelihoods_match(self, sim):
         ref = self._engine(sim, "reference").site_log_likelihoods()
-        got = self._engine(sim, BlockedBackend(block_sites=13)).site_log_likelihoods()
+        got = self._engine(sim, "compiled").site_log_likelihoods()
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
 
 
@@ -281,7 +271,8 @@ class _PerturbedDerivative(ReferenceBackend):
 class TestShadowBackend:
     def test_silent_on_honest_backends(self):
         sim = simulate_dataset(n_taxa=8, n_sites=300, seed=5)
-        shadow = ShadowBackend(primary=BlockedBackend(block_sites=19))
+        shadow = ShadowBackend()
+        assert shadow.primary.name == "compiled"
         engine = self._run(sim, shadow)
         ref = make_engine(
             sim.alignment.compress(), sim.tree.copy(), gtr(),
@@ -316,6 +307,23 @@ class TestShadowBackend:
         with pytest.raises(BackendMismatchError, match="derivative"):
             engine.branch_derivatives(sb, 0.1)
 
+    def test_inner_profiles_count_true_kernel_kinds(self):
+        """Both wrapped backends see every dispatch under its own kind."""
+        sim = simulate_dataset(n_taxa=8, n_sites=300, seed=5)
+        shadow = ShadowBackend()
+        engine = make_engine(
+            sim.alignment.compress(), sim.tree.copy(), gtr(),
+            GammaRates(alpha=0.9), backend=shadow,
+        )
+        engine.log_likelihood()
+        engine.all_branch_gradients()
+        eid = engine.tree.edges[0].id
+        engine.branch_derivatives(engine.edge_sum_buffer(eid), 0.1)
+        assert len(shadow.profile.calls) >= 6  # newview/preorder/gradient...
+        assert shadow.primary.profile.calls == shadow.profile.calls
+        assert shadow.reference.profile.calls == shadow.profile.calls
+        assert shadow.checks == sum(shadow.profile.calls.values())
+
     def test_kernel_level_mismatch(self):
         d = _random_inputs(0, 31, 4, rescaled=False)
         shadow = ShadowBackend(primary=_PerturbedNewview())
@@ -329,7 +337,7 @@ class TestShadowBackend:
 class TestRegistryAndFactory:
     def test_registry_names(self):
         names = [info.name for info in available_backends()]
-        assert names[:3] == ["reference", "blocked", "shadow"]
+        assert names == ["reference", "shadow", "compiled"]
         assert all(info.description for info in available_backends())
 
     def test_get_backend_unknown(self):
@@ -337,15 +345,15 @@ class TestRegistryAndFactory:
             get_backend("simd-but-not-really")
 
     def test_get_backend_fresh_instances(self):
-        assert get_backend("blocked") is not get_backend("blocked")
+        assert get_backend("compiled") is not get_backend("compiled")
 
     def test_get_backend_instance_passthrough(self):
-        inst = BlockedBackend()
+        inst = CompiledBackend()
         assert get_backend(inst) is inst
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "blocked")
-        assert isinstance(get_backend(None), BlockedBackend)
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
+        assert isinstance(get_backend(None), CompiledBackend)
         monkeypatch.delenv("REPRO_BACKEND")
         assert isinstance(get_backend(None), ReferenceBackend)
 
@@ -367,10 +375,10 @@ class TestRegistryAndFactory:
             weights=patterns.weights,
         )
         cat_engine = make_engine(
-            patterns, sim.tree.copy(), gtr(), cat=cat, backend="blocked"
+            patterns, sim.tree.copy(), gtr(), cat=cat, backend="compiled"
         )
         assert isinstance(cat_engine, CatLikelihoodEngine)
-        assert isinstance(cat_engine.backend, BlockedBackend)
+        assert isinstance(cat_engine.backend, CompiledBackend)
         # CAT parity across backends, while we have the pieces in hand
         ref_cat = make_engine(patterns, sim.tree.copy(), gtr(), cat=cat)
         assert cat_engine.log_likelihood() == pytest.approx(
@@ -405,7 +413,7 @@ class TestProfiles:
         sim = simulate_dataset(n_taxa=8, n_sites=250, seed=21)
         engine = make_engine(
             sim.alignment.compress(), sim.tree.copy(), gtr(),
-            GammaRates(0.8), backend="blocked",
+            GammaRates(0.8), backend="compiled",
         )
         engine.log_likelihood()
         eid = engine.tree.edges[0].id
@@ -448,6 +456,18 @@ class TestProfiles:
         via_trace = measured_costs(trace)
         assert via_trace["evaluate"].calls == costs["evaluate"].calls
 
+    def test_untimed_kernel_has_no_per_site_cost(self):
+        from repro.perf import measured_costs
+
+        sim = simulate_dataset(n_taxa=6, n_sites=120, seed=21)
+        engine = make_engine(
+            sim.alignment.compress(), sim.tree.copy(), gtr(), GammaRates(0.8)
+        )
+        engine.log_likelihood()  # no derivative kernel dispatched
+        costs = measured_costs(engine.profile)
+        assert costs["derivative_core"].seconds_per_site is None  # not 0.0
+        assert costs["evaluate"].seconds_per_site > 0.0
+
     def test_unmeasured_trace_rejected(self):
         from repro.perf import DEFAULT_TRACE, measured_costs
 
@@ -456,7 +476,7 @@ class TestProfiles:
 
     def test_shared_backend_aggregates_profile(self):
         sim = simulate_dataset(n_taxa=6, n_sites=150, seed=33)
-        shared = BlockedBackend()
+        shared = CompiledBackend()
         for seed in (1, 2):
             make_engine(
                 sim.alignment.compress(), sim.tree.copy(), gtr(),

@@ -15,8 +15,9 @@ honest backend and catches a planted perturbation.
 Workers: ``ml_search`` and ``place_queries`` on ``compiled`` with
 ``workers=2`` are bit-identical (delta == 0.0) to serial ``compiled``.
 
-Fallback: with a broken ``$CC`` the backend warns once and delegates to
-``blocked``, producing correct results with no compiler at all.
+Fallback: with a broken ``$CC`` the backend warns once and swaps its
+arithmetic hooks for the reference ones, producing reference results
+bit for bit with no compiler at all.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.core.backends import (
     BackendMismatchError,
-    BlockedBackend,
+    ReferenceBackend,
     ShadowBackend,
     make_engine,
 )
@@ -369,32 +370,72 @@ class TestWorkersBitParity:
 
 
 class TestFallback:
-    def test_broken_cc_falls_back_to_blocked(self, monkeypatch):
+    @staticmethod
+    def _lnl_and_gradients(backend):
+        sim = simulate_dataset(n_taxa=6, n_sites=150, seed=3)
+        engine = make_engine(
+            sim.alignment.compress(), sim.tree.copy(), gtr(),
+            GammaRates(0.8), backend=backend,
+        )
+        return engine.log_likelihood(), engine.all_branch_gradients()
+
+    def test_broken_cc_falls_back_to_reference(self, monkeypatch):
         monkeypatch.setenv("CC", "/nonexistent-compiler")
         monkeypatch.setattr(ck_build, "_spec_cache", None)
         monkeypatch.setattr(ck_backend, "_warned_fallback", False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             backend = CompiledBackend()
+            CompiledBackend()  # a second instance must not warn again
         assert backend.fallback_reason is not None
         assert "/nonexistent-compiler" in backend.fallback_reason
-        assert isinstance(backend._delegate, BlockedBackend)
-        assert any(
-            issubclass(w.category, RuntimeWarning)
+        fallback_warnings = [
+            w for w in caught
+            if issubclass(w.category, RuntimeWarning)
             and "falling back" in str(w.message)
-            for w in caught
+        ]
+        assert len(fallback_warnings) == 1
+        # the arithmetic is the reference hooks themselves ...
+        for hook in backend._HOOKS:
+            assert getattr(backend, hook) is getattr(ReferenceBackend, hook)
+        assert backend._tip_tip is kernels.newview_tip_tip
+        # ... so results equal the reference backend's bit for bit
+        assert self._lnl_and_gradients(backend) == self._lnl_and_gradients(
+            "reference"
         )
-        # the fallback still computes correct numbers
-        sim = simulate_dataset(n_taxa=6, n_sites=150, seed=3)
-        got = make_engine(
-            sim.alignment.compress(), sim.tree.copy(), gtr(),
-            GammaRates(0.8), backend=backend,
-        ).log_likelihood()
-        ref = make_engine(
-            sim.alignment.compress(), sim.tree.copy(), gtr(),
-            GammaRates(0.8), backend="reference",
-        ).log_likelihood()
-        assert got == pytest.approx(ref, abs=1e-9)
+        # and a >1-op wave still goes through newview_batch (per-op loop)
+        calls = TestNewviewBatch()._calls(5, 64)
+        before = backend.profile.calls.get(KernelKind.NEWVIEW_TIP_TIP, 0)
+        batched = backend.newview_batch(calls)
+        assert (
+            backend.profile.calls[KernelKind.NEWVIEW_TIP_TIP] - before
+            == sum(c.kind is KernelKind.NEWVIEW_TIP_TIP for c in calls)
+        )
+        per_op = dispatch_wave(ReferenceBackend(), calls, batch=False)
+        for (zb, sb), (zp, sp) in zip(batched, per_op):
+            np.testing.assert_array_equal(zb, zp)
+            np.testing.assert_array_equal(sb, sp)
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain here")
+    def test_compile_failure_at_first_use_falls_back(self, monkeypatch):
+        """The probe passes but building the kernel object fails."""
+        monkeypatch.setattr(ck_backend, "_warned_fallback", True)
+        backend = CompiledBackend()
+        assert backend.fallback_reason is None
+
+        def broken(states, rates):
+            raise CompilerUnavailable("object build failed")
+
+        monkeypatch.setattr(ck_backend, "load_kernels", broken)
+        d = _random_inputs(0, 31, 4)
+        args = (d["u_inv"], d["a1"], d["a2"], d["z1"], d["z2"],
+                d["scale1"], d["scale2"])
+        z, s = backend.newview_inner_inner(*args)
+        z_ref, s_ref = kernels.newview_inner_inner(*args)
+        np.testing.assert_array_equal(z, z_ref)
+        np.testing.assert_array_equal(s, s_ref)
+        assert backend.fallback_reason == "object build failed"
+        assert backend.profile.calls[KernelKind.NEWVIEW_INNER_INNER] == 1
 
     def test_find_compiler_error_mentions_cc(self, monkeypatch):
         monkeypatch.setenv("CC", "/nonexistent-compiler")

@@ -294,3 +294,25 @@ class TestParallelFlags:
         assert "parallel execution:" in out
         assert "simulated, threads, processes" in out
         assert "REPRO_WORKERS" in out
+        assert "falls back to reference" in out  # compiled's description
+        assert "autotune" not in out
+
+
+class TestBackendSelection:
+    def test_stale_env_backend_exits_2_with_one_line(
+        self, io_case, monkeypatch, capsys
+    ):
+        _tmp, _sim, aln_path, *_ = io_case
+        monkeypatch.setenv("REPRO_BACKEND", "blocked")
+        assert main(["search", str(aln_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown backend 'blocked'" in err
+        assert "reference, shadow, compiled" in err
+
+    @pytest.mark.parametrize("name", ["blocked", "auto"])
+    def test_removed_backend_names_are_invalid_choices(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["search", "x.phy", "--backend", name])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err

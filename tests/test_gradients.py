@@ -53,7 +53,7 @@ def make_parts(seed: int, n_taxa: int = 6, n_sites: int = 150):
     return sim.alignment.compress(), sim.tree.copy()
 
 
-def make_engine(seed: int, backend: str = "blocked", **kw) -> LikelihoodEngine:
+def make_engine(seed: int, backend: str = "compiled", **kw) -> LikelihoodEngine:
     patterns, tree = make_parts(seed, **kw)
     return LikelihoodEngine(
         patterns, tree, gtr(*MODEL_ARGS), GammaRates(0.8, 4), backend=backend
@@ -103,7 +103,7 @@ def richardson_fd(engine, eid: int, h: float = 3e-4) -> float:
 class TestGradientCorrectness:
     @given(
         seed=st.integers(0, 2**31),
-        backend=st.sampled_from(["reference", "blocked", "shadow"]),
+        backend=st.sampled_from(["reference", "compiled", "shadow"]),
     )
     @settings(max_examples=8, deadline=None)
     def test_matches_fd_and_derivative_core(self, seed, backend):
@@ -135,7 +135,7 @@ class TestGradientCorrectness:
             # the exact oracle parity above is the correctness gate.
             assert abs(fd - d1) <= 5e-8 * max(1.0, abs(d1), abs(fd))
 
-    @pytest.mark.parametrize("backend", ["reference", "blocked", "shadow"])
+    @pytest.mark.parametrize("backend", ["reference", "compiled", "shadow"])
     def test_backends_bit_identical_to_per_branch(self, backend):
         engine = make_engine(5, backend=backend)
         grads = engine.all_branch_gradients()
@@ -156,7 +156,7 @@ class TestGradientCorrectness:
         flavours = [
             MemorySavingEngine(
                 patterns, tree.copy(), model, rates,
-                backend="blocked", max_resident=6,
+                backend="compiled", max_resident=6,
             ),
             CatLikelihoodEngine(patterns, tree.copy(), model, cat),
             InvariantSitesEngine(
@@ -188,12 +188,12 @@ class TestParallelBitParity:
         model = gtr(*MODEL_ARGS)
         rates = GammaRates(0.8, 4)
         serial = LikelihoodEngine(
-            patterns, tree.copy(), model, rates, backend="blocked"
+            patterns, tree.copy(), model, rates, backend="compiled"
         )
         want = serial.all_branch_gradients()
         fj = ForkJoinEngine(
             patterns, tree.copy(), model, rates,
-            n_threads=n_workers, backend="blocked",
+            n_threads=n_workers, backend="compiled",
         )
         got = fj.all_branch_gradients()
         assert set(got) == set(want)
@@ -207,11 +207,11 @@ class TestParallelBitParity:
         model = gtr(*MODEL_ARGS)
         rates = GammaRates(0.8, 4)
         serial = LikelihoodEngine(
-            patterns, tree.copy(), model, rates, backend="blocked"
+            patterns, tree.copy(), model, rates, backend="compiled"
         )
         want = serial.all_branch_gradients()
         de = DistributedEngine(
-            patterns, tree.copy(), model, rates, n_ranks=3, backend="blocked"
+            patterns, tree.copy(), model, rates, n_ranks=3, backend="compiled"
         )
         de.log_likelihood()
         boundaries0 = de.wave_boundaries
@@ -271,13 +271,13 @@ class TestGradientSmoother:
         model = gtr(*MODEL_ARGS)
         rates = GammaRates(0.8, 4)
         newton = LikelihoodEngine(
-            patterns, tree.copy(), model, rates, backend="blocked"
+            patterns, tree.copy(), model, rates, backend="compiled"
         )
         lnl_newton = optimize_all_branches(
             newton, passes=16, improvement_epsilon=1e-8, method="newton"
         )
         grad = LikelihoodEngine(
-            patterns, tree.copy(), model, rates, backend="blocked"
+            patterns, tree.copy(), model, rates, backend="compiled"
         )
         lnl_grad = optimize_all_branches(
             grad, passes=16, improvement_epsilon=1e-8, method="gradient"
@@ -329,7 +329,7 @@ class TestProximalGradient:
         def run(lam: float):
             engine = LikelihoodEngine(
                 patterns, true_tree.copy(), model, GammaRates(0.8, 4),
-                backend="blocked",
+                backend="compiled",
             )
             result = proximal_smooth(engine, lam=lam, max_sweeps=48)
             total = sum(

@@ -47,11 +47,11 @@ LEGACY_REPORTS = [
 # ----------------------------------------------------------------------
 class TestEntryAndLedger:
     def test_fingerprint_is_stable_and_order_independent(self):
-        a = config_fingerprint({"sites": 1000, "backend": "blocked"})
-        b = config_fingerprint({"backend": "blocked", "sites": 1000})
+        a = config_fingerprint({"sites": 1000, "backend": "compiled"})
+        b = config_fingerprint({"backend": "compiled", "sites": 1000})
         assert a == b
         assert len(a) == 12
-        assert a != config_fingerprint({"sites": 2000, "backend": "blocked"})
+        assert a != config_fingerprint({"sites": 2000, "backend": "compiled"})
 
     def test_entry_auto_fingerprints_and_keys(self):
         e = LedgerEntry("bench_x", config={"sites": 10}, metrics={"t_s": 1.0})
@@ -87,7 +87,7 @@ class TestEntryAndLedger:
 
     def test_metric_direction_conventions(self):
         assert metric_direction("wall_s") == "lower"
-        assert metric_direction("blocked.per_op_s") == "lower"
+        assert metric_direction("compiled.per_op_s") == "lower"
         assert metric_direction("probe_ns") == "lower"
         assert metric_direction("disabled_overhead_ratio") == "lower"
         assert metric_direction("speedup") == "higher"

@@ -261,11 +261,11 @@ class TestWaveStats:
 
     def test_batched_flag_tracks_backend_capability(self):
         ref = make_engine(seed=2, backend="reference")
-        blk = make_engine(seed=2, backend="blocked")
+        compiled = make_engine(seed=2, backend="compiled")
         ref.log_likelihood()
-        blk.log_likelihood()
+        compiled.log_likelihood()
         assert ref.wave_stats.batched_ops == 0  # no newview_batch hook
-        multi = [w for w in blk.wave_stats.last_plan if w.width > 1]
+        multi = [w for w in compiled.wave_stats.last_plan if w.width > 1]
         assert all(w.batched for w in multi)
 
     def test_trace_carries_wave_summary(self):

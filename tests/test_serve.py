@@ -118,7 +118,7 @@ class TestJplaceInvariants:
 
 
 class TestBatchedParity:
-    @pytest.mark.parametrize("backend", ["reference", "blocked"])
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
     def test_batched_equals_serial_bitwise(self, epa_case, backend):
         ref_aln, ref_tree, seq = epa_case
         queries = {f"q{i}": seq for i in range(3)}
@@ -153,7 +153,7 @@ class TestBatchedParity:
 
 class TestBackendBoundary:
     def test_resolve_backend_name_round_trip(self):
-        assert resolve_backend_name(get_backend("blocked")) == "blocked"
+        assert resolve_backend_name(get_backend("compiled")) == "compiled"
         assert resolve_backend_name(object()) is None
 
     def test_make_engine_resolves_registered_instance(self, epa_case):

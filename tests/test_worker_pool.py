@@ -99,14 +99,18 @@ class TestPoolDeterminism:
             for g, s in zip(got, serial["deriv"]):
                 assert g - s == 0.0
 
-    def test_blocked_backend_matches(self, problem, serial):
+    def test_compiled_backend_matches(self, problem, serial):
         sim, pat, model, gamma = problem
+        serial_compiled = LikelihoodEngine(
+            pat, sim.tree.copy(), model, gamma, backend="compiled"
+        ).log_likelihood()
         with WorkerPool(
             pat, sim.tree.copy(), model, gamma, n_workers=3,
-            backend="blocked",
+            backend="compiled",
         ) as pool:
             lnl = pool_lnl(pool, sim.tree, serial["edge"], pat.weights)
-            assert lnl - serial["lnl"] == 0.0
+            assert lnl - serial_compiled == 0.0
+            assert lnl == pytest.approx(serial["lnl"], abs=1e-9)
 
     def test_cat_pool_matches_serial_cat(self, problem):
         sim, pat, model, _ = problem
