@@ -24,7 +24,7 @@ import numpy as np
 
 from ..phylo.alignment import PatternAlignment
 from ..phylo.models import SubstitutionModel
-from ..phylo.rates import CatRates, discrete_gamma_rates
+from ..phylo.rates import CatRates
 from ..phylo.tree import Tree
 from .backends import KernelBackend
 from .engine import LikelihoodEngine
@@ -126,17 +126,13 @@ class CatLikelihoodEngine(LikelihoodEngine):
     def set_alpha(self, alpha: float) -> None:
         """Re-derive the category rates from a Gamma shape (keeps the
         per-site category assignment)."""
-        rates = discrete_gamma_rates(alpha, self.cat.n_categories)
-        mean = float(
-            np.average(
-                rates[self.cat.site_categories], weights=self.patterns.weights
-            )
-        )
-        self.cat = CatRates(
-            category_rates=rates / mean,
-            site_categories=self.cat.site_categories,
-        )
-        self._alpha = alpha
+        self.set_cat(self.cat.with_alpha(alpha, self.patterns.weights), alpha)
+
+    def set_cat(self, cat: CatRates, alpha: float | None = None) -> None:
+        """Install a new CAT assignment (and the shape it came from)."""
+        self.cat = cat
+        if alpha is not None:
+            self._alpha = alpha
         self.set_model(self.model)
 
     @property

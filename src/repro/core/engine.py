@@ -50,7 +50,45 @@ from .traversal import (
     levelize_upsweep,
 )
 
-__all__ = ["LikelihoodEngine"]
+__all__ = ["LikelihoodEngine", "branch_signature", "subtree_signatures"]
+
+
+def subtree_signatures(
+    tree: Tree, root_edge: int, model_version: int
+) -> dict[tuple[int, int], object]:
+    """Subtree signature of every directed (node, up_edge) below the root.
+
+    The signature of a leaf is its name; an internal node's signature
+    combines its children's signatures with the connecting edge ids
+    and lengths, plus the global model version.  Two equal signatures
+    imply equal subtree likelihood content.
+    """
+    sigs: dict[tuple[int, int], object] = {}
+    for node, _parent, up_edge in tree.postorder(root_edge):
+        if tree.is_leaf(node):
+            sigs[(node, up_edge)] = tree.name(node)
+            continue
+        parts = [model_version]
+        for child, eid in tree.children(node, up_edge):
+            parts.append((eid, tree.edge(eid).length, sigs[(child, eid)]))
+        sigs[(node, up_edge)] = tuple(parts)
+    return sigs
+
+
+def branch_signature(tree: Tree, edge_id: int, model_version: int) -> tuple:
+    """``(length, (version, u-side, v-side subtree signatures))`` of a branch.
+
+    Exactly the inputs ``edge_sum_buffer`` + Newton consume, so equal
+    keys mean the deterministic solve would reproduce its last result.
+    It depends only on the tree and the model version — sliced parallel
+    engines compute it at the master, whatever the substrate.
+    """
+    edge = tree.edge(edge_id)
+    sigs = subtree_signatures(tree, edge_id, model_version)
+    return (
+        edge.length,
+        (model_version, sigs[(edge.u, edge_id)], sigs[(edge.v, edge_id)]),
+    )
 
 
 class LikelihoodEngine:
@@ -152,24 +190,12 @@ class LikelihoodEngine:
     # signatures (structural CLA validity)
     # ------------------------------------------------------------------
     def _signatures(self, root_edge: int) -> dict[tuple[int, int], object]:
-        """Subtree signature of every directed (node, up_edge) below the root.
+        """:func:`subtree_signatures` under this engine's model version."""
+        return subtree_signatures(self.tree, root_edge, self._model_version)
 
-        The signature of a leaf is its name; an internal node's signature
-        combines its children's signatures with the connecting edge ids
-        and lengths, plus the global model version.  Two equal signatures
-        imply equal subtree likelihood content.
-        """
-        tree = self.tree
-        sigs: dict[tuple[int, int], object] = {}
-        for node, _parent, up_edge in tree.postorder(root_edge):
-            if tree.is_leaf(node):
-                sigs[(node, up_edge)] = tree.name(node)
-                continue
-            parts = [self._model_version]
-            for child, eid in tree.children(node, up_edge):
-                parts.append((eid, tree.edge(eid).length, sigs[(child, eid)]))
-            sigs[(node, up_edge)] = tuple(parts)
-        return sigs
+    def branch_signature(self, edge_id: int) -> tuple:
+        """Key fully determining a per-branch Newton solve on ``edge_id``."""
+        return branch_signature(self.tree, edge_id, self._model_version)
 
     # ------------------------------------------------------------------
     # traversal planning and execution

@@ -93,6 +93,11 @@ class PartitionedEngine:
     def default_edge(self) -> int:
         return self.engines[0].default_edge()
 
+    def branch_signature(self, edge_id: int) -> tuple:
+        """Per-branch Newton memo key: every partition's model counts."""
+        parts = [e.branch_signature(edge_id) for e in self.engines]
+        return (parts[0][0], *(part[1] for part in parts))
+
     def set_alpha(self, alpha: float) -> None:
         """Shared-alpha convenience (per-partition alphas via engines)."""
         for engine in self.engines:
@@ -163,12 +168,7 @@ class PartitionedEngine:
         """Aggregated counters across partitions."""
         total = self.engines[0].counters.copy()
         for engine in self.engines[1:]:
-            c = engine.counters
-            for k, v in c.calls.items():
-                total.calls[k] = total.calls.get(k, 0) + v
-            for k, v in c.site_units.items():
-                total.site_units[k] = total.site_units.get(k, 0) + v
-            total.reductions += c.reductions
+            total.merge(engine.counters)
         return total
 
     @property

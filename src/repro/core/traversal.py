@@ -415,9 +415,13 @@ class KernelCounters:
     def merge(self, other: "KernelCounters") -> None:
         """Accumulate ``other``'s totals into this object (in place).
 
-        Used to combine per-worker counters into one engine-wide view;
-        callers are responsible for not merging the same source twice
-        (see ``ForkJoinEngine.counters`` for the dedup-by-identity rule).
+        Used to combine per-partition counters into one engine-wide
+        view; callers are responsible for not merging the same source
+        twice.  (The dedup-by-identity rule for *profiles* of engines
+        sharing a backend lives in
+        ``repro.parallel.forkjoin.merged_backend_profile``; sliced
+        parallel engines never sum ``calls`` — see
+        ``repro.parallel.substrate.Substrate.counters``.)
         """
         for kind, n in other.calls.items():
             self.calls[kind] = self.calls.get(kind, 0) + n

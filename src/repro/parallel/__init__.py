@@ -8,7 +8,13 @@ distributed engine demonstrating ExaML's communicate-only-at-reductions
 scheme with bit-level agreement against the serial engine.
 """
 
-from .distribute import SiteDistribution, distribute_block, distribute_cyclic
+from .distribute import (
+    SiteDistribution,
+    distribute_block,
+    distribute_cyclic,
+    slice_cat,
+    slice_patterns,
+)
 from .distributed import DistributedEngine
 from .examl import ExaMLModel, RunPrediction
 from .forkjoin import EXECUTION_MODES, ForkJoinEngine, merged_backend_profile
@@ -18,7 +24,6 @@ from .pool import (
     WorkerFailure,
     WorkerPool,
     WorkerRestart,
-    slice_cat,
 )
 from .shm import ArenaLayout, SharedArena, active_arena_segments
 from .hybrid import (
@@ -56,6 +61,7 @@ __all__ = [
     "WorkerPool",
     "WorkerRestart",
     "slice_cat",
+    "slice_patterns",
     "ArenaLayout",
     "SharedArena",
     "active_arena_segments",

@@ -15,7 +15,16 @@ from math import ceil
 
 import numpy as np
 
-__all__ = ["SiteDistribution", "distribute_block", "distribute_cyclic"]
+from ..phylo.alignment import PatternAlignment
+from ..phylo.rates import CatRates
+
+__all__ = [
+    "SiteDistribution",
+    "distribute_block",
+    "distribute_cyclic",
+    "slice_patterns",
+    "slice_cat",
+]
 
 
 @dataclass(frozen=True)
@@ -65,3 +74,27 @@ def distribute_cyclic(n_sites: int, n_workers: int) -> SiteDistribution:
         tuple(range(w, n_sites, n_workers)) for w in range(n_workers)
     )
     return SiteDistribution(n_sites, n_workers, assignment)
+
+
+def slice_patterns(patterns: PatternAlignment, idx: np.ndarray) -> PatternAlignment:
+    """A worker-local pattern alignment over a subset of pattern columns."""
+    return PatternAlignment(
+        taxa=list(patterns.taxa),
+        data=np.ascontiguousarray(patterns.data[:, idx]),
+        weights=patterns.weights[idx].copy(),
+        site_to_pattern=np.arange(idx.shape[0]),
+        states=patterns.states,
+    )
+
+
+def slice_cat(cat: CatRates, idx: np.ndarray) -> CatRates:
+    """A worker's per-site CAT rates over a pattern index slice.
+
+    ``category_rates`` are kept verbatim (they were normalised against
+    the *full* alignment's pattern weights by the master), so sliced
+    engines reproduce the full engine's per-site rates bit-for-bit.
+    """
+    return CatRates(
+        category_rates=cat.category_rates,
+        site_categories=cat.site_categories[idx],
+    )

@@ -1,76 +1,180 @@
-"""Functional distributed likelihood engine (ExaML's parallelisation).
+"""ExaML's communicate-only-at-reductions synchronisation (Sec. V-D).
 
-ExaML's scheme (Sec. V-D): every rank runs its own *consistent* copy of
-the tree-search algorithm over its slice of the alignment sites, and the
-ranks communicate only where information must be combined — the
-AllReduce after ``evaluate`` (summing partial log-likelihoods) and after
-each ``derivativeCore`` batch (summing the two derivatives).  Crucially
-there is *no* communication between consecutive ``newview`` calls.
+Every rank runs its own *consistent* copy of the tree search over its
+slice of the sites, and the ranks communicate only where information
+must be combined — the AllReduce after ``evaluate`` and after each
+``derivativeCore`` batch.  There is *no* communication between
+consecutive ``newview`` calls.
 
-:class:`DistributedEngine` implements that scheme functionally on top of
-:class:`~repro.parallel.simmpi.SimMPI`: ranks are in-process
-sub-engines over disjoint pattern slices, every reduction goes through
-the simulated AllReduce (so communication volume and modelled time are
-accounted), and the public surface duck-types
-:class:`~repro.core.engine.LikelihoodEngine` closely enough that the
-branch-length optimiser and SPR search from :mod:`repro.search` run on
-it unchanged — the reproduction's demonstration that the tree search is
-oblivious to the distribution, exactly as in ExaML.
+:class:`DistributedEngine` is the :class:`~repro.parallel.sliced.
+SlicedEngine` under that policy (:class:`ExaMLSync`): every reduction
+point goes through :class:`~repro.parallel.simmpi.SimMPI`, which
+accounts volume and modelled time and can inject rank deaths.  The
+AllReduce is accounting and fault injection only — *returned* values
+come from the master's fixed-order lane reduction, bit-identical to the
+sequential engine for every rank count and substrate.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.backends import KernelBackend, KernelProfile, get_backend
-from ..core.engine import LikelihoodEngine
+from ..core.backends import KernelBackend
 from ..faults.plan import RankFailure
 from ..obs import metrics as _obs_metrics
 from ..obs import server as _obs_server
 from ..obs import spans as _obs
-from ..core.schedule import WaveStats
 from ..phylo.alignment import PatternAlignment
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import GammaRates
 from ..phylo.tree import Tree
-from ..core.kernels import derivative_reduce
-from .distribute import SiteDistribution, distribute_block, distribute_cyclic
-from .pool import SumBufferHandle, WorkerPool, WorkerRestart
+from .distribute import SiteDistribution
 from .simmpi import SimMPI
+from .sliced import SlicedEngine, SyncPolicy
 
-__all__ = ["DistributedEngine"]
-
-
-def _slice_patterns(patterns: PatternAlignment, idx: np.ndarray) -> PatternAlignment:
-    """A rank-local pattern alignment over a subset of pattern columns."""
-    return PatternAlignment(
-        taxa=list(patterns.taxa),
-        data=np.ascontiguousarray(patterns.data[:, idx]),
-        weights=patterns.weights[idx].copy(),
-        site_to_pattern=np.arange(idx.shape[0]),
-        states=patterns.states,
-    )
+__all__ = ["DistributedEngine", "ExaMLSync"]
 
 
-class DistributedEngine:
-    """Rank-parallel PLF over a shared tree (ExaML's communication scheme).
+class ExaMLSync(SyncPolicy):
+    """ExaML's policy: free wave boundaries, one AllReduce per reduction.
 
-    All ranks reference the *same* :class:`Tree` object — mirroring
-    ExaML, where each process deterministically replays the identical
-    sequence of topology/branch updates, so tree state never needs to be
-    communicated.
+    Wave boundaries are counted (:attr:`wave_boundaries`) but charge no
+    communication; cost comes only from the :class:`SimMPI` reductions.
+    A rank death injected by the fault plan follows ``on_rank_failure``:
 
-    Rank failure (injected via the :class:`SimMPI` fault plan) follows
-    ``on_rank_failure``:
-
-    * ``"degrade"`` (default) — the dead rank's pattern slice is
-      *adopted* by the lowest surviving rank (ExaML's restart story
-      compressed into one process: the survivor re-reads the alignment
-      slice and rebuilds the CLAs, which we charge as modelled recovery
-      time), the collective is retried among survivors, and the search
-      continues with identical numerics;
+    * ``"degrade"`` — the lowest surviving rank *adopts* the dead rank's
+      slice (re-reading it is charged as modelled recovery time), the
+      collective is retried among survivors and the search continues
+      with identical numerics.  A substrate with real workers kills the
+      worker too, so the *next* region exercises real slice adoption;
     * ``"abort"`` — :class:`~repro.faults.RankFailure` propagates, so a
       checkpoint-aware driver can snapshot-and-exit.
+    """
+
+    def __init__(self, mpi: SimMPI, on_rank_failure: str = "degrade") -> None:
+        if on_rank_failure not in ("degrade", "abort"):
+            raise ValueError("on_rank_failure must be 'degrade' or 'abort'")
+        self.mpi = mpi
+        self.on_rank_failure = on_rank_failure
+        self.dead_ranks: set[int] = set()
+        self.adoptions: dict[int, int] = {}
+        self.rank_failures = 0
+        self.recovery_seconds = 0.0
+        self.wave_boundaries = 0
+
+    @property
+    def comm_seconds(self) -> float:
+        """Modelled communication time accumulated so far."""
+        return self.mpi.comm_seconds
+
+    @property
+    def alive_ranks(self) -> list[int]:
+        """Ranks still alive, in index order."""
+        return [
+            r for r in range(self.mpi.n_ranks) if r not in self.dead_ranks
+        ]
+
+    def owner_of(self, rank: int) -> int:
+        """The rank currently computing ``rank``'s slice (adoption-aware)."""
+        return self.adoptions.get(rank, rank)
+
+    # -- hooks -----------------------------------------------------------
+    def wave(self, k: int, sweep: str) -> None:
+        self.wave_boundaries += 1
+        if _obs.ENABLED:
+            _obs.instant(
+                "wave_boundary", wave=k, ranks=self.mpi.n_ranks, sweep=sweep
+            )
+            _obs_metrics.get_registry().counter(
+                "repro_wave_boundaries_total",
+                "lock-step wave boundaries across ranks",
+            ).inc()
+
+    def reduce(self, parts) -> None:
+        """One AllReduce of the per-rank ``parts()``; a death during the
+        collective is absorbed (slice adoption) and the collective retried
+        among survivors, bounded against always-fire fault plans."""
+        parts = parts()
+        for _ in range(2 * self.mpi.n_ranks + 1):
+            try:
+                self.mpi.allreduce_sum(parts)
+                return
+            except RankFailure as failure:
+                if self.on_rank_failure == "abort":
+                    raise
+                if failure.rank not in self.dead_ranks:
+                    self.substrate.kill_worker(failure.rank)
+                    self._adopt(failure)
+        raise RankFailure(-1, "rank-death faults kept firing; giving up")
+
+    def absorbed(self) -> None:
+        """Mirror a real worker death the substrate absorbed."""
+        for w in self.substrate.dead:
+            if w not in self.dead_ranks:
+                self.dead_ranks.add(w)
+                self.rank_failures += 1
+            self.adoptions[w] = self.substrate.adoptions.get(w, w)
+
+    def reset(self) -> None:
+        self.wave_boundaries = 0
+        self.recovery_seconds = 0.0
+        self.mpi.comm_seconds = 0.0
+        self.mpi.allreduce_calls = 0
+        self.mpi.bytes_reduced = 0.0
+        self.mpi.allreduce_retries = 0
+        self.mpi.seconds_in_faults = 0.0
+
+    # -- rank-failure recovery -------------------------------------------
+    def _adopt(self, failure: RankFailure) -> None:
+        """Degrade around one injected death: lowest survivor adopts."""
+        rank = failure.rank
+        survivors = [r for r in self.alive_ranks if r != rank]
+        if not survivors:
+            raise RankFailure(rank, "last surviving rank failed") from failure
+        adopter = survivors[0]
+        self.dead_ranks.add(rank)
+        self.adoptions[rank] = adopter
+        for ghost, owner in list(self.adoptions.items()):
+            if owner == rank:  # re-adopt slices the dead rank had adopted
+                self.adoptions[ghost] = adopter
+        self.rank_failures += 1
+        # Modelled recovery: survivors synchronise (one barrier) and the
+        # adopter re-reads + rebuilds the dead rank's slice — tip data
+        # over the interconnect, CLAs recomputed locally (not charged
+        # separately: the next traversal recomputes them anyway).
+        patterns = self.substrate.patterns
+        slice_bytes = float(
+            self.substrate.distribution.indices_of(rank).shape[0]
+            * len(patterns.taxa) * patterns.data.itemsize
+        )
+        dt = (
+            self.mpi.interconnect.message_time(slice_bytes, len(survivors))
+            if slice_bytes
+            else 0.0
+        )
+        self.recovery_seconds += dt
+        self.mpi.comm_seconds += dt
+        self.mpi.barrier()
+        event = {
+            "adopter": adopter,
+            "survivors": len(survivors),
+            "recovery_us": dt * 1e6,
+        }
+        if _obs.ENABLED:
+            _obs.instant("rank.adopted", dead=rank, **event)
+            _obs_metrics.get_registry().counter(
+                "repro_rank_failures_total",
+                "injected rank deaths absorbed by degradation",
+            ).inc()
+        if _obs_server.ENABLED:
+            _obs_server.health_event("rank_death", rank=rank, **event)
+
+
+class DistributedEngine(SlicedEngine):
+    """Rank-parallel PLF over a shared tree (ExaML's communication scheme).
+
+    All ranks reference the *same* :class:`Tree` — mirroring ExaML, where
+    each process deterministically replays the identical sequence of
+    updates, so tree state never needs to be communicated.  See
+    :class:`ExaMLSync` for ``on_rank_failure``.
     """
 
     def __init__(
@@ -89,496 +193,15 @@ class DistributedEngine:
     ) -> None:
         if n_ranks < 1:
             raise ValueError("need at least one rank")
-        if on_rank_failure not in ("degrade", "abort"):
-            raise ValueError("on_rank_failure must be 'degrade' or 'abort'")
-        if execution not in ("simulated", "processes"):
-            raise ValueError(
-                "execution must be 'simulated' or 'processes', "
-                f"got {execution!r}"
-            )
-        self.on_rank_failure = on_rank_failure
-        self.execution = execution
-        self.dead_ranks: set[int] = set()
-        self.adoptions: dict[int, int] = {}
-        self.rank_failures = 0
-        self.recovery_seconds = 0.0
-        self.patterns = patterns
-        self.tree = tree
-        self._model = model
-        self._rates = rates
-        self._closed = False
-        self.mpi = mpi if mpi is not None else SimMPI(n_ranks)
-        if self.mpi.n_ranks != n_ranks:
+        if mpi is None:
+            mpi = SimMPI(n_ranks)
+        if mpi.n_ranks != n_ranks:
             raise ValueError("SimMPI rank count mismatch")
-        self.distribution = distribution or (
-            distribute_block(patterns.n_patterns, n_ranks)
-            if execution == "processes"
-            else distribute_cyclic(patterns.n_patterns, n_ranks)
+        sync = ExaMLSync(mpi, on_rank_failure)
+        super().__init__(
+            patterns, tree, model, rates, sync,
+            n_workers=n_ranks, execution=execution,
+            distribution=distribution, backend=backend,
+            on_worker_failure=on_rank_failure, start_method=start_method,
+            track=lambda rank: f"rank-{sync.owner_of(rank)}",
         )
-        if self.distribution.n_workers != n_ranks:
-            raise ValueError("distribution worker count mismatch")
-        if execution == "processes":
-            if backend is not None and not isinstance(backend, str):
-                raise ValueError(
-                    "execution='processes' takes a backend *name*; each "
-                    "rank process builds its own instance"
-                )
-            # Real rank processes over one shared arena.  SimMPI stays in
-            # the loop for collective accounting and fault *injection*:
-            # an injected rank death actually kills the pool worker, and
-            # recovery is the pool's real slice adoption.
-            self.pool: WorkerPool | None = WorkerPool(
-                patterns,
-                tree,
-                model,
-                rates,
-                n_workers=n_ranks,
-                backend=backend,
-                on_worker_failure=on_rank_failure
-                if on_rank_failure == "abort"
-                else "degrade",
-                distribution=self.distribution,
-                start_method=start_method,
-            )
-            self.backend = None
-            self.wave_boundaries = 0
-            self.ranks: list[LikelihoodEngine] = []
-            return
-        self.pool = None
-        # One backend instance across ranks: the profile aggregates the
-        # whole distributed workload (per-rank counters stay separate).
-        self.backend = get_backend(backend)
-        # Wave boundaries crossed by the levelized schedule.  Unlike the
-        # PThreads scheme these are *not* synchronisation points: ExaML
-        # exchanges nothing between consecutive newview calls, so a wave
-        # boundary is purely a bookkeeping marker (the AllReduce at
-        # ``evaluate`` piggybacks the final one).  Communication cost is
-        # charged only by the SimMPI reductions.
-        self.wave_boundaries = 0
-        self.ranks = [
-            LikelihoodEngine(
-                _slice_patterns(patterns, self.distribution.indices_of(r)),
-                tree,
-                model,
-                rates,
-                backend=self.backend,
-            )
-            for r in range(n_ranks)
-        ]
-
-    # -- LikelihoodEngine-compatible surface ---------------------------
-    @property
-    def rates_model(self) -> GammaRates:
-        if self.pool is not None:
-            return self._rates
-        return self.ranks[0].rates_model
-
-    @property
-    def model(self) -> SubstitutionModel:
-        if self.pool is not None:
-            return self._model
-        return self.ranks[0].model
-
-    def set_model(self, model: SubstitutionModel, rates: GammaRates | None = None) -> None:
-        self._model = model
-        if rates is not None:
-            self._rates = rates
-        if self.pool is not None:
-            self._pool_retry(lambda: self.pool.set_model(model, rates))
-            return
-        for engine in self.ranks:
-            engine.set_model(model, rates)
-
-    def set_alpha(self, alpha: float) -> None:
-        if self._rates is not None:
-            self._rates = self._rates.with_alpha(float(alpha))
-        if self.pool is not None:
-            self._pool_retry(lambda: self.pool.set_alpha(float(alpha)))
-            return
-        for engine in self.ranks:
-            engine.set_alpha(alpha)
-
-    def default_edge(self) -> int:
-        return min(self.tree.edge_ids)
-
-    # -- real rank processes --------------------------------------------
-    def _pool_retry(self, fn):
-        """Replay a pool operation across real rank deaths.
-
-        The pool absorbs a death by slice adoption and raises
-        :class:`~repro.parallel.pool.WorkerRestart`; the engine mirrors
-        the pool's adoption bookkeeping into its own rank accounting and
-        replays the operation (ranks are deterministic, so the replay is
-        exact).
-        """
-        for _ in range(2 * self.mpi.n_ranks + 1):
-            try:
-                return fn()
-            except WorkerRestart:
-                for w in self.pool.dead:
-                    if w not in self.dead_ranks:
-                        self.dead_ranks.add(w)
-                        self.rank_failures += 1
-                    self.adoptions[w] = self.pool.adoptions.get(w, w)
-                continue
-        raise RankFailure(-1, "rank deaths kept firing; giving up")
-
-    def _pool_validate(self, root_edge: int) -> None:
-        depth = self.pool.prepare(self.tree.to_state(), root_edge)
-        self.wave_boundaries += depth
-        for k in range(depth):
-            self.pool.run_wave(k)
-
-    def ensure_valid(self, root_edge: int) -> None:
-        """Advance every rank through the levelized plan wave-by-wave.
-
-        All ranks share the tree, so their plans levelize identically;
-        running them in lock-step mirrors ExaML's deterministic replay.
-        Each wave increments :attr:`wave_boundaries` but charges *no*
-        communication — there is no message between newview calls.
-        """
-        if self.pool is not None:
-            self._pool_retry(lambda: self._pool_validate(root_edge))
-            return
-        plans = [engine.plan_execution(root_edge) for engine in self.ranks]
-        depth = max((p.depth for p in plans), default=0)
-        for k in range(depth):
-            self.wave_boundaries += 1
-            if _obs.ENABLED:
-                _obs.instant("wave_boundary", wave=k, ranks=len(self.ranks))
-                _obs_metrics.get_registry().counter(
-                    "repro_wave_boundaries_total",
-                    "lock-step wave boundaries across ranks",
-                ).inc()
-            for r, (engine, plan) in enumerate(zip(self.ranks, plans)):
-                if k < plan.depth:
-                    with _obs.track_scope(f"rank-{self.owner_of(r)}"):
-                        engine.executor.run_wave(plan.waves[k])
-
-    # -- rank-failure recovery -----------------------------------------
-    def owner_of(self, rank: int) -> int:
-        """The rank currently computing ``rank``'s slice (adoption-aware)."""
-        return self.adoptions.get(rank, rank)
-
-    @property
-    def alive_ranks(self) -> list[int]:
-        """Ranks still alive, in index order."""
-        return [
-            r for r in range(self.mpi.n_ranks) if r not in self.dead_ranks
-        ]
-
-    def _handle_rank_failure(self, failure: RankFailure) -> None:
-        """Apply the ``on_rank_failure`` policy to one injected death."""
-        if self.on_rank_failure == "abort":
-            raise failure
-        rank = failure.rank
-        if rank in self.dead_ranks:  # repeated death of a ghost: no-op
-            return
-        survivors = [r for r in self.alive_ranks if r != rank]
-        if not survivors:
-            raise RankFailure(rank, "last surviving rank failed") from failure
-        adopter = survivors[0]
-        self.dead_ranks.add(rank)
-        self.adoptions[rank] = adopter
-        for ghost, owner in list(self.adoptions.items()):
-            if owner == rank:  # re-adopt slices the dead rank had adopted
-                self.adoptions[ghost] = adopter
-        self.rank_failures += 1
-        # Modelled recovery: survivors synchronise (one barrier) and the
-        # adopter re-reads + rebuilds the dead rank's slice — tip data
-        # over the interconnect, CLAs recomputed locally (not charged
-        # separately: the next traversal recomputes them anyway).
-        slice_patterns = int(self.distribution.indices_of(rank).shape[0])
-        slice_bytes = float(
-            slice_patterns * len(self.patterns.taxa) * self.patterns.data.itemsize
-        )
-        dt = (
-            self.mpi.interconnect.message_time(slice_bytes, len(survivors))
-            if slice_bytes
-            else 0.0
-        )
-        self.recovery_seconds += dt
-        self.mpi.comm_seconds += dt
-        self.mpi.barrier()
-        if _obs.ENABLED:
-            _obs.instant(
-                "rank.adopted",
-                dead=rank,
-                adopter=adopter,
-                survivors=len(survivors),
-                recovery_us=dt * 1e6,
-            )
-            _obs_metrics.get_registry().counter(
-                "repro_rank_failures_total",
-                "injected rank deaths absorbed by degradation",
-            ).inc()
-        if _obs_server.ENABLED:
-            _obs_server.health_event(
-                "rank_death",
-                rank=rank,
-                adopter=adopter,
-                survivors=len(survivors),
-                recovery_us=dt * 1e6,
-            )
-
-    def _allreduce(self, parts: list) -> np.ndarray:
-        """One AllReduce with rank-failure recovery (degrade policy).
-
-        A death during the collective is absorbed (slice adoption) and
-        the collective retried among survivors; numerics are unchanged
-        because slices are disjoint and the adopter replays the dead
-        rank's contribution.  Bounded to guard against pathological
-        always-fire plans.
-        """
-        for _ in range(2 * self.mpi.n_ranks + 1):
-            try:
-                return self.mpi.allreduce_sum(parts)
-            except RankFailure as failure:
-                if (
-                    self.pool is not None
-                    and self.on_rank_failure == "degrade"
-                    and failure.rank not in self.dead_ranks
-                    and failure.rank not in self.pool.dead
-                ):
-                    # Injected death made real: the pool worker dies too,
-                    # so the *next* region exercises real slice adoption.
-                    self.pool.kill_worker(failure.rank)
-                self._handle_rank_failure(failure)
-        raise RankFailure(-1, "rank-death faults kept firing; giving up")
-
-    def log_likelihood(self, root_edge: int | None = None) -> float:
-        """Partial per-rank lnL, combined by one scalar AllReduce.
-
-        With real rank processes the AllReduce still runs (accounting
-        and fault injection over the per-rank partial lane), but the
-        *returned* value comes from the gathered per-site lane reduced
-        in fixed pattern order — bit-identical to the sequential engine
-        for every rank count.
-        """
-        if root_edge is None:
-            root_edge = self.default_edge()
-        if self.pool is not None:
-            def op() -> float:
-                self._pool_validate(root_edge)
-                self.pool.root(root_edge)
-                return float(
-                    np.dot(self.pool.site_lane(), self.patterns.weights)
-                )
-            value = self._pool_retry(op)
-            parts = [float(x) for x in self.pool.partial_lane()[:, 0]]
-            self._allreduce(parts)  # accounting + fault injection
-            return value
-        self.ensure_valid(root_edge)
-        parts = [engine.log_likelihood(root_edge) for engine in self.ranks]
-        return float(self._allreduce(parts)[0])
-
-    def edge_sum_buffer(self, root_edge: int):
-        """Per-rank sum buffers (stay resident; never communicated)."""
-        if self.pool is not None:
-            def op() -> SumBufferHandle:
-                self._pool_validate(root_edge)
-                return self.pool.sumbuf(root_edge)
-            return self._pool_retry(op)
-        return [engine.edge_sum_buffer(root_edge) for engine in self.ranks]
-
-    def branch_derivatives(self, sumbufs, t: float) -> tuple[float, float, float]:
-        """Per-rank ``derivativeCore`` + one AllReduce of 3 doubles."""
-        if self.pool is not None:
-            def op() -> tuple[float, float, float]:
-                self.pool.deriv(sumbufs, t)
-                l0, l1, l2 = self.pool.terms_lane()
-                return derivative_reduce(
-                    l0.copy(), l1.copy(), l2.copy(), self.patterns.weights
-                )
-            value = self._pool_retry(op)
-            parts = [
-                np.array(row) for row in self.pool.partial_lane()[:, 1:4]
-            ]
-            self._allreduce(parts)  # accounting + fault injection
-            return value
-        parts = [
-            np.array(engine.branch_derivatives(sb, t))
-            for engine, sb in zip(self.ranks, sumbufs)
-        ]
-        total = self._allreduce(parts)
-        return float(total[0]), float(total[1]), float(total[2])
-
-    def all_branch_gradients(
-        self, root_edge: int | None = None
-    ) -> dict[int, tuple[float, float]]:
-        """All-branch ``(d1, d2)`` under ExaML's communication scheme.
-
-        Ranks run the bidirectional sweep over their slices in lock-step
-        — the pre-order up-sweep crosses wave boundaries but exchanges
-        nothing, exactly like consecutive ``newview`` calls — and the
-        per-edge derivatives are combined by a *single* AllReduce of
-        ``2 * (2N - 3)`` doubles, so the collective count per sweep stays
-        O(1) instead of O(N).  The returned values come from full-length
-        term lanes gathered in pattern order and reduced with the same
-        :func:`~repro.core.kernels.derivative_reduce` as the sequential
-        engine, so they are bit-identical for every rank count.
-        """
-        if root_edge is None:
-            root_edge = self.default_edge()
-        n = self.patterns.n_patterns
-        if self.pool is not None:
-            def op() -> dict[int, np.ndarray]:
-                self._pool_validate(root_edge)
-                return self.pool.grad(root_edge)
-            lanes = self._pool_retry(op)
-        else:
-            self.ensure_valid(root_edge)
-            plans = [engine.plan_gradient(root_edge) for engine in self.ranks]
-            for engine in self.ranks:
-                engine._pre = {}
-                engine._grad_terms = {}
-            depth = max((p.up.depth for p in plans), default=0)
-            for k in range(depth):
-                self.wave_boundaries += 1
-                if _obs.ENABLED:
-                    _obs.instant(
-                        "wave_boundary",
-                        wave=k,
-                        ranks=len(self.ranks),
-                        sweep="up",
-                    )
-                    _obs_metrics.get_registry().counter(
-                        "repro_wave_boundaries_total",
-                        "lock-step wave boundaries across ranks",
-                    ).inc()
-                for r, (engine, plan) in enumerate(zip(self.ranks, plans)):
-                    if k < plan.up.depth:
-                        with _obs.track_scope(f"rank-{self.owner_of(r)}"):
-                            engine.executor.run_wave(plan.up.waves[k])
-            lanes = {}
-            for r, engine in enumerate(self.ranks):
-                idx = self.distribution.indices_of(r)
-                for eid, (l0, l1, l2) in engine._grad_terms.items():
-                    lane = lanes.get(eid)
-                    if lane is None:
-                        lane = lanes[eid] = np.empty((3, n))
-                    lane[0][idx], lane[1][idx], lane[2][idx] = l0, l1, l2
-            for engine in self.ranks:
-                engine._pre = {}
-                engine._grad_terms = None
-        order = sorted(lanes)
-        out: dict[int, tuple[float, float]] = {}
-        weights = self.patterns.weights
-        for eid in order:
-            lane = lanes[eid]
-            _, d1, d2 = derivative_reduce(lane[0], lane[1], lane[2], weights)
-            out[eid] = (d1, d2)
-        # The one collective: per-rank (d1, d2) partial vectors, summed.
-        # Accounting + fault injection only — the reported derivatives
-        # above come from the fixed-order lane reduction.
-        parts = []
-        for r in range(self.mpi.n_ranks):
-            idx = self.distribution.indices_of(r)
-            w = weights[idx]
-            vec = np.empty(2 * len(order))
-            for j, eid in enumerate(order):
-                l0, l1, l2 = (lane[idx] for lane in lanes[eid])
-                r1 = l1 / l0
-                vec[2 * j] = float(np.dot(r1, w))
-                vec[2 * j + 1] = float(np.dot(l2 / l0 - r1 * r1, w))
-            parts.append(vec)
-        self._allreduce(parts)
-        return out
-
-    def site_log_likelihoods(self, root_edge: int | None = None) -> np.ndarray:
-        """Gathered per-pattern lnL in original pattern order."""
-        if root_edge is None:
-            root_edge = self.default_edge()
-        if self.pool is not None:
-            def op() -> np.ndarray:
-                self._pool_validate(root_edge)
-                self.pool.root(root_edge)
-                return self.pool.site_lane().copy()
-            return self._pool_retry(op)
-        out = np.empty(self.patterns.n_patterns)
-        for r, engine in enumerate(self.ranks):
-            out[self.distribution.indices_of(r)] = engine.site_log_likelihoods(
-                root_edge
-            )
-        return out
-
-    def drop_caches(self) -> None:
-        if self.pool is not None:
-            self._pool_retry(self.pool.drop_caches)
-            return
-        for engine in self.ranks:
-            engine.drop_caches()
-
-    @property
-    def counters(self):
-        """Rank-0 counters (all ranks perform identical call sequences);
-        merged across rank processes for real execution."""
-        if self.pool is not None:
-            return self.pool.merged_counters()
-        return self.ranks[0].counters
-
-    @property
-    def profile(self) -> KernelProfile:
-        """Measured profile of the shared backend (all ranks)."""
-        if self.pool is not None:
-            return self.pool.merged_profile()
-        return self.backend.profile
-
-    @property
-    def comm_seconds(self) -> float:
-        """Modelled communication time accumulated so far."""
-        return self.mpi.comm_seconds
-
-    @property
-    def wave_stats(self) -> WaveStats:
-        """Wave statistics merged across every rank's executor."""
-        if self.pool is not None:
-            return self.pool.merged_wave_stats()
-        total = WaveStats()
-        for engine in self.ranks:
-            total.merge(engine.wave_stats)
-        return total
-
-    @property
-    def barrier_stats(self):
-        """Measured fork-join costs (real rank processes only)."""
-        return self.pool.barrier_stats if self.pool is not None else None
-
-    def reset_profile(self) -> None:
-        """Zero every rank's counters/stats and the shared profile."""
-        if self.pool is not None:
-            self._pool_retry(self.pool.reset_profiles)
-        else:
-            for engine in self.ranks:
-                engine.reset_profile()
-        self.wave_boundaries = 0
-        self.mpi.comm_seconds = 0.0
-        self.mpi.allreduce_calls = 0
-        self.mpi.bytes_reduced = 0.0
-        self.mpi.allreduce_retries = 0
-        self.mpi.seconds_in_faults = 0.0
-        self.recovery_seconds = 0.0
-
-    def reset_all_observability(self) -> None:
-        """Engine-wide reset plus the obs metrics registry and tracer."""
-        if self.pool is not None:
-            self._pool_retry(self.pool.reset_observability)
-        self.reset_profile()
-        _obs_metrics.get_registry().reset()
-        if _obs.ENABLED:
-            _obs.get_tracer().clear()
-
-    # -- lifetime -------------------------------------------------------
-    def close(self) -> None:
-        """Shut real rank processes down (no-op for simulated ranks)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.pool is not None:
-            self.pool.close()
-
-    def __enter__(self) -> "DistributedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -1,72 +1,37 @@
-"""Functional RAxML-Light-style PThreads fork-join engine (Sec. V-C).
+"""RAxML-Light-style PThreads fork-join synchronisation (Sec. V-C).
 
-RAxML-Light parallelises the PLF with a master/worker scheme: alignment
-sites are distributed evenly among worker threads, *every* kernel
-invocation becomes a parallel region bracketed by two synchronisation
-points (job announcement + completion barrier), and reductions happen
-in shared memory at the master.  The paper reuses this scheme unchanged
-for the native MIC port ("there is no need to introduce a thread-level
-parallelization in the kernel code").
+RAxML-Light distributes sites evenly among worker threads; *every*
+kernel invocation becomes a parallel region bracketed by two
+synchronisation points (job announcement + completion barrier), and
+reductions happen in shared memory at the master.  The paper reuses this
+scheme unchanged for the native MIC port.
 
-:class:`ForkJoinEngine` implements that scheme at three fidelity
-levels, selected by ``execution``:
-
-``"simulated"``
-    The original functional model: worker slices run sequentially in
-    the master, every region charged the *modelled* two-barrier cost of
-    a :class:`~repro.parallel.pthreads.ForkJoinModel` — the cost
-    structure that makes fork-join lose to ExaML's scheme as thread
-    counts grow (ablation E9).
-``"threads"``
-    Real in-process parallelism: a persistent thread pool executes each
-    wave's worker slices concurrently (NumPy kernels release the GIL),
-    and every region's announcement/barrier cost is *measured* into
-    :class:`~repro.parallel.pool.BarrierStats`.
-``"processes"``
-    The paper's scheme made real across processes: a spawn-once
-    :class:`~repro.parallel.pool.WorkerPool` over one shared-memory
-    arena (zero-copy CLAs/result lanes), with worker-death degradation
-    and measured barriers.
-
-All three modes reduce through full-length per-site lanes gathered in
-pattern order, so log-likelihoods and branch derivatives are
-**bit-identical** to the sequential engine for every thread count.
+:class:`ForkJoinEngine` is the :class:`~repro.parallel.sliced.
+SlicedEngine` under that policy (:class:`ForkJoinSync`).  ``execution``
+picks the fidelity: ``"simulated"`` runs slices sequentially and charges
+each region the *modelled* cost of a :class:`~repro.parallel.pthreads.
+ForkJoinModel`; ``"threads"`` and ``"processes"`` really fork and join
+and *measure* it (:class:`~repro.parallel.substrate.BarrierStats`).
 """
 
 from __future__ import annotations
 
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from ..core.backends import KernelBackend, KernelProfile, get_backend
-from ..core.cat import CatLikelihoodEngine
-from ..core.engine import LikelihoodEngine
-from ..core.kernels import derivative_reduce
-from ..core.schedule import WaveStats
-from ..core.traversal import KernelCounters
+from ..core.backends import KernelBackend, KernelProfile
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
 from ..phylo.alignment import PatternAlignment
 from ..phylo.models import SubstitutionModel
-from ..phylo.rates import CatRates, GammaRates, discrete_gamma_rates
+from ..phylo.rates import CatRates, GammaRates
 from ..phylo.tree import Tree
-from .distribute import SiteDistribution, distribute_block, distribute_cyclic
-from .distributed import _slice_patterns
-from .pool import (
-    BarrierStats,
-    SumBufferHandle,
-    WorkerFailure,
-    WorkerPool,
-    WorkerRestart,
-    slice_cat,
-)
+from .distribute import SiteDistribution
 from .pthreads import CPU_PTHREADS, ForkJoinModel
+from .sliced import EXECUTION_MODES, SlicedEngine, SyncPolicy
 
 __all__ = [
     "ForkJoinEngine",
+    "ForkJoinSync",
     "EXECUTION_MODES",
     "WORKERS_ENV",
     "EXEC_ENV",
@@ -74,9 +39,6 @@ __all__ = [
     "default_execution",
     "merged_backend_profile",
 ]
-
-#: Supported execution substrates, cheapest first.
-EXECUTION_MODES = ("simulated", "threads", "processes")
 
 #: Environment variables consulted for process-wide parallel defaults
 #: (mirrors ``REPRO_BACKEND`` for kernel backends).
@@ -121,18 +83,63 @@ def merged_backend_profile(engines) -> KernelProfile:
     dispatch by the worker count.
     """
     merged = KernelProfile()
-    seen: set[int] = set()
-    for engine in engines:
-        backend = engine.backend
-        if id(backend) in seen:
-            continue
-        seen.add(id(backend))
+    for backend in {id(e.backend): e.backend for e in engines}.values():
         merged.merge(backend.profile)
     return merged
 
 
-class ForkJoinEngine:
-    """Master/worker PLF over site slices with per-call barrier costs."""
+class ForkJoinSync(SyncPolicy):
+    """RAxML-Light's policy: every wave and kernel region is a parallel
+    region bracketed by two barriers.
+
+    With a ``model`` (simulated execution) each region is charged
+    ``model.region_overhead_s(n_threads)``; without one the substrate
+    really forks and joins, and the numbers are its measured
+    :class:`~repro.parallel.substrate.BarrierStats`.  Reductions happen
+    in shared memory at the master, so ``reduce`` stays free.
+    """
+
+    def __init__(self, n_threads: int, model: ForkJoinModel | None) -> None:
+        self.n_threads = n_threads
+        self.model = model
+        self._regions = 0
+
+    @property
+    def parallel_regions(self) -> int:
+        """Parallel regions so far (two barriers each)."""
+        if self.model is None:
+            return self.substrate.barrier_stats.regions
+        return self._regions
+
+    @property
+    def sync_seconds(self) -> float:
+        """Modelled or measured barrier overhead so far."""
+        if self.model is None:
+            return self.substrate.barrier_stats.overhead_seconds
+        return self._regions * self.model.region_overhead_s(self.n_threads)
+
+    def region(self) -> None:
+        self._regions += 1
+        if _obs.ENABLED:
+            _obs.instant("forkjoin_region", threads=self.n_threads)
+            reg = _obs_metrics.get_registry()
+            reg.counter(
+                "repro_forkjoin_regions_total",
+                "fork-join parallel regions (two barriers each)",
+            ).inc()
+            reg.counter(
+                "repro_barriers_total", "fork-join region barriers"
+            ).inc(2)
+
+    def wave(self, k: int, sweep: str) -> None:
+        self.region()  # whole waves: one region per wave, not per newview
+
+    def reset(self) -> None:
+        self._regions = 0
+
+
+class ForkJoinEngine(SlicedEngine):
+    """Master/worker PLF over site slices with per-region barrier costs."""
 
     def __init__(
         self,
@@ -152,541 +159,14 @@ class ForkJoinEngine:
     ) -> None:
         if n_threads < 1:
             raise ValueError("need at least one thread")
-        if execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
-            )
-        self.patterns = patterns
-        self.tree = tree
-        self.n_threads = n_threads
-        self.execution = execution
         self.sync_model = sync_model
-        self.sync_seconds = 0.0
-        self.parallel_regions = 0
-        self.barrier_stats = BarrierStats()
-        self.cat = cat
-        self._alpha = 1.0 if cat is not None else None
-        self._model = model
-        self._rates = rates
-        self._closed = False
-        self.label = label
-        self.pool: WorkerPool | None = None
-        self._executor: ThreadPoolExecutor | None = None
-
-        if execution == "processes":
-            if backend is not None and not isinstance(backend, str):
-                raise ValueError(
-                    "execution='processes' takes a backend *name*; each "
-                    "worker process builds its own instance"
-                )
-            self.distribution = distribution or distribute_block(
-                patterns.n_patterns, n_threads
-            )
-            if self.distribution.n_workers != n_threads:
-                raise ValueError("distribution worker count mismatch")
-            self.pool = WorkerPool(
-                patterns,
-                tree,
-                model,
-                rates,
-                n_workers=n_threads,
-                backend=backend,
-                cat=cat,
-                on_worker_failure=on_worker_failure,
-                distribution=self.distribution,
-                start_method=start_method,
-                label=label,
-            )
-            self.barrier_stats = self.pool.barrier_stats
-            self.backend = None
-            self.workers: list = []
-            return
-
-        self.distribution = distribution or distribute_cyclic(
-            patterns.n_patterns, n_threads
+        super().__init__(
+            patterns, tree, model, rates,
+            ForkJoinSync(
+                n_threads, sync_model if execution == "simulated" else None
+            ),
+            n_workers=n_threads, execution=execution, cat=cat,
+            distribution=distribution, backend=backend,
+            on_worker_failure=on_worker_failure, start_method=start_method,
+            label=label, track="thread-{}".format,
         )
-        if self.distribution.n_workers != n_threads:
-            raise ValueError("distribution worker count mismatch")
-        if execution == "threads":
-            if backend is not None and not isinstance(backend, str):
-                raise ValueError(
-                    "execution='threads' takes a backend *name*; scratch-"
-                    "carrying backends are not safe to share across threads"
-                )
-            # One instance per worker thread; profiles merge at read time.
-            worker_backends = [get_backend(backend) for _ in range(n_threads)]
-            self.backend = None
-            self._executor = ThreadPoolExecutor(
-                max_workers=n_threads, thread_name_prefix="repro-fj"
-            )
-        else:
-            # All worker slices share one backend instance, so the profile
-            # aggregates the whole fork-join workload.
-            self.backend = get_backend(backend)
-            worker_backends = [self.backend] * n_threads
-
-        self.workers = []
-        for t in range(n_threads):
-            idx = self.distribution.indices_of(t)
-            sliced = _slice_patterns(patterns, idx)
-            if cat is not None:
-                worker = CatLikelihoodEngine(
-                    sliced, tree, model, slice_cat(cat, idx),
-                    backend=worker_backends[t],
-                )
-            else:
-                worker = LikelihoodEngine(
-                    sliced, tree, model, rates, backend=worker_backends[t]
-                )
-            self.workers.append(worker)
-
-    # ------------------------------------------------------------------
-    # regions
-    # ------------------------------------------------------------------
-    def _region(self) -> None:
-        """Account one parallel region: two syncs (Sec. V-D)."""
-        self.parallel_regions += 1
-        overhead = self.sync_model.region_overhead_s(self.n_threads)
-        self.sync_seconds += overhead
-        if _obs.ENABLED:
-            _obs.instant(
-                "forkjoin_region",
-                threads=self.n_threads,
-                modelled_us=overhead * 1e6,
-            )
-            reg = _obs_metrics.get_registry()
-            reg.counter(
-                "repro_forkjoin_regions_total",
-                "fork-join parallel regions (two barriers each)",
-            ).inc()
-            reg.counter(
-                "repro_barriers_total", "simulated rank barriers"
-            ).inc(2)
-
-    def _threads_region(self, tasks) -> list:
-        """Run one measured fork-join region on the thread pool.
-
-        ``tasks`` maps worker index -> zero-arg callable (or ``None`` to
-        idle this region).  Returns per-worker results, recording the
-        measured region/compute times into :attr:`barrier_stats` and the
-        measured announcement+barrier overhead into
-        :attr:`sync_seconds`.
-        """
-        self.parallel_regions += 1
-        t0 = time.perf_counter()
-        futures = {}
-        for t, task in enumerate(tasks):
-            if task is not None:
-                futures[t] = self._executor.submit(_timed, task)
-        results = [None] * len(tasks)
-        worker_s = []
-        for t, fut in futures.items():
-            secs, value = fut.result()
-            worker_s.append(secs)
-            results[t] = value
-        region_s = time.perf_counter() - t0
-        self.barrier_stats.record(region_s, worker_s)
-        self.sync_seconds += max(
-            region_s - max(worker_s, default=0.0), 0.0
-        )
-        if _obs.ENABLED:
-            _obs.instant(
-                "forkjoin_region",
-                threads=self.n_threads,
-                measured_us=region_s * 1e6,
-            )
-            reg = _obs_metrics.get_registry()
-            reg.counter(
-                "repro_forkjoin_regions_total",
-                "fork-join parallel regions (two barriers each)",
-            ).inc()
-        return results
-
-    def _retry(self, fn):
-        """Replay a pool operation across absorbed worker deaths."""
-        last: WorkerRestart | None = None
-        for _ in range(self.n_threads + 1):
-            try:
-                return fn()
-            except WorkerRestart as exc:
-                last = exc
-                continue
-        raise WorkerFailure(
-            last.worker if last else -1, "too many worker restarts"
-        )
-
-    def _sync_from_pool(self) -> None:
-        self.parallel_regions = self.pool.barrier_stats.regions
-        self.sync_seconds = self.pool.barrier_stats.overhead_seconds
-
-    # ------------------------------------------------------------------
-    # validity (wave execution)
-    # ------------------------------------------------------------------
-    def ensure_valid(self, root_edge: int) -> None:
-        """Run the levelized plan with one parallel region per wave.
-
-        Workers pick up *whole waves*: every thread executes its site
-        slice of wave ``k`` inside one fork-join region (announcement +
-        completion barrier), instead of paying two syncs per individual
-        ``newview`` call — the batching the execution-plan IR buys the
-        PThreads scheme.  All workers share the tree, so their plans
-        levelize identically.
-        """
-        if self.execution == "processes":
-            self._pool_validate(root_edge)
-            return
-        plans = [w.plan_execution(root_edge) for w in self.workers]
-        depth = max((p.depth for p in plans), default=0)
-        for k in range(depth):
-            if self.execution == "threads":
-                self._threads_region([
-                    (lambda w=w, p=p: w.executor.run_wave(p.waves[k]))
-                    if k < p.depth else None
-                    for w, p in zip(self.workers, plans)
-                ])
-                continue
-            self._region()  # one region (two barriers) per wave
-            for t, (worker, plan) in enumerate(zip(self.workers, plans)):
-                if k < plan.depth:
-                    with _obs.track_scope(f"thread-{t}"):
-                        worker.executor.run_wave(plan.waves[k])
-
-    def _pool_validate(self, root_edge: int) -> None:
-        """One prepare + per-wave regions on the process pool (no retry:
-        callers wrap the whole top-level op so replays re-prepare)."""
-        depth = self.pool.prepare(self.tree.to_state(), root_edge)
-        for k in range(depth):
-            self.pool.run_wave(k)
-
-    # ------------------------------------------------------------------
-    # LikelihoodEngine-compatible surface
-    # ------------------------------------------------------------------
-    @property
-    def rates_model(self) -> GammaRates:
-        if self.execution == "processes":
-            return self._rates
-        return self.workers[0].rates_model
-
-    @property
-    def model(self) -> SubstitutionModel:
-        if self.execution == "processes":
-            return self._model
-        return self.workers[0].model
-
-    @property
-    def alpha(self) -> float | None:
-        """CAT shape parameter (None for plain Gamma engines)."""
-        return self._alpha if self.cat is not None else None
-
-    def set_model(self, model: SubstitutionModel, rates: GammaRates | None = None) -> None:
-        self._model = model
-        if rates is not None:
-            self._rates = rates
-        if self.execution == "processes":
-            self._retry(lambda: self.pool.set_model(model, rates))
-            self._sync_from_pool()
-            return
-        for worker in self.workers:
-            worker.set_model(model, rates)
-
-    def set_alpha(self, alpha: float) -> None:
-        if self.cat is not None:
-            self._set_cat_alpha(float(alpha))
-            return
-        if self._rates is not None:
-            self._rates = self._rates.with_alpha(float(alpha))
-        if self.execution == "processes":
-            self._retry(lambda: self.pool.set_alpha(float(alpha)))
-            self._sync_from_pool()
-            return
-        for worker in self.workers:
-            worker.set_alpha(alpha)
-
-    def _set_cat_alpha(self, alpha: float) -> None:
-        """CAT shape change, normalised at the master.
-
-        The category rates must be renormalised against the *full*
-        alignment's pattern weights — a worker doing this against its
-        slice weights would silently shift every site rate.
-        """
-        rates = discrete_gamma_rates(alpha, self.cat.category_rates.shape[0])
-        mean = float(
-            np.average(
-                rates[self.cat.site_categories], weights=self.patterns.weights
-            )
-        )
-        self.cat = CatRates(
-            category_rates=rates / mean,
-            site_categories=self.cat.site_categories,
-        )
-        self._alpha = alpha
-        if self.execution == "processes":
-            self._retry(lambda: self.pool.set_cat(self.cat, alpha))
-            self._sync_from_pool()
-            return
-        for t, worker in enumerate(self.workers):
-            worker.cat = slice_cat(self.cat, self.distribution.indices_of(t))
-            worker.set_model(worker.model)
-            worker._alpha = alpha
-
-    def default_edge(self) -> int:
-        return min(self.tree.edge_ids)
-
-    def log_likelihood(self, root_edge: int | None = None) -> float:
-        if root_edge is None:
-            root_edge = self.default_edge()
-        if self.execution == "processes":
-            def op() -> float:
-                self._pool_validate(root_edge)
-                self.pool.root(root_edge)
-                return float(
-                    np.dot(self.pool.site_lane(), self.patterns.weights)
-                )
-            out = self._retry(op)
-            self._sync_from_pool()
-            return out
-        self.ensure_valid(root_edge)  # wave regions
-        site = self._gather_site_lnl(root_edge)
-        return float(np.dot(site, self.patterns.weights))
-
-    def _gather_site_lnl(self, root_edge: int) -> np.ndarray:
-        """One evaluate region; per-site lanes gathered in pattern order.
-
-        The fixed-order master reduction (``np.dot`` over the gathered
-        full-length lane) is what makes the result bit-identical to the
-        sequential engine for every thread count and distribution.
-        """
-        out = np.empty(self.patterns.n_patterns)
-        if self.execution == "threads":
-            parts = self._threads_region([
-                (lambda w=w: w.site_log_likelihoods(root_edge))
-                for w in self.workers
-            ])
-        else:
-            self._region()  # the evaluate region (shared-memory reduction)
-            parts = [w.site_log_likelihoods(root_edge) for w in self.workers]
-        for t, part in enumerate(parts):
-            out[self.distribution.indices_of(t)] = part
-        return out
-
-    def site_log_likelihoods(self, root_edge: int | None = None) -> np.ndarray:
-        if root_edge is None:
-            root_edge = self.default_edge()
-        if self.execution == "processes":
-            def op() -> np.ndarray:
-                self._pool_validate(root_edge)
-                self.pool.root(root_edge)
-                return self.pool.site_lane().copy()
-            out = self._retry(op)
-            self._sync_from_pool()
-            return out
-        self.ensure_valid(root_edge)
-        return self._gather_site_lnl(root_edge)
-
-    def edge_sum_buffer(self, root_edge: int):
-        """Per-thread ``derivativeSum`` buffers (opaque to callers)."""
-        if self.execution == "processes":
-            def op() -> SumBufferHandle:
-                self._pool_validate(root_edge)
-                return self.pool.sumbuf(root_edge)
-            handle = self._retry(op)
-            self._sync_from_pool()
-            return handle
-        self.ensure_valid(root_edge)  # wave regions
-        if self.execution == "threads":
-            return self._threads_region([
-                (lambda w=w: w.edge_sum_buffer(root_edge))
-                for w in self.workers
-            ])
-        self._region()
-        return [worker.edge_sum_buffer(root_edge) for worker in self.workers]
-
-    def branch_derivatives(self, sumbufs, t: float) -> tuple[float, float, float]:
-        if self.execution == "processes":
-            def op() -> tuple[float, float, float]:
-                self.pool.deriv(sumbufs, t)
-                l0, l1, l2 = self.pool.terms_lane()
-                return derivative_reduce(
-                    l0.copy(), l1.copy(), l2.copy(), self.patterns.weights
-                )
-            out = self._retry(op)
-            self._sync_from_pool()
-            return out
-        l0 = np.empty(self.patterns.n_patterns)
-        l1 = np.empty_like(l0)
-        l2 = np.empty_like(l0)
-        if self.execution == "threads":
-            parts = self._threads_region([
-                (lambda w=w, sb=sb: w.derivative_site_terms(sb, t))
-                for w, sb in zip(self.workers, sumbufs)
-            ])
-        else:
-            self._region()
-            parts = [
-                w.derivative_site_terms(sb, t)
-                for w, sb in zip(self.workers, sumbufs)
-            ]
-        for i, part in enumerate(parts):
-            idx = self.distribution.indices_of(i)
-            l0[idx], l1[idx], l2[idx] = part
-        return derivative_reduce(l0, l1, l2, self.patterns.weights)
-
-    def all_branch_gradients(
-        self, root_edge: int | None = None
-    ) -> dict[int, tuple[float, float]]:
-        """All-branch ``(d1, d2)`` via parallel bidirectional sweeps.
-
-        The post-order down-sweep rides :meth:`ensure_valid`'s per-wave
-        regions; the pre-order up-sweep then runs as one fork-join region
-        per up-wave (workers share the tree, so their gradient plans
-        levelize identically).  Workers collect per-edge *site terms* on
-        their slices; the master gathers each edge's full-length
-        ``(l0, l1, l2)`` lanes in pattern order and applies the same
-        :func:`~repro.core.kernels.derivative_reduce` the sequential
-        engine uses — bit-identical for every worker count.
-        """
-        if root_edge is None:
-            root_edge = self.default_edge()
-        weights = self.patterns.weights
-        if self.execution == "processes":
-            def op() -> dict[int, np.ndarray]:
-                self._pool_validate(root_edge)  # wave regions
-                return self.pool.grad(root_edge)
-            lanes = self._retry(op)
-            self._sync_from_pool()
-            out: dict[int, tuple[float, float]] = {}
-            for eid, lane in lanes.items():
-                _, d1, d2 = derivative_reduce(lane[0], lane[1], lane[2], weights)
-                out[eid] = (d1, d2)
-            return out
-        self.ensure_valid(root_edge)  # down-sweep wave regions
-        plans = [w.plan_gradient(root_edge) for w in self.workers]
-        for worker in self.workers:
-            worker._pre = {}
-            worker._grad_terms = {}
-        depth = max((p.up.depth for p in plans), default=0)
-        with _obs.span(
-            "gradient.all_branches", up_waves=depth, workers=self.n_threads
-        ):
-            for k in range(depth):
-                if self.execution == "threads":
-                    self._threads_region([
-                        (lambda w=w, p=p: w.executor.run_wave(p.up.waves[k]))
-                        if k < p.up.depth else None
-                        for w, p in zip(self.workers, plans)
-                    ])
-                    continue
-                self._region()  # one region (two barriers) per up-wave
-                for t, (worker, plan) in enumerate(zip(self.workers, plans)):
-                    if k < plan.up.depth:
-                        with _obs.track_scope(f"thread-{t}"):
-                            worker.executor.run_wave(plan.up.waves[k])
-        out = {}
-        l0 = np.empty(self.patterns.n_patterns)
-        l1 = np.empty_like(l0)
-        l2 = np.empty_like(l0)
-        for eid in self.workers[0]._grad_terms:
-            for i, worker in enumerate(self.workers):
-                idx = self.distribution.indices_of(i)
-                t0, t1, t2 = worker._grad_terms[eid]
-                l0[idx], l1[idx], l2[idx] = t0, t1, t2
-            _, d1, d2 = derivative_reduce(l0, l1, l2, weights)
-            out[eid] = (d1, d2)
-        for worker in self.workers:
-            worker._pre = {}
-            worker._grad_terms = None
-        return out
-
-    def drop_caches(self) -> None:
-        if self.execution == "processes":
-            self._retry(self.pool.drop_caches)
-            return
-        for worker in self.workers:
-            worker.drop_caches()
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    @property
-    def counters(self) -> KernelCounters:
-        """Thread-0 counters for in-process modes (each worker performs
-        the same call mix); merged across workers for process pools."""
-        if self.execution == "processes":
-            return self.pool.merged_counters()
-        return self.workers[0].counters
-
-    @property
-    def profile(self) -> KernelProfile:
-        """Measured kernel profile over every worker, without
-        double-counting shared backend instances."""
-        if self.execution == "processes":
-            return self.pool.merged_profile()
-        return merged_backend_profile(self.workers)
-
-    @property
-    def wave_stats(self) -> WaveStats:
-        """Wave statistics merged across every worker's executor."""
-        if self.execution == "processes":
-            return self.pool.merged_wave_stats()
-        total = WaveStats()
-        for worker in self.workers:
-            total.merge(worker.wave_stats)
-        return total
-
-    def reset_profile(self) -> None:
-        """Zero every worker's counters/stats and the measured barriers."""
-        if self.execution == "processes":
-            self._retry(self.pool.reset_profiles)
-        else:
-            for worker in self.workers:
-                worker.reset_profile()
-        self.sync_seconds = 0.0
-        self.parallel_regions = 0
-        self.barrier_stats.reset()
-
-    def reset_all_observability(self) -> None:
-        """Engine-wide reset plus the obs metrics registry and tracer.
-
-        Process pools forward the reset to every worker process, so
-        per-worker counters/profiles/wave-stats restart from zero too.
-        """
-        if self.execution == "processes":
-            self._retry(self.pool.reset_observability)
-            self.sync_seconds = 0.0
-            self.parallel_regions = 0
-            self.barrier_stats.reset()
-        else:
-            self.reset_profile()
-        _obs_metrics.get_registry().reset()
-        if _obs.ENABLED:
-            _obs.get_tracer().clear()
-
-    # ------------------------------------------------------------------
-    # lifetime
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the execution substrate (idempotent).
-
-        Shuts the process pool down (unlinking its shared arena) or the
-        thread pool; a no-op for the simulated engine.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self.pool is not None:
-            self.pool.close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> "ForkJoinEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _timed(task):
-    """Run one worker task, returning ``(compute_seconds, result)``."""
-    t0 = time.perf_counter()
-    value = task()
-    return time.perf_counter() - t0, value

@@ -106,6 +106,19 @@ class CatRates:
         """Per-pattern rate vector."""
         return self.category_rates[self.site_categories]
 
+    def with_alpha(self, alpha: float, weights: np.ndarray) -> "CatRates":
+        """Category rates re-derived from a Gamma shape, assignment kept.
+
+        ``weights`` must be the pattern weights of the *full* alignment
+        the assignment covers: normalising against a slice's weights
+        would silently shift every site rate.
+        """
+        rates = discrete_gamma_rates(alpha, self.n_categories)
+        mean = float(np.average(rates[self.site_categories], weights=weights))
+        return CatRates(
+            category_rates=rates / mean, site_categories=self.site_categories
+        )
+
     @classmethod
     def from_gamma(
         cls,

@@ -125,38 +125,6 @@ def _newton_on_sumbuffer(
     return t, max_iterations, abs(d1) < 1e-2
 
 
-def _branch_signature(engine, edge_id: int):
-    """Key fully determining a per-branch Newton solve, or ``None``.
-
-    Combines the branch length with the engine's structural subtree
-    signatures of both directed endpoints (model version included) — the
-    exact inputs ``edge_sum_buffer`` + Newton consume.  Engines that
-    don't expose the signature machinery directly delegate to a
-    representative sub-engine sharing the master tree; where none exists
-    (process pools), the memo is simply disabled.
-    """
-    if hasattr(engine, "_signatures"):
-        targets = [engine]
-    elif getattr(engine, "workers", None):  # fork-join (simulated/threads)
-        targets = [engine.workers[0]]
-    elif getattr(engine, "ranks", None):  # distributed (simulated)
-        targets = [engine.ranks[0]]
-    elif getattr(engine, "engines", None):  # partitioned: every model counts
-        targets = engine.engines
-    else:
-        return None
-    if not all(hasattr(t, "_signatures") for t in targets):
-        return None
-    edge = engine.tree.edge(edge_id)
-    parts: list = [edge.length]
-    for t in targets:
-        sigs = t._signatures(edge_id)
-        parts.append(
-            (t._model_version, sigs[(edge.u, edge_id)], sigs[(edge.v, edge_id)])
-        )
-    return tuple(parts)
-
-
 def optimize_branch(
     engine: LikelihoodEngine,
     edge_id: int,
@@ -173,12 +141,12 @@ def optimize_branch(
     deterministic solve would reproduce the memoised result exactly.
     """
     edge = engine.tree.edge(edge_id)
-    sig = _branch_signature(engine, edge_id) if memo is not None else None
-    if sig is not None:
+    sig = None
+    if memo is not None:
         # The solver parameters are part of what determines the result,
         # so they join the key: a retry at a different tolerance must
         # not be satisfied by a skip.
-        sig = sig + (tolerance, max_iterations)
+        sig = engine.branch_signature(edge_id) + (tolerance, max_iterations)
     if sig is not None and memo.get(edge_id) == sig:
         if _obs.ENABLED:
             _obs_metrics.get_registry().counter(

@@ -318,7 +318,7 @@ class TestFusionAndParallelDrivers:
         patterns, tree = make_case(seed=15, n_sites=40)
         fj = ForkJoinEngine(patterns, tree, gtr(), GammaRates(1.0, 4),
                             n_threads=2)
-        depth = fj.workers[0].plan_execution(fj.default_edge()).depth
+        depth = fj.slices[0].plan_execution(fj.default_edge()).depth
         assert depth > 0
         fj.log_likelihood()
         # depth wave regions + 1 evaluate region

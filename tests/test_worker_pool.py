@@ -14,6 +14,7 @@ from repro.core import LikelihoodEngine
 from repro.core.backends import get_backend, make_engine
 from repro.core.cat import CatLikelihoodEngine
 from repro.parallel import (
+    DistributedEngine,
     ForkJoinEngine,
     SumBufferHandle,
     WorkerFailure,
@@ -57,11 +58,11 @@ def pool_lnl(pool, tree, edge, weights):
     """Replay-until-stable evaluation against a raw pool."""
     for _ in range(pool.n_workers + 1):
         try:
-            depth = pool.prepare(tree.to_state(), edge)
+            depth = pool.prepare(tree, edge)
             for k in range(depth):
                 pool.run_wave(k)
             pool.root(edge)
-            return float(np.dot(pool.site_lane(), weights))
+            return float(np.dot(pool.lanes.site, weights))
         except WorkerRestart:
             continue
     raise AssertionError("pool never stabilised")
@@ -76,7 +77,7 @@ class TestPoolDeterminism:
         ) as pool:
             lnl = pool_lnl(pool, sim.tree, serial["edge"], pat.weights)
             assert lnl - serial["lnl"] == 0.0
-            np.testing.assert_array_equal(pool.site_lane(), serial["site"])
+            np.testing.assert_array_equal(pool.lanes.site, serial["site"])
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_derivatives_bit_identical(self, problem, serial, workers):
@@ -87,12 +88,12 @@ class TestPoolDeterminism:
             pat, sim.tree.copy(), model, gamma, n_workers=workers
         ) as pool:
             edge = serial["edge"]
-            depth = pool.prepare(sim.tree.to_state(), edge)
+            depth = pool.prepare(sim.tree, edge)
             for k in range(depth):
                 pool.run_wave(k)
             handle = pool.sumbuf(edge)
             pool.deriv(handle, 0.13)
-            l0, l1, l2 = pool.terms_lane()
+            l0, l1, l2 = pool.lanes.terms
             got = derivative_reduce(
                 l0.copy(), l1.copy(), l2.copy(), pat.weights
             )
@@ -164,7 +165,7 @@ class TestPoolFailure:
             pat, sim.tree.copy(), model, gamma, n_workers=2
         ) as pool:
             edge = serial["edge"]
-            depth = pool.prepare(sim.tree.to_state(), edge)
+            depth = pool.prepare(sim.tree, edge)
             for k in range(depth):
                 pool.run_wave(k)
             old = pool.sumbuf(edge)
@@ -184,12 +185,12 @@ class TestObservability:
             backend=get_backend("reference"),
         )
         fj.log_likelihood()
-        merged = merged_backend_profile(fj.workers)
-        shared = fj.workers[0].backend.profile
+        merged = merged_backend_profile(fj.slices)
+        shared = fj.slices[0].backend.profile
         assert merged.calls == shared.calls
         # the naive per-engine merge would have multiplied by n_threads
         naive = sum(
-            sum(w.backend.profile.calls.values()) for w in fj.workers
+            sum(w.backend.profile.calls.values()) for w in fj.slices
         )
         assert naive == 3 * sum(merged.calls.values())
         # slices partition the patterns: site units match a serial run
@@ -211,7 +212,7 @@ class TestObservability:
             assert sum(pool.merged_profile().calls.values()) > 0
             assert pool.merged_wave_stats().waves > 0
             assert pool.barrier_stats.regions > 0
-            pool.reset_observability()
+            pool.reset_profiles()
             # barrier stats first: the merged_* queries below are
             # themselves pool regions and would re-increment the count
             assert pool.barrier_stats.regions == 0
@@ -242,21 +243,55 @@ class TestObservability:
         assert fitted.region_overhead_s(8) == pytest.approx(4e-3)
 
 
+NEW_MODEL = gtr(
+    np.array([1.2, 3.1, 0.9, 1.1, 3.4, 1.0]), np.array([0.3, 0.2, 0.2, 0.3])
+)
+
+
+def assert_equals_serial(engine, ref):
+    """Every result, and the kernel counters, equal the serial ``ref``'s
+    exactly — then again after a shape refit and after a model change."""
+    def check():
+        engine.reset_profile()
+        ref.reset_profile()
+        edge = ref.default_edge()
+        assert engine.log_likelihood() - ref.log_likelihood() == 0.0
+        np.testing.assert_array_equal(
+            engine.site_log_likelihoods(), ref.site_log_likelihoods()
+        )
+        got = engine.branch_derivatives(engine.edge_sum_buffer(edge), 0.13)
+        want = ref.branch_derivatives(ref.edge_sum_buffer(edge), 0.13)
+        assert [g - w for g, w in zip(got, want)] == [0.0, 0.0, 0.0]
+        assert engine.all_branch_gradients() == ref.all_branch_gradients()
+        got_c, want_c = engine.counters, ref.counters
+        assert got_c.calls == want_c.calls
+        assert got_c.site_units == want_c.site_units
+        assert got_c.reductions == want_c.reductions
+
+    check()
+    for e in (engine, ref):
+        e.set_alpha(0.6)
+    check()
+    for e in (engine, ref):
+        e.set_model(NEW_MODEL)
+    check()
+
+
 class TestForkJoinModes:
+    """The policy x substrate x workers x rate-model equivalence matrix."""
+
     @pytest.mark.parametrize("execution", EXECUTION_MODES)
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-    def test_gamma_bit_identical(self, problem, serial, execution, threads):
+    def test_gamma_bit_identical(self, problem, execution, threads):
         sim, pat, model, gamma = problem
         backend = "reference" if execution != "simulated" else None
-        with ForkJoinEngine(
-            pat, sim.tree.copy(), model, gamma, n_threads=threads,
-            execution=execution, backend=backend,
-        ) as fj:
-            assert fj.log_likelihood() - serial["lnl"] == 0.0
-            sb = fj.edge_sum_buffer(serial["edge"])
-            got = fj.branch_derivatives(sb, 0.13)
-            for g, s in zip(got, serial["deriv"]):
-                assert g - s == 0.0
+        for cls, count in ((ForkJoinEngine, "n_threads"), (DistributedEngine, "n_ranks")):
+            ref = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
+            with cls(
+                pat, sim.tree.copy(), model, gamma, execution=execution,
+                backend=backend, **{count: threads},
+            ) as engine:
+                assert_equals_serial(engine, ref)
         assert active_arena_segments() == []
 
     @pytest.mark.parametrize("execution", EXECUTION_MODES)
@@ -270,11 +305,8 @@ class TestForkJoinModes:
             pat, sim.tree.copy(), model, None, n_threads=3,
             execution=execution, backend=backend, cat=cat,
         ) as fj:
-            assert fj.log_likelihood() - ref.log_likelihood() == 0.0
-            # CAT alpha refit renormalises against FULL pattern weights
-            ref.set_alpha(0.6)
-            fj.set_alpha(0.6)
-            assert fj.log_likelihood() - ref.log_likelihood() == 0.0
+            # the CAT alpha refit renormalises against FULL pattern weights
+            assert_equals_serial(fj, ref)
 
     def test_worker_death_during_engine_use(self, problem, serial):
         sim, pat, model, gamma = problem
@@ -286,6 +318,13 @@ class TestForkJoinModes:
             fj.pool.kill_worker(1)
             assert fj.log_likelihood() - serial["lnl"] == 0.0
             assert fj.pool.adoptions[1] in fj.pool.alive
+            # a death between derivativeSum and derivativeCore: the ghost
+            # finds the live sum buffer in the arena
+            sb = fj.edge_sum_buffer(serial["edge"])
+            fj.pool.kill_worker(2)
+            got = fj.branch_derivatives(sb, 0.13)
+            assert [g - s for g, s in zip(got, serial["deriv"])] == [0.0] * 3
+            assert fj.pool.dead == {1, 2}
 
 
 class TestMakeEngineParallel:
