@@ -4,8 +4,8 @@
 Starts an in-process :class:`repro.serve.PlacementServer` on an
 ephemeral port with one warm tenant, then fires placement queries from
 ``batch_size`` concurrent HTTP clients per round — the tenant's
-dispatcher fuses concurrent queries into cross-query lockstep wave
-dispatches, so ``batch_size`` is the effective fusion width.  Reports
+dispatcher admits concurrent requests together and places them one at
+a time, so ``batch_size`` is the queue depth each round offers.  Reports
 end-to-end request latency (p50/p99, the regression-gated metrics) and
 aggregate queries/sec per batch size, and verifies the served jplace
 output is **bit-identical** (log-likelihood delta == 0.0) to an offline
@@ -128,7 +128,6 @@ def parity_delta(ref_aln, ref_tree, seq: str, served: dict, name: str) -> float:
         GammaRates(1.0, 4),
         keep_best=1000,
         backend=BACKEND,
-        batch_queries=False,
     )
     expected = to_jplace(offline, ref_tree)
     exp_rows = expected["placements"][0]["p"]
@@ -168,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "benchmark": "bench_serving",
         "description": (
-            "placement-server latency/throughput vs cross-query batch size"
+            "placement-server latency/throughput vs concurrent clients"
         ),
         "env": {
             "cpu_count": os.cpu_count(),
@@ -178,8 +177,8 @@ def main(argv: list[str] | None = None) -> int:
         },
         "note": (
             "batch_size is the number of concurrent HTTP clients; the "
-            "tenant dispatcher fuses their queries into single lockstep "
-            "wave dispatches. qps and lnl_delta are informational; the "
+            "tenant dispatcher admits their requests together and places "
+            "them one at a time. qps and lnl_delta are informational; the "
             "p50/p99 latency metrics are the regression-gated ones."
         ),
         "entries": [],

@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--name", default="default",
                          help="initial tenant name (default: 'default')")
     p_serve.add_argument("--max-batch", type=int, default=16,
-                         help="max queries fused into one dispatch")
+                         help="max queries admitted per batch")
     p_serve.add_argument("--batch-wait-ms", type=float, default=20.0,
                          help="batching window after the first request")
     p_serve.add_argument("--max-tenants", type=int, default=4,
@@ -771,11 +771,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     engine = LikelihoodEngine(
         patterns, tree, gtr(), GammaRates(1.0, 4), backend=args.backend
     )
-    batched = getattr(engine.backend, "newview_batch", None) is not None
-    print(
-        f"backend: {type(engine.backend).__name__} "
-        f"({'stacked' if batched else 'per-op'} wave dispatch)\n"
-    )
+    print(f"backend: {type(engine.backend).__name__}\n")
     root = engine.default_edge()
     _show_plan(engine.plan_execution(root), f"full traversal (root edge {root}):")
     if args.derivatives:
@@ -956,7 +952,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 BENCH_SUITES = {
     "obs": "bench_obs.py",
     "backends": "bench_backends.py",
-    "scheduler": "bench_scheduler.py",
     "gradients": "bench_gradients.py",
     "parallel": "bench_parallel.py",
     "serving": "bench_serving.py",

@@ -4,7 +4,7 @@
 ``evaluate``, ``derivativeSum`` and ``derivativeCore``; ``engine`` wires
 them to trees and alignments with structural CLA validity tracking;
 ``traversal``/``schedule`` levelize traversal descriptors into
-dependency waves and execute them with batched kernel dispatch;
+dependency waves and account for their execution;
 ``vectorized`` re-expresses the kernels as vector programs for the
 simulated MIC (:mod:`repro.mic`); ``layouts`` implements the
 interleaved memory layout of Sec. V-B3.
@@ -31,10 +31,8 @@ from .schedule import (
     FusedPlan,
     FusedWave,
     NewviewCall,
-    PlanExecutor,
     WaveProfile,
     WaveStats,
-    dispatch_wave,
     fuse_plans,
 )
 from .traversal import (
@@ -68,10 +66,8 @@ __all__ = [
     "FusedPlan",
     "FusedWave",
     "NewviewCall",
-    "PlanExecutor",
     "WaveProfile",
     "WaveStats",
-    "dispatch_wave",
     "fuse_plans",
     "ExecutionPlan",
     "KernelCounters",

@@ -280,19 +280,6 @@ class _BackendBase:
     (:func:`kernels.derivative_reduce`, ``np.dot``) are shared, so every
     scalar the engines compare is reduced by the same code whichever
     backend produced the per-site values.
-
-    Backends may additionally implement the **optional** stacked-wave
-    method::
-
-        def newview_batch(self, calls) -> list[tuple[ndarray, ndarray]]
-
-    where ``calls`` is a sequence of
-    :class:`repro.core.schedule.NewviewCall` — one wave of mutually
-    independent ``newview`` ops with prepared operands.  The plan
-    executor uses it for whole-wave dispatch when present and falls back
-    to a per-op loop otherwise, so implementing it is purely an
-    optimisation (see :class:`~repro.core.ckernels.CompiledBackend` for
-    a real stacked implementation).
     """
 
     name = "base"

@@ -177,12 +177,12 @@ class CatLikelihoodEngine(LikelihoodEngine):
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
-    def _run_newview_ops(self, ops, *, batch: bool = True) -> None:  # noqa: ARG002
+    def _run_newview_ops(self, ops) -> None:
         """CAT ``newview`` for one wave of independent ops.
 
-        The per-site branch tables bypass the backend kernels, so there
-        is no stacked dispatch here; the wave executor still drives the
-        schedule (and collects wave statistics) unchanged.
+        The per-site branch tables bypass the backend kernels;
+        :meth:`run_wave` still drives the schedule (and collects wave
+        statistics) unchanged.
         """
         tree = self.tree
         for op in ops:
@@ -219,7 +219,7 @@ class CatLikelihoodEngine(LikelihoodEngine):
                 rescale_clv(z_out, sc)
             self._store_op(op, z_out, sc)
 
-    def _run_preorder_ops(self, ops, *, batch: bool = True) -> None:  # noqa: ARG002
+    def _run_preorder_ops(self, ops) -> None:
         """CAT pre-order partials (same per-site math as the newview path)."""
         tree = self.tree
         for op in ops:

@@ -1,9 +1,8 @@
 """``compiled`` kernel backend: generated C behind the stable kernel API.
 
 :class:`CompiledBackend` implements the full :class:`~repro.core.
-backends.KernelBackend` protocol (plus the optional ``newview_batch``
-wave hook and the parallel-engine ``*_terms`` site phases) by
-dispatching into shared objects built on demand by
+backends.KernelBackend` protocol (plus the parallel-engine ``*_terms``
+site phases) by dispatching into shared objects built on demand by
 :mod:`repro.core.ckernels.build` from :mod:`~repro.core.ckernels.
 codegen` source — one object per ``(n_states, n_rates)`` pair, resolved
 from operand shapes at call time.
@@ -25,22 +24,19 @@ kernel body runs GIL-free).
 
 When no C toolchain is available (or a compile fails), the instance
 permanently swaps its arithmetic hooks for the reference backend's
-NumPy ones (``newview_batch`` degrades to the per-op loop), emits a
-one-time ``RuntimeWarning``, and records the reason for ``repro
-backends``.  Timing and accounting live in the shared base class either
-way, so the profile keeps one stream across the switch.
+NumPy ones, emits a one-time ``RuntimeWarning``, and records the
+reason for ``repro backends``.  Timing and accounting live in the
+shared base class either way, so the profile keeps one stream across
+the switch.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import numpy as np
 
 from ..backends import ReferenceBackend, _BackendBase
-from ..schedule import dispatch_call
-from ..traversal import KernelKind
 from .build import (
     CompilerUnavailable,
     ProbeStatus,
@@ -72,9 +68,6 @@ def _estrides(a: np.ndarray) -> tuple[int, ...]:
     return tuple(s // a.itemsize for s in a.strides)
 
 
-_TIP_TIP_KINDS = (KernelKind.NEWVIEW_TIP_TIP, KernelKind.PREORDER_TIP_TIP)
-
-
 class CompiledBackend(_BackendBase):
     """Generated-C kernels loaded via ctypes (``backend="compiled"``)."""
 
@@ -85,11 +78,8 @@ class CompiledBackend(_BackendBase):
         "reference when no toolchain is available"
     )
 
-    def __init__(self, pair_table_max: int = 4096) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        #: Largest ``codes1 x codes2`` pair-table the stacked tip-tip
-        #: path will materialise (DNA ambiguity alphabet: 16 x 16 = 256).
-        self.pair_table_max = int(pair_table_max)
         self._libs: dict[tuple[int, int], object] = {}
         self.fallback_reason: str | None = None
         try:
@@ -187,78 +177,6 @@ class CompiledBackend(_BackendBase):
             z.ctypes.data, sc.ctypes.data,
         )
         return z, sc
-
-    # -- stacked wave dispatch ----------------------------------------
-    def newview_batch(self, calls) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Stacked ``newview`` dispatch for one wave of independent ops.
-
-        The win is the **tip-tip pair table**: within a wave, all
-        tip-tip ops sharing the same two tip-lookup operands (the engine
-        caches operands per branch *length*, so equal-length cherries
-        share them) reduce to gathers from one precomputed table
-
-            T[m, n, c, k] = sum_i u_inv[k, i] lut1[c, m, i] lut2[c, n, i]
-
-        over the (tiny) code alphabet: ``z = T[codes1, codes2]``.  The
-        table is built by the same C arithmetic as the per-op tip-tip
-        kernel, so gathered CLAs are bit-identical to per-op dispatch.
-
-        Everything else — tip-inner / inner-inner ops, tables that would
-        not pay (``m1 * m2`` beyond :attr:`pair_table_max`, or fewer
-        patterns than table entries), and every op once the backend has
-        fallen back to the reference arithmetic — goes through the
-        per-op kernels.  Results are returned in call order.
-        """
-        results: list = [None] * len(calls)
-        groups: dict[tuple, list[int]] = {}
-        for i, call in enumerate(calls):
-            if call.kind in _TIP_TIP_KINDS and self.fallback_reason is None:
-                u_inv, lut1, codes1, lut2, _ = call.args
-                n_pairs = lut1.shape[1] * lut2.shape[1]
-                if n_pairs <= min(self.pair_table_max, codes1.shape[0]):
-                    groups.setdefault(
-                        (call.kind, id(u_inv), id(lut1), id(lut2)), []
-                    ).append(i)
-                    continue
-            results[i] = dispatch_call(self, call)
-        for (kind, *_ids), idxs in groups.items():
-            u_inv, lut1, _, lut2, _ = calls[idxs[0]].args
-            t0 = time.perf_counter()
-            try:
-                table = self._pair_table(u_inv, lut1, lut2)
-            except CompilerUnavailable as exc:
-                self._activate_fallback(str(exc))
-                for i in idxs:
-                    results[i] = dispatch_call(self, calls[i])
-                continue
-            for i in idxs:
-                codes1, codes2 = calls[i].args[2], calls[i].args[4]
-                z = table[codes1, codes2]
-                sc = np.zeros(codes1.shape[0], dtype=np.int64)
-                # the group head's interval includes the shared table build
-                t1 = time.perf_counter()
-                self._record(
-                    kind, codes1.shape[0], t0, t1 - t0,
-                    codes1.nbytes + codes2.nbytes + z.nbytes + sc.nbytes,
-                )
-                results[i] = (z, sc)
-                t0 = t1
-        return results
-
-    def _pair_table(self, u_inv, lut1, lut2) -> np.ndarray:
-        lut1, lut2 = _f64(lut1), _f64(lut2)
-        c, m1, k = lut1.shape
-        m2 = lut2.shape[1]
-        lib = self._lib(k, c)
-        table = np.empty((m1, m2, c, k))
-        u_inv = np.asarray(u_inv, dtype=np.float64)
-        s0, s1 = _estrides(u_inv)
-        lib.tip_pair_table(
-            u_inv.ctypes.data, s0, s1,
-            lut1.ctypes.data, m1, lut2.ctypes.data, m2,
-            table.ctypes.data,
-        )
-        return table
 
     # -- evaluate ------------------------------------------------------
     def _site_likelihoods(self, z_left, z_right, exps, rate_weights):

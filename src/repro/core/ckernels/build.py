@@ -271,8 +271,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         i64, ptr, i64, i64, ptr, i64, ptr, ptr, i64, ptr, ptr
     ]
     lib.nv_tip_tip.restype = None
-    lib.tip_pair_table.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, ptr]
-    lib.tip_pair_table.restype = None
     lib.evaluate_site.argtypes = [
         i64, ptr, i64, i64, i64, ptr, i64, i64, i64, ptr, ptr, ptr
     ]

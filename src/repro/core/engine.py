@@ -25,6 +25,8 @@ paper's performance model (Sec. VI).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..obs import metrics as _obs_metrics
@@ -35,7 +37,7 @@ from ..phylo.rates import GammaRates
 from ..phylo.tree import Tree
 from . import kernels
 from .backends import KernelBackend, KernelProfile, get_backend
-from .schedule import NewviewCall, PlanExecutor, WaveStats, dispatch_wave
+from .schedule import NewviewCall, WaveProfile, WaveStats, dispatch_call
 from .traversal import (
     EdgeGradientOp,
     ExecutionPlan,
@@ -46,6 +48,7 @@ from .traversal import (
     NewviewOp,
     PreorderOp,
     TraversalDescriptor,
+    Wave,
     levelize,
     levelize_upsweep,
 )
@@ -131,10 +134,10 @@ class LikelihoodEngine:
         #: Per-plan operand preparation cache: branch matrices and tip
         #: lookup tables keyed by branch *length* (the model is fixed
         #: within one plan execution), so same-length ops share operand
-        #: arrays — the identity a batching backend groups on.
+        #: arrays.
         self._prep_cache: dict[tuple, np.ndarray] = {}
-        #: The wave executor: the default dispatch path for every plan.
-        self.executor = PlanExecutor(self)
+        #: Cumulative wave-execution statistics of this engine.
+        self.wave_stats = WaveStats()
         self._model_version = 0
         self._clas: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._valid: dict[int, tuple[int, object]] = {}  # node -> (edge, signature)
@@ -243,8 +246,7 @@ class LikelihoodEngine:
         Valid because the model is fixed between :meth:`set_model` calls
         (which clear the cache) — so ops across a plan with equal branch
         lengths share one operand array, amortising P-matrix
-        construction and letting a batching backend group them by
-        operand identity.
+        construction.
         """
         key = ("a", self.tree.edge(edge_id).length)
         a = self._prep_cache.get(key)
@@ -314,33 +316,30 @@ class LikelihoodEngine:
         self._valid[op.node] = (op.up_edge, self._last_sigs[(op.node, op.up_edge)])
         self.counters.record(op.kind, self.patterns.n_patterns)
 
-    def _run_ops(self, ops: tuple, *, batch: bool = True) -> None:
+    def _run_ops(self, ops: tuple) -> None:
         """Prepare, dispatch and store one wave of independent ops.
 
         Down-sweep waves hold :class:`NewviewOp` only; gradient up-sweep
         waves may mix :class:`PreorderOp` partials with the
         :class:`EdgeGradientOp` reductions they unblock.  The wave is
         partitioned by op class and each group dispatched through its own
-        path (partials batch exactly like ``newview``; gradients are
-        per-edge scalar reductions).
+        path (partials go to the backend exactly like ``newview``;
+        gradients are per-edge scalar reductions).
         """
         nv = tuple(op for op in ops if isinstance(op, NewviewOp))
         pre = tuple(op for op in ops if isinstance(op, PreorderOp))
         grad = tuple(op for op in ops if isinstance(op, EdgeGradientOp))
         if nv:
-            self._run_newview_ops(nv, batch=batch)
+            self._run_newview_ops(nv)
         if pre:
-            self._run_preorder_ops(pre, batch=batch)
+            self._run_preorder_ops(pre)
         if grad:
             self._run_gradient_ops(grad)
 
-    def _run_newview_ops(
-        self, ops: tuple[NewviewOp, ...], *, batch: bool = True
-    ) -> None:
-        calls = [self._prepare_op(op) for op in ops]
-        results = dispatch_wave(self.backend, calls, batch=batch)
-        for op, (z, sc) in zip(ops, results):
-            self._store_op(op, z, sc)
+    def _run_newview_ops(self, ops: tuple[NewviewOp, ...]) -> None:
+        for op in ops:
+            call = self._prepare_op(op)
+            self._store_op(op, *dispatch_call(self.backend, call))
 
     # ------------------------------------------------------------------
     # gradient up-sweep (pre-order partials + per-edge gradients)
@@ -394,13 +393,10 @@ class LikelihoodEngine:
         self._pre[op.edge] = (z, sc)
         self.counters.record(op.kind, self.patterns.n_patterns)
 
-    def _run_preorder_ops(
-        self, ops: tuple[PreorderOp, ...], *, batch: bool = True
-    ) -> None:
-        calls = [self._prepare_preorder_op(op) for op in ops]
-        results = dispatch_wave(self.backend, calls, batch=batch)
-        for op, (z, sc) in zip(ops, results):
-            self._store_preorder_op(op, z, sc)
+    def _run_preorder_ops(self, ops: tuple[PreorderOp, ...]) -> None:
+        for op in ops:
+            call = self._prepare_preorder_op(op)
+            self._store_preorder_op(op, *dispatch_call(self.backend, call))
 
     def _node_side(self, node: int) -> tuple[np.ndarray, "np.ndarray | int"]:
         """``(z, scale)`` for one gradient operand: tip view or CLA."""
@@ -553,8 +549,8 @@ class LikelihoodEngine:
         with _obs.span(
             "gradient.all_branches", edges=n_edges, up_waves=plan.up.depth
         ):
-            self.executor.execute(plan.down)
-            self.executor.execute(plan.up)
+            self.execute_plan(plan.down)
+            self.execute_plan(plan.up)
         if _obs.ENABLED:
             reg = _obs_metrics.get_registry()
             reg.counter(
@@ -575,15 +571,62 @@ class LikelihoodEngine:
         return levelize(self.plan_traversal(root_edge))
 
     def execute_plan(self, plan: ExecutionPlan) -> None:
-        """Run a levelized plan through the wave executor (default path)."""
-        self.executor.execute(plan)
+        """Run a levelized plan, wave by wave."""
+        if not plan.waves:
+            return
+        self.wave_stats.plans += 1
+        self.wave_stats.last_plan.clear()
+        self._prep_cache.clear()
+        with _obs.span("plan", waves=len(plan.waves), ops=plan.n_ops):
+            for wave in plan.waves:
+                self.run_wave(wave)
+
+    def run_wave(self, wave: Wave) -> None:
+        """Run one wave and record its :class:`WaveProfile`.
+
+        Parallel drivers (fork-join, distributed, partitioned) call this
+        directly to interleave their own synchronisation accounting
+        between waves.
+        """
+        if not wave.ops:
+            return
+        profile = self.backend.profile
+        b0 = sum(profile.bytes_moved.values())
+        t0 = time.perf_counter()
+        self._run_ops(wave.ops)
+        elapsed = time.perf_counter() - t0
+        self.wave_stats.record(
+            WaveProfile(
+                index=wave.index,
+                width=wave.width,
+                kernel_mix={k.value: n for k, n in wave.kernel_mix().items()},
+                seconds=elapsed,
+                bytes_moved=sum(profile.bytes_moved.values()) - b0,
+            )
+        )
+        if _obs.ENABLED:
+            _obs.get_tracer().add_complete(
+                "wave",
+                t0,
+                t0 + elapsed,
+                args={"wave": wave.index, "width": wave.width},
+            )
+            reg = _obs_metrics.get_registry()
+            reg.counter("repro_waves_total", "executed waves").inc()
+            reg.histogram(
+                "repro_wave_width",
+                "ops per executed wave",
+                bounds=_obs_metrics.log_buckets(1.0, 4096.0, per_decade=3),
+            ).observe(wave.width)
+            reg.histogram(
+                "repro_wave_seconds", "wall seconds per wave"
+            ).observe(elapsed)
 
     def execute_traversal(self, desc: TraversalDescriptor) -> None:
         """Run the planned ``newview`` operations, updating CLAs in place.
 
         Compatibility wrapper: descriptors are levelized and executed as
-        plans; the old per-op loop survives only as the batch fallback
-        inside :mod:`repro.core.schedule`.
+        plans.
         """
         self.execute_plan(levelize(desc))
 
@@ -722,11 +765,6 @@ class LikelihoodEngine:
         """
         return self.backend.profile
 
-    @property
-    def wave_stats(self) -> WaveStats:
-        """Cumulative wave-execution statistics of this engine's executor."""
-        return self.executor.stats
-
     def reset_profile(self) -> None:
         """Zero counters, the backend profile, and wave statistics.
 
@@ -737,7 +775,7 @@ class LikelihoodEngine:
         """
         self.counters.reset()
         self.backend.profile.reset()
-        self.executor.stats.reset()
+        self.wave_stats.reset()
 
     def reset_all_observability(self) -> None:
         """One-call reset of every cumulative measurement layer.

@@ -125,9 +125,7 @@ class MemorySavingEngine(LikelihoodEngine):
         super()._store_preorder_op(op, z, sc)
         self._touch_pre(op.edge)
 
-    def _run_newview_ops(
-        self, ops: tuple[NewviewOp, ...], *, batch: bool = True
-    ) -> None:
+    def _run_newview_ops(self, ops: tuple[NewviewOp, ...]) -> None:
         """Wave execution with CLA slot recycling.
 
         A wave may be wider than the CLA budget, so it is processed in
@@ -159,13 +157,13 @@ class MemorySavingEngine(LikelihoodEngine):
                         self.recomputed_clas += 1
                         if _obs.ENABLED:
                             _note_recompute(op.node)
-                super()._run_newview_ops(tuple(chunk), batch=batch)
+                super()._run_newview_ops(tuple(chunk))
             finally:
                 for node in pinned:
                     self._unpin(node)
             self._evict()
 
-    def _run_preorder_ops(self, ops: tuple[PreorderOp, ...], *, batch: bool = True) -> None:
+    def _run_preorder_ops(self, ops: tuple[PreorderOp, ...]) -> None:
         """Up-sweep partials under the CLA budget.
 
         Partials join the post-order CLAs in one shared eviction pool:
@@ -195,7 +193,7 @@ class MemorySavingEngine(LikelihoodEngine):
                         pinned.append(op.sibling)
                     self._pin_pre(op.edge)
                     pinned_pre.append(op.edge)
-                super()._run_preorder_ops(tuple(chunk), batch=batch)
+                super()._run_preorder_ops(tuple(chunk))
             finally:
                 for node in pinned:
                     self._unpin(node)
@@ -207,8 +205,8 @@ class MemorySavingEngine(LikelihoodEngine):
         """Rematerialise one (possibly evicted) pre-order partial.
 
         Recursive toward the virtual root, mirroring :meth:`_materialize`
-        for post-order CLAs; each recomputation is a single per-op
-        dispatch with its operands pinned.
+        for post-order CLAs; each recomputation is a single dispatch
+        with its operands pinned.
         """
         if edge in self._pre:
             self._touch_pre(edge)
@@ -237,7 +235,7 @@ class MemorySavingEngine(LikelihoodEngine):
                 self._materialize(op.sibling, op.sibling_edge)
                 self._pin(op.sibling)
                 pinned.append(op.sibling)
-            LikelihoodEngine._run_preorder_ops(self, (op,), batch=False)
+            LikelihoodEngine._run_preorder_ops(self, (op,))
             self._evict()
         finally:
             for node in pinned:
@@ -307,7 +305,7 @@ class MemorySavingEngine(LikelihoodEngine):
         Recursive with pinning: while a node's op runs, its children are
         pinned so the LRU eviction cannot drop an operand between its
         (re)computation and its use.  Dispatch goes straight through the
-        base per-op path — a recompute is a single op, not a wave.
+        base engine — a recompute is a single op, not a wave.
         """
         tree = self.tree
         if tree.is_leaf(node):
@@ -330,7 +328,7 @@ class MemorySavingEngine(LikelihoodEngine):
                 self._materialize(op.child2, op.edge2)
                 self._pin(op.child2)
                 try:
-                    LikelihoodEngine._run_ops(self, (op,), batch=False)
+                    LikelihoodEngine._run_ops(self, (op,))
                 finally:
                     self._unpin(op.child2)
             finally:

@@ -109,15 +109,14 @@ class PartitionedEngine:
         Wave ``k`` of the fused plan carries wave ``k`` of every
         partition, so the whole multi-gene update advances as a single
         levelized schedule instead of partition-by-partition dribbles —
-        the batching (and, under a parallel driver, synchronisation)
-        unit spans partitions.
+        the synchronisation unit of a parallel driver spans partitions.
         """
         return fuse_plans(e.plan_execution(root_edge) for e in self.engines)
 
     def execute_plan(self, fused: FusedPlan) -> None:
         for wave in fused.waves:
             for part_idx, sub in wave.parts:
-                self.engines[part_idx].executor.run_wave(sub)
+                self.engines[part_idx].run_wave(sub)
 
     def ensure_valid(self, root_edge: int) -> None:
         """Validate every partition's root CLAs via the fused schedule."""
@@ -178,7 +177,7 @@ class PartitionedEngine:
 
     @property
     def wave_stats(self) -> WaveStats:
-        """Wave statistics aggregated across every partition's executor."""
+        """Wave statistics aggregated across every partition's engine."""
         total = WaveStats()
         for engine in self.engines:
             total.merge(engine.wave_stats)
@@ -189,7 +188,7 @@ class PartitionedEngine:
         self.backend.profile.reset()
         for engine in self.engines:
             engine.counters.reset()
-            engine.executor.stats.reset()
+            engine.wave_stats.reset()
 
     def per_site_log_likelihoods(self) -> dict[str, np.ndarray]:
         """Per-partition pattern log-likelihood vectors."""

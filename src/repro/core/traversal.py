@@ -11,8 +11,8 @@ On top of the flat descriptor sits the **execution-plan IR**: the
 :func:`levelize` planner folds a descriptor into dependency *waves*
 (:class:`Wave`), where every op's inner children were produced by an
 earlier wave (or were already valid) and the ops within one wave are
-mutually independent.  The plan is the unit of optimisation for batched
-kernel dispatch (:mod:`repro.core.schedule`), fork-join wave pickup, and
+mutually independent.  The plan is the unit of optimisation for wave
+dispatch (:meth:`LikelihoodEngine.run_wave`), fork-join wave pickup, and
 distributed sync placement — BEAGLE's ``updatePartials`` operation queue
 generalised into a levelized schedule.
 
@@ -233,9 +233,9 @@ class ExecutionPlan:
     """A levelized schedule: the IR between planning and dispatch.
 
     Produced by :func:`levelize` from a :class:`TraversalDescriptor`;
-    consumed by :class:`repro.core.schedule.PlanExecutor`.  ``depth``
-    (number of waves) bounds the serial critical path; ``max_width``
-    bounds the exploitable batch/thread parallelism; both feed the
+    consumed by :meth:`repro.core.engine.LikelihoodEngine.execute_plan`.
+    ``depth`` (number of waves) bounds the serial critical path;
+    ``max_width`` bounds the exploitable thread parallelism; both feed the
     analytic cost model's serial-depth vs. parallel-width split.
     """
 
@@ -340,7 +340,7 @@ def levelize_upsweep(desc: GradientDescriptor) -> ExecutionPlan:
     (partials fed by the virtual root's down CLAs sit at level 0); an
     edge's gradient op runs one level after the partial it consumes, so
     it shares a wave with the *next* generation of partials — the mixed
-    kernel-kind waves the dispatcher batches per kind.  The virtual root
+    kernel-kind waves the engine partitions per op class.  The virtual root
     edge's gradient needs only down CLAs and joins wave 0.
     """
 

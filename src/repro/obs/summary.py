@@ -156,8 +156,8 @@ class TraceSummary:
     tracks: list[str]
     spans: dict[str, SpanAggregate]
     instants: dict[str, int]
-    #: (ts_us, dur_us, width, batched) per executed wave, file order
-    wave_timeline: list[tuple[float, float, int, bool]]
+    #: (ts_us, dur_us, width) per executed wave, file order
+    wave_timeline: list[tuple[float, float, int]]
     metrics: dict | None = None
     #: ``track;outer;inner`` collapsed stacks -> self-time microseconds
     folded: dict[str, float] = field(default_factory=dict)
@@ -227,10 +227,7 @@ def summarize_chrome(payload: dict) -> TraceSummary:
                 stack[-1][2] += dur
             if name == "wave":
                 args = args or {}
-                waves.append(
-                    (start, dur, int(args.get("width", 0)),
-                     bool(args.get("batched", False)))
-                )
+                waves.append((start, dur, int(args.get("width", 0))))
     duration = (t_max - t_min) if events else 0.0
     return TraceSummary(
         duration_us=duration,
@@ -301,11 +298,10 @@ def render_summary(summary: TraceSummary, top: int = 15) -> str:
             f"wave timeline ({len(summary.wave_timeline)} waves, "
             f"first {len(shown)} shown):"
         )
-        lines.append(f"  {'t':>12}  {'dur':>10}  {'width':>5}  dispatch")
-        for ts, dur, width, batched in shown:
+        lines.append(f"  {'t':>12}  {'dur':>10}  {'width':>5}")
+        for ts, dur, width in shown:
             lines.append(
-                f"  {_fmt_us(ts):>12}  {_fmt_us(dur):>10}  {width:>5}  "
-                f"{'stacked' if batched else 'per-op'}"
+                f"  {_fmt_us(ts):>12}  {_fmt_us(dur):>10}  {width:>5}"
             )
     if summary.instants:
         lines.append("")

@@ -304,7 +304,7 @@ class SlicedEngine:
 
     @property
     def wave_stats(self) -> WaveStats:
-        """Wave statistics merged across every slice's executor."""
+        """Wave statistics merged across every slice's engine."""
         return self._replay(self.substrate.merged_wave_stats)
 
     def reset_profile(self) -> None:

@@ -217,7 +217,7 @@ class SliceWorker:
         for owner, engine, _index in self._each():
             plan = self.plans.get(owner)
             if plan is not None and k < plan.depth:
-                engine.executor.run_wave(plan.waves[k])
+                engine.run_wave(plan.waves[k])
 
     def cmd_root(self, root_edge: int) -> None:
         for owner, engine, index in self._each():

@@ -12,10 +12,9 @@ timings as first-class, comparable data across configurations:
 * :class:`Ledger` — an append-only collection with atomic JSON
   persistence (``PERF_LEDGER.json`` at the repo root is the committed
   baseline);
-* :func:`entries_from_report` — adapters that ingest each of the five
-  legacy ``BENCH_*.json`` shapes (obs overhead, backends, scheduler,
-  gradients, parallel scaling) into ledger entries, so history is not
-  lost;
+* :func:`entries_from_report` — adapters that ingest each of the four
+  legacy ``BENCH_*.json`` shapes (obs overhead, backends, gradients,
+  parallel scaling) into ledger entries, so history is not lost;
 * :func:`compare` — the regression diff: matches entries across two
   ledgers by ``(benchmark, fingerprint)``, classifies each shared
   metric as lower-better or higher-better by name convention, and
@@ -222,8 +221,6 @@ def _sniff(data: dict) -> str:
         return "parallel"
     results = data.get("results")
     if isinstance(results, list) and results:
-        if "per_op_s" in results[0]:
-            return "scheduler"
         if "one_traversal_s" in results[0]:
             return "gradients"
     raise ValueError("unrecognised benchmark report shape")
@@ -233,7 +230,7 @@ def entries_from_report(data: dict, source: str = "") -> list[LedgerEntry]:
     """Ledger entries for one raw benchmark report dict.
 
     Accepts the unified shape new benchmarks emit (``{"benchmark": id,
-    "entries": [{config, metrics}, ...]}``) and all five legacy
+    "entries": [{config, metrics}, ...]}``) and all four legacy
     ``BENCH_*.json`` shapes; raises ``ValueError`` on anything else.
     One entry is produced per measured configuration (per sites count,
     per worker count, ...), so comparisons stay per-config.
@@ -284,25 +281,6 @@ def entries_from_report(data: dict, source: str = "") -> list[LedgerEntry]:
             entries.append(
                 LedgerEntry(
                     "bench_backends", config, metrics, host, source=source
-                )
-            )
-    elif kind == "scheduler":
-        for row in data["results"]:
-            config = {
-                "sites": row.get("sites"),
-                "n_taxa": row.get("n_taxa"),
-                "backend": data.get("backend"),
-            }
-            metrics = _flatten(
-                {
-                    k: v
-                    for k, v in row.items()
-                    if k not in ("sites", "n_taxa", "plan")
-                }
-            )
-            entries.append(
-                LedgerEntry(
-                    "bench_scheduler", config, metrics, host, source=source
                 )
             )
     elif kind == "gradients":

@@ -48,7 +48,7 @@ class KernelTrace:
 
     ``wave_summary`` optionally carries the levelized-schedule shape of
     the traced workload (a :meth:`repro.core.schedule.WaveStats.to_dict`
-    payload: plans, waves, ops, max/mean width, batched-op share).  The
+    payload: plans, waves, ops, max/mean width).  The
     wave structure — not just the call mix — is what the scheduling cost
     model (:func:`repro.perf.costmodel.wave_schedule_costs`) needs to
     separate serial depth from parallel width.
@@ -212,17 +212,16 @@ def trace_from_spans(
     ``evaluate`` and per ``derivative_core`` dispatch.
 
     The ``wave_summary`` is rebuilt from the recorded ``wave`` spans
-    (count, op totals, max/mean width, batched-op share, summed wall
-    seconds).
+    (count, op totals, max/mean width, summed wall seconds).
 
     .. warning:: Record the source trace with the **reference** or
        **compiled** backend.  The shadow backend dispatches every kernel
        twice (primary + reference), so its span stream double-counts
        calls relative to the engine's own counters.
     """
-    # (kind value, duration seconds, bytes, width?, batched?) rows
+    # (kind value, duration seconds, bytes) rows
     kernel_rows: list[tuple[str, float, int]] = []
-    wave_rows: list[tuple[int, bool, float]] = []
+    wave_rows: list[tuple[int, float]] = []
     if isinstance(source, dict):  # Chrome payload: matched B/E pairs
         open_spans: dict[tuple, list] = {}
         for e in source.get("traceEvents", ()):
@@ -243,10 +242,7 @@ def trace_from_spans(
                          int(args.get("bytes", 0)))
                     )
                 elif name == "wave":
-                    wave_rows.append(
-                        (int(args.get("width", 0)),
-                         bool(args.get("batched", False)), dur_s)
-                    )
+                    wave_rows.append((int(args.get("width", 0)), dur_s))
     else:  # live Tracer
         for rec in source.spans:
             args = rec.args or {}
@@ -256,10 +252,7 @@ def trace_from_spans(
                      int(args.get("bytes", 0)))
                 )
             elif rec.name == "wave":
-                wave_rows.append(
-                    (int(args.get("width", 0)),
-                     bool(args.get("batched", False)), rec.duration)
-                )
+                wave_rows.append((int(args.get("width", 0)), rec.duration))
 
     calls = {k: 0 for k in KERNELS}
     seconds = {k: 0.0 for k in KERNELS}
@@ -276,14 +269,13 @@ def trace_from_spans(
             reductions += 1
     wave_summary = None
     if wave_rows:
-        widths = [w for w, _, _ in wave_rows]
+        widths = [w for w, _ in wave_rows]
         wave_summary = {
             "plans": 0,  # plan membership is not span-visible
             "waves": len(wave_rows),
             "ops": sum(widths),
             "max_width": max(widths),
-            "batched_ops": sum(w for w, batched, _ in wave_rows if batched),
-            "seconds": sum(s for _, _, s in wave_rows),
+            "seconds": sum(s for _, s in wave_rows),
             "bytes_moved": sum(nbytes.values()),
             "kernel_mix": {},
         }

@@ -26,11 +26,9 @@ per-branch labels/distal lengths, and places any number of query sets
 against them.  The long-running placement server (:mod:`repro.serve`)
 keeps one session resident per reference tree; the offline
 :func:`place_queries` entry point is a thin wrapper that builds a
-session, places, and tears it down.  When several queries arrive
-together on the serial path the session runs them in *lockstep*
-(:func:`repro.core.schedule.execute_lockstep`): every query's
-per-candidate traversal levels are fused into single wave dispatches on
-one shared backend, bit-identical to placing the queries one at a time.
+session, places, and tears it down.  Queries are placed one at a time,
+in the order given: each gets its own engine over its merged alignment,
+which is closed before the next query's is built.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from ..core.backends import (
     make_engine,
     resolve_backend_name,
 )
-from ..core.schedule import execute_lockstep
 from ..obs import server as _obs_server
 from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.models import SubstitutionModel
@@ -107,7 +104,7 @@ def _resolve_session_backend(
     Registered instances are translated back to their name here; ad-hoc
     instances get a clear error at the call boundary.  The serial path
     resolves to one shared instance so every per-query engine feeds a
-    single profile (and so lockstep batching can fuse across engines).
+    single profile.
     """
     if workers > 1:
         if (
@@ -272,28 +269,39 @@ class PlacementSession:
         queries: dict[str, str],
         *,
         keep_best: int = 5,
-        batch_queries: bool | None = None,
         on_result=None,
     ) -> list[PlacementResult]:
         """Place every query; ranked, LWR-weighted results in query order.
 
-        ``batch_queries=None`` (the default) fuses concurrent queries
-        into lockstep wave dispatches whenever the session runs a single
-        shared backend (``workers == 1``) and more than one query is
-        given; ``False`` forces the one-query-at-a-time loop (the two
-        paths are bit-identical).  ``on_result`` is called with each
-        :class:`PlacementResult` as it completes (progress reporting).
+        Queries are placed one at a time, one engine alive at a time.
+        ``on_result`` is called with each :class:`PlacementResult` as it
+        completes (progress reporting).
         """
         if not queries:
             raise ValueError("no query sequences given")
-        if batch_queries is None:
-            batch_queries = self.workers == 1 and len(queries) > 1
-        if batch_queries and self.workers == 1 and len(queries) > 1:
-            results = self._place_batched(queries, keep_best, on_result)
-        else:
-            results = self._place_serial(queries, keep_best, on_result)
+        results: list[PlacementResult] = []
+        for name, seq in queries.items():
+            result = self._place_one(name, seq, keep_best)
+            results.append(result)
+            if on_result is not None:
+                on_result(result)
         self.queries_placed += len(results)
         return results
+
+    def _place_one(self, name: str, seq: str, keep_best: int) -> PlacementResult:
+        merged = self._merged_patterns(name, seq)
+        tree = self.tree.copy()
+        state = _QueryState(
+            name=name, tree=tree, engine=self._make_query_engine(merged, tree)
+        )
+        try:
+            for key in self._candidates:
+                self._evaluate_candidate(state, key)
+        finally:
+            state.close()
+        return PlacementResult(
+            query=name, placements=self._rank(state.placements, keep_best)
+        )
 
     def _make_query_engine(self, merged: PatternAlignment, tree: Tree):
         return make_engine(
@@ -356,109 +364,6 @@ class PlacementSession:
         ]
         return ranked[:keep_best]
 
-    def _place_serial(
-        self, queries: dict[str, str], keep_best: int, on_result
-    ) -> list[PlacementResult]:
-        results: list[PlacementResult] = []
-        for name, seq in queries.items():
-            merged = self._merged_patterns(name, seq)
-            tree = self.tree.copy()
-            state = _QueryState(
-                name=name,
-                tree=tree,
-                engine=self._make_query_engine(merged, tree),
-            )
-            try:
-                for key in self._candidates:
-                    self._evaluate_candidate(state, key)
-            finally:
-                state.close()
-            result = PlacementResult(
-                query=name, placements=self._rank(state.placements, keep_best)
-            )
-            results.append(result)
-            if on_result is not None:
-                on_result(result)
-        return results
-
-    def _place_batched(
-        self, queries: dict[str, str], keep_best: int, on_result
-    ) -> list[PlacementResult]:
-        """Cross-query lockstep: one fused wave dispatch per plan level.
-
-        Each query keeps its own engine (its own merged compressed
-        alignment) on the session's single shared backend instance.  Per
-        candidate branch, every query attaches at the same (u, v) edge
-        and the per-engine invalidation plans are executed in lockstep —
-        level *k* of all plans becomes one stacked ``newview_batch``
-        dispatch.  The subsequent per-query ``edge_sum_buffer`` finds
-        its plan already satisfied, so Newton + scoring run exactly the
-        serial code path: results are bit-identical to
-        :meth:`_place_serial` by construction.
-        """
-        states = []
-        try:
-            for name, seq in queries.items():
-                merged = self._merged_patterns(name, seq)
-                tree = self.tree.copy()
-                states.append(
-                    _QueryState(
-                        name=name,
-                        tree=tree,
-                        engine=self._make_query_engine(merged, tree),
-                    )
-                )
-            for key in self._candidates:
-                attached = []
-                for st in states:
-                    eid = st.tree.find_edge(*key)
-                    leaf, mid, pend = st.tree.attach_leaf(
-                        eid, st.name, pendant_length=0.1
-                    )
-                    attached.append((st, leaf, mid, pend))
-                execute_lockstep(
-                    [st.engine for st, _, _, _ in attached],
-                    [
-                        st.engine.plan_execution(pend)
-                        for st, _, _, pend in attached
-                    ],
-                )
-                for st, leaf, mid, pend in attached:
-                    engine, tree = st.engine, st.tree
-                    # The lockstep pass satisfied the plan; this finds
-                    # no pending newviews and mirrors the serial path.
-                    sumbuf = engine.edge_sum_buffer(pend)
-                    t = 0.1
-                    for _ in range(self.newton_iterations):
-                        _, d1, d2 = engine.branch_derivatives(sumbuf, t)
-                        if d2 >= 0 or abs(d1) < 1e-9:
-                            break
-                        t = float(np.clip(t - d1 / d2, 1e-8, 50.0))
-                    tree.edge(pend).length = t
-                    lnl = engine.log_likelihood(pend)
-                    st.placements.append(
-                        Placement(
-                            edge_label=self._labels[key],
-                            log_likelihood=lnl,
-                            pendant_length=t,
-                            distal_length=self._distals[key],
-                        )
-                    )
-                    tree.remove_edge(pend)
-                    tree.remove_node(leaf)
-                    tree.suppress_node(mid)
-        finally:
-            for st in states:
-                st.close()
-        results = []
-        for st in states:
-            result = PlacementResult(
-                query=st.name, placements=self._rank(st.placements, keep_best)
-            )
-            results.append(result)
-            if on_result is not None:
-                on_result(result)
-        return results
 
 
 @dataclass
@@ -487,7 +392,6 @@ def place_queries(
     backend: "str | KernelBackend | None" = None,
     workers: int = 1,
     execution: str = "simulated",
-    batch_queries: bool | None = None,
 ) -> list[PlacementResult]:
     """Place each query sequence on its best reference branches.
 
@@ -514,10 +418,6 @@ def place_queries(
         ``processes``); placements stay bit-identical to the serial
         run.  Engines are closed after each query, so no pool or
         shared-memory segment outlives the call.
-    batch_queries:
-        ``None`` (default) auto-fuses multi-query serial runs into
-        cross-query lockstep dispatches; ``False`` forces the
-        one-query-at-a-time loop.  Both paths are bit-identical.
 
     One-shot wrapper over :class:`PlacementSession`; long-running
     callers (the placement server) hold a session instead.
@@ -554,7 +454,6 @@ def place_queries(
         results = session.place(
             queries,
             keep_best=keep_best,
-            batch_queries=batch_queries,
             on_result=_report,
         )
     except BaseException as exc:

@@ -6,9 +6,9 @@ with the best parallel profile — one fixed reference tree, independent
 package keeps that reference state *warm*: a
 :class:`~repro.search.epa.PlacementSession` (and optional worker pool)
 stays resident per reference tree, queries arrive over a stdlib HTTP
-front, and concurrent queries sharing a reference are fused into single
-cross-query wave dispatches (:func:`repro.core.schedule.execute_lockstep`)
-— the long-lived instance model of BEAGLE 4.1, at placement granularity.
+front, and each tenant's dispatcher thread places the pending requests
+one at a time in FIFO order — the long-lived instance model of BEAGLE
+4.1, at placement granularity.
 """
 
 from .server import PlacementServer, Tenant, serve

@@ -1,4 +1,4 @@
-"""The placement server: warm sessions, cross-query batching, tenancy.
+"""The placement server: warm sessions, coalesced admission, tenancy.
 
 Architecture (DESIGN.md §12):
 
@@ -10,15 +10,12 @@ Architecture (DESIGN.md §12):
   labelled resident :class:`~repro.parallel.forkjoin.ForkJoinEngine`
   worker pool the faults layer reports on.
 - Each tenant runs a single **dispatcher thread**: concurrent HTTP
-  requests enqueue their queries, the dispatcher waits a short batching
-  window, coalesces compatible pending requests (disjoint query names,
-  combined size ≤ ``max_batch``) into one ``session.place()`` call —
-  which fuses the queries' per-candidate traversals into lockstep wave
-  dispatches — and fans the ranked results back out per request.
-  Because likelihood-weight ratios are normalised over the *full*
-  candidate set before ``keep_best`` truncation, one shared ranking
-  serves every request's ``keep_best`` by pure slicing, bit-identical
-  to an offline :func:`~repro.search.epa.place_queries` run.
+  requests enqueue their queries, the dispatcher waits a short
+  admission window, pops pending requests in FIFO order (combined size
+  ≤ ``max_batch`` queries) and places them one request at a time with
+  its own ``session.place()`` call — each request gets its own result
+  or its own error as soon as it finishes, bit-identical to an offline
+  :func:`~repro.search.epa.place_queries` run.
 - Tenants live in a bounded LRU: registering beyond ``max_tenants``
   evicts (closes) the least-recently-used tenant, mirroring the CLA
   eviction policy of :class:`~repro.core.memsave.MemorySavingEngine`
@@ -53,7 +50,7 @@ __all__ = ["Tenant", "PlacementServer", "serve"]
 
 @dataclass
 class _Pending:
-    """One enqueued placement request awaiting its batch."""
+    """One enqueued placement request awaiting its turn."""
 
     queries: dict[str, str]
     keep_best: int
@@ -104,7 +101,7 @@ class Tenant:
         )
         self.m_batch = reg.histogram(
             f"repro_serve_{lane}_batch_queries",
-            f"queries fused per dispatch for tenant {name}",
+            f"queries per admitted batch for tenant {name}",
             bounds=log_buckets(1.0, 256.0, per_decade=3),
         )
         self._cond = threading.Condition()
@@ -147,12 +144,11 @@ class Tenant:
             self._run_batch(batch)
 
     def _collect_batch(self) -> list[_Pending] | None:
-        """Block for work, then coalesce a compatible request batch.
+        """Block for work, then admit a batch of pending requests.
 
         Waits ``batch_wait_s`` past the first arrival so concurrent
-        clients can land in the same dispatch, then pops requests in
-        FIFO order while their query names stay disjoint and the fused
-        batch stays within ``max_batch`` queries.
+        clients can land in the same batch, then pops requests in FIFO
+        order while the batch stays within ``max_batch`` queries.
         """
         with self._cond:
             while not self._queue and not self._closed:
@@ -167,57 +163,46 @@ class Tenant:
                     break
                 self._cond.wait(timeout=remaining)
             batch: list[_Pending] = []
-            names: set[str] = set()
             size = 0
             while self._queue:
                 head = self._queue[0]
-                if batch and (
-                    (names & head.queries.keys())
-                    or size + len(head.queries) > self.max_batch
-                ):
+                if batch and size + len(head.queries) > self.max_batch:
                     break
                 batch.append(self._queue.popleft())
-                names |= head.queries.keys()
                 size += len(head.queries)
             self.m_depth.set(len(self._queue))
             return batch
 
     def _run_batch(self, batch: list[_Pending]) -> None:
-        merged: dict[str, str] = {}
+        """Place each admitted request on its own, in FIFO order.
+
+        A request gets its result — or its own error — and ``done`` as
+        soon as it finishes; one malformed request cannot fail another.
+        """
+        self.batches_run += 1
+        self.m_batch.observe(sum(len(p.queries) for p in batch))
         for pending in batch:
-            merged.update(pending.queries)
-        keep = max(p.keep_best for p in batch)
-        try:
-            results = self.session.place(merged, keep_best=keep)
-        except Exception as exc:  # noqa: BLE001 - reported to the client
-            self.last_error = f"{type(exc).__name__}: {exc}"
-            for pending in batch:
+            try:
+                pending.results = self.session.place(
+                    pending.queries, keep_best=pending.keep_best
+                )
+            except Exception as exc:  # noqa: BLE001 - reported to the client
+                self.last_error = f"{type(exc).__name__}: {exc}"
                 pending.error = self.last_error
                 pending.code = 400 if isinstance(exc, ValueError) else 500
-                pending.done.set()
-            return
-        finally:
+            else:
+                self.m_queries.inc(len(pending.queries))
             now = time.monotonic()
             self.last_used_at = now
-            for pending in batch:
-                self.m_latency.observe(now - pending.enqueued_at)
-        self.batches_run += 1
-        self.m_batch.observe(len(merged))
-        self.m_queries.inc(len(merged))
-        by_query = {r.query: r for r in results}
-        for pending in batch:
-            # LWRs are normalised over the full candidate set, so a
-            # request's keep_best is a pure slice of the shared ranking.
-            pending.results = [
-                PlacementResult(
-                    query=name,
-                    placements=by_query[name].placements[: pending.keep_best],
-                )
-                for name in pending.queries
-            ]
+            self.m_latency.observe(now - pending.enqueued_at)
             pending.done.set()
         best = max(
-            (r.best.log_likelihood for r in results if r.placements),
+            (
+                r.best.log_likelihood
+                for p in batch
+                for r in p.results or ()
+                if r.placements
+            ),
             default=None,
         )
         _obs_server.progress_update(f"batch:{self.name}", lnl=best)

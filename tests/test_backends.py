@@ -385,6 +385,40 @@ class TestRegistryAndFactory:
             ref_cat.log_likelihood(), abs=1e-9
         )
 
+    @pytest.mark.parametrize("flavour", ["gamma", "max_resident", "cat", "p_inv"])
+    def test_engines_are_freed_by_reference_count(self, flavour):
+        """No engine is cyclic garbage: ``del`` frees it (CLAs included)
+        at once, without waiting for a generational collection."""
+        import gc
+        import weakref
+
+        sim = simulate_dataset(n_taxa=6, n_sites=120, seed=11)
+        patterns = sim.alignment.compress()
+        options = {
+            "gamma": {"rates": GammaRates(0.8)},
+            "max_resident": {"rates": GammaRates(0.8), "max_resident": 4},
+            "p_inv": {"rates": GammaRates(0.8), "p_inv": 0.1},
+            "cat": {
+                "cat": CatRates.from_gamma(
+                    0.8, patterns.n_patterns, 4, np.random.default_rng(0),
+                    weights=patterns.weights,
+                )
+            },
+        }[flavour]
+        gc.collect()
+        gc.disable()
+        try:
+            engine = make_engine(patterns, sim.tree.copy(), gtr(), **options)
+            root = engine.default_edge()
+            engine.log_likelihood(root)
+            engine.branch_derivatives(engine.edge_sum_buffer(root), 0.1)
+            engine.all_branch_gradients(root)
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_make_engine_invalid_combos(self):
         sim = simulate_dataset(n_taxa=6, n_sites=120, seed=11)
         patterns = sim.alignment.compress()

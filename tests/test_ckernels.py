@@ -6,8 +6,8 @@ cache digest moves with everything that can change the object's bits.
 Parity: the compiled backend must match the reference kernels to 1e-10
 (scale counters exactly) on the kinds the shared registry parity suite
 in ``test_backends.py`` does not already cover — the preorder/gradient
-kinds and stacked ``newview_batch`` dispatch — and whole engines
-(GTR+Gamma, CAT, +I, memsave) must agree on real data.
+kinds — and whole engines (GTR+Gamma, CAT, +I, memsave) must agree on
+real data.
 
 Shadow: ``ShadowBackend(primary=CompiledBackend())`` stays silent on the
 honest backend and catches a planted perturbation.
@@ -45,7 +45,6 @@ from repro.core.ckernels import (
 )
 from repro.core.ckernels import backend as ck_backend
 from repro.core.ckernels import build as ck_build
-from repro.core.schedule import NewviewCall, dispatch_wave
 from repro.core.traversal import KernelKind
 from repro.phylo import CatRates, GammaRates, gtr, simulate_dataset
 
@@ -185,59 +184,6 @@ class TestPreorderAndGradientParity:
         got = CompiledBackend().edge_gradient(*args)
         for r, g in zip(ref, got):
             assert g == pytest.approx(r, rel=1e-10, abs=ATOL)
-
-
-class TestNewviewBatch:
-    """Stacked wave dispatch matches per-op dispatch bit-for-bit."""
-
-    def _calls(self, seed: int, p: int) -> list:
-        d = _random_inputs(seed, p, 4)
-        calls = []
-        # several tip-tip ops sharing one (lut1, lut2) pair: with
-        # N_CODES=4 the 16-entry pair table engages when p >= 16
-        rng = np.random.default_rng(seed + 1)
-        for _ in range(3):
-            calls.append(NewviewCall(
-                op=None, kind=KernelKind.NEWVIEW_TIP_TIP,
-                args=(d["u_inv"], d["lookup1"],
-                      rng.integers(0, N_CODES, size=p),
-                      d["lookup2"], rng.integers(0, N_CODES, size=p)),
-            ))
-        calls.append(NewviewCall(
-            op=None, kind=KernelKind.NEWVIEW_TIP_INNER,
-            args=(d["u_inv"], d["lookup1"], d["codes1"], d["a2"], d["z2"],
-                  d["scale2"]),
-        ))
-        calls.append(NewviewCall(
-            op=None, kind=KernelKind.NEWVIEW_INNER_INNER,
-            args=(d["u_inv"], d["a1"], d["a2"], d["z1"], d["z2"],
-                  d["scale1"], d["scale2"]),
-        ))
-        return calls
-
-    @pytest.mark.parametrize("p", [7, 64])
-    def test_batch_equals_per_op(self, p):
-        backend = CompiledBackend()
-        batched = dispatch_wave(backend, self._calls(3, p), batch=True)
-        per_op = dispatch_wave(backend, self._calls(3, p), batch=False)
-        assert len(batched) == len(per_op) == 5
-        for (zb, sb), (zo, so) in zip(batched, per_op):
-            np.testing.assert_array_equal(zb, zo)  # bitwise
-            np.testing.assert_array_equal(sb, so)
-
-    def test_batch_matches_reference(self):
-        compiled = dispatch_wave(CompiledBackend(), self._calls(9, 64))
-        reference = [
-            (kernels.newview_tip_tip(*c.args)
-             if c.kind is KernelKind.NEWVIEW_TIP_TIP
-             else kernels.newview_tip_inner(*c.args)
-             if c.kind is KernelKind.NEWVIEW_TIP_INNER
-             else kernels.newview_inner_inner(*c.args))
-            for c in self._calls(9, 64)
-        ]
-        for (z, s), (z_ref, s_ref) in zip(compiled, reference):
-            np.testing.assert_allclose(z, z_ref, rtol=0.0, atol=ATOL)
-            np.testing.assert_array_equal(s, s_ref)
 
 
 class TestEngineParity:
@@ -403,18 +349,6 @@ class TestFallback:
         assert self._lnl_and_gradients(backend) == self._lnl_and_gradients(
             "reference"
         )
-        # and a >1-op wave still goes through newview_batch (per-op loop)
-        calls = TestNewviewBatch()._calls(5, 64)
-        before = backend.profile.calls.get(KernelKind.NEWVIEW_TIP_TIP, 0)
-        batched = backend.newview_batch(calls)
-        assert (
-            backend.profile.calls[KernelKind.NEWVIEW_TIP_TIP] - before
-            == sum(c.kind is KernelKind.NEWVIEW_TIP_TIP for c in calls)
-        )
-        per_op = dispatch_wave(ReferenceBackend(), calls, batch=False)
-        for (zb, sb), (zp, sp) in zip(batched, per_op):
-            np.testing.assert_array_equal(zb, zp)
-            np.testing.assert_array_equal(sb, sp)
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain here")
     def test_compile_failure_at_first_use_falls_back(self, monkeypatch):

@@ -38,7 +38,7 @@ from repro.perf.ledger import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LEGACY_REPORTS = [
     REPO_ROOT / f"BENCH_{name}.json"
-    for name in ("obs", "backends", "scheduler", "gradients", "parallel")
+    for name in ("obs", "backends", "gradients", "parallel")
 ]
 
 
@@ -141,7 +141,6 @@ class TestLegacyIngestion:
         assert set(led.benchmarks()) == {
             "bench_obs",
             "bench_backends",
-            "bench_scheduler",
             "bench_gradients",
             "bench_parallel",
             "bench_serving",
@@ -274,13 +273,13 @@ class TestBenchCli:
         )
         assert rc == 0
         led = Ledger.load(out)
-        assert len(led.benchmarks()) == 5
+        assert len(led.benchmarks()) == 4
 
     def test_list_and_unknown_suite(self, capsys):
         from repro.cli import main
 
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        for suite in ("obs", "backends", "scheduler", "gradients", "parallel"):
+        for suite in ("obs", "backends", "gradients", "parallel"):
             assert suite in out
         assert main(["bench", "nonexistent-suite"]) == 2

@@ -4,8 +4,9 @@ Covers the scheduler satellites:
 
 * a hypothesis property test that levelized plans are *valid schedules*
   (every operand is produced in a strictly earlier wave) and that
-  wave-by-wave batched execution reproduces the per-op path's CLAs to
-  1e-10 for every registered backend;
+  wave-by-wave execution reproduces bitwise the CLAs of running the
+  un-levelized post-order descriptor one op at a time, for every
+  registered backend;
 * a regression test that after SPR/NNI moves the planned waves contain
   exactly the signature-stale nodes (and none of the untouched pruned
   subtree);
@@ -51,7 +52,7 @@ def make_engine(seed=0, backend=None, **kw):
 
 
 # ----------------------------------------------------------------------
-# hypothesis: plans are valid schedules; batched == per-op CLAs
+# hypothesis: plans are valid schedules; waves == post-order CLAs
 # ----------------------------------------------------------------------
 @st.composite
 def plan_cases(draw):
@@ -92,26 +93,30 @@ class TestLevelizeProperties:
     @given(plan_cases())
     @settings(max_examples=10, deadline=None)
     def test_wave_execution_matches_per_op_path(self, case):
-        """Batched wave dispatch == per-op dispatch, every backend, 1e-10."""
+        """Levelized waves == un-levelized post-order, bitwise, every backend.
+
+        Executing the plan wave by wave must yield exactly the CLAs of
+        running the flat post-order descriptor one op at a time.
+        """
         n_taxa, n_sites, seed = case
         for info in available_backends():
-            batched = make_engine(seed=seed, n_taxa=n_taxa,
-                                  n_sites=n_sites, backend=info.name)
+            waved = make_engine(seed=seed, n_taxa=n_taxa,
+                                n_sites=n_sites, backend=info.name)
             per_op = make_engine(seed=seed, n_taxa=n_taxa,
                                  n_sites=n_sites, backend=info.name)
-            per_op.executor.batch = False
-            root = batched.default_edge()
-            lnl_b = batched.log_likelihood(root)
-            lnl_p = per_op.log_likelihood(root)
-            assert lnl_b == pytest.approx(lnl_p, abs=1e-10), info.name
-            assert set(batched._clas) == set(per_op._clas)
-            for node, (z_b, sc_b) in batched._clas.items():
+            root = waved.default_edge()
+            waved.ensure_valid(root)
+            for op in per_op.plan_traversal(root).ops:
+                per_op._run_ops((op,))
+            assert set(waved._clas) == set(per_op._clas)
+            for node, (z_w, sc_w) in waved._clas.items():
                 z_p, sc_p = per_op._clas[node]
-                np.testing.assert_allclose(
-                    z_b, z_p, atol=1e-10, rtol=0,
+                np.testing.assert_array_equal(
+                    z_w, z_p,
                     err_msg=f"{info.name}: CLA mismatch at node {node}",
                 )
-                np.testing.assert_array_equal(sc_b, sc_p)
+                np.testing.assert_array_equal(sc_w, sc_p)
+            assert waved.log_likelihood(root) == per_op.log_likelihood(root)
 
 
 # ----------------------------------------------------------------------
@@ -250,23 +255,17 @@ class TestWaveStats:
 
     def test_stats_roundtrip_and_merge(self):
         a = WaveStats(plans=1, waves=2, ops=5, max_width=3,
-                      batched_ops=3, seconds=0.5, bytes_moved=100,
+                      seconds=0.5, bytes_moved=100,
                       kernel_mix={"newview_tip_tip": 5})
-        b = WaveStats.from_dict(a.to_dict())
-        assert b.ops == 5 and b.max_width == 3 and b.batched_ops == 3
+        # payloads written before stacked dispatch was removed carry a
+        # ``batched_ops`` key; they must still load
+        b = WaveStats.from_dict({**a.to_dict(), "batched_ops": 3})
+        assert b.ops == 5 and b.max_width == 3
+        assert b.to_dict() == a.to_dict()
         b.merge(a)
         assert b.ops == 10 and b.plans == 2 and b.max_width == 3
         b.reset()
         assert b.ops == 0 and b.kernel_mix == {}
-
-    def test_batched_flag_tracks_backend_capability(self):
-        ref = make_engine(seed=2, backend="reference")
-        compiled = make_engine(seed=2, backend="compiled")
-        ref.log_likelihood()
-        compiled.log_likelihood()
-        assert ref.wave_stats.batched_ops == 0  # no newview_batch hook
-        multi = [w for w in compiled.wave_stats.last_plan if w.width > 1]
-        assert all(w.batched for w in multi)
 
     def test_trace_carries_wave_summary(self):
         from repro.perf.trace import KernelTrace, trace_from_profile

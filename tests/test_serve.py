@@ -2,12 +2,13 @@
 
 Covers the ISSUE 9 acceptance criteria: jplace output invariants
 (distal length bounded by the branch, LWRs normalised over the full
-candidate set and monotone with log-likelihood), batched-vs-serial
-bit-parity of :func:`place_queries`, warm :class:`PlacementSession`
-reuse, backend-instance boundary validation, the ``/progress`` failure
-marker, and the HTTP server end to end (cross-client batching equal to
-the offline run, multi-tenant LRU eviction, ``/healthz`` flipping to
-503 on an injected worker death).
+candidate set and monotone with log-likelihood), bit-parity of one
+multi-query :func:`place_queries` call with one call per query, warm
+:class:`PlacementSession` reuse, backend-instance boundary validation,
+the ``/progress`` failure marker, and the HTTP server end to end
+(concurrent clients equal to the offline run, per-request errors,
+multi-tenant LRU eviction, ``/healthz`` flipping to 503 on an injected
+worker death).
 """
 
 import json
@@ -120,21 +121,34 @@ class TestJplaceInvariants:
 class TestBatchedParity:
     @pytest.mark.parametrize("backend", ["reference", "compiled"])
     def test_batched_equals_serial_bitwise(self, epa_case, backend):
+        """One multi-query ``place`` == one single-query call per query.
+
+        Queries are placed one at a time however they arrive, so the
+        results are bitwise equal, and ``on_result`` fires once per
+        query, in query order, as each completes (before the next
+        query is even merged).
+        """
         ref_aln, ref_tree, seq = epa_case
-        queries = {f"q{i}": seq for i in range(3)}
-        kwargs = dict(keep_best=1000, backend=backend)
-        serial = place_queries(
-            ref_aln, ref_tree, queries, gtr(), GammaRates(1.0, 4),
-            batch_queries=False, **kwargs,
-        )
-        batched = place_queries(
-            ref_aln, ref_tree, queries, gtr(), GammaRates(1.0, 4),
-            batch_queries=True, **kwargs,
-        )
-        assert len(serial) == len(batched)
-        for rs, rb in zip(serial, batched):
-            assert rs.query == rb.query
-            assert rs.placements == rb.placements  # bitwise: frozen floats
+        queries = {"q0": seq, "q1": seq[::-1], "q2": seq[150:] + seq[:150]}
+        seen = []
+        with PlacementSession(
+            ref_aln, ref_tree, gtr(), GammaRates(1.0, 4), backend=backend
+        ) as session:
+            together = session.place(
+                queries,
+                keep_best=1000,
+                on_result=lambda r: seen.append(
+                    (r.query, len(session._merge_cache))
+                ),
+            )
+        assert seen == [("q0", 1), ("q1", 2), ("q2", 3)]
+        assert [r.query for r in together] == list(queries)
+        for result, (name, query_seq) in zip(together, queries.items()):
+            alone = place_queries(
+                ref_aln, ref_tree, {name: query_seq}, gtr(),
+                GammaRates(1.0, 4), keep_best=1000, backend=backend,
+            )
+            assert result.placements == alone[0].placements  # bitwise
 
     def test_session_reuse_matches_one_shot(self, epa_case):
         ref_aln, ref_tree, seq = epa_case
@@ -247,13 +261,45 @@ class TestPlacementServer:
             assert doc["placements"][0]["p"] == (
                 offline["placements"][0]["p"]
             )
-        # the four concurrent single-query requests fused into batches
+        # the four concurrent single-query requests coalesced into batches
         code, body = _get(f"{server.url}/tenants")
         info = [
             t for t in json.loads(body)["tenants"] if t["name"] == "main"
         ][0]
         assert info["queries_placed"] >= 4
         assert info["batches_run"] < info["queries_placed"]
+
+    def test_malformed_request_fails_alone(self, server_case):
+        """A bad request coalesced with a good one gets the only 400."""
+        server, _, _, seq = server_case
+        out = {}
+        start = threading.Barrier(2)
+
+        def client(name, query_seq):
+            start.wait(timeout=30)
+            out[name] = _post(
+                f"{server.url}/tenants/main/place",
+                {"queries": {name: query_seq}},
+            )
+
+        threads = [
+            threading.Thread(target=client, args=("good", seq)),
+            threading.Thread(target=client, args=("bad", seq[:-5])),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        code, doc = out["good"]
+        assert code == 200 and doc["placements"][0]["n"] == ["good"]
+        code, doc = out["bad"]
+        assert code == 400 and "query 'bad' has 295 sites" in doc["error"]
+        # the tenant still serves afterwards
+        code, doc = _post(
+            f"{server.url}/tenants/main/place", {"queries": {"again": seq}}
+        )
+        assert code == 200 and doc["placements"][0]["n"] == ["again"]
 
     def test_routes_and_documents(self, server_case):
         server, *_ = server_case
