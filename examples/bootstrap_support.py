@@ -15,7 +15,7 @@ Run:  python examples/bootstrap_support.py
 
 import numpy as np
 
-from repro.core import CatLikelihoodEngine, LikelihoodEngine
+from repro.core import make_engine
 from repro.core.cat import assign_categories_by_likelihood
 from repro.phylo import CatRates, GammaRates, ascii_tree, gtr, simulate_dataset
 from repro.search import SearchConfig, bootstrap_analysis, ml_search
@@ -47,15 +47,15 @@ def main() -> None:
     print(ascii_tree(consensus, show_lengths=False, support=cons_support))
 
     # 5. Gamma vs likelihood-assigned CAT
-    gamma_engine = LikelihoodEngine(
+    gamma_engine = make_engine(
         patterns, result.tree.copy(), result.model, GammaRates(result.alpha, 4)
     )
     rng = np.random.default_rng(1)
     cat = CatRates.from_gamma(
         result.alpha, patterns.n_patterns, 4, rng, weights=patterns.weights
     )
-    cat_engine = CatLikelihoodEngine(
-        patterns, result.tree.copy(), result.model, cat
+    cat_engine = make_engine(
+        patterns, result.tree.copy(), result.model, cat=cat
     )
     random_lnl = cat_engine.log_likelihood()
     assign_categories_by_likelihood(cat_engine)

@@ -2,7 +2,9 @@
 
 ``kernels`` holds the NumPy reference implementations of ``newview``,
 ``evaluate``, ``derivativeSum`` and ``derivativeCore``; ``engine`` wires
-them to trees and alignments with structural CLA validity tracking;
+them to trees and alignments with structural CLA validity tracking,
+through a rate model (``ratemodel``, ``cat``, ``invariant``) and a CLA
+store (``memsave``);
 ``traversal``/``schedule`` levelize traversal descriptors into
 dependency waves and account for their execution;
 ``vectorized`` re-expresses the kernels as vector programs for the
@@ -22,15 +24,16 @@ from .backends import (
     make_engine,
     register_backend,
 )
-from .cat import CatLikelihoodEngine
+from .cat import CatModel
 from .engine import LikelihoodEngine
+from .invariant import InvariantMixture
 from .layouts import InterleavedLayout
-from .memsave import MemorySavingEngine
+from .memsave import ClaStore
 from .partitioned import Partition, PartitionedEngine, partition_workers
+from .ratemodel import GammaModel, RateModel
 from .schedule import (
     FusedPlan,
     FusedWave,
-    NewviewCall,
     WaveProfile,
     WaveStats,
     fuse_plans,
@@ -56,16 +59,18 @@ __all__ = [
     "get_backend",
     "make_engine",
     "register_backend",
-    "CatLikelihoodEngine",
     "LikelihoodEngine",
+    "RateModel",
+    "GammaModel",
+    "CatModel",
+    "InvariantMixture",
+    "ClaStore",
     "InterleavedLayout",
-    "MemorySavingEngine",
     "Partition",
     "PartitionedEngine",
     "partition_workers",
     "FusedPlan",
     "FusedWave",
-    "NewviewCall",
     "WaveProfile",
     "WaveStats",
     "fuse_plans",

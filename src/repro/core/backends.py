@@ -10,12 +10,13 @@ reproduction.
 A :class:`KernelBackend` provides the four PLF kernels of Section IV
 (``newview`` in its three tip cases, ``evaluate``, ``derivativeSum``,
 ``derivativeCore``) plus their gradient up-sweep mirrors.
-:class:`~repro.core.engine.LikelihoodEngine` — and every engine built on
-it (memsave, CAT, +I, partitioned, fork-join, distributed) — dispatches
-exclusively through its backend.  The public methods, their timing and
-their accounting are written once, in :class:`_BackendBase`; a new
-implementation subclasses it, supplies the seven private arithmetic
-hooks listed there and calls :func:`register_backend`.
+:class:`~repro.core.engine.LikelihoodEngine` — and every engine built
+from it (partitioned, fork-join, distributed) — reaches the kernels
+through its rate model only (:mod:`repro.core.ratemodel`).  The public
+methods, their timing and their accounting are written once, in
+:class:`_BackendBase`; a new implementation subclasses it, supplies the
+seven private arithmetic hooks listed there and calls
+:func:`register_backend`.
 
 Shipped backends
 ----------------
@@ -755,85 +756,90 @@ def make_engine(
     workers: int = 1,
     execution: str = "simulated",
 ) -> "LikelihoodEngine":
-    """Single construction point for every engine flavour.
+    """Single construction point: one engine, composed from its options.
 
-    Composes the orthogonal options in one place — the kernel backend,
-    CLA memory saving (``max_resident``), CAT per-site rates (``cat``),
-    the invariant-sites mixture (``p_inv``) and real parallel execution
-    (``workers`` / ``execution``) — so call sites never hand-assemble
-    engine subclasses.
+    The options are orthogonal and every combination the maths allows
+    constructs — the kernel backend, the rate model (``rates`` for
+    Gamma or ``cat`` for per-site CAT rates, either under the
+    invariant-sites mixture ``p_inv``), the CLA store (resident, or at
+    most ``max_resident`` arrays with recomputation) and real parallel
+    execution (``workers`` / ``execution``):
+
+    ==================  ========  ================  ================
+    rate model          resident  ``max_resident``  ``workers > 1``
+    ==================  ========  ================  ================
+    ``rates`` (Gamma)   yes       yes               yes, both stores
+    ``cat``             yes       yes               yes, both stores
+    either + ``p_inv``  yes       yes               no
+    ==================  ========  ================  ================
 
     ``workers > 1`` returns a
     :class:`~repro.parallel.forkjoin.ForkJoinEngine` running ``workers``
-    site slices on the given ``execution`` substrate (``simulated``,
+    site slices — each the same serial engine over its share of the
+    patterns — on the given ``execution`` substrate (``simulated``,
     ``threads`` or ``processes``); results stay bit-identical to the
     serial engine.  The parallel engines own OS resources — call
     ``close()`` (or use them as context managers) when done.
 
-    Mutually exclusive combinations raise ``ValueError`` rather than
-    silently picking one behaviour.
+    What raises ``ValueError``, completely: ``workers < 1``; ``cat``
+    together with ``rates`` (CAT replaces Gamma); ``max_resident < 3``;
+    ``p_inv`` with ``workers > 1`` (the sum-buffer lanes carry no scale
+    counters, which the mixture's derivatives need); an unregistered
+    backend *instance* with a non-simulated substrate (each worker builds
+    its own from a name).
     """
-    from .cat import CatLikelihoodEngine
     from .engine import LikelihoodEngine
-    from .invariant import InvariantSitesEngine
-    from .memsave import MemorySavingEngine
+    from .memsave import ClaStore
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        if max_resident is not None or p_inv is not None:
-            raise ValueError(
-                "workers > 1 cannot be combined with max_resident or p_inv"
-            )
-        # Lazy import: repro.parallel imports repro.core, not vice versa.
-        from ..parallel.forkjoin import ForkJoinEngine
-
-        if cat is not None and rates is not None:
-            raise ValueError("cat replaces Gamma rates; pass rates=None")
-        # Thread/process substrates build per-worker instances from a
-        # *name*; translate registered instances here so callers get a
-        # boundary error instead of a failure deep inside the pool.
-        if backend is not None and not isinstance(backend, str):
-            if execution != "simulated":
-                name = resolve_backend_name(backend)
-                if name is None:
-                    raise ValueError(
-                        f"execution={execution!r} with workers={workers} "
-                        "requires a backend *name* (each worker builds its "
-                        "own instance); got an unregistered "
-                        f"{type(backend).__name__} instance — pass one of: "
-                        + ", ".join(sorted(_REGISTRY))
-                    )
-                backend = name
-        return ForkJoinEngine(
-            patterns,
-            tree,
-            model,
-            rates,
-            n_threads=workers,
-            backend=backend,
-            execution=execution,
-            cat=cat,
+    if cat is not None and rates is not None:
+        raise ValueError("cat replaces Gamma rates; pass rates=None")
+    if max_resident is not None and max_resident < 3:
+        raise ValueError("max_resident must be at least 3")
+    if workers == 1:
+        return LikelihoodEngine(
+            patterns, tree, model, cat if cat is not None else rates,
+            backend=get_backend(backend), p_inv=p_inv,
+            store=ClaStore(max_resident),
         )
 
-    resolved = get_backend(backend)
-    if cat is not None:
-        if max_resident is not None or p_inv is not None:
-            raise ValueError(
-                "cat cannot be combined with max_resident or p_inv"
-            )
-        if rates is not None:
-            raise ValueError("cat replaces Gamma rates; pass rates=None")
-        return CatLikelihoodEngine(patterns, tree, model, cat, backend=resolved)
     if p_inv is not None:
-        if max_resident is not None:
-            raise ValueError("p_inv cannot be combined with max_resident")
-        return InvariantSitesEngine(
-            patterns, tree, model, rates, p_inv=p_inv, backend=resolved
+        raise ValueError(
+            "p_inv cannot be combined with workers > 1: the sum-buffer "
+            "lanes carry no scale counters"
         )
+    # Lazy import: repro.parallel imports repro.core, not vice versa.
+    from ..parallel.forkjoin import ForkJoinEngine
+
+    # Thread/process substrates build per-worker instances from a
+    # *name*; translate registered instances here so callers get a
+    # boundary error instead of a failure deep inside the pool.
+    if (
+        backend is not None
+        and not isinstance(backend, str)
+        and execution != "simulated"
+    ):
+        name = resolve_backend_name(backend)
+        if name is None:
+            raise ValueError(
+                f"execution={execution!r} with workers={workers} "
+                "requires a backend *name* (each worker builds its "
+                "own instance); got an unregistered "
+                f"{type(backend).__name__} instance — pass one of: "
+                + ", ".join(sorted(_REGISTRY))
+            )
+        backend = name
+    engine = ForkJoinEngine(
+        patterns,
+        tree,
+        model,
+        rates,
+        n_threads=workers,
+        backend=backend,
+        execution=execution,
+        cat=cat,
+    )
     if max_resident is not None:
-        return MemorySavingEngine(
-            patterns, tree, model, rates,
-            max_resident=max_resident, backend=resolved,
-        )
-    return LikelihoodEngine(patterns, tree, model, rates, backend=resolved)
+        engine.set_max_resident(max_resident)
+    return engine

@@ -1,13 +1,24 @@
 """The likelihood engine: CLAs, virtual roots, and kernel dispatch.
 
-:class:`LikelihoodEngine` is the equivalent of RAxML's likelihood core:
-it owns the conditional likelihood arrays (one per internal node), keeps
-track of which are valid for which orientation, plans minimal traversals
-when the tree changes, and dispatches the four kernels through a
-pluggable :class:`~repro.core.backends.KernelBackend` (the NumPy
-reference kernels of :mod:`repro.core.kernels` by default — select
-others via the ``backend`` argument or the ``REPRO_BACKEND`` environment
-variable).
+:class:`LikelihoodEngine` is the equivalent of RAxML's likelihood core,
+and the only engine there is: it plans minimal traversals when the tree
+changes, tracks which conditional likelihood arrays are valid for which
+orientation, runs the per-op loop and keeps the wave accounting.  Two
+small collaborators do the rest:
+
+* a **rate model** (:mod:`repro.core.ratemodel`), chosen from the rates
+  the engine is given — Gamma through the pluggable
+  :class:`~repro.core.backends.KernelBackend`, CAT as per-site NumPy
+  math, ``p_inv`` as a root-level mixture around either — owns every
+  branch-dependent formula;
+* a **CLA store** (:mod:`repro.core.memsave`) holds post-order CLAs and
+  pre-order partials in one pool, fully resident or under a
+  least-recently-used budget.
+
+The engine is the only thing that computes; a store only remembers.
+Every operand is resolved through one get-or-recompute helper and held
+in local variables while its op runs, so an entry the store has dropped
+is simply recomputed (by the ordinary op, recursively) when next needed.
 
 Validity tracking uses structural *subtree signatures* instead of
 explicit invalidation hooks: a CLA oriented toward edge ``e`` is valid
@@ -33,11 +44,14 @@ from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
 from ..phylo.alignment import PatternAlignment
 from ..phylo.models import SubstitutionModel
-from ..phylo.rates import GammaRates
+from ..phylo.rates import CatRates, GammaRates
 from ..phylo.tree import Tree
-from . import kernels
 from .backends import KernelBackend, KernelProfile, get_backend
-from .schedule import NewviewCall, WaveProfile, WaveStats, dispatch_call
+from .cat import CatModel
+from .invariant import InvariantMixture
+from .memsave import PARTIAL, ClaStore
+from .ratemodel import GammaModel
+from .schedule import WaveProfile, WaveStats
 from .traversal import (
     EdgeGradientOp,
     ExecutionPlan,
@@ -109,14 +123,27 @@ class LikelihoodEngine:
     model:
         A reversible substitution model.
     rates:
-        Discrete-Gamma heterogeneity (the paper's Gamma4 configuration is
-        ``GammaRates(alpha, 4)``); ``None`` means a single unit rate.
+        Among-site rate heterogeneity, which also picks the rate model:
+        :class:`~repro.phylo.rates.GammaRates` (the paper's Gamma4
+        configuration is ``GammaRates(alpha, 4)``),
+        :class:`~repro.phylo.rates.CatRates` for per-site CAT rates, or
+        ``None`` for a single unit rate.
     backend:
         Kernel implementation: a registered backend name
         (``"reference"``, ``"compiled"``, ``"shadow"``), an already
         constructed :class:`~repro.core.backends.KernelBackend`, or
         ``None`` for the process default (``REPRO_BACKEND`` environment
         variable, falling back to the reference kernels).
+    p_inv:
+        Proportion of invariable sites in ``[0, 1)``; ``None`` for no
+        ``+I`` mixture.
+    store:
+        The :class:`~repro.core.memsave.ClaStore` holding CLAs and
+        partials; ``None`` keeps everything resident.
+
+    :func:`repro.core.backends.make_engine` is the usual way to build one.
+    ``rates_model`` keeps the rates object it was given, ``rates`` is the
+    :class:`~repro.core.ratemodel.RateModel` currently built from it.
     """
 
     def __init__(
@@ -124,70 +151,114 @@ class LikelihoodEngine:
         patterns: PatternAlignment,
         tree: Tree,
         model: SubstitutionModel,
-        rates: GammaRates | None = None,
+        rates: GammaRates | CatRates | None = None,
         backend: str | KernelBackend | None = None,
+        *,
+        p_inv: float | None = None,
+        store: ClaStore | None = None,
     ) -> None:
+        if rates is None:
+            rates = GammaRates(1.0, 1)
+        elif (
+            isinstance(rates, CatRates)
+            and rates.site_categories.shape[0] != patterns.n_patterns
+        ):
+            raise ValueError(
+                f"CAT assignment covers {rates.site_categories.shape[0]} "
+                f"patterns, alignment has {patterns.n_patterns}"
+            )
         self.patterns = patterns
         self.tree = tree
         self.backend = get_backend(backend)
         self.counters = KernelCounters()
-        #: Per-plan operand preparation cache: branch matrices and tip
-        #: lookup tables keyed by branch *length* (the model is fixed
-        #: within one plan execution), so same-length ops share operand
-        #: arrays.
-        self._prep_cache: dict[tuple, np.ndarray] = {}
         #: Cumulative wave-execution statistics of this engine.
         self.wave_stats = WaveStats()
+        self.store = store if store is not None else ClaStore()
         self._model_version = 0
-        self._clas: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._valid: dict[int, tuple[int, object]] = {}  # node -> (edge, signature)
-        #: Pre-order partials of the current gradient up-sweep, keyed by
-        #: edge id.  Unlike post-order CLAs these have no cross-call
-        #: validity tracking: a partial depends on the *entire* rest of
-        #: the tree, so the dict lives only for the duration of one
-        #: :meth:`all_branch_gradients` call.
-        self._pre: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._grad: dict[int, tuple[float, float]] = {}
-        self._grad_terms: "dict[int, tuple] | None" = None
+        #: Pre-order ops of the running gradient up-sweep by edge id — what
+        #: recomputes a partial the store has dropped.  Partials depend on
+        #: the *entire* rest of the tree, so unlike post-order CLAs they
+        #: have no cross-call validity: they leave the store with the sweep.
+        self._pre_ops: dict[int, PreorderOp] = {}
+        self._grad: dict[int, tuple] = {}
+        self._grad_terms = False
         self._tip_codes: dict[str, np.ndarray] = {
             name: patterns.row(name) for name in patterns.taxa
         }
-        self.set_model(model, rates if rates is not None else GammaRates(1.0, 1))
+        self.model = model
+        self.rates_model = rates
+        #: CAT shape parameter the assignment was derived from (``None``
+        #: under Gamma, whose shape is ``rates_model.alpha``).
+        self.alpha = 1.0 if isinstance(rates, CatRates) else None
+        self.set_p_inv(p_inv)
 
     # ------------------------------------------------------------------
     # model handling
     # ------------------------------------------------------------------
-    def set_model(self, model: SubstitutionModel, rates: GammaRates | None = None) -> None:
-        """Install new model parameters; all CLAs become stale."""
+    def set_model(
+        self,
+        model: SubstitutionModel,
+        rates: GammaRates | CatRates | None = None,
+    ) -> None:
+        """Install new model parameters; all CLAs become stale.
+
+        ``rates`` must be of the type the engine was built with (Gamma
+        and CAT CLAs have different shapes); ``None`` keeps the current
+        ones.
+        """
         if model.n_states != self.patterns.states.n_states:
             raise ValueError(
                 f"model has {model.n_states} states, alignment alphabet has "
                 f"{self.patterns.states.n_states}"
             )
+        if rates is None:
+            rates = self.rates_model
+        elif type(rates) is not type(self.rates_model):
+            raise ValueError(
+                f"engine was built with {type(self.rates_model).__name__}, "
+                f"set_model got {type(rates).__name__}"
+            )
         self.model = model
-        if rates is not None:
-            self.rates_model = rates
-        self.eigen = model.eigen()
-        self.rate_values = self.rates_model.rates
-        self.rate_weights = self.rates_model.weights
-        self.n_rates = self.rate_values.shape[0]
-        if self.patterns.states.n_states <= 8:
-            tip_table = self.patterns.states.tip_table()
-            self._tip_eigen = kernels.tip_eigen_table(self.eigen, tip_table)
-        else:
-            # Large alphabets (protein): build rows only for codes present.
-            codes = np.unique(self.patterns.data)
-            rows = self.patterns.states.tip_rows(codes)
-            dense = np.zeros((int(codes.max()) + 1, model.n_states))
-            dense[codes] = rows
-            self._tip_eigen = dense @ self.eigen.u_inv.T
+        self.rates_model = rates
+        make = CatModel if isinstance(rates, CatRates) else GammaModel
+        self.rates = make(self.backend, self.patterns, model, rates)
+        if self.p_inv is not None:
+            self.rates = InvariantMixture(
+                self.rates, self.patterns, model, self.p_inv
+            )
         self._model_version += 1
-        self._valid.clear()
-        self._prep_cache.clear()  # operand cache embeds the old model
+        self.drop_caches()
 
     def set_alpha(self, alpha: float) -> None:
-        """Convenience: replace the Gamma shape parameter."""
-        self.set_model(self.model, self.rates_model.with_alpha(alpha))
+        """Convenience: replace the Gamma shape parameter.
+
+        Under CAT the category rates are re-derived from the shape and
+        the per-site category assignment is kept.
+        """
+        if self.cat is None:
+            self.set_model(self.model, self.rates_model.with_alpha(alpha))
+        else:
+            self.set_cat(self.cat.with_alpha(alpha, self.patterns.weights), alpha)
+
+    @property
+    def cat(self) -> CatRates | None:
+        """The CAT assignment (``None`` for a Gamma engine)."""
+        rates = self.rates_model
+        return rates if isinstance(rates, CatRates) else None
+
+    def set_cat(self, cat: CatRates, alpha: float | None = None) -> None:
+        """Install a new CAT assignment (and the shape it came from)."""
+        if alpha is not None:
+            self.alpha = alpha
+        self.set_model(self.model, cat)
+
+    def set_p_inv(self, p_inv: float | None) -> None:
+        """Set the invariable proportion; rescales the variable rates."""
+        if p_inv is not None and not 0.0 <= p_inv < 1.0:
+            raise ValueError(f"p_inv must be in [0, 1), got {p_inv}")
+        self.p_inv = p_inv
+        self.set_model(self.model)
 
     # ------------------------------------------------------------------
     # signatures (structural CLA validity)
@@ -201,7 +272,7 @@ class LikelihoodEngine:
         return branch_signature(self.tree, edge_id, self._model_version)
 
     # ------------------------------------------------------------------
-    # traversal planning and execution
+    # traversal planning
     # ------------------------------------------------------------------
     def _make_op(self, node: int, up_edge: int) -> NewviewOp:
         """Build the ``newview`` op descriptor for one directed node."""
@@ -235,229 +306,9 @@ class LikelihoodEngine:
         self._last_sigs = sigs
         return desc
 
-    #: Entry cap on the per-plan preparation cache (distinct branch
-    #: lengths met since the last clear); beyond it the cache is wiped
-    #: wholesale, bounding memory across long searches.
-    _PREP_CACHE_MAX = 512
-
-    def _branch_a(self, edge_id: int) -> np.ndarray:
-        """Per-rate branch matrices for an edge, cached by branch length.
-
-        Valid because the model is fixed between :meth:`set_model` calls
-        (which clear the cache) — so ops across a plan with equal branch
-        lengths share one operand array, amortising P-matrix
-        construction.
-        """
-        key = ("a", self.tree.edge(edge_id).length)
-        a = self._prep_cache.get(key)
-        if a is None:
-            if len(self._prep_cache) > self._PREP_CACHE_MAX:
-                self._prep_cache.clear()
-            a = kernels.branch_matrices(self.eigen, self.rate_values, key[1])
-            self._prep_cache[key] = a
-        return a
-
-    def _tip_lookup(self, edge_id: int) -> np.ndarray:
-        """Tip lookup table for an edge, cached alongside :meth:`_branch_a`."""
-        key = ("lut", self.tree.edge(edge_id).length)
-        lut = self._prep_cache.get(key)
-        if lut is None:
-            lut = kernels.tip_branch_lookup(
-                self._branch_a(edge_id), self._tip_eigen
-            )
-            self._prep_cache[key] = lut
-        return lut
-
-    def _prepare_op(self, op: NewviewOp) -> NewviewCall:
-        """Resolve one op's operands into a ready backend call.
-
-        Ops are prepared wave-by-wave, so inner children's CLAs were
-        produced by an earlier wave (or were already valid) by the time
-        this runs.
-        """
-        tree = self.tree
-        if op.kind is KernelKind.NEWVIEW_TIP_TIP:
-            args = (
-                self.eigen.u_inv,
-                self._tip_lookup(op.edge1),
-                self._tip_codes[tree.name(op.child1)],
-                self._tip_lookup(op.edge2),
-                self._tip_codes[tree.name(op.child2)],
-            )
-        elif op.kind is KernelKind.NEWVIEW_TIP_INNER:
-            # orient: child1 may be the inner one
-            if tree.is_leaf(op.child1):
-                tip_child, tip_edge = op.child1, op.edge1
-                inner_child, inner_edge = op.child2, op.edge2
-            else:
-                tip_child, tip_edge = op.child2, op.edge2
-                inner_child, inner_edge = op.child1, op.edge1
-            z2, sc2 = self._clas[inner_child]
-            args = (
-                self.eigen.u_inv,
-                self._tip_lookup(tip_edge),
-                self._tip_codes[tree.name(tip_child)],
-                self._branch_a(inner_edge),
-                z2, sc2,
-            )
-        else:
-            z1, sc1 = self._clas[op.child1]
-            z2, sc2 = self._clas[op.child2]
-            args = (
-                self.eigen.u_inv,
-                self._branch_a(op.edge1), self._branch_a(op.edge2),
-                z1, z2, sc1, sc2,
-            )
-        return NewviewCall(op=op, kind=op.kind, args=args)
-
-    def _store_op(self, op: NewviewOp, z: np.ndarray, sc: np.ndarray) -> None:
-        """Commit one op's result: CLA, validity entry, counters."""
-        self._clas[op.node] = (z, sc)
-        self._valid[op.node] = (op.up_edge, self._last_sigs[(op.node, op.up_edge)])
-        self.counters.record(op.kind, self.patterns.n_patterns)
-
-    def _run_ops(self, ops: tuple) -> None:
-        """Prepare, dispatch and store one wave of independent ops.
-
-        Down-sweep waves hold :class:`NewviewOp` only; gradient up-sweep
-        waves may mix :class:`PreorderOp` partials with the
-        :class:`EdgeGradientOp` reductions they unblock.  The wave is
-        partitioned by op class and each group dispatched through its own
-        path (partials go to the backend exactly like ``newview``;
-        gradients are per-edge scalar reductions).
-        """
-        nv = tuple(op for op in ops if isinstance(op, NewviewOp))
-        pre = tuple(op for op in ops if isinstance(op, PreorderOp))
-        grad = tuple(op for op in ops if isinstance(op, EdgeGradientOp))
-        if nv:
-            self._run_newview_ops(nv)
-        if pre:
-            self._run_preorder_ops(pre)
-        if grad:
-            self._run_gradient_ops(grad)
-
-    def _run_newview_ops(self, ops: tuple[NewviewOp, ...]) -> None:
-        for op in ops:
-            call = self._prepare_op(op)
-            self._store_op(op, *dispatch_call(self.backend, call))
-
-    # ------------------------------------------------------------------
-    # gradient up-sweep (pre-order partials + per-edge gradients)
-    # ------------------------------------------------------------------
-    def _prepare_preorder_op(self, op: PreorderOp) -> NewviewCall:
-        """Resolve one pre-order partial into a ready backend call.
-
-        The partial for edge ``e = (node -> child)`` is a ``newview`` at
-        ``node`` combining (a) everything *across* the node's own up
-        edge — the parent's partial when one exists, else the CLA/tip on
-        the far side of the virtual root — and (b) the sibling subtree.
-        Waves run in up-sweep level order, so the parent partial is
-        already in ``self._pre`` by the time this op prepares.
-        """
-        tree = self.tree
-        if op.across_is_partial:
-            z1, sc1 = self._pre[op.up_edge]
-            side1 = (self._branch_a(op.up_edge), z1, sc1)
-        elif tree.is_leaf(op.across):
-            side1 = (
-                self._tip_lookup(op.up_edge),
-                self._tip_codes[tree.name(op.across)],
-            )
-        else:
-            z1, sc1 = self._clas[op.across]
-            side1 = (self._branch_a(op.up_edge), z1, sc1)
-        if tree.is_leaf(op.sibling):
-            side2 = (
-                self._tip_lookup(op.sibling_edge),
-                self._tip_codes[tree.name(op.sibling)],
-            )
-        else:
-            z2, sc2 = self._clas[op.sibling]
-            side2 = (self._branch_a(op.sibling_edge), z2, sc2)
-        if op.kind is KernelKind.PREORDER_TIP_TIP:
-            args = (self.eigen.u_inv, *side1, *side2)
-        elif op.kind is KernelKind.PREORDER_TIP_INNER:
-            tip, inner = (side1, side2) if len(side1) == 2 else (side2, side1)
-            a, z, sc = inner
-            args = (self.eigen.u_inv, *tip, a, z, sc)
-        else:
-            a1, z1, sc1 = side1
-            a2, z2, sc2 = side2
-            args = (self.eigen.u_inv, a1, a2, z1, z2, sc1, sc2)
-        return NewviewCall(op=op, kind=op.kind, args=args)
-
-    def _store_preorder_op(
-        self, op: PreorderOp, z: np.ndarray, sc: np.ndarray
-    ) -> None:
-        """Commit one pre-order partial (hook for eviction-aware engines)."""
-        self._pre[op.edge] = (z, sc)
-        self.counters.record(op.kind, self.patterns.n_patterns)
-
-    def _run_preorder_ops(self, ops: tuple[PreorderOp, ...]) -> None:
-        for op in ops:
-            call = self._prepare_preorder_op(op)
-            self._store_preorder_op(op, *dispatch_call(self.backend, call))
-
-    def _node_side(self, node: int) -> tuple[np.ndarray, "np.ndarray | int"]:
-        """``(z, scale)`` for one gradient operand: tip view or CLA."""
-        if self.tree.is_leaf(node):
-            codes = self._tip_codes[self.tree.name(node)]
-            return self._tip_eigen[codes][:, None, :], 0
-        return self._clas[node]
-
-    def _edge_gradient(
-        self,
-        z_top: np.ndarray,
-        z_bottom: np.ndarray,
-        scales: "np.ndarray | int",
-        t: float,
-    ) -> tuple[float, float, float]:
-        """Fused per-edge ``(lnL*, d1, d2)`` dispatch (overridable).
-
-        ``scales`` (combined scale counts of the two operands) is unused
-        here — the derivative ratios are scale-invariant — but engines
-        whose mixture needs true per-site likelihoods (+I) override this
-        hook and consume it.
-        """
-        return self.backend.edge_gradient(
-            z_top,
-            z_bottom,
-            self.eigen.eigenvalues,
-            self.rate_values,
-            self.rate_weights,
-            t,
-            self.patterns.weights,
-        )
-
-    def _edge_gradient_site_terms(
-        self, z_top: np.ndarray, z_bottom: np.ndarray, t: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pattern ``(l, l', l'')`` of one edge gradient (parallel path)."""
-        return self.backend.edge_gradient_terms(
-            z_top, z_bottom, self.eigen.eigenvalues, self.rate_values,
-            self.rate_weights, t,
-        )
-
-    def _run_gradient_ops(self, ops: tuple[EdgeGradientOp, ...]) -> None:
-        tree = self.tree
-        collect_terms = self._grad_terms is not None
-        for op in ops:
-            if op.top_is_partial:
-                z_t, sc_t = self._pre[op.edge]
-            else:
-                z_t, sc_t = self._node_side(op.top)
-            z_b, sc_b = self._node_side(op.bottom)
-            t = tree.edge(op.edge).length
-            if collect_terms:
-                self._grad_terms[op.edge] = self._edge_gradient_site_terms(
-                    z_t, z_b, t
-                )
-            else:
-                _, d1, d2 = self._edge_gradient(z_t, z_b, sc_t + sc_b, t)
-                self._grad[op.edge] = (d1, d2)
-            self.counters.record(
-                KernelKind.EDGE_GRADIENT, self.patterns.n_patterns
-            )
+    def plan_execution(self, root_edge: int) -> ExecutionPlan:
+        """Plan and levelize the traversal for ``root_edge``."""
+        return levelize(self.plan_traversal(root_edge))
 
     def plan_gradient(self, root_edge: int) -> GradientPlan:
         """Plan the bidirectional traversal for all-branch gradients.
@@ -517,6 +368,95 @@ class LikelihoodEngine:
             up=levelize_upsweep(desc),
         )
 
+    # ------------------------------------------------------------------
+    # the per-op loop: resolve operands, combine, remember
+    # ------------------------------------------------------------------
+    def _cla(self, node: int, up_edge: int) -> tuple[np.ndarray, np.ndarray]:
+        """Post-order ``(z, scale)`` of inner ``node`` toward ``up_edge``.
+
+        Plans run in wave order, so a CLA an op reads was produced by an
+        earlier wave or was valid at plan time; if the store has dropped
+        it since, it is recomputed here — by the ordinary op, whose own
+        operands resolve the same way.
+        """
+        entry = self.store.get(node)
+        if entry is None:
+            entry = self._run_op(self._make_op(node, up_edge))
+        return entry
+
+    def _partial(self, edge: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pre-order ``(z, scale)`` above ``edge`` (current sweep only)."""
+        entry = self.store.get((PARTIAL, edge))
+        if entry is None:
+            entry = self._run_op(self._pre_ops[edge])
+        return entry
+
+    def _operand(self, node: int, edge: int, partial: bool = False) -> tuple:
+        """One ``combine`` operand seen across ``edge``: ``(codes, t)`` for
+        a tip, ``(z, scale, t)`` for a CLA or a pre-order partial."""
+        t = self.tree.edge(edge).length
+        if partial:
+            return (*self._partial(edge), t)
+        name = self.tree.name(node)
+        if name is not None:
+            return self._tip_codes[name], t
+        return (*self._cla(node, edge), t)
+
+    def _view(self, node: int, edge: int) -> tuple[np.ndarray, "np.ndarray | int"]:
+        """``(z, scale)`` of a root-level operand: tip view or CLA."""
+        name = self.tree.name(node)
+        if name is not None:
+            return self.rates.tip_view(self._tip_codes[name]), 0
+        return self._cla(node, edge)
+
+    def _run_op(self, op) -> "tuple[np.ndarray, np.ndarray] | None":
+        """Run one plan op of any class; CLA-producing ops return ``(z, scale)``.
+
+        The operands stay referenced from this frame while the rate model
+        combines them, so the store is free to drop them meanwhile.
+        """
+        cls = type(op)
+        if cls is NewviewOp:
+            key = op.node
+            a = self._operand(op.child1, op.edge1)
+            b = self._operand(op.child2, op.edge2)
+        elif cls is PreorderOp:
+            # The partial for edge ``e = (node -> child)`` is a ``newview``
+            # at ``node`` combining (a) everything *across* the node's own
+            # up edge — the parent's partial when one exists, else the
+            # CLA/tip on the far side of the virtual root — and (b) the
+            # sibling subtree.
+            key = (PARTIAL, op.edge)
+            a = self._operand(op.across, op.up_edge, op.across_is_partial)
+            b = self._operand(op.sibling, op.sibling_edge)
+        else:
+            return self._run_gradient_op(op)
+        z, scale = self.rates.combine(op.kind, a, b)
+        self.store.put(key, z, scale)
+        if cls is NewviewOp:
+            self._valid[key] = (op.up_edge, self._last_sigs[(key, op.up_edge)])
+        self.counters.record(op.kind, self.patterns.n_patterns)
+        return z, scale
+
+    def _run_gradient_op(self, op: EdgeGradientOp) -> None:
+        """Fused per-edge ``(d1, d2)`` — or per-pattern terms — of one branch."""
+        if op.top_is_partial:
+            z_t, sc_t = self._partial(op.edge)
+        else:
+            z_t, sc_t = self._view(op.top, op.edge)
+        z_b, sc_b = self._view(op.bottom, op.edge)
+        t = self.tree.edge(op.edge).length
+        if self._grad_terms:
+            self._grad[op.edge] = self.rates.edge_gradient_terms(z_t, z_b, t)
+        else:
+            # The combined scale counts are unused by plain rate models
+            # (derivative ratios are scale-invariant); the +I mixture
+            # needs true per-site magnitudes and consumes them.
+            self._grad[op.edge] = self.rates.edge_gradient(
+                z_t, z_b, sc_t + sc_b, t
+            )[1:]
+        self.counters.record(KernelKind.EDGE_GRADIENT, self.patterns.n_patterns)
+
     def all_branch_gradients(
         self, root_edge: int | None = None, *, terms: bool = False
     ) -> dict[int, tuple]:
@@ -537,20 +477,23 @@ class LikelihoodEngine:
         if root_edge is None:
             root_edge = self.default_edge()
         plan = self.plan_gradient(root_edge)
-        self._pre = {}
-        self._grad = {}
-        self._grad_terms = {} if terms else None
-        n_edges = sum(
-            1
-            for w in plan.up.waves
-            for op in w.ops
-            if isinstance(op, EdgeGradientOp)
-        )
-        with _obs.span(
-            "gradient.all_branches", edges=n_edges, up_waves=plan.up.depth
-        ):
-            self.execute_plan(plan.down)
-            self.execute_plan(plan.up)
+        up_ops = list(plan.up.iter_ops())
+        self._pre_ops = {op.edge: op for op in up_ops if type(op) is PreorderOp}
+        out = self._grad = {}
+        self._grad_terms = terms
+        try:
+            with _obs.span(
+                "gradient.all_branches",
+                edges=len(up_ops) - len(self._pre_ops),
+                up_waves=plan.up.depth,
+            ):
+                self.execute_plan(plan.down)
+                self.execute_plan(plan.up)
+        finally:
+            # partials are single-sweep; release the memory
+            for edge in self._pre_ops:
+                self.store.discard((PARTIAL, edge))
+            self._pre_ops = {}
         if _obs.ENABLED:
             reg = _obs_metrics.get_registry()
             reg.counter(
@@ -561,14 +504,7 @@ class LikelihoodEngine:
                 "repro_gradient_upsweep_waves_total",
                 "executed gradient up-sweep waves",
             ).inc(plan.up.depth)
-        out = self._grad_terms if terms else self._grad
-        self._pre = {}  # partials are single-sweep; release the memory
-        self._grad_terms = None
         return out
-
-    def plan_execution(self, root_edge: int) -> ExecutionPlan:
-        """Plan and levelize the traversal for ``root_edge``."""
-        return levelize(self.plan_traversal(root_edge))
 
     def execute_plan(self, plan: ExecutionPlan) -> None:
         """Run a levelized plan, wave by wave."""
@@ -576,7 +512,6 @@ class LikelihoodEngine:
             return
         self.wave_stats.plans += 1
         self.wave_stats.last_plan.clear()
-        self._prep_cache.clear()
         with _obs.span("plan", waves=len(plan.waves), ops=plan.n_ops):
             for wave in plan.waves:
                 self.run_wave(wave)
@@ -584,16 +519,19 @@ class LikelihoodEngine:
     def run_wave(self, wave: Wave) -> None:
         """Run one wave and record its :class:`WaveProfile`.
 
-        Parallel drivers (fork-join, distributed, partitioned) call this
-        directly to interleave their own synchronisation accounting
-        between waves.
+        Down-sweep waves hold :class:`NewviewOp` only; gradient up-sweep
+        waves may mix :class:`PreorderOp` partials with the
+        :class:`EdgeGradientOp` reductions they unblock.  Parallel
+        drivers (fork-join, distributed, partitioned) call this directly
+        to interleave their own synchronisation accounting between waves.
         """
         if not wave.ops:
             return
         profile = self.backend.profile
         b0 = sum(profile.bytes_moved.values())
         t0 = time.perf_counter()
-        self._run_ops(wave.ops)
+        for op in wave.ops:
+            self._run_op(op)
         elapsed = time.perf_counter() - t0
         self.wave_stats.record(
             WaveProfile(
@@ -622,25 +560,17 @@ class LikelihoodEngine:
                 "repro_wave_seconds", "wall seconds per wave"
             ).observe(elapsed)
 
-    def execute_traversal(self, desc: TraversalDescriptor) -> None:
-        """Run the planned ``newview`` operations, updating CLAs in place.
-
-        Compatibility wrapper: descriptors are levelized and executed as
-        plans.
-        """
-        self.execute_plan(levelize(desc))
-
     def ensure_valid(self, root_edge: int) -> None:
         """Make both CLAs adjacent to ``root_edge`` valid."""
         self.execute_plan(self.plan_execution(root_edge))
-        # Topology moves retire node ids; evict their CLAs once the cache
-        # clearly outgrows the live tree (node ids are never reused, so a
+        # Topology moves retire node ids; forget their CLAs once the books
+        # clearly outgrow the live tree (node ids are never reused, so a
         # dead entry can never come back to life).
-        if len(self._clas) > 4 * self.tree.n_leaves:
+        if len(self._valid) > 4 * self.tree.n_leaves:
             live = set(self.tree.nodes)
-            for node in [n for n in self._clas if n not in live]:
-                del self._clas[node]
-                self._valid.pop(node, None)
+            for node in [n for n in self._valid if n not in live]:
+                del self._valid[node]
+                self.store.discard(node)
 
     # ------------------------------------------------------------------
     # root-level quantities
@@ -648,17 +578,10 @@ class LikelihoodEngine:
     def _root_sides(self, root_edge: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(z_left, z_right, scale_counts)`` for a validated root edge."""
         edge = self.tree.edge(root_edge)
-        zs = []
+        z_l, sc_l = self._view(edge.u, root_edge)
+        z_r, sc_r = self._view(edge.v, root_edge)
         scales = np.zeros(self.patterns.n_patterns, dtype=np.int64)
-        for node in (edge.u, edge.v):
-            if self.tree.is_leaf(node):
-                codes = self._tip_codes[self.tree.name(node)]
-                zs.append(self._tip_eigen[codes][:, None, :])
-            else:
-                z, sc = self._clas[node]
-                zs.append(z)
-                scales = scales + sc
-        return zs[0], zs[1], scales
+        return z_l, z_r, scales + sc_l + sc_r
 
     def default_edge(self) -> int:
         """A deterministic virtual-root branch (lowest edge id)."""
@@ -674,12 +597,8 @@ class LikelihoodEngine:
         if root_edge is None:
             root_edge = self.default_edge()
         self.ensure_valid(root_edge)
-        z_l, z_r, scales = self._root_sides(root_edge)
-        exps = kernels.branch_exponentials(
-            self.eigen, self.rate_values, self.tree.edge(root_edge).length
-        )
-        lnl = self.backend.evaluate_edge(
-            z_l, z_r, exps, self.rate_weights, self.patterns.weights, scales
+        lnl = self.rates.log_likelihood(
+            *self._root_sides(root_edge), self.tree.edge(root_edge).length
         )
         self.counters.record(KernelKind.EVALUATE, self.patterns.n_patterns)
         return lnl
@@ -689,49 +608,36 @@ class LikelihoodEngine:
         if root_edge is None:
             root_edge = self.default_edge()
         self.ensure_valid(root_edge)
-        z_l, z_r, scales = self._root_sides(root_edge)
-        exps = kernels.branch_exponentials(
-            self.eigen, self.rate_values, self.tree.edge(root_edge).length
-        )
         self.counters.record(KernelKind.EVALUATE, self.patterns.n_patterns)
-        return self.backend.site_log_likelihoods(
-            z_l, z_r, exps, self.rate_weights, scales
+        return self.rates.site_log_likelihoods(
+            *self._root_sides(root_edge), self.tree.edge(root_edge).length
         )
 
-    def edge_sum_buffer(self, root_edge: int) -> np.ndarray:
+    def edge_sum_buffer(self, root_edge: int):
         """The ``derivativeSum`` pre-computation for a branch.
 
         Valid for every trial length of *this* branch while the rest of
         the tree is unchanged — the reuse that makes Newton–Raphson
-        iterations nearly free (Sec. IV).
+        iterations nearly free (Sec. IV).  Opaque: hand it back to
+        :meth:`branch_derivatives` / :meth:`derivative_site_terms`.
         """
         self.ensure_valid(root_edge)
-        z_l, z_r, _ = self._root_sides(root_edge)
-        sumbuf = self.backend.derivative_sum(z_l, z_r)
+        sumbuf = self.rates.sum_buffer(*self._root_sides(root_edge))
         self.counters.record(KernelKind.DERIVATIVE_SUM, self.patterns.n_patterns)
         return sumbuf
 
-    def branch_derivatives(
-        self, sumbuf: np.ndarray, t: float
-    ) -> tuple[float, float, float]:
+    def branch_derivatives(self, sumbuf, t: float) -> tuple[float, float, float]:
         """``(lnL*, dlnL/dt, d2lnL/dt2)`` at trial branch length ``t``.
 
         ``lnL*`` omits the (t-independent) scaling correction; see
         :func:`repro.core.kernels.derivative_core`.
         """
-        out = self.backend.derivative_core(
-            sumbuf,
-            self.eigen.eigenvalues,
-            self.rate_values,
-            self.rate_weights,
-            t,
-            self.patterns.weights,
-        )
+        out = self.rates.branch_derivatives(sumbuf, t)
         self.counters.record(KernelKind.DERIVATIVE_CORE, self.patterns.n_patterns)
         return out
 
     def derivative_site_terms(
-        self, sumbuf: np.ndarray, t: float
+        self, sumbuf, t: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pattern ``(l, l', l'')`` of the ``derivativeCore`` site phase.
 
@@ -741,13 +647,7 @@ class LikelihoodEngine:
         worker-count-independent order, so the reduced derivatives are
         bit-identical to :meth:`branch_derivatives`.
         """
-        out = self.backend.derivative_site_terms(
-            sumbuf,
-            self.eigen.eigenvalues,
-            self.rate_values,
-            self.rate_weights,
-            t,
-        )
+        out = self.rates.derivative_site_terms(sumbuf, t)
         self.counters.record(KernelKind.DERIVATIVE_CORE, self.patterns.n_patterns)
         return out
 
@@ -786,9 +686,6 @@ class LikelihoodEngine:
         enabled), so a benchmark or traced search can start every run
         from a clean slate with a single call.
         """
-        from ..obs import metrics as _obs_metrics
-        from ..obs import spans as _obs
-
         self.reset_profile()
         _obs_metrics.get_registry().reset()
         if _obs.ENABLED:
@@ -796,10 +693,9 @@ class LikelihoodEngine:
 
     def drop_caches(self) -> None:
         """Release all CLAs (memory-saving hook; they rebuild lazily)."""
-        self._clas.clear()
+        self.store.clear()
         self._valid.clear()
-        self._pre.clear()
 
     def cla_memory_bytes(self) -> int:
         """Current CLA memory footprint (the paper's 8 GB-per-card concern)."""
-        return sum(z.nbytes + sc.nbytes for z, sc in self._clas.values())
+        return self.store.nbytes()

@@ -1,11 +1,11 @@
-"""Execution-plan scheduling: prepared calls, wave statistics, plan fusion.
+"""Execution-plan scheduling: wave statistics and plan fusion.
 
 The planner (:func:`repro.core.traversal.levelize`) folds a traversal
 descriptor into an :class:`~repro.core.traversal.ExecutionPlan` of
 dependency *waves*; :meth:`LikelihoodEngine.execute_plan` runs such a
-plan wave by wave, and every op of every wave goes to the backend
-through the one per-op path — prepare the operands into a
-:class:`NewviewCall`, :func:`dispatch_call`, store the result.
+plan wave by wave, and every op of every wave goes through the engine's
+one per-op path — resolve the two operands, let the rate model combine
+them, store the result.
 
 Every executed wave is measured (:class:`WaveProfile`: width, kernel
 mix, seconds, bytes) and folded into the engine's :class:`WaveStats`,
@@ -24,52 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .traversal import ExecutionPlan, KernelKind, NewviewOp, Wave
+from .traversal import ExecutionPlan, Wave
 
 __all__ = [
-    "NewviewCall",
-    "dispatch_call",
     "WaveProfile",
     "WaveStats",
     "FusedWave",
     "FusedPlan",
     "fuse_plans",
 ]
-
-#: Backend method name per CLA-producing kernel kind.  Post-order
-#: ``newview`` and pre-order partial kinds share argument signatures
-#: (the arithmetic is identical; only the counted kind differs), so one
-#: table serves both sweep directions.
-NEWVIEW_METHODS: dict[KernelKind, str] = {
-    KernelKind.NEWVIEW_TIP_TIP: "newview_tip_tip",
-    KernelKind.NEWVIEW_TIP_INNER: "newview_tip_inner",
-    KernelKind.NEWVIEW_INNER_INNER: "newview_inner_inner",
-    KernelKind.PREORDER_TIP_TIP: "preorder_tip_tip",
-    KernelKind.PREORDER_TIP_INNER: "preorder_tip_inner",
-    KernelKind.PREORDER_INNER_INNER: "preorder_inner_inner",
-}
-
-
-@dataclass(frozen=True)
-class NewviewCall:
-    """One prepared kernel invocation: an op plus its ready operands.
-
-    ``op`` is the plan op the call realises — a
-    :class:`~repro.core.traversal.NewviewOp` on the down-sweep, a
-    :class:`~repro.core.traversal.PreorderOp` on the gradient up-sweep.
-    ``args`` matches the positional signature of the backend method named
-    by :data:`NEWVIEW_METHODS` for ``kind``.
-    """
-
-    op: "NewviewOp | object"
-    kind: KernelKind
-    args: tuple
-
-
-def dispatch_call(backend, call: NewviewCall):
-    """Run one prepared ``newview`` through the backend."""
-    return getattr(backend, NEWVIEW_METHODS[call.kind])(*call.args)
-
 
 # ----------------------------------------------------------------------
 # wave measurement

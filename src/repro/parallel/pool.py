@@ -29,8 +29,7 @@ import weakref
 import numpy as np
 
 from ..core.backends import get_backend
-from ..core.cat import CatLikelihoodEngine
-from ..core.engine import LikelihoodEngine
+from ..core.memsave import ClaStore
 from ..obs import server as _obs_server
 from ..obs import spans as _obs
 from ..phylo.alignment import PatternAlignment
@@ -61,58 +60,56 @@ __all__ = [
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class _SlabMixin:
-    """Engine mixin storing CLAs in shared-arena slab slots.
+class SlabStore(ClaStore):
+    """The CLA store with the shared arena's slab as its allocator.
 
-    ``newview`` results are committed into per-node slots of the arena's
-    CLA slab (one ``memcpy`` per op); ``self._clas`` then references the
-    slab views, so every downstream read streams straight from shared
-    memory.  When the slab is full the engine degrades to private arrays
-    (counted in ``slab_fallbacks``) rather than failing.
+    ``put`` commits the arrays into a per-key slot of the arena's CLA
+    slab (one ``memcpy`` per op) and remembers the slab views, so every
+    downstream read streams straight from shared memory.  When the slab
+    is full it degrades to private arrays (counted in
+    ``slab_fallbacks``) rather than failing.
     """
 
-    def attach_slab(self, arena: SharedArena, lo: int, hi: int) -> None:
-        """Must follow construction, before the first traversal."""
-        self._slab_arena = arena
-        self._slab_lo = lo
-        self._slab_hi = hi
-        self._slab_free = list(range(arena.n_slots - 1, -1, -1))
-        self._slab_slot: dict[int, int] = {}
+    def __init__(self, arena: SharedArena, lo: int, hi: int) -> None:
+        super().__init__()
+        self._arena = arena
+        self._bounds = (lo, hi)
+        self._free = list(range(arena.n_slots - 1, -1, -1))
+        self._slot: dict[object, int] = {}
         self.slab_fallbacks = 0
 
-    def _store_op(self, op, z, sc):  # noqa: ANN001 - mirrors base signature
-        slot = self._slab_slot.get(op.node)
-        if slot is None and self._slab_free:
-            slot = self._slab_slot[op.node] = self._slab_free.pop()
+    def get(self, key):
+        entry = super().get(key)
+        if entry is not None and self.max_resident is not None:
+            # A dropped entry's slot is recycled at once, and the engine
+            # holds operands across recomputations: hand out copies.
+            return entry[0].copy(), entry[1].copy()
+        return entry
+
+    def put(self, key, z, scale) -> None:
+        slot = self._slot.get(key)
+        if slot is None and self._free:
+            slot = self._slot[key] = self._free.pop()
         if slot is None:
             self.slab_fallbacks += 1
         else:
-            zv, sv = self._slab_arena.cla_slot(slot, self._slab_lo, self._slab_hi)
+            zv, sv = self._arena.cla_slot(slot, *self._bounds)
             zv = zv[:, : z.shape[1], :]
             np.copyto(zv, z)
-            np.copyto(sv, sc)
-            z, sc = zv, sv
-        super()._store_op(op, z, sc)
+            np.copyto(sv, scale)
+            z, scale = zv, sv
+        super().put(key, z, scale)
 
-    def _reclaim_slots(self) -> None:
-        for node in [n for n in self._slab_slot if n not in self._clas]:
-            self._slab_free.append(self._slab_slot.pop(node))
+    def discard(self, key) -> None:
+        super().discard(key)
+        slot = self._slot.pop(key, None)
+        if slot is not None:
+            self._free.append(slot)
 
-    def ensure_valid(self, root_edge):  # noqa: ANN001
-        super().ensure_valid(root_edge)
-        self._reclaim_slots()
-
-    def drop_caches(self) -> None:
-        super().drop_caches()
-        self._reclaim_slots()
-
-
-class SlabLikelihoodEngine(_SlabMixin, LikelihoodEngine):
-    """GTR+Gamma worker engine over a shared-arena CLA slab."""
-
-
-class SlabCatEngine(_SlabMixin, CatLikelihoodEngine):
-    """CAT worker engine over a shared-arena CLA slab."""
+    def clear(self) -> None:
+        super().clear()
+        self._free.extend(self._slot.values())
+        self._slot.clear()
 
 
 class ArenaLanes:
@@ -153,13 +150,12 @@ def _worker_main(conn, cfg: dict) -> None:
     )
 
     def build(owner: int, tree: Tree, backend, state: dict):
-        """One slab slice engine over the arena's pattern data."""
+        """One slice engine over the arena's pattern data and CLA slab."""
         lo, hi = cfg["bounds"][owner]
         engine = build_slice_engine(
-            SlabLikelihoodEngine, SlabCatEngine, patterns, np.arange(lo, hi),
-            tree, backend, state,
+            patterns, np.arange(lo, hi), tree, backend, state,
+            SlabStore(arena, lo, hi),
         )
-        engine.attach_slab(arena, lo, hi)
         return engine, slice(lo, hi)
 
     worker = SliceWorker(

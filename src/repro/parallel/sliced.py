@@ -287,6 +287,11 @@ class SlicedEngine:
         slices = map(self.distribution.indices_of, range(self.substrate.n_workers))
         return [terms[:, idx] @ self.patterns.weights[idx] for idx in slices]
 
+    def set_max_resident(self, max_resident: int) -> None:
+        """Keep at most ``max_resident`` CLAs per slice, recomputing the
+        rest (:class:`~repro.core.memsave.ClaStore`); results unchanged."""
+        self._replay(lambda: self.substrate.set_max_resident(max_resident))
+
     def drop_caches(self) -> None:
         self._replay(self.substrate.drop_caches)
 

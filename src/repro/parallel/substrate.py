@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..core.backends import KernelProfile, get_backend
-from ..core.cat import CatLikelihoodEngine
 from ..core.engine import LikelihoodEngine
+from ..core.memsave import ClaStore
 from ..core.schedule import WaveStats
 from ..core.traversal import KernelCounters
 from ..obs import spans as _obs
@@ -128,19 +128,20 @@ def require_backend_name(backend, execution: str) -> None:
         )
 
 
-def build_slice_engine(gamma_cls, cat_cls, patterns, idx, tree, backend, state):
-    """A slice engine over ``patterns[:, idx]`` in the master's model ``state``."""
-    sliced = slice_patterns(patterns, idx)
-    if state["cat"] is None:
-        return gamma_cls(
-            sliced, tree, state["model"], state["rates"], backend=backend
-        )
-    engine = cat_cls(
-        sliced, tree, state["model"], slice_cat(state["cat"], idx),
-        backend=backend,
+def build_slice_engine(
+    patterns, idx, tree, backend, state: dict, store: ClaStore | None = None
+) -> LikelihoodEngine:
+    """A slice engine over ``patterns[:, idx]`` in the master's model
+    ``state``: the serial engine, its rates sliced with its patterns."""
+    cat = state["cat"]
+    engine = LikelihoodEngine(
+        slice_patterns(patterns, idx), tree, state["model"],
+        state["rates"] if cat is None else slice_cat(cat, idx),
+        backend=backend, store=store,
     )
+    engine.store.max_resident = state["max_resident"]
     if state["alpha"] is not None:  # a ghost joining after a shape refit
-        engine.set_cat(engine.cat, state["alpha"])
+        engine.alpha = state["alpha"]
     return engine
 
 
@@ -264,6 +265,10 @@ class SliceWorker:
         for owner, (engine, _index) in self.slots.items():
             engine.set_cat(cats[owner], alpha)
 
+    def cmd_set_max_resident(self, max_resident: int) -> None:
+        for engine, _index in self.slots.values():
+            engine.store.max_resident = max_resident
+
     def cmd_adopt(self, dead: int, state: dict) -> None:
         if dead not in self.slots:  # idempotent re-announcement
             self.slots[dead] = self._build(dead, self.tree, self.backend, state)
@@ -326,7 +331,10 @@ class Substrate:
         self.sumbuf_epoch = 0
         self.dead: set[int] = set()
         self.adoptions: dict[int, int] = {}
-        self._state = {"model": model, "rates": rates, "cat": cat, "alpha": None}
+        self._state = {
+            "model": model, "rates": rates, "cat": cat, "alpha": None,
+            "max_resident": None,
+        }
 
     def _region(self, cmd: str, *args) -> dict[int, object]:
         raise NotImplementedError
@@ -409,6 +417,11 @@ class Substrate:
             for w in range(self.n_workers)
         }
         self._region("set_cat", per_owner, alpha)
+
+    def set_max_resident(self, max_resident: int) -> None:
+        """Bound every slice's CLA store (adopted slices included)."""
+        self._state["max_resident"] = max_resident
+        self._region("set_max_resident", max_resident)
 
     def drop_caches(self) -> None:
         self._region("drop_caches")
@@ -502,10 +515,7 @@ class LocalSubstrate(Substrate):
 
     def _build(self, owner: int, tree: Tree, backend, state: dict):
         idx = self._index[owner]
-        return build_slice_engine(
-            LikelihoodEngine, CatLikelihoodEngine, self.patterns, idx, tree,
-            backend, state,
-        ), idx
+        return build_slice_engine(self.patterns, idx, tree, backend, state), idx
 
     @property
     def slices(self) -> list[LikelihoodEngine]:

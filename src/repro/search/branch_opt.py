@@ -75,9 +75,9 @@ def all_branch_gradients(
 
     Search-level entry point for the engines' bidirectional sweep: one
     post-order plus one pre-order traversal instead of 2N - 3 re-rooted
-    ``derivativeSum`` traversals.  Every engine flavour (serial, CAT,
-    +I, memory-saving, partitioned, fork-join, distributed) provides the
-    method; the values match the per-branch ``edge_sum_buffer`` +
+    ``derivativeSum`` traversals.  Every engine (the serial one under any
+    rate model and CLA store, partitioned, fork-join, distributed)
+    provides the method; the values match the per-branch ``edge_sum_buffer`` +
     ``branch_derivatives`` pair bit-for-bit.
     """
     return engine.all_branch_gradients(root_edge)

@@ -73,9 +73,9 @@ def optimize_alpha(engine: LikelihoodEngine, tolerance: float = 1e-4) -> float:
 def optimize_pinv(engine, tolerance: float = 1e-4, max_pinv: float = 0.95) -> float:
     """Brent-optimise the invariable-sites proportion of a +I engine.
 
-    ``engine`` must expose ``set_p_inv`` (see
-    :class:`repro.core.invariant.InvariantSitesEngine`); returns the new
-    lnL.
+    ``engine`` is a :class:`~repro.core.engine.LikelihoodEngine` built
+    with a ``p_inv`` (see :class:`repro.core.invariant.InvariantMixture`);
+    returns the new lnL.
     """
 
     def objective(p: float) -> float:

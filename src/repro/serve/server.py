@@ -18,7 +18,7 @@ Architecture (DESIGN.md §12):
   :func:`~repro.search.epa.place_queries` run.
 - Tenants live in a bounded LRU: registering beyond ``max_tenants``
   evicts (closes) the least-recently-used tenant, mirroring the CLA
-  eviction policy of :class:`~repro.core.memsave.MemorySavingEngine`
+  eviction policy of a bounded :class:`~repro.core.memsave.ClaStore`
   one level up.
 - The HTTP front reuses the :mod:`repro.obs.server` patterns
   (``ThreadingHTTPServer`` on daemon threads, JSON documents, silenced

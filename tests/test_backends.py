@@ -28,11 +28,10 @@ from repro.core.backends import (
     get_backend,
     make_engine,
 )
-from repro.core.cat import CatLikelihoodEngine
+from repro.core.cat import CatModel
 from repro.core.ckernels import CompiledBackend
 from repro.core.engine import LikelihoodEngine
-from repro.core.invariant import InvariantSitesEngine
-from repro.core.memsave import MemorySavingEngine
+from repro.core.invariant import InvariantMixture
 from repro.phylo import CatRates, GammaRates, gtr, simulate_dataset
 
 N_STATES = 4
@@ -358,18 +357,21 @@ class TestRegistryAndFactory:
         assert isinstance(get_backend(None), ReferenceBackend)
 
     def test_make_engine_flavours(self):
+        """One engine class; the options pick its two collaborators."""
         sim = simulate_dataset(n_taxa=6, n_sites=120, seed=11)
         patterns = sim.alignment.compress()
         base = make_engine(patterns, sim.tree.copy(), gtr(), GammaRates(0.8))
         assert type(base) is LikelihoodEngine
+        assert base.store.max_resident is None
         mem = make_engine(
             patterns, sim.tree.copy(), gtr(), GammaRates(0.8), max_resident=4
         )
-        assert isinstance(mem, MemorySavingEngine)
+        assert type(mem) is LikelihoodEngine
+        assert mem.store.max_resident == 4
         inv = make_engine(
             patterns, sim.tree.copy(), gtr(), GammaRates(0.8), p_inv=0.1
         )
-        assert isinstance(inv, InvariantSitesEngine)
+        assert isinstance(inv.rates, InvariantMixture)
         cat = CatRates.from_gamma(
             0.8, patterns.n_patterns, 4, np.random.default_rng(0),
             weights=patterns.weights,
@@ -377,7 +379,7 @@ class TestRegistryAndFactory:
         cat_engine = make_engine(
             patterns, sim.tree.copy(), gtr(), cat=cat, backend="compiled"
         )
-        assert isinstance(cat_engine, CatLikelihoodEngine)
+        assert isinstance(cat_engine.rates, CatModel)
         assert isinstance(cat_engine.backend, CompiledBackend)
         # CAT parity across backends, while we have the pieces in hand
         ref_cat = make_engine(patterns, sim.tree.copy(), gtr(), cat=cat)
@@ -385,7 +387,10 @@ class TestRegistryAndFactory:
             ref_cat.log_likelihood(), abs=1e-9
         )
 
-    @pytest.mark.parametrize("flavour", ["gamma", "max_resident", "cat", "p_inv"])
+    @pytest.mark.parametrize(
+        "flavour",
+        ["gamma", "max_resident", "cat", "p_inv", "cat+p_inv+max_resident"],
+    )
     def test_engines_are_freed_by_reference_count(self, flavour):
         """No engine is cyclic garbage: ``del`` frees it (CLAs included)
         at once, without waiting for a generational collection."""
@@ -394,15 +399,17 @@ class TestRegistryAndFactory:
 
         sim = simulate_dataset(n_taxa=6, n_sites=120, seed=11)
         patterns = sim.alignment.compress()
+        cat = CatRates.from_gamma(
+            0.8, patterns.n_patterns, 4, np.random.default_rng(0),
+            weights=patterns.weights,
+        )
         options = {
             "gamma": {"rates": GammaRates(0.8)},
             "max_resident": {"rates": GammaRates(0.8), "max_resident": 4},
             "p_inv": {"rates": GammaRates(0.8), "p_inv": 0.1},
-            "cat": {
-                "cat": CatRates.from_gamma(
-                    0.8, patterns.n_patterns, 4, np.random.default_rng(0),
-                    weights=patterns.weights,
-                )
+            "cat": {"cat": cat},
+            "cat+p_inv+max_resident": {
+                "cat": cat, "p_inv": 0.1, "max_resident": 4,
             },
         }[flavour]
         gc.collect()
@@ -420,26 +427,54 @@ class TestRegistryAndFactory:
             gc.enable()
 
     def test_make_engine_invalid_combos(self):
+        """What still raises — and that everything else constructs."""
         sim = simulate_dataset(n_taxa=6, n_sites=120, seed=11)
         patterns = sim.alignment.compress()
         cat = CatRates.from_gamma(
             0.8, patterns.n_patterns, 4, np.random.default_rng(0)
         )
-        with pytest.raises(ValueError, match="cat"):
-            make_engine(patterns, sim.tree.copy(), gtr(), cat=cat, p_inv=0.1)
-        with pytest.raises(ValueError, match="cat"):
-            make_engine(
-                patterns, sim.tree.copy(), gtr(), cat=cat, max_resident=4
-            )
         with pytest.raises(ValueError, match="rates"):
             make_engine(
                 patterns, sim.tree.copy(), gtr(), GammaRates(0.8), cat=cat
             )
-        with pytest.raises(ValueError, match="p_inv"):
+        with pytest.raises(ValueError, match="at least 3"):
             make_engine(
                 patterns, sim.tree.copy(), gtr(), GammaRates(0.8),
-                p_inv=0.1, max_resident=4,
+                max_resident=2,
             )
+        with pytest.raises(ValueError, match="workers"):
+            make_engine(
+                patterns, sim.tree.copy(), gtr(), GammaRates(0.8), workers=0
+            )
+        for rates in ({"rates": GammaRates(0.8)}, {"cat": cat}):
+            for p_inv in (None, 0.1):
+                for max_resident in (None, 4):
+                    engine = make_engine(
+                        patterns, sim.tree.copy(), gtr(), p_inv=p_inv,
+                        max_resident=max_resident, **rates,
+                    )
+                    assert np.isfinite(engine.log_likelihood())
+
+    def test_set_model_rejects_the_other_rates_type(self):
+        """``set_model(model, rates)`` installs rates of the type the
+        engine was built with and names a mismatch instead of dropping it."""
+        sim = simulate_dataset(n_taxa=6, n_sites=120, seed=11)
+        patterns = sim.alignment.compress()
+        cat = CatRates.from_gamma(
+            0.8, patterns.n_patterns, 4, np.random.default_rng(0),
+            weights=patterns.weights,
+        )
+        engine = make_engine(patterns, sim.tree.copy(), gtr(), cat=cat)
+        before = engine.log_likelihood()
+        with pytest.raises(ValueError, match="CatRates.*GammaRates"):
+            engine.set_model(gtr(), GammaRates(0.8))
+        other = cat.with_alpha(3.0, patterns.weights)
+        engine.set_model(gtr(), other)
+        assert engine.cat is other
+        assert engine.log_likelihood() != before
+        gamma = make_engine(patterns, sim.tree.copy(), gtr(), GammaRates(0.8))
+        with pytest.raises(ValueError, match="GammaRates.*CatRates"):
+            gamma.set_model(gtr(), cat)
 
 
 class TestProfiles:

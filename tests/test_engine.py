@@ -86,7 +86,7 @@ class TestCaching:
             engine.log_likelihood()
             undo()
             engine.log_likelihood()
-        assert len(engine._clas) <= 4 * tree.n_leaves
+        assert len(engine.store) <= 4 * tree.n_leaves
 
 
 class TestCounters:
@@ -127,7 +127,8 @@ class TestValidation:
     def test_cla_memory_reporting(self, small_engine):
         small_engine.log_likelihood()
         expected_one = (
-            small_engine.patterns.n_patterns * small_engine.n_rates * 4 * 8
+            small_engine.patterns.n_patterns
+            * small_engine.rates_model.n_categories * 4 * 8
         )
         mem = small_engine.cla_memory_bytes()
         n_internal = len(small_engine.tree.internal_nodes())

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from repro.core import LikelihoodEngine
-from repro.core.cat import CatLikelihoodEngine
+from repro.core import LikelihoodEngine, make_engine
 from repro.core.partitioned import Partition, PartitionedEngine, partition_workers
 from repro.phylo import (
     Alignment,
@@ -32,7 +31,7 @@ def cat_setup():
     )
     rng = np.random.default_rng(1)
     cat = CatRates.from_gamma(0.7, pat.n_patterns, 4, rng, weights=pat.weights)
-    engine = CatLikelihoodEngine(pat, sim.tree.copy(), model, cat)
+    engine = make_engine(pat, sim.tree.copy(), model, cat=cat)
     return sim, pat, model, cat, engine
 
 
@@ -90,28 +89,28 @@ class TestCatEngine:
 
     def test_branch_optimization_runs(self, cat_setup):
         sim, pat, model, cat, _ = cat_setup
-        engine = CatLikelihoodEngine(pat, sim.tree.copy(), model, cat)
+        engine = make_engine(pat, sim.tree.copy(), model, cat=cat)
         before = engine.log_likelihood()
         after = optimize_all_branches(engine, passes=2)
         assert after >= before
 
     def test_set_alpha_rebuilds_rates(self, cat_setup):
         sim, pat, model, cat, _ = cat_setup
-        engine = CatLikelihoodEngine(pat, sim.tree.copy(), model, cat)
+        engine = make_engine(pat, sim.tree.copy(), model, cat=cat)
         lnl1 = engine.log_likelihood()
         engine.set_alpha(5.0)
         lnl2 = engine.log_likelihood()
         assert engine.alpha == 5.0
         assert lnl1 != lnl2
         # normalisation maintained
-        mean = np.average(engine.site_rates, weights=pat.weights)
+        mean = np.average(engine.rates.site_rates, weights=pat.weights)
         assert mean == pytest.approx(1.0, abs=1e-9)
 
     def test_assignment_size_validated(self, cat_setup):
         sim, pat, model, cat, _ = cat_setup
         bad = CatRates(cat.category_rates, cat.site_categories[:-1])
         with pytest.raises(ValueError, match="patterns"):
-            CatLikelihoodEngine(pat, sim.tree.copy(), model, bad)
+            make_engine(pat, sim.tree.copy(), model, cat=bad)
 
     def test_single_category_cat_equals_no_gamma(self):
         """CAT with one unit category == plain engine without Gamma."""
@@ -119,11 +118,66 @@ class TestCatEngine:
         pat = sim.alignment.compress()
         model = gtr()
         cat = CatRates(np.array([1.0]), np.zeros(pat.n_patterns, dtype=int))
-        cat_engine = CatLikelihoodEngine(pat, sim.tree.copy(), model, cat)
+        cat_engine = make_engine(pat, sim.tree.copy(), model, cat=cat)
         plain = LikelihoodEngine(pat, sim.tree.copy(), model, GammaRates(1.0, 1))
         assert cat_engine.log_likelihood() == pytest.approx(
             plain.log_likelihood(), abs=1e-9
         )
+
+
+class TestRateModelStoreMatrix:
+    """Rate model {Gamma, CAT, Gamma+I, CAT+I} x store {resident, bounded}:
+    one engine composed both ways.  The bounded cell recomputes what its
+    budget dropped with the same ops on the same operands, so it equals
+    the resident cell exactly."""
+
+    @staticmethod
+    def cell(rate_model: str, max_resident=None, p_inv=0.15):
+        sim = simulate_dataset(n_taxa=9, n_sites=160, seed=27)
+        pat = sim.alignment.compress()
+        options = {"rates": GammaRates(0.7, 4)}
+        if rate_model.startswith("cat"):
+            options = {"cat": CatRates.from_gamma(
+                0.7, pat.n_patterns, 4, np.random.default_rng(3),
+                weights=pat.weights,
+            )}
+        if rate_model.endswith("+I"):
+            options["p_inv"] = p_inv
+        return make_engine(
+            pat, sim.tree.copy(), gtr(), max_resident=max_resident, **options
+        )
+
+    @pytest.mark.parametrize("rate_model", ["gamma", "cat", "gamma+I", "cat+I"])
+    def test_bounded_equals_resident(self, rate_model):
+        resident = self.cell(rate_model)
+        bounded = self.cell(rate_model, max_resident=4)
+        for eid in resident.tree.edge_ids:
+            assert bounded.log_likelihood(eid) - resident.log_likelihood(eid) == 0.0
+            got = bounded.branch_derivatives(bounded.edge_sum_buffer(eid), 0.07)
+            want = resident.branch_derivatives(resident.edge_sum_buffer(eid), 0.07)
+            assert got == want
+        assert bounded.all_branch_gradients() == resident.all_branch_gradients()
+        assert (
+            optimize_all_branches(bounded, passes=1)
+            - optimize_all_branches(resident, passes=1)
+            == 0.0
+        )
+        assert bounded.tree.to_newick() == resident.tree.to_newick()
+        assert bounded.store.recomputed > 0
+        assert len(bounded.store) <= 4
+
+    def test_cat_invariant_mixture_vanishes_with_p_inv(self):
+        """CAT+I exists, and at ``p_inv = 0`` it is CAT."""
+        cat = self.cell("cat")
+        mixed = self.cell("cat+I", p_inv=0.0)
+        root = cat.default_edge()
+        assert mixed.log_likelihood() == pytest.approx(
+            cat.log_likelihood(), abs=1e-10
+        )
+        _, d1, d2 = mixed.branch_derivatives(mixed.edge_sum_buffer(root), 0.07)
+        _, w1, w2 = cat.branch_derivatives(cat.edge_sum_buffer(root), 0.07)
+        assert (d1, d2) == pytest.approx((w1, w2), rel=1e-12)
+        assert self.cell("cat+I").log_likelihood() != cat.log_likelihood()
 
 
 class TestProteinData:

@@ -30,9 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LikelihoodEngine
-from repro.core.cat import CatLikelihoodEngine
-from repro.core.invariant import InvariantSitesEngine
-from repro.core.memsave import MemorySavingEngine
+from repro.core import make_engine as core_make_engine
 from repro.core.partitioned import Partition, PartitionedEngine
 from repro.core.traversal import KernelKind
 from repro.parallel.distributed import DistributedEngine
@@ -154,12 +152,12 @@ class TestGradientCorrectness:
             site_categories=sc,
         )
         flavours = [
-            MemorySavingEngine(
+            core_make_engine(
                 patterns, tree.copy(), model, rates,
                 backend="compiled", max_resident=6,
             ),
-            CatLikelihoodEngine(patterns, tree.copy(), model, cat),
-            InvariantSitesEngine(
+            core_make_engine(patterns, tree.copy(), model, cat=cat),
+            core_make_engine(
                 patterns, tree.copy(), model, rates, p_inv=0.2
             ),
             PartitionedEngine(

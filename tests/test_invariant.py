@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import LikelihoodEngine
-from repro.core.invariant import InvariantSitesEngine
+from repro.core import KernelKind, LikelihoodEngine, make_engine
 from repro.phylo import GammaRates, gtr, simulate_dataset
 from repro.search import optimize_all_branches
 from repro.search.model_opt import optimize_pinv
@@ -25,7 +24,7 @@ class TestCorrectness:
     def test_pinv_zero_equals_plain_engine(self, setup):
         sim, pat, model = setup
         plain = LikelihoodEngine(pat, sim.tree.copy(), model, GammaRates(0.7, 4))
-        inv = InvariantSitesEngine(
+        inv = make_engine(
             pat, sim.tree.copy(), model, GammaRates(0.7, 4), p_inv=0.0
         )
         assert inv.log_likelihood() == pytest.approx(
@@ -36,15 +35,14 @@ class TestCorrectness:
         """L = p*I + (1-p)*L_gamma, with variable rates scaled 1/(1-p)."""
         sim, pat, model = setup
         p = 0.25
-        inv = InvariantSitesEngine(
+        inv = make_engine(
             pat, sim.tree.copy(), model, GammaRates(0.7, 4), p_inv=p
         )
         lnl_inv = inv.log_likelihood()
         # manual: plain engine with scaled rates gives the Gamma part
         gamma = GammaRates(0.7, 4)
         plain = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
-        plain.rate_values = plain.rate_values / (1 - p)
-        plain._valid.clear()
+        plain.rates.rate_values = plain.rates.rate_values / (1 - p)
         lg = plain.site_log_likelihoods()
         # invariant mass per pattern
         mask = pat.data[0].astype(np.uint64)
@@ -60,7 +58,7 @@ class TestCorrectness:
 
     def test_pulley_principle(self, setup):
         sim, pat, model = setup
-        inv = InvariantSitesEngine(
+        inv = make_engine(
             pat, sim.tree.copy(), model, GammaRates(0.7, 4), p_inv=0.2
         )
         vals = [inv.log_likelihood(e) for e in inv.tree.edge_ids]
@@ -68,7 +66,7 @@ class TestCorrectness:
 
     def test_derivatives_match_finite_difference(self, setup):
         sim, pat, model = setup
-        inv = InvariantSitesEngine(
+        inv = make_engine(
             pat, sim.tree.copy(), model, GammaRates(0.7, 4), p_inv=0.3
         )
         tree = inv.tree
@@ -90,10 +88,27 @@ class TestCorrectness:
         assert d2 == pytest.approx(fd2, rel=1e-3, abs=1e-2)
 
 
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    def test_derivatives_reach_the_backend(self, setup, backend):
+        """+I Newton runs the backend's ``derivative_core`` kernel: every
+        dispatch the engine counts is one the backend timed."""
+        sim, pat, model = setup
+        inv = make_engine(
+            pat, sim.tree.copy(), model, GammaRates(0.7, 4), p_inv=0.1,
+            backend=backend,
+        )
+        eid = inv.default_edge()
+        sb = inv.edge_sum_buffer(eid)
+        for t in (0.05, 0.1):
+            inv.branch_derivatives(sb, t)
+        core = KernelKind.DERIVATIVE_CORE
+        assert inv.profile.calls[core] == inv.counters.calls[core] == 2
+
+
 class TestBehaviour:
     def test_branch_optimization_runs(self, setup):
         sim, pat, model = setup
-        inv = InvariantSitesEngine(
+        inv = make_engine(
             pat, sim.tree.copy(), model, GammaRates(0.7, 4), p_inv=0.2
         )
         before = inv.log_likelihood()
@@ -116,7 +131,7 @@ class TestBehaviour:
             extra = "".join(states[c] for c in const_cols)
             seqs[taxon] = var.sequence(taxon) + extra
         pat = Alignment.from_sequences(seqs).compress()
-        inv = InvariantSitesEngine(
+        inv = make_engine(
             pat, tree.copy(), model, GammaRates(10.0, 4), p_inv=0.01
         )
         lnl = optimize_pinv(inv)
@@ -128,14 +143,16 @@ class TestBehaviour:
     def test_pinv_validation(self, setup):
         sim, pat, model = setup
         with pytest.raises(ValueError, match="p_inv"):
-            InvariantSitesEngine(
+            make_engine(
                 pat, sim.tree.copy(), model, GammaRates(0.7, 4), p_inv=1.0
             )
 
     def test_variable_rates_rescaled(self, setup):
         sim, pat, model = setup
-        inv = InvariantSitesEngine(
+        inv = make_engine(
             pat, sim.tree.copy(), model, GammaRates(0.7, 4), p_inv=0.5
         )
         plain = LikelihoodEngine(pat, sim.tree.copy(), model, GammaRates(0.7, 4))
-        np.testing.assert_allclose(inv.rate_values, plain.rate_values / 0.5)
+        np.testing.assert_allclose(
+            inv.rates.rate_values, plain.rates.rate_values / 0.5
+        )

@@ -134,10 +134,10 @@ class TestDerivatives:
         # evaluate path
         engine.ensure_valid(eid)
         z_l, z_r, scales = engine._root_sides(eid)
-        eig = engine.eigen
+        eig = engine.rates.eigen
         exps = branch_exponentials(eig, gamma.rates, t)
         lnl_eval = evaluate_edge(
-            z_l, z_r, exps, engine.rate_weights, patterns.weights, scales
+            z_l, z_r, exps, engine.rates.rate_weights, patterns.weights, scales
         )
         correction = float(np.dot(scales, patterns.weights)) * LOG_SCALE_STEP
         assert lnl_core - correction == pytest.approx(lnl_eval, abs=1e-8)
@@ -189,7 +189,7 @@ class TestScaling:
         gamma = GammaRates(200.0, 4)
         engine = LikelihoodEngine(patterns, tree, model, gamma)
         lnl = engine.log_likelihood()
-        total_scales = sum(int(sc.sum()) for _, sc in engine._clas.values())
+        total_scales = sum(int(sc.sum()) for _, (_, sc) in engine.store.items())
         assert total_scales > 0, "test should exercise the scaling path"
         expected = brute_force_lnl(tree, patterns, model, gamma)
         assert lnl == pytest.approx(expected, rel=1e-10)

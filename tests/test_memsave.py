@@ -1,10 +1,9 @@
-"""Tests for the memory-saving (CLA recomputation) engine."""
+"""Tests for the bounded CLA store (memory saving by recomputation)."""
 
 import numpy as np
 import pytest
 
-from repro.core import LikelihoodEngine
-from repro.core.memsave import MemorySavingEngine
+from repro.core import LikelihoodEngine, make_engine
 from repro.phylo import GammaRates, gtr, simulate_dataset
 from repro.search import optimize_all_branches, spr_round
 
@@ -20,7 +19,7 @@ class TestExactness:
     def test_matches_full_engine(self, problem):
         sim, pat, model, gamma = problem
         full = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
-        save = MemorySavingEngine(
+        save = make_engine(
             pat, sim.tree.copy(), model, gamma, max_resident=4
         )
         assert save.log_likelihood() == pytest.approx(
@@ -30,7 +29,7 @@ class TestExactness:
     def test_every_root_edge_exact(self, problem):
         sim, pat, model, gamma = problem
         full = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
-        save = MemorySavingEngine(
+        save = make_engine(
             pat, sim.tree.copy(), model, gamma, max_resident=4
         )
         reference = full.log_likelihood()
@@ -41,7 +40,7 @@ class TestExactness:
         sim = simulate_dataset(n_taxa=40, n_sites=80, seed=1)
         pat = sim.alignment.compress()
         full = LikelihoodEngine(pat, sim.tree.copy(), gtr(), GammaRates(1.0, 4))
-        save = MemorySavingEngine(
+        save = make_engine(
             pat, sim.tree.copy(), gtr(), GammaRates(1.0, 4), max_resident=3
         )
         assert save.log_likelihood() == pytest.approx(
@@ -51,7 +50,7 @@ class TestExactness:
     def test_branch_optimization_identical(self, problem):
         sim, pat, model, gamma = problem
         full = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
-        save = MemorySavingEngine(
+        save = make_engine(
             pat, sim.tree.copy(), model, gamma, max_resident=5
         )
         lnl_full = optimize_all_branches(full, passes=1)
@@ -63,7 +62,7 @@ class TestExactness:
         from repro.phylo import random_topology
 
         bad = random_topology(list(pat.taxa), np.random.default_rng(2))
-        save = MemorySavingEngine(pat, bad, model, gamma, max_resident=5)
+        save = make_engine(pat, bad, model, gamma, max_resident=5)
         optimize_all_branches(save, passes=1)
         stats = spr_round(save, radius=3)
         assert stats.lnl_after >= stats.lnl_before
@@ -72,26 +71,26 @@ class TestExactness:
 class TestBudget:
     def test_residency_capped(self, problem):
         sim, pat, model, gamma = problem
-        save = MemorySavingEngine(
+        save = make_engine(
             pat, sim.tree.copy(), model, gamma, max_resident=4
         )
         for e in save.tree.edge_ids:
             save.log_likelihood(e)
-            assert save.resident_clas() <= 4
+            assert len(save.store) <= 4
 
     def test_recomputation_counted(self, problem):
         sim, pat, model, gamma = problem
-        save = MemorySavingEngine(
+        save = make_engine(
             pat, sim.tree.copy(), model, gamma, max_resident=4
         )
         for e in save.tree.edge_ids:
             save.log_likelihood(e)
-        assert save.recomputed_clas > 0
+        assert save.store.recomputed > 0
 
     def test_more_newviews_than_full_engine(self, problem):
         sim, pat, model, gamma = problem
         full = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
-        save = MemorySavingEngine(
+        save = make_engine(
             pat, sim.tree.copy(), model, gamma, max_resident=4
         )
         for e in sorted(sim.tree.edge_ids):
@@ -103,23 +102,44 @@ class TestBudget:
 
     def test_large_budget_avoids_recomputation(self, problem):
         sim, pat, model, gamma = problem
-        save = MemorySavingEngine(
+        save = make_engine(
             pat, sim.tree.copy(), model, gamma, max_resident=100
         )
         for e in save.tree.edge_ids:
             save.log_likelihood(e)
-        assert save.recomputed_clas == 0
+        assert save.store.recomputed == 0
 
     def test_memory_fraction(self, problem):
+        """With ``n`` taxa the full engine holds ``n - 2`` CLAs; the
+        bounded one holds ``max_resident / (n - 2)`` of that memory."""
         sim, pat, model, gamma = problem
-        save = MemorySavingEngine(
+        full = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
+        save = make_engine(
             pat, sim.tree.copy(), model, gamma, max_resident=6
         )
-        assert save.memory_fraction() == pytest.approx(6 / 18)
+        full.log_likelihood()
+        save.log_likelihood()
+        assert save.cla_memory_bytes() == pytest.approx(
+            full.cla_memory_bytes() * 6 / 18
+        )
+
+    def test_drop_caches_is_not_eviction(self, problem):
+        """Only what the *budget* dropped counts as a recomputation:
+        ``drop_caches`` / ``set_model`` are the caller's own forgetting."""
+        sim, pat, model, gamma = problem
+        save = make_engine(
+            pat, sim.tree.copy(), model, gamma, max_resident=100
+        )
+        save.log_likelihood()
+        save.drop_caches()
+        save.log_likelihood()
+        save.set_alpha(0.5)
+        save.log_likelihood()
+        assert save.store.recomputed == 0
 
     def test_minimum_validated(self, problem):
         sim, pat, model, gamma = problem
         with pytest.raises(ValueError, match="at least 3"):
-            MemorySavingEngine(
+            make_engine(
                 pat, sim.tree.copy(), model, gamma, max_resident=2
             )

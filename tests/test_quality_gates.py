@@ -228,38 +228,34 @@ class TestObsOverhead:
 
 class TestCatAssignment:
     def test_likelihood_assignment_improves(self):
-        from repro.core.cat import (
-            CatLikelihoodEngine,
-            assign_categories_by_likelihood,
-        )
+        from repro.core import make_engine
+        from repro.core.cat import assign_categories_by_likelihood
         from repro.phylo import CatRates, gtr, simulate_dataset
 
         sim = simulate_dataset(n_taxa=6, n_sites=200, seed=91, alpha=0.4)
         pat = sim.alignment.compress()
         rng = np.random.default_rng(1)
         cat = CatRates.from_gamma(0.4, pat.n_patterns, 4, rng, weights=pat.weights)
-        engine = CatLikelihoodEngine(pat, sim.tree.copy(), gtr(), cat)
+        engine = make_engine(pat, sim.tree.copy(), gtr(), cat=cat)
         before = engine.log_likelihood()
         assign_categories_by_likelihood(engine)
         after = engine.log_likelihood()
         assert after > before
         # normalisation preserved
-        mean = np.average(engine.site_rates, weights=pat.weights)
+        mean = np.average(engine.rates.site_rates, weights=pat.weights)
         assert mean == pytest.approx(1.0, abs=1e-9)
 
     def test_assignment_is_fixed_point(self):
         """Re-running the assignment on converged categories is a no-op."""
-        from repro.core.cat import (
-            CatLikelihoodEngine,
-            assign_categories_by_likelihood,
-        )
+        from repro.core import make_engine
+        from repro.core.cat import assign_categories_by_likelihood
         from repro.phylo import CatRates, gtr, simulate_dataset
 
         sim = simulate_dataset(n_taxa=6, n_sites=150, seed=92, alpha=0.5)
         pat = sim.alignment.compress()
         rng = np.random.default_rng(2)
         cat = CatRates.from_gamma(0.5, pat.n_patterns, 4, rng, weights=pat.weights)
-        engine = CatLikelihoodEngine(pat, sim.tree.copy(), gtr(), cat)
+        engine = make_engine(pat, sim.tree.copy(), gtr(), cat=cat)
         assign_categories_by_likelihood(engine, n_iterations=5)
         lnl1 = engine.log_likelihood()
         assign_categories_by_likelihood(engine, n_iterations=2)

@@ -107,10 +107,10 @@ class TestLevelizeProperties:
             root = waved.default_edge()
             waved.ensure_valid(root)
             for op in per_op.plan_traversal(root).ops:
-                per_op._run_ops((op,))
-            assert set(waved._clas) == set(per_op._clas)
-            for node, (z_w, sc_w) in waved._clas.items():
-                z_p, sc_p = per_op._clas[node]
+                per_op._run_op(op)
+            assert len(waved.store) == len(per_op.store)
+            for node, (z_w, sc_w) in waved.store.items():
+                z_p, sc_p = per_op.store.get(node)
                 np.testing.assert_array_equal(
                     z_w, z_p,
                     err_msg=f"{info.name}: CLA mismatch at node {node}",
@@ -384,6 +384,5 @@ class TestLevelizeUnit:
         assert [op.node for op in plan.iter_ops()].sort() == [
             op.node for op in desc.ops
         ].sort()
-        # the retained compatibility entry point executes plans too
-        engine.execute_traversal(desc)
+        engine.execute_plan(plan)
         assert engine.plan_execution(engine.default_edge()).n_ops == 0

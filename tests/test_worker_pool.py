@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import LikelihoodEngine
 from repro.core.backends import get_backend, make_engine
-from repro.core.cat import CatLikelihoodEngine
 from repro.parallel import (
     DistributedEngine,
     ForkJoinEngine,
@@ -117,7 +116,7 @@ class TestPoolDeterminism:
         sim, pat, model, _ = problem
         rng = np.random.default_rng(7)
         cat = CatRates.from_gamma(0.9, pat.n_patterns, 4, rng, weights=pat.weights)
-        ref = CatLikelihoodEngine(pat, sim.tree.copy(), model, cat)
+        ref = make_engine(pat, sim.tree.copy(), model, cat=cat)
         expected = ref.log_likelihood()
         with WorkerPool(
             pat, sim.tree.copy(), model, None, n_workers=3, cat=cat
@@ -299,7 +298,7 @@ class TestForkJoinModes:
         sim, pat, model, _ = problem
         rng = np.random.default_rng(7)
         cat = CatRates.from_gamma(0.9, pat.n_patterns, 4, rng, weights=pat.weights)
-        ref = CatLikelihoodEngine(pat, sim.tree.copy(), model, cat)
+        ref = make_engine(pat, sim.tree.copy(), model, cat=cat)
         backend = "reference" if execution != "simulated" else None
         with ForkJoinEngine(
             pat, sim.tree.copy(), model, None, n_threads=3,
@@ -307,6 +306,31 @@ class TestForkJoinModes:
         ) as fj:
             # the CAT alpha refit renormalises against FULL pattern weights
             assert_equals_serial(fj, ref)
+
+    @pytest.mark.parametrize("execution", EXECUTION_MODES)
+    @pytest.mark.parametrize("rate_model", ["gamma", "cat"])
+    def test_max_resident_bit_identical(self, problem, execution, rate_model):
+        """The bounded-store axis: slices recompute what the budget
+        dropped and still equal the (equally bounded) serial engine."""
+        sim, pat, model, gamma = problem
+        rates = {"rates": gamma}
+        if rate_model == "cat":
+            rng = np.random.default_rng(7)
+            rates = {"cat": CatRates.from_gamma(
+                0.9, pat.n_patterns, 4, rng, weights=pat.weights
+            )}
+        ref = make_engine(pat, sim.tree.copy(), model, max_resident=4, **rates)
+        backend = "reference" if execution != "simulated" else None
+        with make_engine(
+            pat, sim.tree.copy(), model, max_resident=4, workers=3,
+            execution=execution, backend=backend, **rates,
+        ) as engine:
+            assert_equals_serial(engine, ref)
+        assert ref.store.recomputed > 0
+        resident = make_engine(pat, sim.tree.copy(), NEW_MODEL, **rates)
+        resident.set_alpha(0.6)
+        assert ref.log_likelihood() - resident.log_likelihood() == 0.0
+        assert active_arena_segments() == []
 
     def test_worker_death_during_engine_use(self, problem, serial):
         sim, pat, model, gamma = problem
@@ -342,10 +366,23 @@ class TestMakeEngineParallel:
         sim, pat, model, gamma = problem
         with pytest.raises(ValueError, match="workers"):
             make_engine(pat, sim.tree.copy(), model, gamma, workers=0)
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(ValueError, match="scale counters"):
             make_engine(
                 pat, sim.tree.copy(), model, gamma, workers=2, p_inv=0.1
             )
+        with pytest.raises(ValueError, match="at least 3"):
+            make_engine(
+                pat, sim.tree.copy(), model, gamma, workers=2, max_resident=2
+            )
+        with pytest.raises(ValueError, match="backend"):
+            make_engine(
+                pat, sim.tree.copy(), model, gamma, workers=2,
+                execution="threads", backend=object(),
+            )
+        with make_engine(
+            pat, sim.tree.copy(), model, gamma, workers=2, max_resident=4
+        ) as engine:
+            assert all(s.store.max_resident == 4 for s in engine.slices)
 
     def test_env_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
