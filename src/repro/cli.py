@@ -26,7 +26,8 @@ in practice — files in, files out:
 
 ``repro search`` and ``repro place`` accept ``--backend`` to pick the
 kernel implementation (reference / compiled / shadow); the
-``REPRO_BACKEND`` environment variable sets the process-wide default.
+``REPRO_BACKEND`` environment variable sets the process-wide default
+(``compiled`` when unset; ``REPRO_BACKEND=reference`` forces the oracle).
 
 Tracing: ``repro search`` checkpoints crash-safely with ``--checkpoint ck.json``
 (rotated atomic snapshots) and restarts with ``--resume ck.json``; an
@@ -71,7 +72,7 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         help=(
             "PLF kernel backend (default: $"
             + DEFAULT_BACKEND_ENV
-            + " or 'reference'; see 'repro backends')"
+            + " or 'compiled'; see 'repro backends')"
         ),
     )
 
@@ -671,7 +672,7 @@ def _cmd_backends(_args: argparse.Namespace) -> int:
     infos = available_backends()
     names = [info.name for info in infos]
     env = os.environ.get(DEFAULT_BACKEND_ENV)
-    default = env if env is not None else "reference"
+    default = env if env is not None else "compiled"
     source = f"${DEFAULT_BACKEND_ENV}" if env is not None else "built-in default"
     print(f"process default: {default}  (from {source})")
     print()

@@ -20,11 +20,14 @@ seven private arithmetic hooks listed there and calls
 
 Shipped backends
 ----------------
-``reference``
-    The NumPy ground-truth kernels from :mod:`repro.core.kernels`.
 ``compiled``
-    Generated C behind ctypes (:mod:`repro.core.ckernels`); degrades to
-    the reference arithmetic when no toolchain is available.
+    Generated C behind ctypes (:mod:`repro.core.ckernels`) — **the
+    default**.  Degrades to the reference arithmetic, with one
+    ``RuntimeWarning``, when no toolchain is available.
+``reference``
+    The NumPy ground-truth kernels from :mod:`repro.core.kernels`: the
+    oracle the tests, ``shadow`` and the e2e harness's recompute check
+    compare against (``REPRO_BACKEND=reference`` forces it).
 ``shadow``
     Runs *two* backends per dispatch and asserts their CLAs, scale
     counters, log-likelihoods and derivatives agree — turning every
@@ -45,7 +48,7 @@ predictions against reality instead of analytic constants alone.
 
 The environment variable :data:`DEFAULT_BACKEND_ENV` (``REPRO_BACKEND``)
 selects the process-wide default backend for engines constructed without
-an explicit one.
+an explicit one; unset, that default is ``compiled``.
 """
 
 from __future__ import annotations
@@ -695,14 +698,17 @@ def available_backends() -> list[BackendInfo]:
 def get_backend(spec: "str | KernelBackend | None" = None) -> KernelBackend:
     """Resolve a backend spec to a live instance.
 
-    ``None`` reads :data:`DEFAULT_BACKEND_ENV` (default ``reference``);
-    a string is looked up in the registry (fresh instance per call); an
+    ``None`` reads :data:`DEFAULT_BACKEND_ENV` and, when that is unset,
+    means ``compiled`` — which falls back to the reference arithmetic
+    (one ``RuntimeWarning``) on a machine without a C compiler;
+    ``REPRO_BACKEND=reference`` forces the NumPy oracle.  A string is
+    looked up in the registry (fresh instance per call); an
     already-constructed backend passes through unchanged — which is how
     multi-engine drivers (partitioned, fork-join, distributed) share one
     instance and hence one aggregated profile.
     """
     if spec is None:
-        spec = os.environ.get(DEFAULT_BACKEND_ENV, "reference")
+        spec = os.environ.get(DEFAULT_BACKEND_ENV, "compiled")
     if isinstance(spec, str):
         info = _REGISTRY.get(spec)
         if info is None:

@@ -98,7 +98,8 @@ class CompiledBackend(_BackendBase):
             _warned_fallback = True
             warnings.warn(
                 f"compiled kernels unavailable ({reason}); "
-                "falling back to the reference kernels",
+                "falling back to the reference kernels "
+                "(REPRO_BACKEND=reference selects them without this warning)",
                 RuntimeWarning,
                 stacklevel=3,
             )

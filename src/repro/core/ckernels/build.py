@@ -10,8 +10,10 @@ compiler — no build-system or packaging dependency, no network:
   flag is load-bearing: GCC's default FMA contraction would change
   results at the last ulp and break the parity contract in
   ``codegen``); ``-march=native`` is added when a one-shot probe
-  compile accepts it;
-* shared objects land in a cache directory (``$REPRO_CKERNEL_CACHE``,
+  compile accepts it; the resolved :class:`BuildSpec` is persisted in
+  the cache directory (``toolchain.json``, keyed by the compiler's path,
+  size and mtime), so only its first process pays the probe;
+* shared objects land in the same cache directory (``$REPRO_CKERNEL_CACHE``,
   default ``~/.cache/repro/ckernels``) keyed by
   source-hash x compiler x flags x NumPy version, compiled to a
   temporary name and published with an atomic ``os.replace`` so
@@ -25,6 +27,7 @@ compiler — no build-system or packaging dependency, no network:
 from __future__ import annotations
 
 import ctypes
+import json
 import os
 import shutil
 import subprocess
@@ -34,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ...util import atomic_write_text
 from .codegen import render_source, source_digest
 
 __all__ = [
@@ -151,16 +155,46 @@ def _try_compile(
 _spec_cache: BuildSpec | None = None
 
 
+def _read_spec(path: Path, identity: list) -> BuildSpec | None:
+    """The persisted spec; ``None`` if absent, corrupt or another compiler's."""
+    try:
+        data = json.loads(path.read_text())
+        if data["identity"] != identity:
+            return None
+        return BuildSpec(identity[0], tuple(map(str, data["flags"])))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _write_spec(path: Path, identity: list, spec: BuildSpec) -> None:
+    """Publish atomically; an unwritable cache only costs the next probe."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(
+            path, json.dumps({"identity": identity, "flags": spec.flags})
+        )
+    except OSError:
+        pass
+
+
 def probe_toolchain(refresh: bool = False) -> BuildSpec:
     """Resolve compiler + flags, probing ``-march=native`` support once.
 
-    The result is memoised per process (a probe costs one tiny compile);
-    pass ``refresh=True`` after changing ``$CC`` mid-process (tests).
+    The result is memoised per process and persisted per cache directory
+    (a probe costs two tiny compiles): a process that finds the spec of
+    the same compiler binary there spawns no subprocess.  ``refresh=True``
+    probes regardless, e.g. after changing ``$CC`` mid-process (tests).
     """
     global _spec_cache
     if _spec_cache is not None and not refresh:
         return _spec_cache
     compiler = find_compiler()
+    st = os.stat(compiler)
+    identity = [compiler, st.st_size, st.st_mtime_ns]
+    spec_path = default_cache_dir() / "toolchain.json"
+    _spec_cache = None if refresh else _read_spec(spec_path, identity)
+    if _spec_cache is not None:
+        return _spec_cache
     flags = _BASE_FLAGS
     with tempfile.TemporaryDirectory(prefix="repro-cc-") as tmp:
         probe_so = Path(tmp) / "probe.so"
@@ -174,6 +208,7 @@ def probe_toolchain(refresh: bool = False) -> BuildSpec:
         if ok:
             flags = native
     _spec_cache = BuildSpec(compiler=compiler, flags=flags)
+    _write_spec(spec_path, identity, _spec_cache)
     return _spec_cache
 
 

@@ -133,7 +133,7 @@ class LikelihoodEngine:
         (``"reference"``, ``"compiled"``, ``"shadow"``), an already
         constructed :class:`~repro.core.backends.KernelBackend`, or
         ``None`` for the process default (``REPRO_BACKEND`` environment
-        variable, falling back to the reference kernels).
+        variable, else ``compiled``).
     p_inv:
         Proportion of invariable sites in ``[0, 1)``; ``None`` for no
         ``+I`` mixture.

@@ -48,6 +48,7 @@ __all__ = [
     "BranchOptResult",
     "BRANCH_OPT_METHODS",
     "all_branch_gradients",
+    "newton_converged",
     "optimize_branch",
     "optimize_all_branches",
 ]
@@ -55,6 +56,18 @@ __all__ = [
 #: Full-tree smoothing methods accepted by :func:`optimize_all_branches`
 #: (and the ``--branch-opt`` CLI flag).
 BRANCH_OPT_METHODS = ("newton", "gradient", "prox")
+
+#: Relative gradient floor of the Newton stop.  ``d1`` is a sum over
+#: patterns of terms as large as lnL's own; each carries one rounding
+#: (2^-53 ~ 1.1e-16) and up to ~1e6 of them cancel at the optimum, so a
+#: ``|d1|`` below ~1e-10 * |lnL| is summation noise, not a slope.
+GRADIENT_EPSILON = 1e-10
+
+#: Relative step floor.  Near the optimum a step ``dt`` moves lnL by
+#: ``d2 * dt^2 / 2`` with ``|d2| * t^2 <~ |lnL|``, so a step below
+#: sqrt(2^-52) ~ 1.5e-8 of ``t`` changes lnL by less than one ulp: the
+#: maximiser of a double-precision lnL is only defined to that width.
+STEP_EPSILON = 1e-8
 
 
 @dataclass
@@ -83,6 +96,20 @@ def all_branch_gradients(
     return engine.all_branch_gradients(root_edge)
 
 
+def newton_converged(
+    lnl: float, d1: float, d2: float, t: float, tolerance: float = 1e-8
+) -> bool:
+    """The one stop test of every Newton loop in :mod:`repro.search`.
+
+    True when the gradient is below what the summation resolves or the
+    pending Newton step below what ``t`` does (``|d1 / d2| < STEP_EPSILON
+    * t``, the test RAxML's ``zmin/zmax`` loop applies).
+    """
+    if abs(d1) < max(tolerance, GRADIENT_EPSILON * abs(lnl)):
+        return True
+    return d2 < 0.0 and abs(d1) < STEP_EPSILON * t * -d2
+
+
 def _newton_on_sumbuffer(
     engine: LikelihoodEngine,
     sumbuf: np.ndarray,
@@ -95,12 +122,14 @@ def _newton_on_sumbuffer(
     Newton steps ``t <- t - lnL'/lnL''`` while the curvature is negative;
     otherwise (or when a step does not improve) the step is halved toward
     the current point — RAxML applies the same damping through its
-    ``zmin/zmax`` clamps.
+    ``zmin/zmax`` clamps — until it falls below the resolution of ``t``
+    (:data:`STEP_EPSILON`), where another evaluation could only compare
+    rounding noise.
     """
     t = float(np.clip(t0, MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH))
     lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
     for it in range(1, max_iterations + 1):
-        if abs(d1) < tolerance:
+        if newton_converged(lnl, d1, d2, t, tolerance):
             return t, it, True
         if d2 < 0.0:
             step = -d1 / d2
@@ -110,7 +139,7 @@ def _newton_on_sumbuffer(
             step = np.sign(d1) * max(abs(t), 0.05)
         # Damped update: halve the step until the likelihood improves.
         improved = False
-        for _ in range(30):
+        while abs(step) >= STEP_EPSILON * t:
             t_new = float(np.clip(t + step, MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH))
             if t_new == t:
                 break

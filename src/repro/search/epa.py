@@ -49,6 +49,7 @@ from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import GammaRates
 from ..phylo.tree import Tree
+from .branch_opt import newton_converged
 
 __all__ = [
     "Placement",
@@ -324,8 +325,8 @@ class PlacementSession:
         sumbuf = engine.edge_sum_buffer(pend)
         t = 0.1
         for _ in range(self.newton_iterations):
-            _, d1, d2 = engine.branch_derivatives(sumbuf, t)
-            if d2 >= 0 or abs(d1) < 1e-9:
+            lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
+            if d2 >= 0 or newton_converged(lnl, d1, d2, t):
                 break
             t = float(np.clip(t - d1 / d2, 1e-8, 50.0))
         tree.edge(pend).length = t

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.engine import LikelihoodEngine
-from .branch_opt import optimize_all_branches, optimize_branch
+from .branch_opt import newton_converged, optimize_all_branches, optimize_branch
 
 __all__ = ["NniRoundStats", "nni_round", "nni_search"]
 
@@ -62,8 +62,8 @@ def nni_round(
             sumbuf = engine.edge_sum_buffer(eid)
             t = tree.edge(eid).length
             for _ in range(newton_iterations):
-                _, d1, d2 = engine.branch_derivatives(sumbuf, t)
-                if d2 >= 0.0 or abs(d1) < 1e-9:
+                lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
+                if d2 >= 0.0 or newton_converged(lnl, d1, d2, t):
                     break
                 t = min(max(t - d1 / d2, 1e-8), 50.0)
             old_len = tree.edge(eid).length

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from ..core.engine import LikelihoodEngine
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
-from .branch_opt import optimize_all_branches, optimize_branch
+from .branch_opt import newton_converged, optimize_all_branches, optimize_branch
 
 __all__ = ["SprRoundStats", "spr_round", "spr_search"]
 
@@ -44,8 +44,8 @@ def _lazy_insertion_score(
     sumbuf = engine.edge_sum_buffer(pendant_edge)
     t = edge.length
     for _ in range(newton_iterations):
-        _, d1, d2 = engine.branch_derivatives(sumbuf, t)
-        if d2 >= 0.0 or abs(d1) < 1e-9:
+        lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
+        if d2 >= 0.0 or newton_converged(lnl, d1, d2, t):
             break
         t = min(max(t - d1 / d2, 1e-8), 50.0)
     edge.length = t

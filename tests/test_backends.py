@@ -33,10 +33,10 @@ from repro.core.ckernels import CompiledBackend
 from repro.core.engine import LikelihoodEngine
 from repro.core.invariant import InvariantMixture
 from repro.phylo import CatRates, GammaRates, gtr, simulate_dataset
+from tolerances import KERNEL_PARITY_ATOL as ATOL
 
 N_STATES = 4
 N_CODES = 16
-ATOL = 1e-10
 
 #: (label, zero-arg factory) for every backend whose outputs must match
 #: the reference kernels.
@@ -351,10 +351,37 @@ class TestRegistryAndFactory:
         assert get_backend(inst) is inst
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        assert isinstance(get_backend(None), CompiledBackend)
-        monkeypatch.delenv("REPRO_BACKEND")
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
         assert isinstance(get_backend(None), ReferenceBackend)
+        monkeypatch.delenv("REPRO_BACKEND")
+        assert isinstance(get_backend(None), CompiledBackend)
+
+    def test_default_without_toolchain_is_reference_arithmetic(
+        self, monkeypatch
+    ):
+        """No compiler: the default still works, bitwise as the oracle."""
+        from repro.core.ckernels import backend as ck_backend
+        from repro.core.ckernels import build as ck_build
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.setenv("CC", "/nonexistent")
+        monkeypatch.setattr(ck_build, "_spec_cache", None)
+        monkeypatch.setattr(ck_backend, "_warned_fallback", False)
+        with pytest.warns(RuntimeWarning, match="REPRO_BACKEND=reference"):
+            default = get_backend(None)
+        assert isinstance(default, CompiledBackend)
+        assert "/nonexistent" in default.fallback_reason
+        sim = simulate_dataset(n_taxa=6, n_sites=120, seed=11)
+        patterns = sim.alignment.compress()
+
+        def results(backend):
+            engine = make_engine(
+                patterns, sim.tree.copy(), gtr(), GammaRates(0.8),
+                backend=backend,
+            )
+            return engine.log_likelihood(), engine.all_branch_gradients()
+
+        assert results(default) == results("reference")
 
     def test_make_engine_flavours(self):
         """One engine class; the options pick its two collaborators."""

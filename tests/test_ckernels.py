@@ -18,11 +18,20 @@ Workers: ``ml_search`` and ``place_queries`` on ``compiled`` with
 Fallback: with a broken ``$CC`` the backend warns once and swaps its
 arithmetic hooks for the reference ones, producing reference results
 bit for bit with no compiler at all.
+
+Warm start: the resolved toolchain is persisted beside the objects, so a
+fresh process on a warm cache directory spawns no compiler at all; a
+missing, corrupt or other-compiler spec file just probes again.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,3 +425,95 @@ class TestBuildCache:
         )
         np.testing.assert_allclose(z, z_ref, rtol=0.0, atol=ATOL)
         np.testing.assert_array_equal(s, s_ref)
+
+
+#: A fresh interpreter: build the default-able backend, run one kernel.
+#: With ``deny`` every way of spawning a process raises first.
+_CHILD = """
+import subprocess, sys
+if sys.argv[1] == "deny":
+    def deny(*args, **kwargs):
+        raise AssertionError(f"spawned a subprocess: {args}")
+    subprocess.run = subprocess.Popen = deny
+import numpy as np
+from repro.core.ckernels import CompiledBackend
+backend = CompiledBackend()
+out = backend.derivative_sum(np.full((5, 4, 4), 2.0), np.full((5, 4, 4), 3.0))
+assert backend.fallback_reason is None, backend.fallback_reason
+assert (out == 6.0).all()
+"""
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain in this environment")
+class TestWarmStart:
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        """A private, empty cache directory and a forgetful process."""
+        monkeypatch.setenv(ck_build.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(ck_build, "_spec_cache", None)
+        compiles = []
+        real = ck_build._try_compile
+
+        def counting(*args):
+            compiles.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ck_build, "_try_compile", counting)
+        return tmp_path, compiles
+
+    def _probe_again(self, monkeypatch, **kwargs):
+        monkeypatch.setattr(ck_build, "_spec_cache", None)
+        return ck_build.probe_toolchain(**kwargs)
+
+    def test_fresh_process_on_a_warm_cache_spawns_no_compiler(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            **os.environ, "PYTHONPATH": str(src),
+            ck_build.CACHE_ENV: str(tmp_path),
+        }
+        for mode in ("allow", "deny"):  # cold: probe + compile; then warm
+            done = subprocess.run(
+                [sys.executable, "-c", _CHILD, mode], env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert list(tmp_path.glob("plf_4s_4r_*.so"))
+            assert (tmp_path / "toolchain.json").is_file()
+
+    def test_spec_is_reused_until_it_is_deleted(self, cache, monkeypatch):
+        tmp_path, compiles = cache
+        spec = ck_build.probe_toolchain()
+        assert len(compiles) == 2  # the base-flags and -march=native probes
+        assert self._probe_again(monkeypatch) == spec
+        assert len(compiles) == 2
+        (tmp_path / "toolchain.json").unlink()
+        assert self._probe_again(monkeypatch) == spec
+        assert len(compiles) == 4
+        assert self._probe_again(monkeypatch, refresh=True) == spec
+        assert len(compiles) == 6
+
+    def test_another_compiler_probes_again(self, cache, monkeypatch):
+        tmp_path, compiles = cache
+        first = ck_build.probe_toolchain()
+        other = tmp_path / "other-cc"
+        other.symlink_to(os.path.realpath(first.compiler))
+        monkeypatch.setenv("CC", str(other))
+        second = self._probe_again(monkeypatch)
+        assert second.compiler == str(other)
+        assert len(compiles) == 4
+
+    @pytest.mark.parametrize(
+        "garbage", ["", "{not json", "[1, 2]", '{"identity": 3}',
+                    '{"identity": null, "flags": 7}']
+    )
+    def test_corrupt_spec_is_ignored_and_rewritten(
+        self, cache, monkeypatch, garbage
+    ):
+        tmp_path, compiles = cache
+        spec = ck_build.probe_toolchain()
+        spec_file = tmp_path / "toolchain.json"
+        good = spec_file.read_text()
+        spec_file.write_text(garbage)
+        assert self._probe_again(monkeypatch) == spec
+        assert len(compiles) == 4
+        assert json.loads(spec_file.read_text()) == json.loads(good)

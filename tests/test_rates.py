@@ -1,7 +1,13 @@
 """Unit tests for rate-heterogeneity models."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import gammainc
 from scipy.stats import gamma as gamma_dist
 
 from repro.phylo.rates import CatRates, GammaRates, discrete_gamma_rates
@@ -35,6 +41,32 @@ class TestDiscreteGamma:
         rates = discrete_gamma_rates(0.1, 4)
         assert rates[0] < 1e-3
         assert rates[-1] > 2.0
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_bitwise_equal_to_the_scipy_stats_quantiles(self, k):
+        """``gammaincinv`` replaced ``scipy.stats.gamma.ppf`` (an import
+        worth 0.2-0.5 s of every process start): not one bit may move."""
+        probs = np.arange(1, k) / k
+        grid = np.concatenate(
+            ([0.02, 0.05, 0.3, 1.0, 2.0, 37.5, 100.0], np.geomspace(0.02, 100, 200))
+        )
+        for alpha in grid:
+            cuts = gamma_dist.ppf(probs, a=alpha, scale=1.0 / alpha)
+            bounds = np.concatenate(([0.0], cuts * alpha, [np.inf]))
+            mass = np.where(
+                np.isinf(bounds[1:]), 1.0, gammainc(alpha + 1.0, bounds[1:])
+            ) - gammainc(alpha + 1.0, bounds[:-1])
+            expected = k * mass / (k * mass).mean()
+            assert np.array_equal(discrete_gamma_rates(alpha, k), expected)
+
+    def test_search_import_leaves_scipy_stats_out(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.search; sys.exit('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == 0
 
     def test_matches_monte_carlo_category_means(self):
         """Category means equal conditional means of the Gamma slices."""

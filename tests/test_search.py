@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import LikelihoodEngine
 from repro.phylo import GammaRates, gtr, random_topology, simulate_dataset
+from repro.phylo.tree import MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH
 from repro.search import (
     SearchConfig,
     empirical_frequencies,
@@ -15,6 +16,8 @@ from repro.search import (
     optimize_model,
     spr_round,
 )
+from repro.search.branch_opt import _newton_on_sumbuffer, newton_converged
+from tolerances import BRANCH_LENGTH_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,120 @@ class TestBranchOpt:
         internals = eng.tree.internal_nodes()
         eid = eng.tree.find_edge(*internals)
         assert eng.tree.edge(eid).length == pytest.approx(0.5, abs=0.05)
+
+
+def _parent_rule(engine, sumbuf, t0, tolerance=1e-8, max_iterations=64):
+    """The Newton loop as it was before PR 21, kept as the reference:
+    absolute ``|d1| < tolerance`` and 30 unconditional step halvings."""
+    t = float(np.clip(t0, MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH))
+    lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
+    for _ in range(max_iterations):
+        if abs(d1) < tolerance:
+            break
+        step = -d1 / d2 if d2 < 0.0 else np.sign(d1) * max(abs(t), 0.05)
+        for _ in range(30):
+            t_new = float(
+                np.clip(t + step, MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH)
+            )
+            if t_new == t:
+                return t
+            lnl_new, d1_new, d2_new = engine.branch_derivatives(sumbuf, t_new)
+            if lnl_new >= lnl - 1e-13:
+                t, lnl, d1, d2 = t_new, lnl_new, d1_new, d2_new
+                break
+            step *= 0.5
+        else:
+            break
+    return t
+
+
+class TestNewtonStop:
+    """The stop test converges on what double precision can resolve."""
+
+    @pytest.fixture()
+    def counted(self):
+        """12 taxa x 1000 sites, ``branch_derivatives`` calls counted."""
+        sim = simulate_dataset(n_taxa=12, n_sites=1000, seed=5)
+        eng = LikelihoodEngine(
+            sim.alignment.compress(), sim.tree.copy(), gtr(),
+            GammaRates(1.0, 4),
+        )
+        calls = []
+        inner = eng.branch_derivatives
+
+        def branch_derivatives(sumbuf, t):
+            calls.append(t)
+            return inner(sumbuf, t)
+
+        eng.branch_derivatives = branch_derivatives
+        return eng, calls
+
+    def test_predicate(self):
+        # gradient below the summation noise of an lnL of this size ...
+        assert newton_converged(-4e4, 3e-6, -1e5, 0.1)
+        assert not newton_converged(-4e4, 5e-6, -10.0, 0.1)
+        # ... the absolute tolerance where lnL is small ...
+        assert newton_converged(-10.0, 5e-9, -1.0, 0.1)
+        assert not newton_converged(-10.0, 5e-8, -1.0, 0.1, tolerance=1e-8)
+        # ... or a pending Newton step below the resolution of t,
+        # which a convex point (no Newton step) never satisfies
+        assert newton_converged(-4e4, 5e-6, -1e4, 0.1)
+        assert not newton_converged(-4e4, 5e-6, 1e4, 0.1)
+
+    def test_converged_start_costs_at_most_two_evaluations(self, counted):
+        eng, calls = counted
+        for eid in eng.tree.edge_ids:
+            sumbuf = eng.edge_sum_buffer(eid)
+            t_opt = _parent_rule(eng, sumbuf, eng.tree.edge(eid).length)
+            for _ in range(3):  # plain Newton onto the stationary point
+                _, d1, d2 = eng.branch_derivatives(sumbuf, t_opt)
+                t_opt -= d1 / d2
+            del calls[:]
+            t, _, ok = _newton_on_sumbuffer(eng, sumbuf, t_opt, 1e-8, 64)
+            assert ok and len(calls) <= 2
+            # restarted from its own answer it learns nothing new either
+            del calls[:]
+            again, _, ok = _newton_on_sumbuffer(eng, sumbuf, t, 1e-8, 64)
+            assert ok and len(calls) <= 3
+            assert again == pytest.approx(t_opt, rel=BRANCH_LENGTH_RTOL)
+
+    def test_lengths_match_the_parent_rule_at_a_fraction_of_its_cost(
+        self, counted
+    ):
+        eng, calls = counted
+        spent = {"new": 0, "parent": 0}
+        for eid in eng.tree.edge_ids:
+            sumbuf = eng.edge_sum_buffer(eid)
+            t0 = eng.tree.edge(eid).length
+            del calls[:]
+            t, _, ok = _newton_on_sumbuffer(eng, sumbuf, t0, 1e-8, 64)
+            spent["new"] += len(calls)
+            del calls[:]
+            t_parent = _parent_rule(eng, sumbuf, t0)
+            spent["parent"] += len(calls)
+            assert ok
+            assert t == pytest.approx(t_parent, rel=BRANCH_LENGTH_RTOL)
+        assert spent["new"] < spent["parent"] / 4
+
+    def test_mean_evaluations_per_solve(self, counted):
+        eng, calls = counted
+        optimize_all_branches(eng, passes=1)
+        assert len(calls) / len(eng.tree.edge_ids) <= 6
+
+    @pytest.mark.parametrize(
+        "start", [MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH, 5.0]
+    )
+    def test_clamp_and_convex_starts_converge(self, counted, start):
+        eng, calls = counted
+        eid = eng.tree.edge_ids[3]
+        sumbuf = eng.edge_sum_buffer(eid)
+        if start == 5.0:  # far out the surface is convex: no Newton step
+            assert eng.branch_derivatives(sumbuf, start)[2] >= 0.0
+        t_opt = _parent_rule(eng, sumbuf, eng.tree.edge(eid).length)
+        del calls[:]
+        t, _, ok = _newton_on_sumbuffer(eng, sumbuf, start, 1e-8, 64)
+        assert ok and len(calls) <= 20
+        assert t == pytest.approx(t_opt, rel=BRANCH_LENGTH_RTOL)
 
 
 class TestModelOpt:

@@ -29,6 +29,7 @@ from repro.parallel.forkjoin import (
 from repro.parallel.pool import WorkerRestart
 from repro.perf.costmodel import calibrate_forkjoin, measured_sync_cost
 from repro.phylo import CatRates, GammaRates, gtr, simulate_dataset
+from tolerances import LNL_RECOMPUTE_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,11 @@ def problem():
 @pytest.fixture(scope="module")
 def serial(problem):
     sim, pat, model, gamma = problem
-    eng = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
+    # Compared ``== 0.0`` against pools built with backend="reference":
+    # pin the same backend here so like is compared with like.
+    eng = LikelihoodEngine(
+        pat, sim.tree.copy(), model, gamma, backend="reference"
+    )
     edge = eng.default_edge()
     sb = eng.edge_sum_buffer(edge)
     return {
@@ -72,7 +77,8 @@ class TestPoolDeterminism:
     def test_lnl_bit_identical(self, problem, serial, workers):
         sim, pat, model, gamma = problem
         with WorkerPool(
-            pat, sim.tree.copy(), model, gamma, n_workers=workers
+            pat, sim.tree.copy(), model, gamma, n_workers=workers,
+            backend="reference",
         ) as pool:
             lnl = pool_lnl(pool, sim.tree, serial["edge"], pat.weights)
             assert lnl - serial["lnl"] == 0.0
@@ -84,7 +90,8 @@ class TestPoolDeterminism:
 
         sim, pat, model, gamma = problem
         with WorkerPool(
-            pat, sim.tree.copy(), model, gamma, n_workers=workers
+            pat, sim.tree.copy(), model, gamma, n_workers=workers,
+            backend="reference",
         ) as pool:
             edge = serial["edge"]
             depth = pool.prepare(sim.tree, edge)
@@ -110,7 +117,7 @@ class TestPoolDeterminism:
         ) as pool:
             lnl = pool_lnl(pool, sim.tree, serial["edge"], pat.weights)
             assert lnl - serial_compiled == 0.0
-            assert lnl == pytest.approx(serial["lnl"], abs=1e-9)
+            assert lnl == pytest.approx(serial["lnl"], rel=LNL_RECOMPUTE_RTOL)
 
     def test_cat_pool_matches_serial_cat(self, problem):
         sim, pat, model, _ = problem
@@ -132,7 +139,8 @@ class TestPoolFailure:
     def test_chained_adoption_stays_exact(self, problem, serial):
         sim, pat, model, gamma = problem
         with WorkerPool(
-            pat, sim.tree.copy(), model, gamma, n_workers=3
+            pat, sim.tree.copy(), model, gamma, n_workers=3,
+            backend="reference",
         ) as pool:
             edge = serial["edge"]
             assert pool_lnl(pool, sim.tree, edge, pat.weights) - serial["lnl"] == 0.0
@@ -285,7 +293,9 @@ class TestForkJoinModes:
         sim, pat, model, gamma = problem
         backend = "reference" if execution != "simulated" else None
         for cls, count in ((ForkJoinEngine, "n_threads"), (DistributedEngine, "n_ranks")):
-            ref = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
+            ref = LikelihoodEngine(
+                pat, sim.tree.copy(), model, gamma, backend=backend
+            )
             with cls(
                 pat, sim.tree.copy(), model, gamma, execution=execution,
                 backend=backend, **{count: threads},
@@ -319,15 +329,20 @@ class TestForkJoinModes:
             rates = {"cat": CatRates.from_gamma(
                 0.9, pat.n_patterns, 4, rng, weights=pat.weights
             )}
-        ref = make_engine(pat, sim.tree.copy(), model, max_resident=4, **rates)
         backend = "reference" if execution != "simulated" else None
+        ref = make_engine(
+            pat, sim.tree.copy(), model, max_resident=4, backend=backend,
+            **rates,
+        )
         with make_engine(
             pat, sim.tree.copy(), model, max_resident=4, workers=3,
             execution=execution, backend=backend, **rates,
         ) as engine:
             assert_equals_serial(engine, ref)
         assert ref.store.recomputed > 0
-        resident = make_engine(pat, sim.tree.copy(), NEW_MODEL, **rates)
+        resident = make_engine(
+            pat, sim.tree.copy(), NEW_MODEL, backend=backend, **rates
+        )
         resident.set_alpha(0.6)
         assert ref.log_likelihood() - resident.log_likelihood() == 0.0
         assert active_arena_segments() == []
