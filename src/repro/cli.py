@@ -263,10 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "initial tenant")
     p_serve.add_argument("--name", default="default",
                          help="initial tenant name (default: 'default')")
-    p_serve.add_argument("--max-batch", type=int, default=16,
-                         help="max queries admitted per batch")
-    p_serve.add_argument("--batch-wait-ms", type=float, default=20.0,
-                         help="batching window after the first request")
     p_serve.add_argument("--max-tenants", type=int, default=4,
                          help="resident reference trees (LRU beyond this)")
     p_serve.add_argument("--max-resident", type=int, default=None,
@@ -563,8 +559,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = PlacementServer(
         port=args.port,
         host=args.host,
-        max_batch=args.max_batch,
-        batch_wait_s=args.batch_wait_ms / 1000.0,
         max_tenants=args.max_tenants,
         keep_best=args.keep_best,
         max_resident=args.max_resident,
@@ -955,7 +949,6 @@ BENCH_SUITES = {
     "backends": "bench_backends.py",
     "gradients": "bench_gradients.py",
     "parallel": "bench_parallel.py",
-    "serving": "bench_serving.py",
 }
 
 

@@ -22,9 +22,11 @@ placement, checkpoint writer, worker pool, distributed engine) funnels
 through module-level gate functions (:func:`progress_begin`,
 :func:`progress_update`, :func:`health_event`, …) that first read the
 module-level :data:`ENABLED` flag — the same ~20 ns guard discipline as
-:mod:`repro.obs.spans`, enforced by the quality gates.  The flag only
-turns on when :func:`serve` starts a server (``--serve-metrics PORT`` on
-the CLI, or the :data:`SERVE_ENV` environment variable).
+:mod:`repro.obs.spans`, enforced by the quality gates.  The flag is on
+only while a front is running: :func:`serve` (``--serve-metrics PORT`` on
+the CLI, or the :data:`SERVE_ENV` environment variable) or the placement
+server, which is :class:`ObsServer` — the package's one HTTP front —
+with tenant routes added.
 
 Quickstart::
 
@@ -38,9 +40,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
+import traceback
 import weakref
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -401,69 +406,119 @@ def register_pool(pool) -> None:
         _HEALTH.register_pool(pool)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes GET requests to the three observability documents."""
+#: Largest request body the front reads; a longer one is refused (413)
+#: before a byte of it is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
-    server_version = "repro-obs/1.0"
+
+class _HttpError(Exception):
+    """A failure that knows its status; answered as ``{"error": message}``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """The one request handler: route, map errors, answer in one write.
+    Routes get it as their request (:meth:`json_object`, ``path``)."""
+
+    server_version = "repro/1.0"
     protocol_version = "HTTP/1.1"
 
-    def _send(self, code: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def _dispatch(self) -> None:
+        try:
+            self.body = self._read_body()
+            route, captures = self.server.front.match(
+                self.command, urlsplit(self.path).path
+            )
+            code, payload = route(self, *captures)
+        except _HttpError as exc:
+            code, payload = exc.code, {"error": exc.message}
+        except (ValueError, KeyError, TypeError) as exc:  # request decoding
+            code, payload = 400, {"error": f"{type(exc).__name__}: {exc}"}
+        except Exception as exc:  # noqa: BLE001 - the client gets a 500, not a dropped connection
+            traceback.print_exc()
+            code, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        self._send(code, payload)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = urlsplit(self.path).path
-        if path == "/metrics":
-            self._send(
-                200,
-                get_registry().to_prometheus(),
-                "text/plain; version=0.0.4; charset=utf-8",
+    do_GET = do_POST = do_DELETE = _dispatch  # noqa: N815 - http.server API
+
+    def _read_body(self) -> bytes:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not raw.isdecimal():
+            self.close_connection = True  # the body's extent is unknown
+            raise _HttpError(400, f"bad Content-Length {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
+            raise _HttpError(
+                413, f"body of {raw} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             )
-        elif path == "/healthz":
-            snap = _HEALTH.snapshot()
-            code = 200 if snap["status"] == "ok" else 503
-            self._send(code, json.dumps(snap, indent=1), "application/json")
-        elif path == "/progress":
-            self._send(
-                200,
-                json.dumps(_PROGRESS.snapshot(), indent=1),
-                "application/json",
-            )
-        elif path == "/":
-            self._send(
-                200,
-                json.dumps({"routes": ["/metrics", "/healthz", "/progress"]}),
-                "application/json",
-            )
+        return self.rfile.read(length)
+
+    def json_object(self) -> dict:
+        """The request body decoded as a JSON object (else 400)."""
+        body = json.loads(self.body) if self.body else None
+        if not isinstance(body, dict):
+            raise _HttpError(400, "JSON object body required")
+        return body
+
+    def _send(self, code: int, payload) -> None:
+        # One write: a second small segment would sit behind Nagle until
+        # the client's delayed ACK.
+        if isinstance(payload, str):
+            data = payload.encode("utf-8")
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            self._send(404, json.dumps({"error": f"no route {path}"}),
-                       "application/json")
+            data = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
+        head = (
+            f"{self.protocol_version} {code} {HTTPStatus(code).phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(data)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + data)
 
     def log_message(self, fmt: str, *args) -> None:
         """Silence per-request stderr logging (the run's stdout is sacred)."""
 
 
-class ObsServer:
-    """A running observability HTTP server on a daemon thread.
+#: Live fronts; the hook gate is on while any is up.
+_FRONTS: set["ObsServer"] = set()
 
-    Binding to port 0 picks an ephemeral port; :attr:`port` always holds
-    the actual bound port.  :meth:`stop` shuts the listener down and
-    clears the module :data:`ENABLED` gate.  Usable as a context
-    manager.
+
+class ObsServer:
+    """The HTTP front: a route table served from a daemon thread.
+
+    On its own it serves the three observability documents;
+    :class:`repro.serve.PlacementServer` is the same front with tenant
+    routes added.  Binding to port 0 picks an ephemeral port;
+    :attr:`port` always holds the actual bound port.  A running front
+    holds the module :data:`ENABLED` gate on; :meth:`stop` shuts the
+    listener down and turns the gate off with the last front.  Usable
+    as a context manager.
     """
 
     def __init__(self, port: int = 0, host: str = "127.0.0.1") -> None:
+        global ENABLED
+        self._routes = [
+            (method, pattern, re.compile(re.sub("<[^>]+>", "([^/]+)", pattern)), route)
+            for (method, pattern), route in self.routes().items()
+        ]
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
+        self._httpd.front = self
         self.host = host
         self.port = int(self._httpd.server_address[1])
+        _FRONTS.add(self)
+        ENABLED = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
-            name=f"repro-obs-server:{self.port}",
+            name=f"repro-http:{self.port}",
             daemon=True,
         )
         self._thread.start()
@@ -473,15 +528,45 @@ class ObsServer:
         """Base URL of the running server."""
         return f"http://{self.host}:{self.port}"
 
+    def routes(self) -> dict:
+        """``(method, "/path/<capture>") -> callable(request, *captures)``
+        returning ``(code, document | text)``; subclasses extend it."""
+        return {
+            ("GET", "/"): lambda req: (
+                200,
+                {"routes": [f"{m} {p}" for m, p, *_ in self._routes]},
+            ),
+            ("GET", "/metrics"): lambda req: (200, get_registry().to_prometheus()),
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/progress"): lambda req: (200, _PROGRESS.snapshot()),
+        }
+
+    def match(self, method: str, path: str):
+        """The route serving ``method path`` and its captured segments."""
+        for route_method, _, pattern, route in self._routes:
+            found = pattern.fullmatch(path) if route_method == method else None
+            if found:
+                return route, found.groups()
+        raise _HttpError(404, f"no route {path}")
+
+    def health_snapshot(self) -> dict:
+        """The ``/healthz`` document (503 unless its status is ``ok``)."""
+        return _HEALTH.snapshot()
+
+    def _healthz(self, req) -> tuple[int, dict]:
+        snap = self.health_snapshot()
+        return (200 if snap["status"] == "ok" else 503), snap
+
     def stop(self) -> None:
-        """Shut the listener down and disable the gate flag."""
+        """Shut the listener down; the last front out clears the gate."""
         global ENABLED, _SERVER
-        ENABLED = False
         if _SERVER is self:
             _SERVER = None
         self._httpd.shutdown()
         self._httpd.server_close()
         self._thread.join(timeout=5)
+        _FRONTS.discard(self)
+        ENABLED = bool(_FRONTS)
 
     def __enter__(self) -> "ObsServer":
         return self
@@ -501,14 +586,13 @@ def serve(port: int = 0, host: str = "127.0.0.1") -> ObsServer:
     new server stops any previous one.  Progress and health state are
     reset so the served documents describe this session.
     """
-    global ENABLED, _SERVER
+    global _SERVER
     if _SERVER is not None:
         _SERVER.stop()
     server = ObsServer(port=port, host=host)
     _PROGRESS.reset()
     _HEALTH.reset()
     _SERVER = server
-    ENABLED = True
     return server
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "newton_converged",
     "optimize_branch",
     "optimize_all_branches",
+    "polish_branch",
 ]
 
 #: Full-tree smoothing methods accepted by :func:`optimize_all_branches`
@@ -108,6 +109,20 @@ def newton_converged(
     if abs(d1) < max(tolerance, GRADIENT_EPSILON * abs(lnl)):
         return True
     return d2 < 0.0 and abs(d1) < STEP_EPSILON * t * -d2
+
+
+def polish_branch(
+    engine: LikelihoodEngine, sumbuf: np.ndarray, t: float, iterations: int
+) -> float:
+    """At most ``iterations`` undamped Newton steps from ``t`` on a fixed
+    sum buffer: the quick polish behind every lazily scored trial move
+    (SPR insertion, NNI swap, EPA pendant branch)."""
+    for _ in range(iterations):
+        lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
+        if d2 >= 0.0 or newton_converged(lnl, d1, d2, t):
+            break
+        t = min(max(t - d1 / d2, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
+    return float(t)
 
 
 def _newton_on_sumbuffer(

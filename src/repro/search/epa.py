@@ -8,10 +8,13 @@ parallelization with less communication overhead" than tree search.
 
 This module implements the algorithm on the reproduction's engine:
 
-1. the reference tree's CLAs are computed once,
-2. for each query and each reference branch, the query is attached at
-   the branch midpoint, the pendant branch length gets a few Newton
-   iterations, and the insertion is scored with one ``evaluate``,
+1. each query is merged into the reference alignment and gets its own
+   engine over the merged patterns (no CLA is shared between queries
+   yet: the O(edges) rewrite on one warm reference engine, ROADMAP,
+   is what changes that),
+2. for each reference branch, the query is attached at the branch
+   midpoint, the pendant branch length gets a few Newton iterations,
+   and the insertion is scored with one ``evaluate``,
 3. placements are reported ranked by log-likelihood with likelihood
    weight ratios over the **full** candidate set, then truncated to
    ``keep_best`` (the standard EPA output).
@@ -21,9 +24,10 @@ it generates contains *zero* required reductions per placement, which is
 exactly the communication profile the paper expects to suit the MIC.
 
 :class:`PlacementSession` is the warm-state form of the algorithm: it
-compresses the reference once, caches the decoded reference rows and
-per-branch labels/distal lengths, and places any number of query sets
-against them.  The long-running placement server (:mod:`repro.serve`)
+compresses the reference once, caches the decoded reference rows, the
+per-branch labels/distal lengths and the jplace frame (annotated tree,
+label → edge number), and places any number of query sets against
+them.  The long-running placement server (:mod:`repro.serve`)
 keeps one session resident per reference tree; the offline
 :func:`place_queries` entry point is a thin wrapper that builds a
 session, places, and tears it down.  Queries are placed one at a time,
@@ -33,7 +37,6 @@ which is closed before the next query's is built.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,7 +52,7 @@ from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import GammaRates
 from ..phylo.tree import Tree
-from .branch_opt import newton_converged
+from .branch_opt import polish_branch
 
 __all__ = [
     "Placement",
@@ -132,21 +135,18 @@ class PlacementSession:
     Construction does the per-reference work once — compress the
     alignment, decode the reference rows for fast query merging, copy
     the tree, precompute every candidate branch's stable label and
-    midpoint distal length — so repeated :meth:`place` calls only pay
-    per-query cost.  A bounded LRU keeps recently merged+compressed
-    query pattern alignments (the dominant non-kernel cost) so repeated
-    or retried queries are free.
+    midpoint distal length, the jplace frame — so repeated :meth:`place`
+    calls only pay per-query cost: merge + compress the query into the
+    reference, build that alignment's engine, evaluate every branch.
 
     ``warm()`` additionally builds a resident reference engine (through
-    the ``max_resident`` memory-saving machinery when requested) and
-    computes the reference CLAs/log-likelihood once — the placement
-    server calls it at tenant registration so first-query latency does
-    not include the cold sweep.  Sessions holding a warm engine should
-    be ``close()``d (or used as context managers).
+    the ``max_resident`` memory-saving machinery when requested) for the
+    reference log-likelihood the placement server reports per tenant.
+    Placement does not read it: every query builds its own engine (the
+    O(edges) rewrite, ROADMAP, is what will place on this one).
+    Sessions holding a warm engine should be ``close()``d (or used as
+    context managers).
     """
-
-    #: Merged-pattern LRU capacity (per-query compressed alignments).
-    MERGE_CACHE_MAX = 64
 
     def __init__(
         self,
@@ -182,32 +182,30 @@ class PlacementSession:
             for t in reference_alignment.taxa
         }
         self._width = len(next(iter(self._ref_seqs.values())))
-        # Candidate branches by endpoints (edge ids churn on attach /
-        # detach; node ids survive, and tree.copy() preserves both).
-        # Labels and midpoint distal lengths depend only on the pristine
-        # topology, so precompute them per candidate.
-        self._candidates: list[tuple[int, int]] = []
-        self._labels: dict[tuple[int, int], tuple[str, ...]] = {}
-        self._distals: dict[tuple[int, int], float] = {}
-        for e in self.tree.edges:
-            key = (e.u, e.v)
-            self._candidates.append(key)
-            self._labels[key] = _edge_label(self.tree, e.id)
-            # midpoint attachment: distal = L/2, clamped to the branch
-            self._distals[key] = min(0.5 * e.length, e.length)
-        self._merge_cache: OrderedDict[tuple[str, str], PatternAlignment] = (
-            OrderedDict()
+        # Candidate branches as (endpoints, label, midpoint distal length,
+        # clamped to the branch).  Endpoints, not edge ids: those churn on
+        # attach / detach, node ids survive, and tree.copy() preserves
+        # both.  Labels and distals depend only on the pristine topology.
+        edge_labels = [_edge_label(self.tree, e.id) for e in self.tree.edges]
+        self._candidates = [
+            ((e.u, e.v), label, min(0.5 * e.length, e.length))
+            for e, label in zip(self.tree.edges, edge_labels)
+        ]
+        self._jplace_frame = (
+            _annotated_newick(self.tree),
+            {label: i for i, label in enumerate(edge_labels)},
         )
         self._ref_engine = None
-        self._reference_lnl: float | None = None
+        self.reference_lnl: float | None = None  # set by warm()
         self.queries_placed = 0
 
     # -- lifecycle -----------------------------------------------------
     def warm(self) -> float:
-        """Build the resident reference engine and sweep its CLAs once.
+        """Build the resident reference engine and sweep it once.
 
         Returns the reference tree's log-likelihood.  Idempotent: the
-        engine stays resident until :meth:`close`.
+        engine stays resident until :meth:`close`; :meth:`place` builds
+        its own per-query engines and does not use it.
         """
         if self._ref_engine is None:
             self._ref_engine = make_engine(
@@ -219,19 +217,12 @@ class PlacementSession:
                 max_resident=self.max_resident,
             )
             root = self.tree.edges[0].id
-            self._reference_lnl = float(self._ref_engine.log_likelihood(root))
-        return self._reference_lnl
-
-    @property
-    def reference_lnl(self) -> float | None:
-        """Reference-tree log-likelihood (``None`` before :meth:`warm`)."""
-        return self._reference_lnl
+            self.reference_lnl = float(self._ref_engine.log_likelihood(root))
+        return self.reference_lnl
 
     def close(self) -> None:
         if self._ref_engine is not None:
-            closer = getattr(self._ref_engine, "close", None)
-            if callable(closer):
-                closer()
+            _close(self._ref_engine)
             self._ref_engine = None
 
     def __enter__(self) -> "PlacementSession":
@@ -242,7 +233,7 @@ class PlacementSession:
 
     # -- query preparation ---------------------------------------------
     def _merged_patterns(self, name: str, seq: str) -> PatternAlignment:
-        """Reference + one query row, compressed (LRU-cached)."""
+        """Reference + one query row, compressed."""
         if name in self._ref_seqs:
             raise ValueError(f"query {name!r} collides with a reference taxon")
         if len(seq) != self._width:
@@ -251,18 +242,9 @@ class PlacementSession:
                 f"{self._width} (queries must be aligned to the reference "
                 "alignment)"
             )
-        key = (name, seq)
-        cached = self._merge_cache.get(key)
-        if cached is not None:
-            self._merge_cache.move_to_end(key)
-            return cached
-        merged = Alignment.from_sequences(
+        return Alignment.from_sequences(
             {**self._ref_seqs, name: seq}, self.reference.states
         ).compress()
-        self._merge_cache[key] = merged
-        while len(self._merge_cache) > self.MERGE_CACHE_MAX:
-            self._merge_cache.popitem(last=False)
-        return merged
 
     # -- placement -----------------------------------------------------
     def place(
@@ -292,20 +274,7 @@ class PlacementSession:
     def _place_one(self, name: str, seq: str, keep_best: int) -> PlacementResult:
         merged = self._merged_patterns(name, seq)
         tree = self.tree.copy()
-        state = _QueryState(
-            name=name, tree=tree, engine=self._make_query_engine(merged, tree)
-        )
-        try:
-            for key in self._candidates:
-                self._evaluate_candidate(state, key)
-        finally:
-            state.close()
-        return PlacementResult(
-            query=name, placements=self._rank(state.placements, keep_best)
-        )
-
-    def _make_query_engine(self, merged: PatternAlignment, tree: Tree):
-        return make_engine(
+        engine = make_engine(
             merged,
             tree,
             self.model,
@@ -314,35 +283,37 @@ class PlacementSession:
             workers=self.workers,
             execution=self.execution,
         )
+        try:
+            placements = [
+                self._evaluate_candidate(engine, tree, name, *candidate)
+                for candidate in self._candidates
+            ]
+        finally:
+            _close(engine)
+        return PlacementResult(
+            query=name, placements=self._rank(placements, keep_best)
+        )
 
     def _evaluate_candidate(
-        self, state: "_QueryState", key: tuple[int, int]
-    ) -> None:
-        """Attach, Newton-optimise the pendant, score, detach, record."""
-        engine, tree = state.engine, state.tree
-        eid = tree.find_edge(*key)
-        leaf, mid, pend = tree.attach_leaf(eid, state.name, pendant_length=0.1)
+        self, engine, tree: Tree, name: str, ends, label, distal: float
+    ) -> Placement:
+        """Attach, Newton-optimise the pendant, score, detach."""
+        eid = tree.find_edge(*ends)
+        leaf, mid, pend = tree.attach_leaf(eid, name, pendant_length=0.1)
         sumbuf = engine.edge_sum_buffer(pend)
-        t = 0.1
-        for _ in range(self.newton_iterations):
-            lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
-            if d2 >= 0 or newton_converged(lnl, d1, d2, t):
-                break
-            t = float(np.clip(t - d1 / d2, 1e-8, 50.0))
+        t = polish_branch(engine, sumbuf, 0.1, self.newton_iterations)
         tree.edge(pend).length = t
-        lnl = engine.log_likelihood(pend)
-        state.placements.append(
-            Placement(
-                edge_label=self._labels[key],
-                log_likelihood=lnl,
-                pendant_length=t,
-                distal_length=self._distals[key],
-            )
+        placement = Placement(
+            edge_label=label,
+            log_likelihood=engine.log_likelihood(pend),
+            pendant_length=t,
+            distal_length=distal,
         )
         # detach the query again
         tree.remove_edge(pend)
         tree.remove_node(leaf)
         tree.suppress_node(mid)
+        return placement
 
     def _rank(
         self, placements: list[Placement], keep_best: int
@@ -365,21 +336,14 @@ class PlacementSession:
         ]
         return ranked[:keep_best]
 
+    def to_jplace(self, results: list[PlacementResult]) -> dict:
+        """:func:`to_jplace` on the frame computed at construction."""
+        return _jplace_document(results, *self._jplace_frame)
 
 
-@dataclass
-class _QueryState:
-    """Per-query working set during one :meth:`PlacementSession.place`."""
-
-    name: str
-    tree: Tree
-    engine: object
-    placements: list[Placement] = field(default_factory=list)
-
-    def close(self) -> None:
-        closer = getattr(self.engine, "close", None)
-        if callable(closer):
-            closer()
+def _close(engine) -> None:
+    """Release an engine's worker pool, when it has one."""
+    getattr(engine, "close", lambda: None)()
 
 
 def place_queries(
@@ -474,6 +438,30 @@ def place_queries(
     return results
 
 
+def _annotated_newick(tree: Tree) -> str:
+    """The jplace tree string: Newick with ``{edge_num}`` annotations."""
+    edge_num = {e.id: i for i, e in enumerate(tree.edges)}
+    internals = tree.internal_nodes()
+    root_node = internals[0] if internals else tree.leaves()[0]
+
+    def build(node: int, up_edge: int | None) -> str:
+        if tree.is_leaf(node):
+            body = tree.name(node)
+        else:
+            parts = [
+                build(tree.edge(eid).other(node), eid)
+                for eid in tree.incident_edges(node)
+                if eid != up_edge
+            ]
+            body = "(" + ",".join(parts) + ")"
+        if up_edge is None:
+            return body
+        e = tree.edge(up_edge)
+        return f"{body}:{e.length:.6f}{{{edge_num[up_edge]}}}"
+
+    return build(root_node, None) + ";"
+
+
 def to_jplace(
     results: list[PlacementResult], reference_tree: Tree
 ) -> dict:
@@ -484,55 +472,42 @@ def to_jplace(
     annotations and per-query placement rows
     ``[edge_num, likelihood, like_weight_ratio, distal_length,
     pendant_length]``.  Edge numbers follow the branch labels used by
-    :func:`place_queries`, re-derived from the live tree.
+    :func:`place_queries`, re-derived from the live tree
+    (:meth:`PlacementSession.to_jplace` derives them once per session).
 
     Returns the jplace dictionary (pass to ``json.dump`` to write).
     """
-    label_to_num: dict[tuple[str, ...], int] = {}
-    edge_num: dict[int, int] = {}
-    for i, e in enumerate(reference_tree.edges):
-        label_to_num[_edge_label(reference_tree, e.id)] = i
-        edge_num[e.id] = i
+    return _jplace_document(
+        results,
+        _annotated_newick(reference_tree),
+        {
+            _edge_label(reference_tree, e.id): i
+            for i, e in enumerate(reference_tree.edges)
+        },
+    )
 
-    # Newick with {N} edge annotations: rebuild via the tree's writer,
-    # then annotate by walking the structure in the same traversal order.
-    internals = reference_tree.internal_nodes()
-    root_node = internals[0] if internals else reference_tree.leaves()[0]
 
-    def build(node: int, up_edge: int | None) -> str:
-        if reference_tree.is_leaf(node):
-            body = reference_tree.name(node)
-        else:
-            parts = [
-                build(reference_tree.edge(eid).other(node), eid)
-                for eid in reference_tree.incident_edges(node)
-                if eid != up_edge
-            ]
-            body = "(" + ",".join(parts) + ")"
-        if up_edge is None:
-            return body
-        e = reference_tree.edge(up_edge)
-        return f"{body}:{e.length:.6f}{{{edge_num[up_edge]}}}"
-
-    tree_string = build(root_node, None) + ";"
-
-    placements = []
-    for result in results:
-        rows = []
-        for p in result.placements:
-            num = label_to_num.get(p.edge_label)
-            if num is None:  # pragma: no cover - defensive
-                continue
-            rows.append(
+def _jplace_document(
+    results: list[PlacementResult],
+    tree_string: str,
+    label_to_num: dict[tuple[str, ...], int],
+) -> dict:
+    placements = [
+        {
+            "p": [
                 [
-                    num,
+                    label_to_num[p.edge_label],
                     p.log_likelihood,
                     p.weight_ratio,
                     p.distal_length,
                     p.pendant_length,
                 ]
-            )
-        placements.append({"p": rows, "n": [result.query]})
+                for p in result.placements
+            ],
+            "n": [result.query],
+        }
+        for result in results
+    ]
     return {
         "version": 3,
         "tree": tree_string,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.engine import LikelihoodEngine
-from .branch_opt import newton_converged, optimize_all_branches, optimize_branch
+from .branch_opt import optimize_all_branches, optimize_branch, polish_branch
 
 __all__ = ["NniRoundStats", "nni_round", "nni_search"]
 
@@ -60,14 +60,10 @@ def nni_round(
             stats.moves_tried += 1
             # quick central-branch polish, then score
             sumbuf = engine.edge_sum_buffer(eid)
-            t = tree.edge(eid).length
-            for _ in range(newton_iterations):
-                lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
-                if d2 >= 0.0 or newton_converged(lnl, d1, d2, t):
-                    break
-                t = min(max(t - d1 / d2, 1e-8), 50.0)
             old_len = tree.edge(eid).length
-            tree.edge(eid).length = t
+            tree.edge(eid).length = polish_branch(
+                engine, sumbuf, old_len, newton_iterations
+            )
             lnl = engine.log_likelihood(eid)
             if lnl > current + epsilon:
                 current = lnl

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from ..core.engine import LikelihoodEngine
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
-from .branch_opt import newton_converged, optimize_all_branches, optimize_branch
+from .branch_opt import optimize_all_branches, optimize_branch, polish_branch
 
 __all__ = ["SprRoundStats", "spr_round", "spr_search"]
 
@@ -42,13 +42,7 @@ def _lazy_insertion_score(
     """Score a trial insertion: quick pendant-branch polish + evaluate."""
     edge = engine.tree.edge(pendant_edge)
     sumbuf = engine.edge_sum_buffer(pendant_edge)
-    t = edge.length
-    for _ in range(newton_iterations):
-        lnl, d1, d2 = engine.branch_derivatives(sumbuf, t)
-        if d2 >= 0.0 or newton_converged(lnl, d1, d2, t):
-            break
-        t = min(max(t - d1 / d2, 1e-8), 50.0)
-    edge.length = t
+    edge.length = polish_branch(engine, sumbuf, edge.length, newton_iterations)
     return engine.log_likelihood(pendant_edge)
 
 

@@ -5,10 +5,11 @@ with the best parallel profile — one fixed reference tree, independent
 (branch × query) evaluations with near-zero communication.  This
 package keeps that reference state *warm*: a
 :class:`~repro.search.epa.PlacementSession` (and optional worker pool)
-stays resident per reference tree, queries arrive over a stdlib HTTP
-front, and each tenant's dispatcher thread places the pending requests
-one at a time in FIFO order — the long-lived instance model of BEAGLE
-4.1, at placement granularity.
+stays resident per reference tree, queries arrive over the package's
+one stdlib HTTP front (:class:`repro.obs.server.ObsServer`), and each
+request is placed on the thread that received it, under its tenant's
+lock — the long-lived instance model of BEAGLE 4.1, at placement
+granularity.
 """
 
 from .server import PlacementServer, Tenant, serve

@@ -143,7 +143,6 @@ class TestLegacyIngestion:
             "bench_backends",
             "bench_gradients",
             "bench_parallel",
-            "bench_serving",
         }
 
 

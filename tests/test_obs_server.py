@@ -296,6 +296,88 @@ class TestEndpoint:
 
 
 # ----------------------------------------------------------------------
+# one front: the observability server and the placement server share it
+# ----------------------------------------------------------------------
+def _placement_server():
+    from repro.serve import PlacementServer
+
+    return PlacementServer(port=0)
+
+
+class _CountingWriter:
+    """``wfile`` proxy logging the size of every write to the socket."""
+
+    def __init__(self, raw, log):
+        self._raw, self._log = raw, log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+@pytest.mark.parametrize(
+    "start", [lambda: obs_server.serve(port=0), _placement_server],
+    ids=["obs", "placement"],
+)
+class TestOneFront:
+    def test_shared_documents_and_404(self, start):
+        obs.get_registry().counter("reqs_total", "requests").inc(2)
+        with start() as srv:
+            status, body = _get(srv.url + "/")
+            assert status == 200
+            assert {"GET /", "GET /metrics", "GET /healthz", "GET /progress"} <= set(
+                json.loads(body)["routes"]
+            )
+            status, body = _get(srv.url + "/metrics")
+            assert status == 200
+            families = parse_prometheus_text(body.decode())
+            assert families["reqs_total"]["samples"] == [("reqs_total", {}, 2.0)]
+            status, body = _get(srv.url + "/healthz")
+            assert status == 200 and json.loads(body)["status"] == "ok"
+            obs_server.health_event("rank_death", rank=3)
+            status, body = _get(srv.url + "/healthz")
+            assert status == 503 and json.loads(body)["status"] == "degraded"
+            status, body = _get(srv.url + "/progress")
+            assert status == 200 and "steps_done" in json.loads(body)
+            status, body = _get(srv.url + "/nope")
+            assert status == 404 and "/nope" in json.loads(body)["error"]
+        assert not obs_server.ENABLED
+
+    def test_every_response_is_one_write(self, start, monkeypatch):
+        writes: list[int] = []
+        setup = obs_server._Handler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            handler.wfile = _CountingWriter(handler.wfile, writes)
+
+        monkeypatch.setattr(obs_server._Handler, "setup", counting_setup)
+        with start() as srv:
+            paths = ["/", "/metrics", "/healthz", "/progress", "/nope"]
+            for path in paths:
+                _get(srv.url + path)
+            request = urllib.request.Request(
+                srv.url + "/tenants/ghost/place", data=b"not json", method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError):
+                urllib.request.urlopen(request, timeout=5)
+        assert len(writes) == len(paths) + 1
+        assert all(size > 0 for size in writes)
+
+
+def test_gate_holds_while_any_front_is_up():
+    placement = _placement_server()
+    metrics = obs_server.serve(port=0)
+    placement.stop()  # not the reverse of the start order
+    assert obs_server.ENABLED
+    metrics.stop()
+    assert not obs_server.ENABLED
+
+
+# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 class TestCli:

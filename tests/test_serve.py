@@ -8,11 +8,16 @@ multi-query :func:`place_queries` call with one call per query, warm
 the ``/progress`` failure marker, and the HTTP server end to end
 (concurrent clients equal to the offline run, per-request errors,
 multi-tenant LRU eviction, ``/healthz`` flipping to 503 on an injected
-worker death).
+worker death), plus the request path itself: one lock per tenant
+(lock-wait timeout, close under a waiter, queue depth) and hostile
+input at the HTTP front.
 """
 
+import http.client
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -23,7 +28,7 @@ from repro.obs import server as obs_server
 from repro.obs.metrics import sanitize_metric_component
 from repro.phylo import Alignment, GammaRates, gtr, simulate_dataset
 from repro.search.epa import PlacementSession, place_queries, to_jplace
-from repro.serve import PlacementServer
+from repro.serve import PlacementServer, Tenant
 
 
 @pytest.fixture(scope="module")
@@ -130,18 +135,25 @@ class TestBatchedParity:
         """
         ref_aln, ref_tree, seq = epa_case
         queries = {"q0": seq, "q1": seq[::-1], "q2": seq[150:] + seq[:150]}
-        seen = []
+        events = []
         with PlacementSession(
             ref_aln, ref_tree, gtr(), GammaRates(1.0, 4), backend=backend
         ) as session:
+            merge = session._merged_patterns
+
+            def recording_merge(name, query_seq):
+                events.append(("merge", name))
+                return merge(name, query_seq)
+
+            session._merged_patterns = recording_merge
             together = session.place(
                 queries,
                 keep_best=1000,
-                on_result=lambda r: seen.append(
-                    (r.query, len(session._merge_cache))
-                ),
+                on_result=lambda r: events.append(("result", r.query)),
             )
-        assert seen == [("q0", 1), ("q1", 2), ("q2", 3)]
+        assert events == [
+            (kind, name) for name in queries for kind in ("merge", "result")
+        ]
         assert [r.query for r in together] == list(queries)
         for result, (name, query_seq) in zip(together, queries.items()):
             alone = place_queries(
@@ -159,7 +171,7 @@ class TestBatchedParity:
             ref_aln, ref_tree, gtr(), GammaRates(1.0, 4)
         ) as session:
             first = session.place({"q": seq})
-            second = session.place({"q": seq})  # merged-pattern LRU hit
+            second = session.place({"q": seq})
         assert first[0].placements == one_shot[0].placements
         assert second[0].placements == one_shot[0].placements
         assert session.queries_placed == 2
@@ -222,7 +234,7 @@ class TestMetricSanitizer:
 def server_case(epa_case):
     ref_aln, ref_tree, seq = epa_case
     server = PlacementServer(
-        port=0, batch_wait_s=0.05, max_tenants=2, allow_fault_injection=True
+        port=0, max_tenants=2, allow_fault_injection=True
     )
     server.add_tenant("main", ref_aln, ref_tree)
     yield server, ref_aln, ref_tree, seq
@@ -261,13 +273,12 @@ class TestPlacementServer:
             assert doc["placements"][0]["p"] == (
                 offline["placements"][0]["p"]
             )
-        # the four concurrent single-query requests coalesced into batches
         code, body = _get(f"{server.url}/tenants")
         info = [
             t for t in json.loads(body)["tenants"] if t["name"] == "main"
         ][0]
         assert info["queries_placed"] >= 4
-        assert info["batches_run"] < info["queries_placed"]
+        assert info["queue_depth"] == 0
 
     def test_malformed_request_fails_alone(self, server_case):
         """A bad request coalesced with a good one gets the only 400."""
@@ -302,16 +313,18 @@ class TestPlacementServer:
         assert code == 200 and doc["placements"][0]["n"] == ["again"]
 
     def test_routes_and_documents(self, server_case):
+        """What the tenant routes add to the shared documents (those are
+        covered for both servers in ``test_obs_server.py::TestOneFront``)."""
         server, *_ = server_case
         code, body = _get(f"{server.url}/")
-        assert code == 200 and "routes" in json.loads(body)
+        assert code == 200
+        assert "POST /tenants/<name>/place" in json.loads(body)["routes"]
         code, body = _get(f"{server.url}/metrics")
         assert code == 200
         assert "repro_serve_main_queries_total" in body
-        code, body = _get(f"{server.url}/progress")
-        assert code == 200 and json.loads(body)["task"] in ("serve", "place")
-        code, _ = _get(f"{server.url}/nope")
-        assert code == 404
+        code, body = _get(f"{server.url}/healthz")
+        assert code == 200
+        assert "main" in [t["name"] for t in json.loads(body)["tenants"]]
 
     def test_unknown_tenant_404(self, server_case):
         server, _, _, seq = server_case
@@ -345,6 +358,245 @@ class TestPlacementServer:
         code, _ = _post(
             f"{server.url}/tenants/main", {"tree": newick, "alignment": aln}
         )
+        assert code == 201
+
+
+class _BlockingSession:
+    """A session whose ``place`` parks until released (no kernels)."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.closed = False
+
+    def place(self, queries, keep_best):
+        self.entered.set()
+        assert self.release.wait(timeout=30)
+        return []
+
+    def close(self):
+        self.closed = True
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def _error_code(call):
+    with pytest.raises(obs_server._HttpError) as caught:
+        call()
+    return caught.value.code
+
+
+class TestTenantLock:
+    """One request at a time per tenant, on the caller's thread."""
+
+    def _holding(self, tenant, session):
+        holder = threading.Thread(
+            target=tenant.place, args=({"held": "A"}, 5, 30.0)
+        )
+        holder.start()
+        assert session.entered.wait(timeout=30)
+        return holder
+
+    def test_lock_wait_timeout_is_504(self):
+        session = _BlockingSession()
+        tenant = Tenant("t504", session)
+        holder = self._holding(tenant, session)
+        try:
+            assert _error_code(
+                lambda: tenant.place({"late": "A"}, 5, 0.05)
+            ) == 504
+            assert tenant.queue_depth == 0
+        finally:
+            session.release.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert tenant.place({"next": "A"}, 5, 1.0) == []  # still serves
+
+    def test_close_under_a_waiter_is_503(self):
+        session = _BlockingSession()
+        tenant = Tenant("t503", session)
+        holder = self._holding(tenant, session)
+        codes = []
+        waiter = threading.Thread(
+            target=lambda: codes.append(
+                _error_code(lambda: tenant.place({"w": "A"}, 5, 30.0))
+            )
+        )
+        waiter.start()
+        _wait_until(lambda: tenant.queue_depth == 1)
+        closer = threading.Thread(target=tenant.close)
+        closer.start()
+        _wait_until(lambda: tenant._closed)
+        assert not session.closed  # close waits for the request in flight
+        session.release.set()
+        for thread in (holder, waiter, closer):
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert codes == [503]
+        assert session.closed and tenant.queue_depth == 0
+        assert _error_code(lambda: tenant.place({"x": "A"}, 5, 1.0)) == 503
+
+
+    def test_concurrent_requests_never_overlap(self):
+        """More threads than cores, fast switching: the session is never
+        re-entered and no queue-depth update is lost."""
+
+        class Session:
+            busy = False
+            overlaps = 0
+            placed = 0
+
+            def place(self, queries, keep_best):
+                self.overlaps += self.busy
+                self.busy = True
+                time.sleep(0)  # invite a switch while "placing"
+                self.placed += len(queries)
+                self.busy = False
+                return []
+
+        session = Session()
+        tenant = Tenant("stress", session)
+        before = tenant.m_queries.value
+        threads = [
+            threading.Thread(
+                target=lambda: [
+                    tenant.place({"q": "A"}, 5, 30.0) for _ in range(50)
+                ]
+            )
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert session.overlaps == 0 and session.placed == 400
+        assert tenant.m_queries.value - before == 400
+        assert tenant.queue_depth == 0 and tenant.m_depth.value == 0
+
+
+def _raw_post(server, path, headers, body=b""):
+    """POST with hand-written headers; ``(status, JSON document)``."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.putrequest("POST", path)
+        for key, value in headers.items():
+            conn.putheader(key, value)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestHostileInput:
+    """A 4xx / 503 with a JSON body naming the problem, never a dropped
+    connection — and the tenant serves the next request."""
+
+    @pytest.fixture(autouse=True)
+    def _still_serves(self, server_case):
+        yield
+        server, _, _, seq = server_case
+        code, doc = _post(
+            f"{server.url}/tenants/main/place", {"queries": {"ok": seq}}
+        )
+        assert code == 200 and doc["placements"][0]["n"] == ["ok"]
+
+    @pytest.mark.parametrize("length", ["twelve", "-1", "1.5"])
+    def test_bad_content_length_400(self, server_case, length):
+        server, *_ = server_case
+        code, doc = _raw_post(
+            server, "/tenants/main/place", {"Content-Length": length}
+        )
+        assert code == 400 and "Content-Length" in doc["error"]
+
+    def test_oversized_body_413_before_reading(self, server_case):
+        server, *_ = server_case
+        # No body follows: a front that tried to read it would hang.
+        code, doc = _raw_post(
+            server, "/tenants/main/place",
+            {"Content-Length": str(obs_server.MAX_BODY_BYTES + 1)},
+        )
+        assert code == 413 and "limit" in doc["error"]
+
+    def test_non_integer_keep_best_400(self, server_case):
+        server, _, _, seq = server_case
+        code, doc = _post(
+            f"{server.url}/tenants/main/place",
+            {"queries": {"q": seq}, "keep_best": [1]},
+        )
+        assert code == 400 and "keep_best" in doc["error"]
+
+    def test_non_integer_workers_400(self, server_case):
+        server, ref_aln, ref_tree, _ = server_case
+        code, doc = _post(
+            f"{server.url}/tenants/other",
+            {
+                "tree": ref_tree.to_newick(),
+                "alignment": {t: ref_aln.sequence(t) for t in ref_aln.taxa},
+                "workers": "two",
+            },
+        )
+        assert code == 400 and "workers" in doc["error"]
+        code, body = _get(f"{server.url}/tenants")
+        assert "other" not in [t["name"] for t in json.loads(body)["tenants"]]
+
+    def test_request_racing_eviction_503(self, server_case, monkeypatch):
+        server, ref_aln, ref_tree, seq = server_case
+        tenant = server.get_tenant("main")
+        entered, release = threading.Event(), threading.Event()
+        place = tenant.session.place
+
+        def parked_place(queries, keep_best):
+            entered.set()
+            assert release.wait(timeout=30)
+            return place(queries, keep_best=keep_best)
+
+        monkeypatch.setattr(tenant.session, "place", parked_place)
+        out = {}
+
+        def request(key, call):
+            out[key] = call()
+
+        url = f"{server.url}/tenants/main"
+        threads = [threading.Thread(target=request, args=(
+            "held", lambda: _post(f"{url}/place", {"queries": {"a": seq}})
+        ))]
+        threads[0].start()
+        assert entered.wait(timeout=30)
+        threads.append(threading.Thread(target=request, args=(
+            "raced", lambda: _post(f"{url}/place", {"queries": {"b": seq}})
+        )))
+        threads[1].start()
+        _wait_until(lambda: tenant.queue_depth == 1)
+        evict = urllib.request.Request(url, method="DELETE")
+        threads.append(threading.Thread(target=request, args=(
+            "evict", lambda: urllib.request.urlopen(evict, timeout=60).status
+        )))
+        threads[2].start()
+        _wait_until(lambda: tenant._closed)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert out["held"][0] == 200 and out["evict"] == 200
+        code, doc = out["raced"]
+        assert code == 503 and "closed" in doc["error"]
+        # restore "main" for the other tests (module-scoped fixture)
+        code, _ = _post(url, {
+            "tree": ref_tree.to_newick(),
+            "alignment": {t: ref_aln.sequence(t) for t in ref_aln.taxa},
+        })
         assert code == 201
 
 
