@@ -19,10 +19,6 @@ in practice — files in, files out:
 * ``repro trace``     — validate + summarise a saved Chrome trace (top
                         spans by self time, per-kernel histograms, wave
                         timeline, hottest folded-stack paths)
-* ``repro bench``     — run benchmark suites into the unified perf
-                        ledger, ingest legacy ``BENCH_*.json`` reports,
-                        and diff ledger snapshots for regressions
-                        (``--compare BASELINE``)
 
 ``repro search`` and ``repro place`` accept ``--backend`` to pick the
 kernel implementation (reference / compiled / shadow); the
@@ -348,54 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=15,
         help="rows in the self-time table, wave timeline, and hottest "
              "folded-stack paths (default 15)",
-    )
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run benchmark suites into the perf ledger / diff snapshots",
-    )
-    p_bench.add_argument(
-        "suites", nargs="*", metavar="SUITE",
-        help="benchmark suites to run (see --list); none = just "
-             "--import/--compare bookkeeping",
-    )
-    p_bench.add_argument(
-        "--list", action="store_true", help="list the runnable suites"
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="pass --quick to each suite (CI-sized workloads)",
-    )
-    p_bench.add_argument(
-        "--ledger", type=Path, default=Path("PERF_LEDGER.json"),
-        metavar="LEDGER.json",
-        help="ledger file to append to / compare as current "
-             "(default PERF_LEDGER.json)",
-    )
-    p_bench.add_argument(
-        "--import", dest="import_reports", type=Path, nargs="+",
-        metavar="BENCH.json", default=[],
-        help="ingest legacy BENCH_*.json reports into the ledger",
-    )
-    p_bench.add_argument(
-        "--compare", type=Path, metavar="BASELINE.json",
-        help="diff a baseline ledger against --current (default: the "
-             "--ledger file) and exit nonzero on regressions",
-    )
-    p_bench.add_argument(
-        "--current", type=Path, metavar="CURRENT.json",
-        help="ledger treated as 'current' for --compare "
-             "(default: the --ledger file)",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="relative regression threshold for --compare "
-             "(default 0.10 = 10%%)",
-    )
-    p_bench.add_argument(
-        "--report-only", action="store_true",
-        help="with --compare: print regressions but always exit 0 "
-             "(advisory CI lanes)",
     )
     return parser
 
@@ -942,111 +890,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Runnable ``repro bench`` suites: name -> script under ``benchmarks/``.
-#: Each script exposes ``main(argv)`` accepting ``--quick``/``--out``.
-BENCH_SUITES = {
-    "obs": "bench_obs.py",
-    "backends": "bench_backends.py",
-    "gradients": "bench_gradients.py",
-    "parallel": "bench_parallel.py",
-}
-
-
-def _run_bench_suite(name: str, quick: bool) -> dict:
-    """Execute one benchmark script in-process; returns its JSON report.
-
-    The scripts live in ``benchmarks/`` (not an installed package), so
-    they are loaded by file path.  The report is written to a temporary
-    file and read back — the scripts' only stable output contract.
-    """
-    import importlib.util
-    import tempfile
-
-    script = Path(__file__).resolve().parents[2] / "benchmarks" / BENCH_SUITES[name]
-    if not script.exists():
-        raise FileNotFoundError(f"benchmark script not found: {script}")
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "report.json"
-        argv = ["--out", str(out)]
-        if quick:
-            argv.append("--quick")
-        rc = module.main(argv)
-        if rc not in (0, None):
-            raise RuntimeError(f"suite {name!r} exited with {rc}")
-        return json.loads(out.read_text())
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.ledger import (
-        DEFAULT_THRESHOLD,
-        Ledger,
-        compare,
-        entries_from_report,
-        load_report,
-        render_compare,
-    )
-
-    if args.list:
-        width = max(len(n) for n in BENCH_SUITES)
-        for name, script in sorted(BENCH_SUITES.items()):
-            print(f"  {name:<{width}}  benchmarks/{script}")
-        return 0
-
-    for suite in args.suites:
-        if suite not in BENCH_SUITES:
-            print(
-                f"error: unknown suite {suite!r} "
-                f"(choose from {', '.join(sorted(BENCH_SUITES))})"
-            )
-            return 2
-
-    mutated = False
-    ledger = (
-        Ledger.load(args.ledger) if args.ledger.exists() else Ledger()
-    )
-    for path in args.import_reports:
-        entries = load_report(path)
-        ledger.extend(entries)
-        mutated = True
-        print(f"imported {path}: {len(entries)} entries")
-
-    for suite in args.suites:
-        print(f"running suite {suite!r}{' (quick)' if args.quick else ''} ...")
-        report = _run_bench_suite(suite, quick=args.quick)
-        entries = entries_from_report(report, source=f"repro bench {suite}")
-        ledger.extend(entries)
-        mutated = True
-        print(f"  -> {len(entries)} ledger entries")
-
-    if mutated:
-        ledger.save(args.ledger)
-        print(f"ledger: {args.ledger} ({len(ledger)} entries total)")
-
-    if args.compare is not None:
-        baseline = Ledger.load(args.compare)
-        current_path = args.current or args.ledger
-        current = Ledger.load(current_path)
-        threshold = (
-            args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        )
-        regressions, deltas = compare(baseline, current, threshold=threshold)
-        print(
-            f"baseline {args.compare} ({len(baseline)} entries) vs "
-            f"current {current_path} ({len(current)} entries)"
-        )
-        print(render_compare(regressions, deltas, threshold), end="")
-        if regressions and not args.report_only:
-            return 1
-        if regressions:
-            print("(report-only mode: not failing)")
-    elif not mutated and not args.suites:
-        print("nothing to do (no suites, --import, or --compare given)")
-    return 0
-
-
 _HANDLERS = {
     "simulate": _cmd_simulate,
     "search": _cmd_search,
@@ -1059,14 +902,13 @@ _HANDLERS = {
     "predict": _cmd_predict,
     "faults": _cmd_faults,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
 }
 
 
 #: Subcommands the environment-driven observability hooks skip: trace
-#: and bench analyse artifacts rather than run workloads, and serve
+#: analyses an artifact rather than running a workload, and serve
 #: manages the obs gate over its own lifetime.
-_PASSIVE_COMMANDS = ("trace", "bench", "serve")
+_PASSIVE_COMMANDS = ("trace", "serve")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -34,7 +34,6 @@ from .ratemodel import GammaModel, RateModel
 from .schedule import (
     FusedPlan,
     FusedWave,
-    WaveProfile,
     WaveStats,
     fuse_plans,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "partition_workers",
     "FusedPlan",
     "FusedWave",
-    "WaveProfile",
     "WaveStats",
     "fuse_plans",
     "ExecutionPlan",

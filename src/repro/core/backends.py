@@ -236,22 +236,6 @@ class KernelProfile(KernelCounters):
             out[key] = out.get(key, 0) + b
         return out
 
-    def seconds_per_site_unit(self) -> dict[str, float]:
-        """Measured seconds per (pattern x call) unit, per paper kernel."""
-        units = self.merged_site_units()
-        return {
-            k: (s / units[k] if units[k] else 0.0)
-            for k, s in self.merged_seconds().items()
-        }
-
-    def bytes_per_site_unit(self) -> dict[str, float]:
-        """Measured bytes per (pattern x call) unit, per paper kernel."""
-        units = self.merged_site_units()
-        return {
-            k: (b / units[k] if units[k] else 0.0)
-            for k, b in self.merged_bytes().items()
-        }
-
 
 # ----------------------------------------------------------------------
 # the kernel API, written once

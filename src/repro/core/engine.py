@@ -51,7 +51,7 @@ from .cat import CatModel
 from .invariant import InvariantMixture
 from .memsave import PARTIAL, ClaStore
 from .ratemodel import GammaModel
-from .schedule import WaveProfile, WaveStats
+from .schedule import WaveStats
 from .traversal import (
     EdgeGradientOp,
     ExecutionPlan,
@@ -511,13 +511,12 @@ class LikelihoodEngine:
         if not plan.waves:
             return
         self.wave_stats.plans += 1
-        self.wave_stats.last_plan.clear()
         with _obs.span("plan", waves=len(plan.waves), ops=plan.n_ops):
             for wave in plan.waves:
                 self.run_wave(wave)
 
     def run_wave(self, wave: Wave) -> None:
-        """Run one wave and record its :class:`WaveProfile`.
+        """Run one wave and fold it into :attr:`wave_stats`.
 
         Down-sweep waves hold :class:`NewviewOp` only; gradient up-sweep
         waves may mix :class:`PreorderOp` partials with the
@@ -533,15 +532,15 @@ class LikelihoodEngine:
         for op in wave.ops:
             self._run_op(op)
         elapsed = time.perf_counter() - t0
-        self.wave_stats.record(
-            WaveProfile(
-                index=wave.index,
-                width=wave.width,
-                kernel_mix={k.value: n for k, n in wave.kernel_mix().items()},
-                seconds=elapsed,
-                bytes_moved=sum(profile.bytes_moved.values()) - b0,
-            )
-        )
+        stats = self.wave_stats
+        stats.waves += 1
+        stats.ops += wave.width
+        stats.max_width = max(stats.max_width, wave.width)
+        stats.seconds += elapsed
+        stats.bytes_moved += sum(profile.bytes_moved.values()) - b0
+        mix = stats.kernel_mix
+        for op in wave.ops:
+            mix[op.kind.value] = mix.get(op.kind.value, 0) + 1
         if _obs.ENABLED:
             _obs.get_tracer().add_complete(
                 "wave",

@@ -7,11 +7,11 @@ plan wave by wave, and every op of every wave goes through the engine's
 one per-op path — resolve the two operands, let the rate model combine
 them, store the result.
 
-Every executed wave is measured (:class:`WaveProfile`: width, kernel
-mix, seconds, bytes) and folded into the engine's :class:`WaveStats`,
-the quantity :mod:`repro.perf.trace` attaches to kernel traces so the
-analytic cost model can separate serial-depth cost (one per wave) from
-parallel-width cost (one per op).
+Every executed wave's width, kernel mix, seconds and bytes are folded
+into the engine's :class:`WaveStats`, the quantity
+:mod:`repro.perf.trace` attaches to kernel traces so the analytic cost
+model can separate serial-depth cost (one per wave) from parallel-width
+cost (one per op).
 
 :func:`fuse_plans` merges per-partition plans into one cross-partition
 schedule (used by :class:`repro.core.partitioned.PartitionedEngine`),
@@ -27,7 +27,6 @@ from typing import Iterable
 from .traversal import ExecutionPlan, Wave
 
 __all__ = [
-    "WaveProfile",
     "WaveStats",
     "FusedWave",
     "FusedPlan",
@@ -37,17 +36,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # wave measurement
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WaveProfile:
-    """Measurement of one executed wave."""
-
-    index: int
-    width: int
-    kernel_mix: dict[str, int]
-    seconds: float
-    bytes_moved: int
-
-
 @dataclass
 class WaveStats:
     """Running totals over every wave an engine has run.
@@ -59,18 +47,7 @@ class WaveStats:
     execution.  Like the kernel counters, the totals are **cumulative
     across runs** — call :meth:`reset` (or ``engine.reset_profile()``)
     for per-run numbers.
-
-    ``last_plan`` holds the per-wave profiles of the most recent plan.
-    Drivers that call :meth:`LikelihoodEngine.run_wave` directly
-    (fork-join lock-step, distributed replay) never pass through
-    :meth:`LikelihoodEngine.execute_plan`'s clear, so the list is
-    additionally capped at :data:`LAST_PLAN_CAP` entries (oldest
-    dropped) to keep long-running parallel searches from growing it
-    without bound.
     """
-
-    #: Upper bound on retained :class:`WaveProfile` entries in ``last_plan``.
-    LAST_PLAN_CAP = 512
 
     plans: int = 0
     waves: int = 0
@@ -79,23 +56,10 @@ class WaveStats:
     seconds: float = 0.0
     bytes_moved: int = 0
     kernel_mix: dict[str, int] = field(default_factory=dict)
-    last_plan: list[WaveProfile] = field(default_factory=list)
 
     @property
     def mean_width(self) -> float:
         return self.ops / self.waves if self.waves else 0.0
-
-    def record(self, profile: WaveProfile) -> None:
-        self.waves += 1
-        self.ops += profile.width
-        self.max_width = max(self.max_width, profile.width)
-        self.seconds += profile.seconds
-        self.bytes_moved += profile.bytes_moved
-        for kind, n in profile.kernel_mix.items():
-            self.kernel_mix[kind] = self.kernel_mix.get(kind, 0) + n
-        self.last_plan.append(profile)
-        if len(self.last_plan) > self.LAST_PLAN_CAP:
-            del self.last_plan[: -self.LAST_PLAN_CAP]
 
     def merge(self, other: "WaveStats") -> "WaveStats":
         """Fold another engine's stats into this one (in place)."""
@@ -117,7 +81,6 @@ class WaveStats:
         self.seconds = 0.0
         self.bytes_moved = 0
         self.kernel_mix.clear()
-        self.last_plan.clear()
 
     def to_dict(self) -> dict:
         """JSON-ready summary (attached to kernel traces)."""

@@ -465,6 +465,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(400, "JSON object body required")
         return body
 
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """The stdlib's own refusals (unknown method, malformed request
+        line, bad version, over-long line or headers) answer like every
+        route: JSON in one write, then the connection closes."""
+        self.close_connection = True
+        self._send(code, {"error": message or HTTPStatus(code).phrase})
+
     def _send(self, code: int, payload) -> None:
         # One write: a second small segment would sit behind Nagle until
         # the client's delayed ACK.
@@ -479,8 +486,12 @@ class _Handler(BaseHTTPRequestHandler):
             f"Server: {self.version_string()}\r\n"
             f"Date: {self.date_time_string()}\r\n"
             f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(data)}\r\n\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + "\r\n"
         )
+        if self.command == "HEAD":
+            data = b""
         self.wfile.write(head.encode("latin-1") + data)
 
     def log_message(self, fmt: str, *args) -> None:

@@ -20,8 +20,8 @@ Three usage styles, all funnelled through the same module-level gate:
 **Zero cost when disabled.**  Tracing is off by default; every entry
 point first reads the module-level :data:`ENABLED` flag and returns a
 shared no-op singleton without allocating a span object.  The residual
-per-dispatch cost is a single attribute load and branch — the obs
-benchmark (``benchmarks/bench_obs.py``) and a quality gate hold it
+per-dispatch cost is a single attribute load and branch — a tier-1
+quality gate (``test_live_disabled_probe_is_below_gate``) holds it
 below 2% of kernel dispatch time.
 
 Enable with :func:`enable` (library), ``--trace out.json`` on

@@ -2,7 +2,9 @@
 
 Table I platform data, the VM-backed roofline cost model, scalable
 kernel traces, calibration bookkeeping, and the paper's energy
-estimator.
+estimator.  Everything here *models* the paper's platforms; measured
+wall-clock of this implementation comes from ``repro.obs`` (kernel
+profiles, spans) and the end-to-end harness in ``benchmarks/e2e``.
 """
 
 from .calibration import PAPER_FIGURE3, CalibrationReport, figure3_residuals
@@ -17,18 +19,6 @@ from .costmodel import (
     wave_schedule_costs,
 )
 from .energy import energy_wh, relative_energy_savings
-from .ledger import (
-    Ledger,
-    LedgerEntry,
-    MetricDelta,
-    compare,
-    config_fingerprint,
-    entries_from_report,
-    host_info,
-    load_report,
-    metric_direction,
-    render_compare,
-)
 from .platforms import (
     BASELINE,
     NVIDIA_K20,
@@ -61,16 +51,6 @@ __all__ = [
     "wave_schedule_costs",
     "energy_wh",
     "relative_energy_savings",
-    "Ledger",
-    "LedgerEntry",
-    "MetricDelta",
-    "compare",
-    "config_fingerprint",
-    "entries_from_report",
-    "host_info",
-    "load_report",
-    "metric_direction",
-    "render_compare",
     "BASELINE",
     "NVIDIA_K20",
     "TABLE1_PLATFORMS",

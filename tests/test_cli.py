@@ -38,6 +38,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_removed_bench_subcommand_is_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_all_subcommands_exist(self):
         parser = build_parser()
         for cmd in ("simulate", "search", "place", "kernels", "predict"):

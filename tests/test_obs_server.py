@@ -20,6 +20,7 @@ Four angles:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -318,6 +319,30 @@ class _CountingWriter:
         return getattr(self._raw, name)
 
 
+@pytest.fixture
+def writes(monkeypatch):
+    """Sizes of every socket write the front makes while the test runs."""
+    log: list[int] = []
+    setup = obs_server._Handler.setup
+
+    def counting_setup(handler):
+        setup(handler)
+        handler.wfile = _CountingWriter(handler.wfile, log)
+
+    monkeypatch.setattr(obs_server._Handler, "setup", counting_setup)
+    return log
+
+
+def _raw_exchange(srv, request: bytes) -> bytes:
+    """Send raw bytes; read until the server closes the connection."""
+    with socket.create_connection((srv.host, srv.port), timeout=30) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    return response
+
+
 @pytest.mark.parametrize(
     "start", [lambda: obs_server.serve(port=0), _placement_server],
     ids=["obs", "placement"],
@@ -346,15 +371,7 @@ class TestOneFront:
             assert status == 404 and "/nope" in json.loads(body)["error"]
         assert not obs_server.ENABLED
 
-    def test_every_response_is_one_write(self, start, monkeypatch):
-        writes: list[int] = []
-        setup = obs_server._Handler.setup
-
-        def counting_setup(handler):
-            setup(handler)
-            handler.wfile = _CountingWriter(handler.wfile, writes)
-
-        monkeypatch.setattr(obs_server._Handler, "setup", counting_setup)
+    def test_every_response_is_one_write(self, start, writes):
         with start() as srv:
             paths = ["/", "/metrics", "/healthz", "/progress", "/nope"]
             for path in paths:
@@ -366,6 +383,38 @@ class TestOneFront:
                 urllib.request.urlopen(request, timeout=5)
         assert len(writes) == len(paths) + 1
         assert all(size > 0 for size in writes)
+
+    @pytest.mark.parametrize(
+        "request_bytes, code",
+        [
+            (b"PUT / HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+            (b"HEAD / HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET / HTTP/2.0\r\n\r\n", 505),
+            # one byte past the stdlib's 65 536-byte request-line limit and
+            # no line end, so the server has read everything when it closes
+            (b"GET /" + b"a" * (65537 - 5), 414),
+            (b"GET / HTTP/1.1\r\n" + b"X-h: v\r\n" * 101 + b"\r\n", 431),
+        ],
+        ids=["put-501", "head-501", "garbage-400", "http2-505", "414", "431"],
+    )
+    def test_stdlib_error_paths_answer_json(
+        self, start, writes, request_bytes, code
+    ):
+        with start() as srv:
+            response = _raw_exchange(srv, request_bytes)
+            head, _, body = response.partition(b"\r\n\r\n")
+            status_line, *headers = head.decode("latin-1").split("\r\n")
+            assert status_line.startswith(f"HTTP/1.1 {code} ")
+            assert "Content-Type: application/json" in headers
+            assert "Connection: close" in headers
+            if request_bytes.startswith(b"HEAD"):
+                assert body == b""
+            else:
+                assert json.loads(body)["error"]
+            assert writes == [len(response)]
+            status, body = _get(srv.url + "/healthz")
+            assert status == 200 and json.loads(body)["status"] == "ok"
 
 
 def test_gate_holds_while_any_front_is_up():

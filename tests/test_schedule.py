@@ -240,7 +240,6 @@ class TestWaveStats:
         stats = engine.wave_stats
         assert stats.plans == 1
         assert stats.ops == engine.tree.n_leaves - 2
-        assert stats.waves == len(stats.last_plan)
         assert stats.max_width >= 1
         assert stats.mean_width == pytest.approx(stats.ops / stats.waves)
         assert sum(stats.kernel_mix.values()) == stats.ops
