@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.partitioned import Partition, PartitionedEngine
+from repro.core.partitioned import Partition
+from repro.parallel import PartitionedEngine
 from repro.phylo import (
     GammaRates,
     gtr,

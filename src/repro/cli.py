@@ -6,6 +6,8 @@ in practice — files in, files out:
 * ``repro simulate``  — generate a GTR+Gamma alignment (INDELible stand-in)
 * ``repro search``    — full ML tree search on an alignment file
 * ``repro place``     — EPA: place query sequences on a reference tree
+* ``repro serve``     — long-running placement server (HTTP, tenants)
+* ``repro stats``     — alignment summary statistics
 * ``repro backends``  — list the registered PLF kernel backends
 * ``repro plan``      — print the levelized execution plan (dependency
                         waves) for an alignment, optionally after a
@@ -25,7 +27,7 @@ kernel implementation (reference / compiled / shadow); the
 ``REPRO_BACKEND`` environment variable sets the process-wide default
 (``compiled`` when unset; ``REPRO_BACKEND=reference`` forces the oracle).
 
-Tracing: ``repro search`` checkpoints crash-safely with ``--checkpoint ck.json``
+Checkpoints: ``repro search`` checkpoints crash-safely with ``--checkpoint ck.json``
 (rotated atomic snapshots) and restarts with ``--resume ck.json``; an
 injected or real mid-run death costs only the steps since the last
 snapshot.

@@ -29,14 +29,9 @@ from .engine import LikelihoodEngine
 from .invariant import InvariantMixture
 from .layouts import InterleavedLayout
 from .memsave import ClaStore
-from .partitioned import Partition, PartitionedEngine, partition_workers
+from .partitioned import Partition, partition_workers
 from .ratemodel import GammaModel, RateModel
-from .schedule import (
-    FusedPlan,
-    FusedWave,
-    WaveStats,
-    fuse_plans,
-)
+from .schedule import WaveStats
 from .traversal import (
     ExecutionPlan,
     KernelCounters,
@@ -66,12 +61,8 @@ __all__ = [
     "ClaStore",
     "InterleavedLayout",
     "Partition",
-    "PartitionedEngine",
     "partition_workers",
-    "FusedPlan",
-    "FusedWave",
     "WaveStats",
-    "fuse_plans",
     "ExecutionPlan",
     "KernelCounters",
     "KernelKind",

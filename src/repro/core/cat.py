@@ -90,8 +90,8 @@ class CatModel(RateModel):
 
     def _category_exponentials(self, t: float) -> np.ndarray:
         """``exp(lam_k r_c t)`` per category, shape ``(C, states)``."""
-        if t < 0:
-            raise ValueError(f"negative branch length {t}")
+        if not t >= 0:  # also refuses NaN
+            raise ValueError(f"negative or NaN branch length {t}")
         return np.exp(np.multiply.outer(self.rate_values * t, self.eigen.eigenvalues))
 
     def _project(self, operand: tuple) -> tuple[np.ndarray, "np.ndarray | int"]:

@@ -75,8 +75,8 @@ def branch_exponentials(
     This is RAxML's ``diagptable`` — the only branch-length-dependent
     quantity ``evaluate`` and ``derivativeCore`` need.
     """
-    if t < 0:
-        raise ValueError(f"negative branch length {t}")
+    if not t >= 0:  # also refuses NaN
+        raise ValueError(f"negative or NaN branch length {t}")
     rates = np.asarray(rates, dtype=np.float64)
     return np.exp(np.multiply.outer(rates * t, eigen.eigenvalues))
 

@@ -1,4 +1,4 @@
-"""Execution-plan scheduling: wave statistics and plan fusion.
+"""Execution-plan scheduling: wave statistics.
 
 The planner (:func:`repro.core.traversal.levelize`) folds a traversal
 descriptor into an :class:`~repro.core.traversal.ExecutionPlan` of
@@ -13,29 +13,19 @@ into the engine's :class:`WaveStats`, the quantity
 model can separate serial-depth cost (one per wave) from parallel-width
 cost (one per op).
 
-:func:`fuse_plans` merges per-partition plans into one cross-partition
-schedule (used by :class:`repro.core.partitioned.PartitionedEngine`),
-so a multi-gene evaluation exposes a single wave sequence instead of
-per-partition dribbles.
+Several plans advancing together (site slices, partitions) need no
+plan of their own: the sliced engine's substrate runs wave ``k`` of
+every slice's plan in one lock-step wave
+(:mod:`repro.parallel.substrate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .traversal import ExecutionPlan, Wave
+__all__ = ["WaveStats"]
 
-__all__ = [
-    "WaveStats",
-    "FusedWave",
-    "FusedPlan",
-    "fuse_plans",
-]
 
-# ----------------------------------------------------------------------
-# wave measurement
-# ----------------------------------------------------------------------
 @dataclass
 class WaveStats:
     """Running totals over every wave an engine has run.
@@ -109,58 +99,3 @@ class WaveStats:
             str(k): int(v) for k, v in d.get("kernel_mix", {}).items()
         }
         return stats
-
-
-# ----------------------------------------------------------------------
-# cross-partition fusion
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FusedWave:
-    """One cross-partition wave: same-level waves of several plans."""
-
-    index: int
-    parts: tuple[tuple[int, Wave], ...]  # (partition index, wave)
-
-    @property
-    def width(self) -> int:
-        return sum(w.width for _, w in self.parts)
-
-
-@dataclass
-class FusedPlan:
-    """Per-partition plans merged into one levelized schedule.
-
-    Wave ``k`` of the fused plan holds wave ``k`` of every partition
-    plan deep enough to have one; all its ops remain mutually
-    independent (partitions never share CLAs), so the fused wave is the
-    synchronisation unit for multi-gene evaluation.
-    """
-
-    waves: list[FusedWave] = field(default_factory=list)
-
-    @property
-    def depth(self) -> int:
-        return len(self.waves)
-
-    @property
-    def n_ops(self) -> int:
-        return sum(w.width for w in self.waves)
-
-    @property
-    def max_width(self) -> int:
-        return max((w.width for w in self.waves), default=0)
-
-
-def fuse_plans(plans: Iterable[ExecutionPlan]) -> FusedPlan:
-    """Merge per-partition plans level-by-level into one schedule."""
-    plans = list(plans)
-    depth = max((p.depth for p in plans), default=0)
-    fused = FusedPlan()
-    for k in range(depth):
-        parts = tuple(
-            (i, p.waves[k]) for i, p in enumerate(plans) if k < p.depth
-        )
-        if parts:
-            fused.waves.append(FusedWave(index=k, parts=parts))
-    return fused
-

@@ -415,9 +415,9 @@ class KernelCounters:
     def merge(self, other: "KernelCounters") -> None:
         """Accumulate ``other``'s totals into this object (in place).
 
-        Used to combine per-partition counters into one engine-wide
-        view; callers are responsible for not merging the same source
-        twice.  (The dedup-by-identity rule for *profiles* of engines
+        Used to fold one backend's profile into another (a
+        :class:`~repro.core.backends.KernelProfile` is a counter set);
+        callers are responsible for not merging the same source twice.  (The dedup-by-identity rule for *profiles* of engines
         sharing a backend lives in
         ``repro.parallel.forkjoin.merged_backend_profile``; sliced
         parallel engines never sum ``calls`` — see

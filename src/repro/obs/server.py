@@ -456,7 +456,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(
                 413, f"body of {raw} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             )
-        return self.rfile.read(length)
+        body = self.rfile.read(length)
+        if len(body) < length:  # the client left mid-body
+            self.close_connection = True
+            raise _HttpError(
+                400, f"body ended after {len(body)} of {length} bytes"
+            )
+        return body
 
     def json_object(self) -> dict:
         """The request body decoded as a JSON object (else 400)."""

@@ -5,7 +5,9 @@ the paper's measured latencies), the canonical run configurations of the
 evaluation (flat MPI, hybrid MPI x OpenMP, PThreads fork-join), the
 trace-driven end-to-end run model behind Table III, and a functional
 distributed engine demonstrating ExaML's communicate-only-at-reductions
-scheme with bit-level agreement against the serial engine.
+scheme with bit-level agreement against the serial engine, and the
+partitioned (multi-gene) engine: the same sliced PLF, one slice per
+partition.
 """
 
 from .distribute import (
@@ -26,6 +28,7 @@ from .pool import (
     WorkerRestart,
 )
 from .shm import ArenaLayout, SharedArena, active_arena_segments
+from .sliced import PartitionedEngine
 from .hybrid import (
     MIC_ONCARD_MPI,
     ParallelConfig,
@@ -55,6 +58,7 @@ __all__ = [
     "EXECUTION_MODES",
     "ForkJoinEngine",
     "merged_backend_profile",
+    "PartitionedEngine",
     "BarrierStats",
     "SumBufferHandle",
     "WorkerFailure",

@@ -2,10 +2,12 @@
 
 ExaML and RAxML-Light distribute site patterns evenly over workers; the
 quantity that matters for performance is the *maximum* per-worker count
-(the slowest worker gates every barrier).  Cyclic distribution also
-balances per-partition boundaries for partitioned alignments — the
-load-balancing concern the paper's Sec. V-A and VII flag for multi-gene
-datasets.
+(the slowest worker gates every barrier).  Partitioned alignments are
+laid out differently: one slice per partition, block after block
+(:class:`~repro.parallel.sliced.PartitionedEngine`); how whole versus
+split partitions would balance over workers — the concern the paper's
+Sec. V-A and VII flag for multi-gene datasets — is
+:func:`repro.core.partitioned.partition_workers`.
 """
 
 from __future__ import annotations

@@ -219,8 +219,9 @@ class WorkerPool(Substrate):
         require_backend_name(backend, "processes")
         if on_worker_failure not in ("degrade", "abort"):
             raise ValueError("on_worker_failure must be 'degrade' or 'abort'")
+        self.patterns = patterns
         self._init_state(
-            patterns, model, rates, cat, n_workers,
+            patterns.weights, model, rates, cat, n_workers,
             distribution or distribute_block(patterns.n_patterns, n_workers),
         )
         self.on_worker_failure = on_worker_failure

@@ -7,7 +7,8 @@ site-sliced PLF and differ only in **where they synchronise**.
 a **substrate** (:mod:`repro.parallel.substrate`) that runs commands on
 the slice engines, and a :class:`SyncPolicy` that only does accounting
 and fault handling (:class:`~repro.parallel.forkjoin.ForkJoinSync`,
-:class:`~repro.parallel.distributed.ExaMLSync`).
+:class:`~repro.parallel.distributed.ExaMLSync`); :class:`PartitionedEngine`
+is the same PLF with one slice per partition.
 
 Every reported number comes from the master's fixed-order reduction of
 the gathered lanes, so results are **bit-identical** to the sequential
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.backends import KernelProfile
+from ..core.backends import KernelBackend, KernelProfile
 from ..core.engine import branch_signature
 from ..core.kernels import derivative_reduce
+from ..core.partitioned import Partition
 from ..core.schedule import WaveStats
 from ..core.traversal import KernelCounters
 from ..obs import metrics as _obs_metrics
@@ -38,7 +40,7 @@ from .substrate import (
     WorkerRestart,
 )
 
-__all__ = ["EXECUTION_MODES", "SlicedEngine", "SyncPolicy"]
+__all__ = ["EXECUTION_MODES", "PartitionedEngine", "SlicedEngine", "SyncPolicy"]
 
 #: Supported execution substrates, cheapest first.
 EXECUTION_MODES = ("simulated", "threads", "processes")
@@ -86,14 +88,15 @@ class SlicedEngine:
     ``execution``: :class:`LocalSubstrate` for ``simulated``/``threads``,
     :class:`WorkerPool` (also :attr:`pool`) for ``processes``; ``track``
     names slice ``w``'s trace track where slices run in the master's
-    thread.  The policy's accounting (``parallel_regions``,
-    ``wave_boundaries``, ``dead_ranks``, ...) reads through as engine
-    attributes.
+    thread; ``parts`` makes each in-process slice a partition (see
+    :class:`LocalSubstrate`).  The policy's accounting
+    (``parallel_regions``, ``wave_boundaries``, ``dead_ranks``, ...)
+    reads through as engine attributes.
     """
 
     def __init__(
         self,
-        patterns: PatternAlignment,
+        patterns: PatternAlignment | None,
         tree: Tree,
         model: SubstitutionModel,
         rates: GammaRates | None,
@@ -108,6 +111,7 @@ class SlicedEngine:
         start_method: str | None = None,
         label: str = "",
         track=None,
+        parts=None,
     ) -> None:
         if execution not in EXECUTION_MODES:
             raise ValueError(
@@ -127,11 +131,12 @@ class SlicedEngine:
             self.pool = None
             self.substrate = LocalSubstrate(
                 patterns, tree, model, rates, track=track,
-                threads=execution == "threads", **slicing,
+                threads=execution == "threads", parts=parts, **slicing,
             )
         sync.bind(self.substrate)
         self.sync = sync
         self.patterns = patterns
+        self.weights = self.substrate.weights  # of the lanes it reduces
         self.tree = tree
         self.cat = cat
         self.execution = execution
@@ -202,7 +207,7 @@ class SlicedEngine:
             return
         # CAT rates renormalise against the *full* alignment's weights,
         # which only the master holds.
-        self.cat = self.cat.with_alpha(alpha, self.patterns.weights)
+        self.cat = self.cat.with_alpha(alpha, self.weights)
         self.alpha = alpha
         self._replay(lambda: self.substrate.set_cat(self.cat, alpha))
 
@@ -219,7 +224,7 @@ class SlicedEngine:
             root_edge = self.default_edge()
         value = self._replay(
             lambda: float(
-                np.dot(self._rooted_site_lane(root_edge), self.patterns.weights)
+                np.dot(self._rooted_site_lane(root_edge), self.weights)
             )
         )
         self.sync.reduce(lambda: list(self.substrate.lanes.partial[:, 0]))
@@ -247,7 +252,7 @@ class SlicedEngine:
             self.sync.region()
             self.substrate.deriv(sumbufs, t)
             l0, l1, l2 = self.substrate.lanes.terms
-            return derivative_reduce(l0, l1, l2, self.patterns.weights)
+            return derivative_reduce(l0, l1, l2, self.weights)
         value = self._replay(op)
         self.sync.reduce(lambda: list(self.substrate.lanes.partial[:, 1:4]))
         return value
@@ -269,7 +274,7 @@ class SlicedEngine:
         lanes, waves = self._replay(op)
         for k in range(waves):
             self.sync.wave(k, "up")
-        weights = self.patterns.weights
+        weights = self.weights
         out = {
             eid: derivative_reduce(*lanes[eid], weights)[1:]
             for eid in sorted(lanes)
@@ -279,13 +284,13 @@ class SlicedEngine:
 
     def _gradient_partials(self, lanes: dict[int, np.ndarray]) -> list[np.ndarray]:
         """Per-slice ``(d1, d2)`` partial vectors, as ranks would send them."""
-        terms = np.empty((2 * len(lanes), self.patterns.n_patterns))
+        terms = np.empty((2 * len(lanes), self.weights.shape[0]))
         for j, eid in enumerate(sorted(lanes)):
             l0, l1, l2 = lanes[eid]
             terms[2 * j] = r1 = l1 / l0
             terms[2 * j + 1] = l2 / l0 - r1 * r1
         slices = map(self.distribution.indices_of, range(self.substrate.n_workers))
-        return [terms[:, idx] @ self.patterns.weights[idx] for idx in slices]
+        return [terms[:, idx] @ self.weights[idx] for idx in slices]
 
     def set_max_resident(self, max_resident: int) -> None:
         """Keep at most ``max_resident`` CLAs per slice, recomputing the
@@ -335,3 +340,42 @@ class SlicedEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
+
+class PartitionedEngine(SlicedEngine):
+    """Multi-gene likelihood over one shared tree (shared branch lengths):
+    one in-process slice per :class:`~repro.core.partitioned.Partition`,
+    built from its own alignment, model and rates, all on one backend
+    instance.  ``model`` / ``rates_model`` are the first partition's."""
+
+    def __init__(
+        self,
+        partitions: list[Partition],
+        tree: Tree,
+        backend: str | KernelBackend | None = None,
+    ) -> None:
+        if not partitions:
+            raise ValueError("need at least one partition")
+        for p in partitions[1:]:
+            if set(p.patterns.taxa) != set(partitions[0].patterns.taxa):
+                raise ValueError(f"partition {p.name!r} has a different taxon set")
+        self.partitions = partitions
+        super().__init__(
+            None, tree, partitions[0].model, partitions[0].gamma, SyncPolicy(),
+            n_workers=len(partitions), execution="simulated",
+            backend=backend, parts=partitions,
+        )
+
+    @property
+    def n_partitions(self) -> int:
+        return len(self.partitions)
+
+    def per_site_log_likelihoods(self) -> dict[str, np.ndarray]:
+        """Per-partition pattern log-likelihood vectors."""
+        lane = self.site_log_likelihoods()
+        return {
+            p.name: lane[self.distribution.indices_of(w)]
+            for w, p in enumerate(self.partitions)
+        }
+
+    def set_model(self, model: SubstitutionModel, rates: GammaRates | None = None) -> None:
+        raise ValueError("partitions carry their own models; set them per Partition")

@@ -131,7 +131,7 @@ def require_backend_name(backend, execution: str) -> None:
 def build_slice_engine(
     patterns, idx, tree, backend, state: dict, store: ClaStore | None = None
 ) -> LikelihoodEngine:
-    """A slice engine over ``patterns[:, idx]`` in the master's model
+    """A slice engine over ``patterns[:, idx]`` in its owner's model
     ``state``: the serial engine, its rates sliced with its patterns."""
     cat = state["cat"]
     engine = LikelihoodEngine(
@@ -313,7 +313,7 @@ class Substrate:
 
     def _init_state(
         self,
-        patterns: PatternAlignment,
+        weights: np.ndarray,
         model,
         rates,
         cat: CatRates | None,
@@ -324,7 +324,8 @@ class Substrate:
             raise ValueError("need at least one worker")
         if distribution.n_workers != n_workers:
             raise ValueError("distribution worker count mismatch")
-        self.patterns = patterns
+        #: Pattern weights of the full lanes, in lane order.
+        self.weights = weights
         self.n_workers = n_workers
         self.distribution = distribution
         self.barrier_stats = BarrierStats()
@@ -377,7 +378,7 @@ class Substrate:
         the number of waves the sweep executed, in one region.  Site
         terms land at their owner's pattern index (adopted slices at the
         dead worker's), keeping pattern order identical."""
-        n = self.patterns.n_patterns
+        n = self.weights.shape[0]
         lanes: dict[int, np.ndarray] = {}
         waves = 0
         for per_owner in self._region("grad", root_edge).values():
@@ -472,11 +473,13 @@ class LocalSubstrate(Substrate):
     :class:`SliceWorker` looping over every slice (``simulated``), or
     one per slice on a persistent thread pool (``threads``: NumPy
     kernels release the GIL, and every region's announcement/barrier
-    cost is *measured* into ``barrier_stats``)."""
+    cost is *measured* into ``barrier_stats``).  With ``parts``
+    (:class:`~repro.core.partitioned.Partition` s) instead of
+    ``patterns``, slice ``w`` is partition ``w`` and lane block ``w``."""
 
     def __init__(
         self,
-        patterns: PatternAlignment,
+        patterns: PatternAlignment | None,
         tree: Tree,
         model,
         rates=None,
@@ -487,15 +490,27 @@ class LocalSubstrate(Substrate):
         distribution: SiteDistribution | None = None,
         threads: bool = False,
         track=None,
+        parts=None,
     ) -> None:
-        self._init_state(
-            patterns, model, rates, cat, n_workers,
-            distribution or distribute_cyclic(patterns.n_patterns, n_workers),
-        )
+        self.patterns = patterns
+        self.parts = parts
+        if parts is None:
+            weights = patterns.weights
+            distribution = distribution or distribute_cyclic(
+                patterns.n_patterns, n_workers
+            )
+        else:
+            weights = np.concatenate([p.patterns.weights for p in parts])
+            ends = np.cumsum([p.patterns.n_patterns for p in parts])
+            distribution = SiteDistribution(int(ends[-1]), n_workers, tuple(
+                tuple(range(end - p.patterns.n_patterns, end))
+                for p, end in zip(parts, ends)
+            ))
+        self._init_state(weights, model, rates, cat, n_workers, distribution)
         self._index = [
             self.distribution.indices_of(w) for w in range(n_workers)
         ]
-        self.lanes = LocalLanes(patterns.n_patterns, n_workers)
+        self.lanes = LocalLanes(weights.shape[0], n_workers)
         self._executor = None
         groups = [list(range(n_workers))]
         if threads:
@@ -515,7 +530,12 @@ class LocalSubstrate(Substrate):
 
     def _build(self, owner: int, tree: Tree, backend, state: dict):
         idx = self._index[owner]
-        return build_slice_engine(self.patterns, idx, tree, backend, state), idx
+        if self.parts is None:
+            return build_slice_engine(self.patterns, idx, tree, backend, state), idx
+        part = self.parts[owner]  # its own data, model and rates
+        own = {**state, "model": part.model, "rates": part.gamma}
+        whole = np.arange(idx.size)
+        return build_slice_engine(part.patterns, whole, tree, backend, own), idx
 
     @property
     def slices(self) -> list[LikelihoodEngine]:

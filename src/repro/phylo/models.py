@@ -56,8 +56,8 @@ class EigenSystem:
 
     def transition_matrix(self, t: float) -> np.ndarray:
         """``P(t) = U diag(exp(lambda t)) U^-1`` for branch length ``t >= 0``."""
-        if t < 0:
-            raise ValueError(f"negative branch length {t}")
+        if not t >= 0:  # also refuses NaN
+            raise ValueError(f"negative or NaN branch length {t}")
         return (self.u * np.exp(self.eigenvalues * t)) @ self.u_inv
 
     def transition_matrices(self, ts: np.ndarray) -> np.ndarray:

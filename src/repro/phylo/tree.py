@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .newick import NewickNode, format_newick, parse_newick
+from .newick import NewickError, NewickNode, format_newick, parse_newick
 
 __all__ = ["Edge", "Tree", "PruneRecord", "random_topology"]
 
@@ -642,19 +642,35 @@ class Tree:
 
     @classmethod
     def from_newick(cls, text: str) -> "Tree":
-        """Parse Newick text, unrooting a rooted (2-child) tree if needed."""
+        """Parse Newick text, unrooting a rooted (2-child) tree if needed.
+
+        Raises :class:`~repro.phylo.newick.NewickError` (a ``ValueError``)
+        for a tree no likelihood can be computed on: an unnamed or
+        repeated leaf, or a branch length that is not finite or exceeds
+        ``MAX_BRANCH_LENGTH``.
+        """
         root = parse_newick(text)
         t = cls()
+        names: set[str] = set()
 
         def build(nn: NewickNode) -> int:
             if nn.is_leaf:
+                if not nn.label:
+                    raise NewickError("Newick leaf without a name")
+                if nn.label in names:
+                    raise NewickError(f"Newick leaf {nn.label!r} appears twice")
+                names.add(nn.label)
                 return t.add_node(nn.label)
             node = t.add_node()
             for child in nn.children:
                 cid = build(child)
-                t.add_edge(
-                    node, cid, child.length if child.length is not None else DEFAULT_BRANCH_LENGTH
-                )
+                length = DEFAULT_BRANCH_LENGTH if child.length is None else child.length
+                if not np.isfinite(length) or length > MAX_BRANCH_LENGTH:
+                    raise NewickError(
+                        f"branch length {length} is not finite or exceeds "
+                        f"{MAX_BRANCH_LENGTH}"
+                    )
+                t.add_edge(node, cid, length)
             return node
 
         root_id = build(root)

@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from repro.core import LikelihoodEngine, make_engine
-from repro.core.partitioned import Partition, PartitionedEngine, partition_workers
+from repro.core.partitioned import Partition, partition_workers
+from repro.parallel import PartitionedEngine
 from repro.phylo import (
     Alignment,
     CatRates,
@@ -19,6 +20,7 @@ from repro.phylo import (
 )
 from repro.search import optimize_all_branches, optimize_branch
 from repro.search.epa import place_queries
+from tolerances import KERNEL_PARITY_ATOL, LNL_RECOMPUTE_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -232,13 +234,56 @@ class TestPartitionedEngine:
         return parts, tree
 
     def test_total_is_sum_of_partitions(self, partitioned):
+        """Two partitions == the per-partition serial engines summed: one
+        fixed-order dot over the concatenated lane against a sum of
+        per-partition dots, so lnL and derivatives differ in order only."""
         parts, tree = partitioned
         eng = PartitionedEngine(parts, tree.copy())
-        separate = sum(
-            LikelihoodEngine(p.patterns, tree.copy(), p.model, p.gamma).log_likelihood()
-            for p in parts
+        serial = [make_engine(p.patterns, tree.copy(), p.model, p.gamma) for p in parts]
+        for eid in tree.edge_ids:
+            want = sum(e.log_likelihood(eid) for e in serial)
+            assert eng.log_likelihood(eid) == pytest.approx(
+                want, rel=LNL_RECOMPUTE_RTOL
+            )
+            got = eng.branch_derivatives(eng.edge_sum_buffer(eid), 0.07)
+            parts_d = [e.branch_derivatives(e.edge_sum_buffer(eid), 0.07) for e in serial]
+            assert got == pytest.approx(
+                np.sum(parts_d, axis=0), rel=0, abs=KERNEL_PARITY_ATOL
+            )
+        per_site = eng.per_site_log_likelihoods()
+        for p, e in zip(parts, serial):
+            assert np.array_equal(per_site[p.name], e.site_log_likelihoods())
+        grads = eng.all_branch_gradients()
+        summed = [e.all_branch_gradients() for e in serial]
+        for eid, pair in grads.items():
+            want = np.sum([g[eid] for g in summed], axis=0)
+            assert pair == pytest.approx(want, rel=0, abs=KERNEL_PARITY_ATOL)
+
+    def test_single_partition_is_the_serial_engine(self, partitioned):
+        p = partitioned[0][0]
+        tree = partitioned[1]
+        eng = PartitionedEngine([p], tree.copy())
+        serial = make_engine(p.patterns, tree.copy(), p.model, p.gamma)
+        for eid in tree.edge_ids:
+            assert eng.log_likelihood(eid) - serial.log_likelihood(eid) == 0.0
+            assert np.array_equal(
+                eng.site_log_likelihoods(eid), serial.site_log_likelihoods(eid)
+            )
+            got = eng.branch_derivatives(eng.edge_sum_buffer(eid), 0.07)
+            assert got == serial.branch_derivatives(serial.edge_sum_buffer(eid), 0.07)
+        assert eng.all_branch_gradients() == serial.all_branch_gradients()
+        assert (
+            optimize_all_branches(eng, passes=1)
+            - optimize_all_branches(serial, passes=1)
+            == 0.0
         )
-        assert eng.log_likelihood() == pytest.approx(separate, abs=1e-8)
+        assert eng.tree.to_newick() == serial.tree.to_newick()
+
+    def test_set_model_refused(self, partitioned):
+        parts, tree = partitioned
+        eng = PartitionedEngine(parts, tree.copy())
+        with pytest.raises(ValueError, match="own models"):
+            eng.set_model(gtr())
 
     def test_branch_optimization_improves(self, partitioned):
         parts, tree = partitioned
@@ -254,8 +299,11 @@ class TestPartitionedEngine:
         parts, tree = partitioned
         eng = PartitionedEngine(parts, tree.copy())
         eng.log_likelihood()
-        merged = eng.counters.merged()
-        assert merged["evaluate"] == 2  # one per partition
+        # The sliced rule: calls are one slice's mix, site units summed.
+        assert eng.counters.merged()["evaluate"] == 1
+        assert eng.counters.merged_site_units()["evaluate"] == sum(
+            p.patterns.n_patterns for p in parts
+        )
 
     def test_taxon_set_mismatch_rejected(self, partitioned):
         parts, tree = partitioned

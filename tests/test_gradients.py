@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 
 from repro.core import LikelihoodEngine
 from repro.core import make_engine as core_make_engine
-from repro.core.partitioned import Partition, PartitionedEngine
+from repro.core.partitioned import Partition
+from repro.parallel import PartitionedEngine
 from repro.core.traversal import KernelKind
 from repro.parallel.distributed import DistributedEngine
 from repro.parallel.forkjoin import ForkJoinEngine

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.phylo.newick import NewickError, format_newick, parse_newick
+from repro.phylo.tree import MAX_BRANCH_LENGTH, Tree
 
 
 class TestParse:
@@ -58,6 +59,44 @@ class TestParseErrors:
     def test_malformed_raises(self, text):
         with pytest.raises(NewickError):
             parse_newick(text)
+
+
+class TestTreeFromNewickErrors:
+    """Well-formed text no likelihood can be computed on is refused at
+    parse time, naming the problem, instead of reaching the engine."""
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("((a:0.1,b:0.2):0.1,c:0.3,d:nan);", "branch length nan"),
+            ("((a:0.1,b:0.2):0.1,c:0.3,d:inf);", "branch length inf"),
+            ("((a:0.1,b:0.2):0.1,c:0.3,d:-inf);", "branch length -inf"),
+            ("((a:0.1,b:0.2):0.1,c:0.3,d:1e300);", "exceeds"),
+            ("((a:0.1,b:0.2):nan,c:0.3,d:0.4);", "not finite"),
+            ("((a:0.1,a:0.1):0.1,c:0.3,d:0.4);", "'a' appears twice"),
+            ("(a:0.1,a:0.1);", "'a' appears twice"),
+            ("((a:0.1,:0.2):0.1,c:0.3,d:0.4);", "without a name"),
+            ("(a:0.1,b:0.2,c:0.3,);", "without a name"),
+        ],
+    )
+    def test_unusable_tree_raises(self, text, problem):
+        with pytest.raises(ValueError, match=problem):
+            Tree.from_newick(text)
+
+    def test_maximum_length_accepted(self):
+        tree = Tree.from_newick(f"(a:{MAX_BRANCH_LENGTH},b:0.1,c:0.2);")
+        assert max(e.length for e in tree.edges) == MAX_BRANCH_LENGTH
+
+    def test_nan_branch_length_refused_by_the_kernels(self):
+        """A NaN built in code (not parsed) is refused too."""
+        from repro.core import make_engine
+        from repro.phylo import gtr, simulate_dataset
+
+        sim = simulate_dataset(n_taxa=4, n_sites=40, seed=1)
+        engine = make_engine(sim.alignment.compress(), sim.tree.copy(), gtr())
+        engine.tree.edges[0].length = float("nan")
+        with pytest.raises(ValueError, match="NaN"):
+            engine.log_likelihood()
 
 
 class TestRoundtrip:

@@ -333,10 +333,14 @@ def writes(monkeypatch):
     return log
 
 
-def _raw_exchange(srv, request: bytes) -> bytes:
-    """Send raw bytes; read until the server closes the connection."""
+def _raw_exchange(srv, request: bytes, half_close: bool = False) -> bytes:
+    """Send raw bytes (then close our sending side, with ``half_close``,
+    as a client leaving mid-request does); read until the server closes
+    the connection."""
     with socket.create_connection((srv.host, srv.port), timeout=30) as sock:
         sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         response = b""
         while chunk := sock.recv(65536):
             response += chunk
@@ -413,6 +417,21 @@ class TestOneFront:
             else:
                 assert json.loads(body)["error"]
             assert writes == [len(response)]
+            status, body = _get(srv.url + "/healthz")
+            assert status == 200 and json.loads(body)["status"] == "ok"
+
+    def test_body_shorter_than_content_length_400(self, start):
+        """A client that leaves mid-body gets 400 before any route runs."""
+        with start() as srv:
+            response = _raw_exchange(
+                srv,
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 50\r\n\r\nab",
+                half_close=True,
+            )
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in head
+            assert json.loads(body)["error"] == "body ended after 2 of 50 bytes"
             status, body = _get(srv.url + "/healthz")
             assert status == 200 and json.loads(body)["status"] == "ok"
 

@@ -10,8 +10,8 @@ Covers the scheduler satellites:
 * a regression test that after SPR/NNI moves the planned waves contain
   exactly the signature-stale nodes (and none of the untouched pruned
   subtree);
-* unit coverage of the wave statistics, plan fusion, the parallel
-  drivers' wave accounting, and the scheduling cost model.
+* unit coverage of the wave statistics, the parallel drivers' wave
+  accounting, and the scheduling cost model.
 """
 
 import numpy as np
@@ -25,10 +25,10 @@ from repro.core import (
     Wave,
     WaveStats,
     available_backends,
-    fuse_plans,
     levelize,
 )
-from repro.core.partitioned import Partition, PartitionedEngine
+from repro.core.partitioned import Partition
+from repro.parallel import PartitionedEngine
 from repro.parallel.distributed import DistributedEngine
 from repro.parallel.forkjoin import ForkJoinEngine
 from repro.phylo import Alignment, GammaRates, gtr, random_topology
@@ -285,20 +285,6 @@ class TestWaveStats:
 
 
 class TestFusionAndParallelDrivers:
-    def test_fuse_plans_interleaves_partitions(self):
-        e1 = make_engine(seed=11)
-        e2 = LikelihoodEngine(
-            make_case(seed=12)[0], e1.tree, gtr(), GammaRates(1.0, 4)
-        )
-        p1 = e1.plan_execution(e1.default_edge())
-        p2 = e2.plan_execution(e1.default_edge())
-        fused = fuse_plans([p1, p2])
-        assert fused.depth == max(p1.depth, p2.depth)
-        assert fused.n_ops == p1.n_ops + p2.n_ops
-        assert fused.max_width <= p1.max_width + p2.max_width
-        parts0 = {i for i, _ in fused.waves[0].parts}
-        assert parts0 == {0, 1}
-
     def test_partitioned_engine_wave_stats(self):
         patterns, tree = make_case(seed=13)
         parts = [

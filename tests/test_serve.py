@@ -15,6 +15,8 @@ input at the HTTP front.
 
 import http.client
 import json
+import re
+import socket
 import sys
 import threading
 import time
@@ -528,6 +530,37 @@ class TestHostileInput:
             {"Content-Length": str(obs_server.MAX_BODY_BYTES + 1)},
         )
         assert code == 413 and "limit" in doc["error"]
+
+    def test_body_shorter_than_content_length_400(self, server_case):
+        """A client leaving mid-body must not delete the tenant."""
+        server, *_ = server_case
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(
+                b"DELETE /tenants/main HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 50\r\n\r\nab"
+            )
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "body ended after 2 of 50 bytes"
+        code, listing = _get(f"{server.url}/tenants")
+        assert "main" in [t["name"] for t in json.loads(listing)["tenants"]]
+
+    def test_nan_branch_length_tenant_400(self, server_case):
+        server, ref_aln, ref_tree, _ = server_case
+        code, doc = _post(
+            f"{server.url}/tenants/nan",
+            {
+                "tree": re.sub(r":[0-9.]+", ":nan", ref_tree.to_newick(), count=1),
+                "alignment": {t: ref_aln.sequence(t) for t in ref_aln.taxa},
+            },
+        )
+        assert code == 400 and "branch length nan" in doc["error"]
+        code, listing = _get(f"{server.url}/tenants")
+        assert "nan" not in [t["name"] for t in json.loads(listing)["tenants"]]
 
     def test_non_integer_keep_best_400(self, server_case):
         server, _, _, seq = server_case
