@@ -45,7 +45,6 @@ from repro.parallel import (  # noqa: E402
     ForkJoinEngine,
     active_arena_segments,
 )
-from repro.perf.costmodel import measured_sync_cost  # noqa: E402
 from repro.phylo import GammaRates, gtr, simulate_dataset  # noqa: E402
 from repro.phylo.alignment import PatternAlignment  # noqa: E402
 
@@ -152,20 +151,14 @@ def main(argv: list[str] | None = None) -> int:
                 ) as fj:
                     par_s, par_lnl = timed_eval(fj, reps)
                     delta = par_lnl - serial_lnl
-                    sync = measured_sync_cost(fj.barrier_stats)
+                    stats = fj.barrier_stats
                     rows.append({
                         "workers": n,
                         "seconds": par_s,
                         "speedup": serial_s / par_s if par_s else 0.0,
                         "lnl_delta_vs_serial": delta,
                         "bit_identical": delta == 0.0,
-                        "barrier_stats": fj.barrier_stats.to_dict(),
-                        "measured_sync": {
-                            "regions": sync.regions,
-                            "mean_region_s": sync.mean_region_s,
-                            "mean_overhead_s": sync.mean_overhead_s,
-                            "overhead_fraction": sync.overhead_fraction,
-                        },
+                        "barrier_stats": stats.to_dict(),
                     })
                     if delta != 0.0:
                         failures += 1
@@ -173,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"  {mode:>9} x{n}: {par_s:.3f}s "
                           f"speedup={rows[-1]['speedup']:.2f} "
                           f"overhead/region="
-                          f"{sync.mean_overhead_s * 1e6:.0f}us")
+                          f"{stats.mean_region_overhead_s * 1e6:.0f}us")
             entry["modes"][mode] = rows
         report["configs"].append(entry)
         leaked = active_arena_segments()

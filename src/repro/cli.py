@@ -287,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument(
         "--derivatives", action="store_true",
-        help="also print the gradient up-sweep (pre-order) waves and the "
-             "modelled cost of both sweeps",
+        help="also print the gradient up-sweep (pre-order) waves",
     )
     _add_backend_flag(p_plan)
 
@@ -720,37 +719,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     root = engine.default_edge()
     _show_plan(engine.plan_execution(root), f"full traversal (root edge {root}):")
     if args.derivatives:
-        from .perf import XEON_PHI_5110P_1S, CostModel, wave_schedule_costs
-
-        gplan = engine.plan_gradient(root)
         print()
         _show_plan(
-            gplan.up,
+            engine.plan_gradient(root).up,
             f"gradient up-sweep (root edge {root}, pre-order + edge gradients):",
         )
-        model = CostModel(XEON_PHI_5110P_1S)
-
-        def _plan_summary(plan) -> dict:
-            mix: dict[str, int] = {}
-            for wave in plan.waves:
-                for kind, n in wave.kernel_mix().items():
-                    mix[kind.value] = mix.get(kind.value, 0) + n
-            return {
-                "waves": plan.depth,
-                "ops": plan.n_ops,
-                "kernel_mix": mix,
-            }
-
-        print(f"\nmodelled wave cost ({model.platform.name}, batched):")
-        for label, plan in (("down-sweep", gplan.down), ("up-sweep", gplan.up)):
-            costs = wave_schedule_costs(
-                model, _plan_summary(plan), sites=alignment.n_sites
-            )
-            print(
-                f"  {label:>10}: {costs['batched_total_s'] * 1e3:9.3f} ms "
-                f"batched vs {costs['per_op_total_s'] * 1e3:9.3f} ms per-op "
-                f"(saving {costs['batch_saving_s'] * 1e3:.3f} ms)"
-            )
     if args.move != "none":
         rng = np.random.default_rng(args.seed)
         engine.log_likelihood(root)  # validate every CLA first

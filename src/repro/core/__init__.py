@@ -5,8 +5,7 @@
 them to trees and alignments with structural CLA validity tracking,
 through a rate model (``ratemodel``, ``cat``, ``invariant``) and a CLA
 store (``memsave``);
-``traversal``/``schedule`` levelize traversal descriptors into
-dependency waves and account for their execution;
+``traversal`` levelizes traversal descriptors into dependency waves;
 ``vectorized`` re-expresses the kernels as vector programs for the
 simulated MIC (:mod:`repro.mic`); ``layouts`` implements the
 interleaved memory layout of Sec. V-B3.
@@ -31,7 +30,6 @@ from .layouts import InterleavedLayout
 from .memsave import ClaStore
 from .partitioned import Partition, partition_workers
 from .ratemodel import GammaModel, RateModel
-from .schedule import WaveStats
 from .traversal import (
     ExecutionPlan,
     KernelCounters,
@@ -62,7 +60,6 @@ __all__ = [
     "InterleavedLayout",
     "Partition",
     "partition_workers",
-    "WaveStats",
     "ExecutionPlan",
     "KernelCounters",
     "KernelKind",

@@ -39,12 +39,12 @@ The paper's Sec. V-B cache-blocking claim is reproduced in the modelled
 harness (:mod:`repro.harness.ablations` over
 :mod:`repro.core.vectorized`), not by a production backend.
 
-Every backend records a per-kernel :class:`KernelProfile` (calls, wall
-seconds, bytes moved) extending
-:class:`~repro.core.traversal.KernelCounters`; measured per-kernel
-times/intensities feed :mod:`repro.perf.trace` and
-:mod:`repro.perf.costmodel` to calibrate the Figure 3 / Table III
-predictions against reality instead of analytic constants alone.
+Every backend records a per-kernel :class:`KernelProfile` (calls, site
+units, wall seconds) extending
+:class:`~repro.core.traversal.KernelCounters`; the measured per-kernel
+times ride into a :class:`~repro.perf.trace.KernelTrace` through
+:func:`repro.perf.trace.trace_from_profile`, the one calibration input
+for the Figure 3 / Table III predictions.
 
 The environment variable :data:`DEFAULT_BACKEND_ENV` (``REPRO_BACKEND``)
 selects the process-wide default backend for engines constructed without
@@ -106,17 +106,14 @@ def _observe_kernel(
     n_patterns: int,
     t_start: float,
     elapsed_s: float,
-    nbytes: int,
 ) -> None:
     """Mirror one kernel dispatch into the obs layer (tracer + metrics).
 
     Callers gate on :data:`repro.obs.spans.ENABLED` *before* calling, so
     disabled runs pay only that flag check.  The span rides on the
     interval the dispatcher already measured for its
-    :class:`KernelProfile` — the two views of kernel time are therefore
-    identical by construction, which is what lets
-    :func:`repro.perf.trace.trace_from_spans` feed the measured-costs
-    calibration path from a saved trace alone.
+    :class:`KernelProfile`, so the two views of kernel time are
+    identical by construction.
     """
     _obs.get_tracer().add_complete(
         "kernel." + kind.value,
@@ -124,7 +121,6 @@ def _observe_kernel(
         t_start + elapsed_s,
         args={
             "patterns": int(n_patterns),
-            "bytes": int(nbytes),
             "backend": backend_name,
         },
     )
@@ -139,32 +135,26 @@ def _observe_kernel(
     ).observe(elapsed_s)
 
 
-
 @dataclass
 class KernelProfile(KernelCounters):
-    """Kernel counters extended with measured wall time and bytes moved.
+    """Kernel counters extended with measured wall time.
 
     ``seconds[k]`` accumulates wall-clock time spent inside kernel ``k``;
-    ``bytes_moved[k]`` accumulates the sizes of the arrays each call read
-    and wrote (a traffic *lower bound* — NumPy temporaries are not
-    counted).  Together with the inherited ``site_units`` these yield
-    measured per-site times and effective intensities, the quantities the
-    analytic cost model (:mod:`repro.perf.costmodel`) otherwise supplies
-    from VM constants.
+    with the inherited ``site_units`` it yields measured per-site times,
+    the quantity the analytic cost model (:mod:`repro.perf.costmodel`)
+    otherwise supplies from VM constants.
     """
 
     seconds: dict[KernelKind, float] = field(default_factory=dict)
-    bytes_moved: dict[KernelKind, int] = field(default_factory=dict)
 
     def record_timed(
-        self, kind: KernelKind, n_patterns: int, elapsed_s: float, nbytes: int
+        self, kind: KernelKind, n_patterns: int, elapsed_s: float
     ) -> None:
         self.record(kind, n_patterns)
         self.seconds[kind] = self.seconds.get(kind, 0.0) + elapsed_s
-        self.bytes_moved[kind] = self.bytes_moved.get(kind, 0) + int(nbytes)
 
     def reset(self) -> None:
-        """Zero the profile (counters, wall times, traffic).
+        """Zero the profile (counters and wall times).
 
         Profiles are **cumulative**: a backend instance keeps
         accumulating across every run (and every engine) that dispatches
@@ -172,13 +162,12 @@ class KernelProfile(KernelCounters):
         """
         super().reset()
         self.seconds.clear()
-        self.bytes_moved.clear()
 
     def merge(self, other: "KernelCounters") -> None:
         """Accumulate another profile's totals into this one (in place).
 
-        Accepts a plain :class:`KernelCounters` too (seconds/bytes are
-        then left untouched).  Callers aggregating across workers must
+        Accepts a plain :class:`KernelCounters` too (seconds are then
+        left untouched).  Callers aggregating across workers must
         dedupe *shared* backend instances by identity first — merging the
         same backend's profile once per worker would multiply every
         dispatch by the worker count (the double-counting bug fixed in
@@ -188,8 +177,6 @@ class KernelProfile(KernelCounters):
         if isinstance(other, KernelProfile):
             for kind, s in other.seconds.items():
                 self.seconds[kind] = self.seconds.get(kind, 0.0) + s
-            for kind, b in other.bytes_moved.items():
-                self.bytes_moved[kind] = self.bytes_moved.get(kind, 0) + b
 
     def to_dict(self) -> dict:
         """Picklable plain-dict form (for cross-process profile reports)."""
@@ -198,7 +185,6 @@ class KernelProfile(KernelCounters):
             "site_units": {k.value: v for k, v in self.site_units.items()},
             "reductions": self.reductions,
             "seconds": {k.value: v for k, v in self.seconds.items()},
-            "bytes_moved": {k.value: v for k, v in self.bytes_moved.items()},
         }
 
     @classmethod
@@ -210,9 +196,6 @@ class KernelProfile(KernelCounters):
         }
         p.reductions = int(d.get("reductions", 0))
         p.seconds = {KernelKind(k): float(v) for k, v in d.get("seconds", {}).items()}
-        p.bytes_moved = {
-            KernelKind(k): int(v) for k, v in d.get("bytes_moved", {}).items()
-        }
         return p
 
     # -- aggregation to the merged kernel names ------------------------
@@ -226,14 +209,6 @@ class KernelProfile(KernelCounters):
         for kind, s in self.seconds.items():
             key = merged_kernel_key(kind)
             out[key] = out.get(key, 0.0) + s
-        return out
-
-    def merged_bytes(self) -> dict[str, int]:
-        """Bytes moved aggregated like :meth:`merged_seconds`."""
-        out = {k: 0 for k in PAPER_KERNEL_KEYS}
-        for kind, b in self.bytes_moved.items():
-            key = merged_kernel_key(kind)
-            out[key] = out.get(key, 0) + b
         return out
 
 
@@ -293,25 +268,19 @@ class _BackendBase:
         n_patterns: int,
         t0: float,
         elapsed: float,
-        nbytes: int,
     ) -> None:
-        self.profile.record_timed(kind, n_patterns, elapsed, nbytes)
+        self.profile.record_timed(kind, n_patterns, elapsed)
         if _obs.ENABLED:
-            _observe_kernel(kind, self.name, n_patterns, t0, elapsed, nbytes)
+            _observe_kernel(kind, self.name, n_patterns, t0, elapsed)
 
     def _dispatch(
         self, op: str, kind: KernelKind, n_patterns: int, hook: str, *args
     ):
-        """Run public kernel ``op`` — arithmetic ``hook`` — timed.
-
-        Bytes moved are the sizes of every array operand and result.
-        """
+        """Run public kernel ``op`` — arithmetic ``hook`` — timed."""
         t0 = time.perf_counter()
         out = getattr(self, hook)(*args)
         elapsed = time.perf_counter() - t0
-        arrays = args + out if isinstance(out, tuple) else (*args, out)
-        nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-        self._record(kind, n_patterns, t0, elapsed, nbytes)
+        self._record(kind, n_patterns, t0, elapsed)
         return out
 
     # -- arithmetic shared by every backend -----------------------------

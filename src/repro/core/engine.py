@@ -3,8 +3,8 @@
 :class:`LikelihoodEngine` is the equivalent of RAxML's likelihood core,
 and the only engine there is: it plans minimal traversals when the tree
 changes, tracks which conditional likelihood arrays are valid for which
-orientation, runs the per-op loop and keeps the wave accounting.  Two
-small collaborators do the rest:
+orientation and runs the per-op loop.  Two small collaborators do the
+rest:
 
 * a **rate model** (:mod:`repro.core.ratemodel`), chosen from the rates
   the engine is given — Gamma through the pluggable
@@ -51,7 +51,6 @@ from .cat import CatModel
 from .invariant import InvariantMixture
 from .memsave import PARTIAL, ClaStore
 from .ratemodel import GammaModel
-from .schedule import WaveStats
 from .traversal import (
     EdgeGradientOp,
     ExecutionPlan,
@@ -171,8 +170,6 @@ class LikelihoodEngine:
         self.tree = tree
         self.backend = get_backend(backend)
         self.counters = KernelCounters()
-        #: Cumulative wave-execution statistics of this engine.
-        self.wave_stats = WaveStats()
         self.store = store if store is not None else ClaStore()
         self._model_version = 0
         self._valid: dict[int, tuple[int, object]] = {}  # node -> (edge, signature)
@@ -476,7 +473,13 @@ class LikelihoodEngine:
         """
         if root_edge is None:
             root_edge = self.default_edge()
-        plan = self.plan_gradient(root_edge)
+        return self.execute_gradient(self.plan_gradient(root_edge), terms=terms)
+
+    def execute_gradient(
+        self, plan: GradientPlan, *, terms: bool = False
+    ) -> dict[int, tuple]:
+        """Run a :meth:`plan_gradient` plan: its ``plan.depth`` waves
+        yield what :meth:`all_branch_gradients` returns."""
         up_ops = list(plan.up.iter_ops())
         self._pre_ops = {op.edge: op for op in up_ops if type(op) is PreorderOp}
         out = self._grad = {}
@@ -510,13 +513,12 @@ class LikelihoodEngine:
         """Run a levelized plan, wave by wave."""
         if not plan.waves:
             return
-        self.wave_stats.plans += 1
         with _obs.span("plan", waves=len(plan.waves), ops=plan.n_ops):
             for wave in plan.waves:
                 self.run_wave(wave)
 
     def run_wave(self, wave: Wave) -> None:
-        """Run one wave and fold it into :attr:`wave_stats`.
+        """Run one wave (timed as a ``wave`` span when tracing is on).
 
         Down-sweep waves hold :class:`NewviewOp` only; gradient up-sweep
         waves may mix :class:`PreorderOp` partials with the
@@ -526,22 +528,12 @@ class LikelihoodEngine:
         """
         if not wave.ops:
             return
-        profile = self.backend.profile
-        b0 = sum(profile.bytes_moved.values())
-        t0 = time.perf_counter()
+        traced = _obs.ENABLED
+        t0 = time.perf_counter() if traced else 0.0
         for op in wave.ops:
             self._run_op(op)
-        elapsed = time.perf_counter() - t0
-        stats = self.wave_stats
-        stats.waves += 1
-        stats.ops += wave.width
-        stats.max_width = max(stats.max_width, wave.width)
-        stats.seconds += elapsed
-        stats.bytes_moved += sum(profile.bytes_moved.values()) - b0
-        mix = stats.kernel_mix
-        for op in wave.ops:
-            mix[op.kind.value] = mix.get(op.kind.value, 0) + 1
-        if _obs.ENABLED:
+        if traced:
+            elapsed = time.perf_counter() - t0
             _obs.get_tracer().add_complete(
                 "wave",
                 t0,
@@ -655,7 +647,7 @@ class LikelihoodEngine:
     # ------------------------------------------------------------------
     @property
     def profile(self) -> KernelProfile:
-        """The backend's measured per-kernel profile (wall time, bytes).
+        """The backend's measured per-kernel profile (calls, wall time).
 
         Unlike :attr:`counters` (which tracks this engine's dispatches),
         the profile lives on the backend and aggregates across every
@@ -665,25 +657,24 @@ class LikelihoodEngine:
         return self.backend.profile
 
     def reset_profile(self) -> None:
-        """Zero counters, the backend profile, and wave statistics.
+        """Zero the kernel counters and the backend profile.
 
-        Counters, profiles and wave stats are cumulative across repeated
+        Counters and profiles are cumulative across repeated
         ``run()``/``log_likelihood()`` calls; call this between runs to
         obtain per-run measurements (e.g. before building a per-run
         :func:`repro.perf.trace.trace_from_profile`).
         """
         self.counters.reset()
         self.backend.profile.reset()
-        self.wave_stats.reset()
 
     def reset_all_observability(self) -> None:
         """One-call reset of every cumulative measurement layer.
 
-        Extends :meth:`reset_profile` (counters, backend profile, wave
-        stats) with the process-wide :mod:`repro.obs` metrics registry
-        and the live tracer's recorded spans/instants (when tracing is
-        enabled), so a benchmark or traced search can start every run
-        from a clean slate with a single call.
+        Extends :meth:`reset_profile` (counters, backend profile) with
+        the process-wide :mod:`repro.obs` metrics registry and the live
+        tracer's recorded spans/instants (when tracing is enabled), so a
+        benchmark or traced search can start every run from a clean
+        slate with a single call.
         """
         self.reset_profile()
         _obs_metrics.get_registry().reset()

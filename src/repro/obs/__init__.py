@@ -25,7 +25,7 @@ pieces:
 
 Instrumentation is wired through kernel dispatch
 (:mod:`repro.core.backends`), wave execution
-(:mod:`repro.core.schedule`), CLA-slot recycling
+(:mod:`repro.core.engine`), CLA-slot recycling
 (:mod:`repro.core.memsave`), barrier/AllReduce accounting
 (:mod:`repro.parallel`), and search progress (:mod:`repro.search`).
 

@@ -23,7 +23,6 @@ from ..core.backends import KernelBackend, KernelProfile
 from ..core.engine import branch_signature
 from ..core.kernels import derivative_reduce
 from ..core.partitioned import Partition
-from ..core.schedule import WaveStats
 from ..core.traversal import KernelCounters
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
@@ -312,13 +311,9 @@ class SlicedEngine:
         """Measured kernel profile over every worker's backend."""
         return self._replay(self.substrate.merged_profile)
 
-    @property
-    def wave_stats(self) -> WaveStats:
-        """Wave statistics merged across every slice's engine."""
-        return self._replay(self.substrate.merged_wave_stats)
-
     def reset_profile(self) -> None:
-        """Zero every slice's counters/stats and the policy's accounting."""
+        """Zero every slice's counters and profile and the policy's
+        accounting."""
         self._replay(self.substrate.reset_profiles)
         self.sync.reset()
 

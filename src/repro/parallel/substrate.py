@@ -28,7 +28,6 @@ import numpy as np
 from ..core.backends import KernelProfile, get_backend
 from ..core.engine import LikelihoodEngine
 from ..core.memsave import ClaStore
-from ..core.schedule import WaveStats
 from ..core.traversal import KernelCounters
 from ..obs import spans as _obs
 from ..phylo.alignment import PatternAlignment
@@ -245,10 +244,10 @@ class SliceWorker:
         the whole bidirectional sweep runs slice-locally."""
         out = {}
         for owner, engine, _index in self._each():
-            waves0 = engine.wave_stats.waves
-            terms = engine.all_branch_gradients(root_edge, terms=True)
+            plan = engine.plan_gradient(root_edge)
+            terms = engine.execute_gradient(plan, terms=True)
             out[owner] = (
-                engine.wave_stats.waves - waves0,
+                plan.depth,
                 {eid: np.stack(t3) for eid, t3 in terms.items()},
             )
         return out
@@ -274,15 +273,11 @@ class SliceWorker:
             self.slots[dead] = self._build(dead, self.tree, self.backend, state)
 
     def cmd_profile(self) -> dict:
-        stats = WaveStats()
-        for engine, _index in self.slots.values():
-            stats.merge(engine.wave_stats)
         return {
             "profile": self.backend.profile.to_dict(),
             "counters": {
                 o: engine.counters.copy() for o, (engine, _i) in self.slots.items()
             },
-            "wave_stats": stats.to_dict(),
         }
 
     def cmd_reset(self) -> None:
@@ -428,19 +423,13 @@ class Substrate:
         self._region("drop_caches")
 
     # -- observability ---------------------------------------------------
-    def _merged(self, cls, key: str):
-        total = cls()
-        for report in self._region("profile").values():
-            total.merge(cls.from_dict(report[key]))
-        return total
-
     def merged_profile(self) -> KernelProfile:
         """One profile over every worker's backend (no double counting:
         each worker owns exactly one backend instance)."""
-        return self._merged(KernelProfile, "profile")
-
-    def merged_wave_stats(self) -> WaveStats:
-        return self._merged(WaveStats, "wave_stats")
+        total = KernelProfile()
+        for report in self._region("profile").values():
+            total.merge(KernelProfile.from_dict(report["profile"]))
+        return total
 
     def counters(self) -> KernelCounters:
         """The run's kernel counters, equal to a serial engine's: every

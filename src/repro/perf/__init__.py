@@ -2,9 +2,11 @@
 
 Table I platform data, the VM-backed roofline cost model, scalable
 kernel traces, calibration bookkeeping, and the paper's energy
-estimator.  Everything here *models* the paper's platforms; measured
-wall-clock of this implementation comes from ``repro.obs`` (kernel
-profiles, spans) and the end-to-end harness in ``benchmarks/e2e``.
+estimator.  Everything here *models* the paper's platforms; the one
+measured input is a backend's kernel profile, carried into a
+:class:`KernelTrace` by :func:`trace_from_profile`.  Measured wall-clock
+of this implementation otherwise comes from ``repro.obs`` (spans,
+metrics) and the end-to-end harness in ``benchmarks/e2e``.
 """
 
 from .calibration import PAPER_FIGURE3, CalibrationReport, figure3_residuals
@@ -13,10 +15,7 @@ from .costmodel import (
     SERIAL_OVERHEAD_CYCLES,
     CostModel,
     KernelCycles,
-    MeasuredKernelCost,
     measure_kernel_cycles,
-    measured_costs,
-    wave_schedule_costs,
 )
 from .energy import energy_wh, relative_energy_savings
 from .platforms import (
@@ -34,7 +33,6 @@ from .trace import (
     KernelTrace,
     trace_from_profile,
     trace_from_search,
-    trace_from_spans,
 )
 
 __all__ = [
@@ -45,10 +43,7 @@ __all__ = [
     "SERIAL_OVERHEAD_CYCLES",
     "CostModel",
     "KernelCycles",
-    "MeasuredKernelCost",
     "measure_kernel_cycles",
-    "measured_costs",
-    "wave_schedule_costs",
     "energy_wh",
     "relative_energy_savings",
     "BASELINE",
@@ -63,5 +58,4 @@ __all__ = [
     "KernelTrace",
     "trace_from_profile",
     "trace_from_search",
-    "trace_from_spans",
 ]

@@ -40,36 +40,10 @@ __all__ = [
     "measure_kernel_cycles",
     "PIPELINE_EFFICIENCY",
     "SERIAL_OVERHEAD_CYCLES",
-    "KIND_PRICING",
     "CostModel",
-    "MeasuredKernelCost",
-    "measured_costs",
-    "wave_schedule_costs",
-    "MeasuredSyncCost",
-    "measured_sync_cost",
-    "calibrate_forkjoin",
 ]
 
 KERNELS = ("newview", "evaluate", "derivative_sum", "derivative_core")
-
-#: How each scheduled kernel *kind* is priced in terms of the paper's
-#: four measured kernels.  Pre-order partial ops run the same
-#: arithmetic as ``newview`` (same FMA streams, different operand
-#: roles), so they are priced identically; an ``edge_gradient`` op is
-#: one ``derivative_sum`` (element-wise product of the pre-order and
-#: post-order CLAs) followed by one ``derivative_core`` evaluation.
-KIND_PRICING: dict[str, tuple[str, ...]] = {
-    "newview_tip_tip": ("newview",),
-    "newview_tip_inner": ("newview",),
-    "newview_inner_inner": ("newview",),
-    "preorder_tip_tip": ("newview",),
-    "preorder_tip_inner": ("newview",),
-    "preorder_inner_inner": ("newview",),
-    "evaluate": ("evaluate",),
-    "derivative_sum": ("derivative_sum",),
-    "derivative_core": ("derivative_core",),
-    "edge_gradient": ("derivative_sum", "derivative_core"),
-}
 
 
 @dataclass(frozen=True)
@@ -254,271 +228,3 @@ class CostModel:
     def kernel_speedup_vs(self, other: "CostModel", kernel: str, sites: float) -> float:
         """Whole-platform speedup of ``self`` over ``other`` for a kernel."""
         return other.kernel_time(kernel, sites) / self.kernel_time(kernel, sites)
-
-    def wave_time(
-        self,
-        kernel: str,
-        sites: float,
-        width: int,
-        n_workers: int | None = None,
-        batched: bool = True,
-    ) -> float:
-        """Wall seconds for one *wave* of ``width`` independent calls.
-
-        The data-parallel part scales with the wave width (every op
-        sweeps its sites); the per-call serial overhead (P-matrix
-        construction, bookkeeping) is charged **once per wave** under
-        stacked dispatch (``batched=True``) but **once per op** on the
-        per-op fallback path — the asymmetry the execution-plan IR
-        exploits, and the term that dominates on the in-order MIC core.
-        """
-        if width < 0:
-            raise ValueError("negative wave width")
-        if width == 0:
-            return 0.0
-        if kernel not in KERNELS:
-            raise KeyError(f"unknown kernel {kernel!r}")
-        n_workers = n_workers or self.platform.cores
-        sites_per_core = np.ceil(sites / n_workers)
-        cyc = self.cycles_per_site(kernel) * sites_per_core * width
-        compute = cyc / (self.platform.clock_ghz * 1e9)
-        n_overheads = 1 if batched else width
-        return compute + n_overheads * self.serial_overhead_s(kernel)
-
-
-def wave_schedule_costs(
-    model: CostModel, wave_summary, sites: float, n_workers: int | None = None
-) -> dict[str, float]:
-    """Serial-depth vs parallel-width decomposition of a wave schedule.
-
-    ``wave_summary`` is a :class:`repro.core.schedule.WaveStats` (or its
-    ``to_dict()`` payload as attached to a
-    :class:`repro.perf.trace.KernelTrace`).  Each scheduled kernel kind
-    in the summary's ``kernel_mix`` is priced via :data:`KIND_PRICING`
-    (pre-order partials as ``newview``, ``edge_gradient`` as a
-    ``derivative_sum`` + ``derivative_core`` pair); ops not covered by
-    the mix — summaries predating the bidirectional IR carry none —
-    fall back to ``newview`` pricing, the historical behaviour.
-
-    Returns a dict with
-
-    * ``serial_depth_s`` — per-wave serial overhead (one P-matrix/setup
-      charge per wave: the irreducible critical-path cost),
-    * ``parallel_width_s`` — data-parallel compute summed over every op
-      (spreadable over ``n_workers``),
-    * ``per_op_serial_s`` — serial overhead the per-op path would pay
-      (one charge per op),
-    * ``batch_saving_s`` — overhead eliminated by stacked dispatch
-      (``per_op_serial_s - serial_depth_s``),
-    * ``batched_total_s`` / ``per_op_total_s`` — modelled wall time of
-      the two dispatch modes.
-    """
-    if hasattr(wave_summary, "to_dict"):
-        wave_summary = wave_summary.to_dict()
-    waves = int(wave_summary.get("waves", 0))
-    ops = int(wave_summary.get("ops", 0))
-    n_workers = n_workers or model.platform.cores
-    sites_per_core = float(np.ceil(sites / n_workers))
-    clock_hz = model.platform.clock_ghz * 1e9
-
-    def op_compute(kernel: str) -> float:
-        return model.cycles_per_site(kernel) * sites_per_core / clock_hz
-
-    mix = {
-        str(k): int(n)
-        for k, n in (wave_summary.get("kernel_mix") or {}).items()
-        if str(k) in KIND_PRICING
-    }
-    plain = max(ops - sum(mix.values()), 0)  # kinds unknown to the summary
-    parallel_width_s = plain * op_compute("newview")
-    per_op_serial_s = plain * model.serial_overhead_s("newview")
-    for kind, n in mix.items():
-        for kernel in KIND_PRICING[kind]:
-            parallel_width_s += n * op_compute(kernel)
-            per_op_serial_s += n * model.serial_overhead_s(kernel)
-    # one setup charge per wave at the schedule's op-weighted mean rate
-    serial_depth_s = waves * (per_op_serial_s / ops) if ops else 0.0
-    return {
-        "waves": float(waves),
-        "ops": float(ops),
-        "serial_depth_s": serial_depth_s,
-        "parallel_width_s": parallel_width_s,
-        "per_op_serial_s": per_op_serial_s,
-        "batch_saving_s": per_op_serial_s - serial_depth_s,
-        "batched_total_s": serial_depth_s + parallel_width_s,
-        "per_op_total_s": per_op_serial_s + parallel_width_s,
-    }
-
-
-# ----------------------------------------------------------------------
-# measured costs (backend profiles -> calibration input)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MeasuredKernelCost:
-    """Empirical per-kernel cost from a profiling backend.
-
-    The analytic side of this module predicts per-site times from VM
-    constants; this is its measured counterpart, built from the wall
-    times and traffic a :class:`repro.core.backends.KernelProfile`
-    records on the machine actually running the kernels.  Comparing the
-    two (predicted vs. ``seconds_per_site``) is how backend pipeline
-    efficiencies are calibrated.
-    """
-
-    kernel: str
-    calls: int
-    site_units: float
-    seconds: float
-    bytes_moved: int
-
-    @property
-    def seconds_per_site(self) -> float | None:
-        """Measured wall seconds per (pattern x call) work unit.
-
-        ``None`` for kernels the profile never observed — an untimed
-        kernel has no measured cost, and returning ``0.0`` would let
-        cost-model consumers price it as *free*.  Callers must skip
-        ``None`` entries.
-        """
-        return self.seconds / self.site_units if self.site_units else None
-
-    @property
-    def bytes_per_site(self) -> float:
-        """Measured traffic (lower bound) per work unit."""
-        return self.bytes_moved / self.site_units if self.site_units else 0.0
-
-    @property
-    def effective_bandwidth_gbs(self) -> float:
-        """Bytes moved over wall time, in GB/s (0 when untimed)."""
-        return self.bytes_moved / self.seconds / 1e9 if self.seconds else 0.0
-
-
-def measured_costs(source) -> dict[str, MeasuredKernelCost]:
-    """Extract per-kernel measured costs from a profile or trace.
-
-    ``source`` may be
-
-    * a :class:`repro.core.backends.KernelProfile` (any profiling
-      backend's ``profile`` attribute), or
-    * a :class:`repro.perf.trace.KernelTrace` whose ``measured_seconds``
-      field is populated (i.e. recorded through a profiling backend).
-
-    Returns a dict over the paper's four kernels.  Raises ``ValueError``
-    for a trace with no measurements — analytic replay needs no
-    calibration input, so asking for one is a caller bug.
-    """
-    if hasattr(source, "merged_seconds") and hasattr(source, "merged_site_units"):
-        calls = source.merged()
-        units = source.merged_site_units()
-        seconds = source.merged_seconds()
-        nbytes = source.merged_bytes()
-    elif hasattr(source, "calls") and hasattr(source, "traced_sites"):
-        if source.measured_seconds is None:
-            raise ValueError(
-                "trace carries no measurements; record it through a "
-                "profiling backend (see repro.perf.trace.trace_from_profile)"
-            )
-        calls = dict(source.calls)
-        units = {k: n * source.traced_sites for k, n in calls.items()}
-        seconds = dict(source.measured_seconds)
-        nbytes = dict(source.measured_bytes or {k: 0 for k in calls})
-    else:
-        raise TypeError(
-            f"expected a KernelProfile or measured KernelTrace, got {type(source)!r}"
-        )
-    return {
-        k: MeasuredKernelCost(
-            kernel=k,
-            calls=int(calls.get(k, 0)),
-            site_units=float(units.get(k, 0)),
-            seconds=float(seconds.get(k, 0.0)),
-            bytes_moved=int(nbytes.get(k, 0)),
-        )
-        for k in KERNELS
-    }
-
-
-# ----------------------------------------------------------------------
-# measured synchronisation costs (real fork-join regions -> calibration)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MeasuredSyncCost:
-    """Empirical fork-join region cost from a real parallel engine.
-
-    The PThreads/OpenMP side of the model predicts the two-barrier
-    region overhead from published microbenchmark constants; this is the
-    measured counterpart, built from the
-    :class:`repro.parallel.pool.BarrierStats` a real
-    :class:`~repro.parallel.pool.WorkerPool` (or threaded fork-join
-    engine) records while running: regions observed, mean wall time per
-    region, mean announcement + barrier + straggler overhead (region
-    wall time minus the slowest worker's compute), and the fraction of
-    region time lost to synchronisation.
-    """
-
-    regions: int
-    mean_region_s: float
-    mean_overhead_s: float
-    mean_compute_s: float
-    overhead_fraction: float
-
-
-def measured_sync_cost(stats) -> MeasuredSyncCost:
-    """Summarise one engine's measured barrier statistics.
-
-    ``stats`` is a :class:`repro.parallel.pool.BarrierStats` instance or
-    its ``to_dict()`` payload (what benchmark JSON artefacts store).
-    """
-    if hasattr(stats, "to_dict"):
-        stats = stats.to_dict()
-    regions = int(stats.get("regions", 0))
-    region_s = float(stats.get("region_seconds", 0.0))
-    overhead_s = float(stats.get("overhead_seconds", 0.0))
-    compute_s = float(stats.get("compute_seconds", 0.0))
-    return MeasuredSyncCost(
-        regions=regions,
-        mean_region_s=region_s / regions if regions else 0.0,
-        mean_overhead_s=overhead_s / regions if regions else 0.0,
-        mean_compute_s=compute_s / regions if regions else 0.0,
-        overhead_fraction=overhead_s / region_s if region_s else 0.0,
-    )
-
-
-def calibrate_forkjoin(samples: dict, name: str = "measured-forkjoin"):
-    """Fit a :class:`~repro.parallel.pthreads.ForkJoinModel` to measured
-    barriers.
-
-    ``samples`` maps worker count -> ``BarrierStats`` (or its dict
-    payload).  The fork-join region overhead is modelled as two barriers
-    of ``a + b * n`` seconds each, so the mean measured region overhead
-    at each worker count gives one point of ``2 * (a + b * n)``; the
-    constants are recovered by least squares (clamped non-negative).  A
-    single sample pins only the constant term (``b = 0``) — measure at
-    two or more worker counts to separate the per-thread slope, exactly
-    how the modelled constants were calibrated from EPCC-style
-    microbenchmarks.
-    """
-    from ..parallel.openmp import OpenMPModel
-    from ..parallel.pthreads import ForkJoinModel
-
-    points = [
-        (int(n), measured_sync_cost(stats).mean_overhead_s)
-        for n, stats in samples.items()
-        if measured_sync_cost(stats).regions > 0
-    ]
-    if not points:
-        raise ValueError("no measured regions to calibrate from")
-    if len(points) == 1:
-        a = max(points[0][1] / 2.0, 0.0)
-        b = 0.0
-    else:
-        arr = np.array(points, dtype=np.float64)
-        design = np.column_stack([np.ones(arr.shape[0]), arr[:, 0]])
-        coef, *_ = np.linalg.lstsq(design, arr[:, 1] / 2.0, rcond=None)
-        a, b = max(float(coef[0]), 0.0), max(float(coef[1]), 0.0)
-    return ForkJoinModel(
-        name=name,
-        barrier=OpenMPModel(
-            name=f"{name}-barrier", fork_base_s=a, barrier_per_thread_s=b
-        ),
-    )

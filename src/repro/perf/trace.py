@@ -18,14 +18,13 @@ performance", Sec. VI-A3.)
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
     "KernelTrace",
     "trace_from_search",
     "trace_from_profile",
-    "trace_from_spans",
     "DEFAULT_TRACE",
 ]
 
@@ -40,18 +39,11 @@ class KernelTrace:
     count; ``reductions`` counts the scalar AllReduce points (one per
     ``evaluate`` and per ``derivativeCore`` batch in ExaML).
 
-    ``measured_seconds`` / ``measured_bytes`` optionally carry per-kernel
-    wall time and bytes moved as recorded by the dispatching backend's
-    :class:`~repro.core.backends.KernelProfile` — measured quantities
-    that :func:`repro.perf.costmodel.measured_costs` turns into
-    calibration input for the analytic predictions.
-
-    ``wave_summary`` optionally carries the levelized-schedule shape of
-    the traced workload (a :meth:`repro.core.schedule.WaveStats.to_dict`
-    payload: plans, waves, ops, max/mean width).  The
-    wave structure — not just the call mix — is what the scheduling cost
-    model (:func:`repro.perf.costmodel.wave_schedule_costs`) needs to
-    separate serial depth from parallel width.
+    ``measured_seconds`` optionally carries per-kernel wall time as
+    recorded by the dispatching backend's
+    :class:`~repro.core.backends.KernelProfile` — the measured
+    calibration input for the analytic predictions.  :meth:`from_json`
+    ignores keys beyond these fields, so older saved traces still load.
     """
 
     n_taxa: int
@@ -60,8 +52,6 @@ class KernelTrace:
     reductions: int
     description: str = ""
     measured_seconds: dict[str, float] | None = None
-    measured_bytes: dict[str, int] | None = None
-    wave_summary: dict | None = None
 
     def __post_init__(self) -> None:
         missing = [k for k in KERNELS if k not in self.calls]
@@ -84,17 +74,12 @@ class KernelTrace:
         }
         if self.measured_seconds is not None:
             payload["measured_seconds"] = self.measured_seconds
-        if self.measured_bytes is not None:
-            payload["measured_bytes"] = self.measured_bytes
-        if self.wave_summary is not None:
-            payload["wave_summary"] = self.wave_summary
         return json.dumps(payload, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "KernelTrace":
         d = json.loads(text)
         seconds = d.get("measured_seconds")
-        nbytes = d.get("measured_bytes")
         return cls(
             n_taxa=d["n_taxa"],
             traced_sites=d["traced_sites"],
@@ -106,12 +91,6 @@ class KernelTrace:
                 if seconds is not None
                 else None
             ),
-            measured_bytes=(
-                {k: int(v) for k, v in nbytes.items()}
-                if nbytes is not None
-                else None
-            ),
-            wave_summary=d.get("wave_summary"),
         )
 
     def save(self, path: str | Path) -> None:
@@ -126,20 +105,13 @@ def trace_from_search(result) -> KernelTrace:
     """Extract a trace from a :class:`repro.search.SearchResult`.
 
     If the search engine dispatched through a profiling backend, the
-    measured per-kernel wall times and traffic ride along in the trace's
-    ``measured_*`` fields.
+    measured per-kernel wall times ride along in ``measured_seconds``.
     """
     counters = result.counters
     seconds = None
-    nbytes = None
     profile = getattr(result.engine, "profile", None)
     if profile is not None and getattr(profile, "seconds", None):
         seconds = profile.merged_seconds()
-        nbytes = profile.merged_bytes()
-    wave_stats = getattr(result.engine, "wave_stats", None)
-    wave_summary = (
-        wave_stats.to_dict() if wave_stats is not None and wave_stats.waves else None
-    )
     return KernelTrace(
         n_taxa=result.tree.n_leaves,
         traced_sites=result.engine.patterns.n_patterns,
@@ -147,14 +119,11 @@ def trace_from_search(result) -> KernelTrace:
         reductions=counters.reductions,
         description="full ML tree search (parsimony start, model opt, lazy SPR)",
         measured_seconds=seconds,
-        measured_bytes=nbytes,
-        wave_summary=wave_summary,
     )
 
 
 def trace_from_profile(
-    profile, n_taxa: int, traced_sites: int, description: str = "",
-    wave_stats=None,
+    profile, n_taxa: int, traced_sites: int, description: str = ""
 ) -> KernelTrace:
     """Build a trace directly from a backend's :class:`KernelProfile`.
 
@@ -164,18 +133,13 @@ def trace_from_profile(
 
     .. note:: **Cumulative, not per-run.**  A
        :class:`~repro.core.backends.KernelProfile` (and likewise
-       :class:`~repro.core.traversal.KernelCounters` and
-       :class:`~repro.core.schedule.WaveStats`) accumulates across every
+       :class:`~repro.core.traversal.KernelCounters`) accumulates across every
        workload dispatched through its backend since construction or the
        last explicit ``reset()``.  This function therefore reads the
        *cumulative* numbers: to trace a single run, call
        ``profile.reset()`` (or the engine-level ``reset_profile()``,
-       which also zeroes counters and wave statistics) immediately
-       before the workload, then build the trace immediately after.
-
-    ``wave_stats`` (a :class:`repro.core.schedule.WaveStats`, e.g. an
-    engine's ``wave_stats`` property) optionally attaches the levelized
-    schedule shape — it follows the same cumulative semantics.
+       which also zeroes the engine's counters) immediately before the
+       workload, then build the trace immediately after.
     """
     return KernelTrace(
         n_taxa=n_taxa,
@@ -184,110 +148,6 @@ def trace_from_profile(
         reductions=profile.reductions,
         description=description,
         measured_seconds=profile.merged_seconds(),
-        measured_bytes=profile.merged_bytes(),
-        wave_summary=(
-            wave_stats.to_dict()
-            if wave_stats is not None and wave_stats.waves
-            else None
-        ),
-    )
-
-
-def trace_from_spans(
-    source, n_taxa: int, traced_sites: int, description: str = ""
-) -> KernelTrace:
-    """Collapse a recorded span tree into a *measured* :class:`KernelTrace`.
-
-    The :mod:`repro.obs` bridge: any tracing session — a live
-    :class:`~repro.obs.spans.Tracer` or a saved Chrome-trace payload
-    (the dict :func:`repro.obs.summary.load_chrome` returns) — carries
-    one ``kernel.<kind>`` span per PLF dispatch, each tagged with the
-    bytes it moved.  Folding those spans yields the same four-kernel
-    call mix, measured wall seconds, and traffic that
-    :func:`trace_from_profile` reads from a
-    :class:`~repro.core.backends.KernelProfile`, so a trace recorded
-    yesterday feeds :func:`repro.perf.costmodel.measured_costs` exactly
-    like a live profile does.  Reductions follow the
-    :class:`~repro.core.traversal.KernelCounters` rule: one per
-    ``evaluate`` and per ``derivative_core`` dispatch.
-
-    The ``wave_summary`` is rebuilt from the recorded ``wave`` spans
-    (count, op totals, max/mean width, summed wall seconds).
-
-    .. warning:: Record the source trace with the **reference** or
-       **compiled** backend.  The shadow backend dispatches every kernel
-       twice (primary + reference), so its span stream double-counts
-       calls relative to the engine's own counters.
-    """
-    # (kind value, duration seconds, bytes) rows
-    kernel_rows: list[tuple[str, float, int]] = []
-    wave_rows: list[tuple[int, float]] = []
-    if isinstance(source, dict):  # Chrome payload: matched B/E pairs
-        open_spans: dict[tuple, list] = {}
-        for e in source.get("traceEvents", ()):
-            ph, name = e.get("ph"), e.get("name", "")
-            key = (e.get("pid", 0), e.get("tid", 0))
-            if ph == "B":
-                open_spans.setdefault(key, []).append(e)
-            elif ph == "E":
-                stack = open_spans.get(key)
-                if not stack:
-                    continue
-                b = stack.pop()
-                dur_s = (float(e["ts"]) - float(b["ts"])) / 1e6
-                args = b.get("args") or {}
-                if name.startswith("kernel."):
-                    kernel_rows.append(
-                        (name[len("kernel."):], dur_s,
-                         int(args.get("bytes", 0)))
-                    )
-                elif name == "wave":
-                    wave_rows.append((int(args.get("width", 0)), dur_s))
-    else:  # live Tracer
-        for rec in source.spans:
-            args = rec.args or {}
-            if rec.name.startswith("kernel."):
-                kernel_rows.append(
-                    (rec.name[len("kernel."):], rec.duration,
-                     int(args.get("bytes", 0)))
-                )
-            elif rec.name == "wave":
-                wave_rows.append((int(args.get("width", 0)), rec.duration))
-
-    calls = {k: 0 for k in KERNELS}
-    seconds = {k: 0.0 for k in KERNELS}
-    nbytes = {k: 0 for k in KERNELS}
-    reductions = 0
-    for kind, dur_s, b in kernel_rows:
-        key = "newview" if kind.startswith("newview") else kind
-        if key not in calls:
-            raise ValueError(f"unknown kernel span 'kernel.{kind}'")
-        calls[key] += 1
-        seconds[key] += dur_s
-        nbytes[key] += b
-        if key in ("evaluate", "derivative_core"):
-            reductions += 1
-    wave_summary = None
-    if wave_rows:
-        widths = [w for w, _ in wave_rows]
-        wave_summary = {
-            "plans": 0,  # plan membership is not span-visible
-            "waves": len(wave_rows),
-            "ops": sum(widths),
-            "max_width": max(widths),
-            "seconds": sum(s for _, s in wave_rows),
-            "bytes_moved": sum(nbytes.values()),
-            "kernel_mix": {},
-        }
-    return KernelTrace(
-        n_taxa=n_taxa,
-        traced_sites=traced_sites,
-        calls=calls,
-        reductions=reductions,
-        description=description or "rebuilt from recorded spans",
-        measured_seconds=seconds,
-        measured_bytes=nbytes,
-        wave_summary=wave_summary,
     )
 
 

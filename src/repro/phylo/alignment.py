@@ -65,6 +65,8 @@ class Alignment:
         lengths = {len(s) for s in sequences.values()}
         if len(lengths) != 1:
             raise ValueError(f"sequences have differing lengths: {sorted(lengths)}")
+        if lengths == {0}:
+            raise ValueError("alignment has no sites")
         data = np.stack([states.encode(sequences[t]) for t in taxa])
         return cls(taxa, data, states)
 

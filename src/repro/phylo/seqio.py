@@ -82,10 +82,10 @@ def read_phylip(source: str | Path | io.TextIOBase, states: StateSpace = DNA) ->
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty PHYLIP input")
-    header = lines[0].split()
-    if len(header) < 2:
+    header = lines[0].split()[:2]
+    if len(header) < 2 or not all(f.isdecimal() and int(f) > 0 for f in header):
         raise ValueError(f"bad PHYLIP header: {lines[0]!r}")
-    n_taxa, n_sites = int(header[0]), int(header[1])
+    n_taxa, n_sites = map(int, header)
     names: list[str] = []
     parts: dict[str, list[str]] = {}
     cursor = 0

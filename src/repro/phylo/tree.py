@@ -646,8 +646,8 @@ class Tree:
 
         Raises :class:`~repro.phylo.newick.NewickError` (a ``ValueError``)
         for a tree no likelihood can be computed on: an unnamed or
-        repeated leaf, or a branch length that is not finite or exceeds
-        ``MAX_BRANCH_LENGTH``.
+        repeated leaf, or a branch length that is negative, not finite or
+        exceeds ``MAX_BRANCH_LENGTH``.
         """
         root = parse_newick(text)
         t = cls()
@@ -665,10 +665,10 @@ class Tree:
             for child in nn.children:
                 cid = build(child)
                 length = DEFAULT_BRANCH_LENGTH if child.length is None else child.length
-                if not np.isfinite(length) or length > MAX_BRANCH_LENGTH:
+                if not 0.0 <= length <= MAX_BRANCH_LENGTH:
                     raise NewickError(
-                        f"branch length {length} is not finite or exceeds "
-                        f"{MAX_BRANCH_LENGTH}"
+                        f"branch length {length} is negative, not finite or "
+                        f"exceeds {MAX_BRANCH_LENGTH}"
                     )
                 t.add_edge(node, cid, length)
             return node

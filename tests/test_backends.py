@@ -523,11 +523,9 @@ class TestProfiles:
         assert merged["derivative_core"] == 1
         seconds = profile.merged_seconds()
         assert all(seconds[k] > 0.0 for k in merged)
-        nbytes = profile.merged_bytes()
-        assert all(nbytes[k] > 0 for k in merged)
 
     def test_profile_feeds_trace_and_costmodel(self):
-        from repro.perf import measured_costs, trace_from_profile
+        from repro.perf import trace_from_profile
         from repro.perf.trace import KernelTrace
 
         sim = simulate_dataset(n_taxa=8, n_sites=250, seed=21)
@@ -542,33 +540,12 @@ class TestProfiles:
             engine.profile, n_taxa=8,
             traced_sites=engine.patterns.n_patterns,
         )
-        assert trace.measured_seconds is not None
+        assert trace.calls == engine.profile.merged()
+        assert trace.reductions == engine.profile.reductions
+        assert trace.measured_seconds == engine.profile.merged_seconds()
+        assert trace.measured_seconds["newview"] > 0.0
         roundtrip = KernelTrace.from_json(trace.to_json())
         assert roundtrip == trace
-        costs = measured_costs(engine.profile)
-        assert costs["newview"].seconds_per_site > 0.0
-        assert costs["newview"].effective_bandwidth_gbs > 0.0
-        # trace route must agree with the profile route
-        via_trace = measured_costs(trace)
-        assert via_trace["evaluate"].calls == costs["evaluate"].calls
-
-    def test_untimed_kernel_has_no_per_site_cost(self):
-        from repro.perf import measured_costs
-
-        sim = simulate_dataset(n_taxa=6, n_sites=120, seed=21)
-        engine = make_engine(
-            sim.alignment.compress(), sim.tree.copy(), gtr(), GammaRates(0.8)
-        )
-        engine.log_likelihood()  # no derivative kernel dispatched
-        costs = measured_costs(engine.profile)
-        assert costs["derivative_core"].seconds_per_site is None  # not 0.0
-        assert costs["evaluate"].seconds_per_site > 0.0
-
-    def test_unmeasured_trace_rejected(self):
-        from repro.perf import DEFAULT_TRACE, measured_costs
-
-        with pytest.raises(ValueError, match="no measurements"):
-            measured_costs(DEFAULT_TRACE)
 
     def test_shared_backend_aggregates_profile(self):
         sim = simulate_dataset(n_taxa=6, n_sites=150, seed=33)

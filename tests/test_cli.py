@@ -110,6 +110,20 @@ class TestPlace:
         total = sum(row[2] for row in doc["placements"][0]["p"])
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_place_refuses_negative_branch_length(self, io_case, tmp_path):
+        _, _, _, ref_path, tree_path, q_path, _ = io_case
+        tree = Tree.from_newick(tree_path.read_text())
+        tree.edges[0].length = -0.05
+        bad = tmp_path / "neg.nwk"
+        bad.write_text(tree.to_newick())
+        out = tmp_path / "out.jplace"
+        with pytest.raises(ValueError, match=r"branch length -0\.05"):
+            main([
+                "place", "--reference", str(ref_path), "--tree", str(bad),
+                "--queries", str(q_path), "--out", str(out),
+            ])
+        assert not out.exists()
+
 
 class TestStats:
     def test_stats_prints_summary(self, io_case, capsys):

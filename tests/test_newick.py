@@ -72,6 +72,7 @@ class TestTreeFromNewickErrors:
             ("((a:0.1,b:0.2):0.1,c:0.3,d:inf);", "branch length inf"),
             ("((a:0.1,b:0.2):0.1,c:0.3,d:-inf);", "branch length -inf"),
             ("((a:0.1,b:0.2):0.1,c:0.3,d:1e300);", "exceeds"),
+            ("((a:0.1,b:0.2):0.1,c:0.3,d:-0.05);", "branch length -0.05"),
             ("((a:0.1,b:0.2):nan,c:0.3,d:0.4);", "not finite"),
             ("((a:0.1,a:0.1):0.1,c:0.3,d:0.4);", "'a' appears twice"),
             ("(a:0.1,a:0.1);", "'a' appears twice"),

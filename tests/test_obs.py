@@ -13,7 +13,7 @@ Four angles:
 * lifecycle: enable/disable gating, the shared null-span singleton,
   ``reset_all_observability``;
 * round-trip: ``--trace``'d CLI run -> saved JSON -> ``repro trace``
-  validation/summary -> ``trace_from_spans`` bridge.
+  validation/summary.
 """
 
 from __future__ import annotations
@@ -412,7 +412,7 @@ class TestGating:
         assert reg.counter("repro_kernel_dispatch_total").value == 0
         assert obs.get_tracer().n_events == 0
         assert engine.profile.total_calls() == 0
-        assert engine.wave_stats.waves == 0
+        assert engine.counters.total_calls() == 0
 
 
 # ----------------------------------------------------------------------
@@ -443,36 +443,10 @@ class TestKernelParity:
                 profile_s, rel=0.05, abs=1e-6
             )
 
-    def test_trace_from_spans_matches_trace_from_profile(self, traced_engine):
-        from repro.perf import trace_from_profile, trace_from_spans
-
-        engine = traced_engine
-        engine.log_likelihood()
-        n_pat = engine.patterns.n_patterns
-        t_prof = trace_from_profile(engine.profile, 8, n_pat)
-        t_live = trace_from_spans(obs.get_tracer(), 8, n_pat)
-        t_saved = trace_from_spans(obs.to_chrome(obs.get_tracer()), 8, n_pat)
-        assert t_live.calls == t_prof.calls
-        assert t_saved.calls == t_prof.calls
-        assert t_live.reductions == t_prof.reductions
-        for k, prof_s in t_prof.measured_seconds.items():
-            assert t_live.measured_seconds[k] == pytest.approx(
-                prof_s, rel=0.05, abs=1e-6
-            )
-            assert t_saved.measured_seconds[k] == pytest.approx(
-                prof_s, rel=0.05, abs=2e-6
-            )
-        assert t_live.measured_bytes == t_prof.measured_bytes
-        # the bridge feeds the measured-costs calibration path
-        from repro.perf import measured_costs
-
-        costs = measured_costs(t_live)
-        assert costs["newview"].calls == t_prof.calls["newview"]
-
     def test_wave_spans_match_wave_stats(self, traced_engine):
-        from repro.perf import trace_from_spans
-
+        """One ``wave`` span per executed wave, as wide as the wave."""
         engine = traced_engine
+        plan = engine.plan_execution(engine.default_edge())
         engine.log_likelihood()
         payload = obs.to_chrome(obs.get_tracer())
         # traces saved before stacked dispatch was removed carry a
@@ -481,14 +455,13 @@ class TestKernelParity:
             if event.get("name") == "wave" and event.get("ph") == "B":
                 event["args"]["batched"] = True
         summary = obs.summarize_chrome(payload)
-        assert len(summary.wave_timeline) == engine.wave_stats.waves
-        assert (
-            sum(w for _, _, w in summary.wave_timeline)
-            == engine.wave_stats.ops
-        )
+        assert plan.depth > 0
+        assert len(summary.wave_timeline) == plan.depth
+        assert [w for _, _, w in summary.wave_timeline] == [
+            wave.width for wave in plan.waves
+        ]
+        assert sum(w for _, _, w in summary.wave_timeline) == plan.n_ops
         assert "wave timeline" in obs.render_summary(summary)
-        rebuilt = trace_from_spans(payload, 8, engine.patterns.n_patterns)
-        assert rebuilt.wave_summary["ops"] == engine.wave_stats.ops
 
 
 # ----------------------------------------------------------------------

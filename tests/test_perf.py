@@ -1,5 +1,7 @@
 """Tests for platform specs, cost model, traces, and energy model."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,17 @@ class TestTrace:
         DEFAULT_TRACE.save(path)
         loaded = KernelTrace.load(path)
         assert loaded == DEFAULT_TRACE
+
+    def test_saved_trace_with_retired_keys_loads(self):
+        """Saved traces are outside input: keys older versions wrote
+        (per-kernel bytes, a wave summary) are ignored, not refused."""
+        payload = json.loads(DEFAULT_TRACE.to_json())
+        payload["measured_seconds"] = {k: 0.5 for k in DEFAULT_TRACE.calls}
+        payload["measured_bytes"] = {k: 1024 for k in DEFAULT_TRACE.calls}
+        payload["wave_summary"] = {"plans": 1, "waves": 3, "ops": 6}
+        loaded = KernelTrace.from_json(json.dumps(payload))
+        assert loaded.calls == DEFAULT_TRACE.calls
+        assert loaded.measured_seconds == payload["measured_seconds"]
 
     def test_missing_kernel_rejected(self):
         with pytest.raises(ValueError, match="missing"):

@@ -10,8 +10,8 @@ Covers the scheduler satellites:
 * a regression test that after SPR/NNI moves the planned waves contain
   exactly the signature-stale nodes (and none of the untouched pruned
   subtree);
-* unit coverage of the wave statistics, the parallel drivers' wave
-  accounting, and the scheduling cost model.
+* unit coverage of the kernel counters and the parallel drivers' wave
+  accounting.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.core import (
     ExecutionPlan,
     LikelihoodEngine,
     Wave,
-    WaveStats,
     available_backends,
     levelize,
 )
@@ -230,73 +229,41 @@ class TestMoveInvalidation:
 
 
 # ----------------------------------------------------------------------
-# wave statistics and executors
+# accounting and parallel drivers
 # ----------------------------------------------------------------------
 class TestWaveStats:
     def test_stats_accumulate_and_reset(self):
         engine = make_engine(seed=1)
         root = engine.default_edge()
         engine.log_likelihood(root)
-        stats = engine.wave_stats
-        assert stats.plans == 1
-        assert stats.ops == engine.tree.n_leaves - 2
-        assert stats.max_width >= 1
-        assert stats.mean_width == pytest.approx(stats.ops / stats.waves)
-        assert sum(stats.kernel_mix.values()) == stats.ops
+        once = engine.counters.total_calls()
+        assert engine.counters.merged()["newview"] == engine.tree.n_leaves - 2
         # cumulative across runs
         engine.drop_caches()
         engine.log_likelihood(root)
-        assert engine.wave_stats.plans == 2
+        assert engine.counters.total_calls() == 2 * once
         engine.reset_profile()
-        empty = engine.wave_stats
-        assert empty.plans == 0 and empty.ops == 0 and empty.seconds == 0.0
         assert engine.counters.total_calls() == 0
-
-    def test_stats_roundtrip_and_merge(self):
-        a = WaveStats(plans=1, waves=2, ops=5, max_width=3,
-                      seconds=0.5, bytes_moved=100,
-                      kernel_mix={"newview_tip_tip": 5})
-        # payloads written before stacked dispatch was removed carry a
-        # ``batched_ops`` key; they must still load
-        b = WaveStats.from_dict({**a.to_dict(), "batched_ops": 3})
-        assert b.ops == 5 and b.max_width == 3
-        assert b.to_dict() == a.to_dict()
-        b.merge(a)
-        assert b.ops == 10 and b.plans == 2 and b.max_width == 3
-        b.reset()
-        assert b.ops == 0 and b.kernel_mix == {}
-
-    def test_trace_carries_wave_summary(self):
-        from repro.perf.trace import KernelTrace, trace_from_profile
-
-        engine = make_engine(seed=4)
-        engine.reset_profile()
-        engine.log_likelihood()
-        trace = trace_from_profile(
-            engine.backend.profile,
-            n_taxa=engine.tree.n_leaves,
-            traced_sites=engine.patterns.n_patterns,
-            wave_stats=engine.wave_stats,
-        )
-        assert trace.wave_summary is not None
-        assert trace.wave_summary["ops"] == engine.wave_stats.ops
-        again = KernelTrace.from_json(trace.to_json())
-        assert again.wave_summary == trace.wave_summary
+        assert engine.profile.total_calls() == 0
 
 
-class TestFusionAndParallelDrivers:
+class TestParallelDrivers:
     def test_partitioned_engine_wave_stats(self):
         patterns, tree = make_case(seed=13)
+        other = make_case(seed=14)[0]
         parts = [
             Partition("g1", patterns, gtr(), GammaRates(0.9, 4)),
-            Partition("g2", make_case(seed=14)[0], gtr(), GammaRates(1.3, 4)),
+            Partition("g2", other, gtr(), GammaRates(1.3, 4)),
         ]
         pe = PartitionedEngine(parts, tree)
         pe.log_likelihood()
-        stats = pe.wave_stats
-        assert stats.ops == 2 * (tree.n_leaves - 2)
+        counters = pe.counters
+        assert counters.merged()["newview"] == tree.n_leaves - 2
+        assert sum(counters.site_units.values()) == (
+            tree.n_leaves - 1
+        ) * (patterns.n_patterns + other.n_patterns)
         pe.reset_profile()
-        assert pe.wave_stats.ops == 0
+        assert pe.counters.total_calls() == 0
 
     def test_forkjoin_one_region_per_wave(self):
         patterns, tree = make_case(seed=15, n_sites=40)
@@ -307,7 +274,7 @@ class TestFusionAndParallelDrivers:
         fj.log_likelihood()
         # depth wave regions + 1 evaluate region
         assert fj.parallel_regions == depth + 1
-        assert fj.wave_stats.ops == 2 * (tree.n_leaves - 2)
+        assert fj.counters.merged()["newview"] == tree.n_leaves - 2
 
     def test_distributed_counts_wave_boundaries_without_comm(self):
         patterns, tree = make_case(seed=16, n_sites=40)
@@ -320,42 +287,19 @@ class TestFusionAndParallelDrivers:
         de.log_likelihood()
         assert de.comm_seconds > comm0  # only the evaluate AllReduce pays
 
-
-# ----------------------------------------------------------------------
-# scheduling cost model
-# ----------------------------------------------------------------------
-class TestWaveCostModel:
-    def test_wave_time_batching_amortises_serial_overhead(self):
-        from repro.perf import XEON_PHI_5110P_1S, CostModel
-
-        model = CostModel(XEON_PHI_5110P_1S)
-        per_op = model.wave_time("newview", 10_000, width=8, batched=False)
-        batched = model.wave_time("newview", 10_000, width=8, batched=True)
-        assert batched < per_op
-        saved = per_op - batched
-        assert saved == pytest.approx(7 * model.serial_overhead_s("newview"))
-        assert model.wave_time("newview", 10_000, width=0) == 0.0
-        with pytest.raises(KeyError):
-            model.wave_time("bogus", 100, width=1)
-
-    def test_wave_schedule_costs_decomposition(self):
-        from repro.perf import XEON_PHI_5110P_1S, CostModel, wave_schedule_costs
-
-        model = CostModel(XEON_PHI_5110P_1S)
-        engine = make_engine(seed=17)
-        engine.log_likelihood()
-        costs = wave_schedule_costs(model, engine.wave_stats, sites=100_000)
-        assert costs["ops"] == engine.wave_stats.ops
-        assert costs["waves"] == engine.wave_stats.waves
-        assert costs["batch_saving_s"] == pytest.approx(
-            costs["per_op_serial_s"] - costs["serial_depth_s"]
-        )
-        assert costs["batched_total_s"] <= costs["per_op_total_s"]
-        # dict payload (as attached to a trace) is accepted too
-        again = wave_schedule_costs(
-            model, engine.wave_stats.to_dict(), sites=100_000
-        )
-        assert again == costs
+    def test_distributed_gradient_counts_every_executed_wave(self):
+        """A cold all-branch gradient charges one boundary per down-sweep
+        wave and one per up-sweep wave — exactly the serial plan's."""
+        patterns, tree = make_case(seed=16, n_sites=40)
+        serial = LikelihoodEngine(patterns, tree.copy(), gtr(),
+                                  GammaRates(1.0, 4))
+        plan = serial.plan_gradient(serial.default_edge())
+        assert plan.down.depth > 0 and plan.up.depth > 0
+        de = DistributedEngine(patterns, tree, gtr(), GammaRates(1.0, 4),
+                               n_ranks=2)
+        before = de.wave_boundaries
+        de.all_branch_gradients(serial.default_edge())
+        assert de.wave_boundaries - before == plan.down.depth + plan.up.depth
 
 
 class TestLevelizeUnit:

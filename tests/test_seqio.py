@@ -59,6 +59,11 @@ class TestFasta:
         with pytest.raises(ValueError, match="no FASTA records"):
             read_fasta(io.StringIO("\n\n"))
 
+    @pytest.mark.parametrize("text", [">a\n>b\n", ">a\n\n>b\n>c\n"])
+    def test_records_without_sites_rejected(self, text):
+        with pytest.raises(ValueError, match="alignment has no sites"):
+            read_fasta(io.StringIO(text))
+
     def test_roundtrip_via_file(self, tmp_path):
         aln = read_fasta(io.StringIO(FASTA))
         path = tmp_path / "x.fasta"
@@ -83,6 +88,15 @@ class TestPhylip:
         bad = "2 9\nalpha ACGTAC\nbeta ACGTAC\n"
         with pytest.raises(ValueError, match="promises"):
             read_phylip(io.StringIO(bad))
+
+    @pytest.mark.parametrize(
+        "header", ["-2 4", "0 4", "2 0", "2 -6", "x y", "2", "2 6.0"]
+    )
+    def test_bad_header_rejected(self, header):
+        text = f"{header}\nalpha ACGTAC\nbeta ACGTAC\n"
+        with pytest.raises(ValueError, match="bad PHYLIP header") as exc:
+            read_phylip(io.StringIO(text))
+        assert repr(header) in str(exc.value)
 
     def test_missing_taxon_detected(self):
         bad = "3 6\nalpha ACGTAC\nbeta ACGTAC\n"

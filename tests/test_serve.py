@@ -562,6 +562,19 @@ class TestHostileInput:
         code, listing = _get(f"{server.url}/tenants")
         assert "nan" not in [t["name"] for t in json.loads(listing)["tenants"]]
 
+    def test_zero_site_tenant_400(self, server_case):
+        server, ref_aln, ref_tree, _ = server_case
+        code, doc = _post(
+            f"{server.url}/tenants/e",
+            {
+                "tree": ref_tree.to_newick(),
+                "alignment": {t: "" for t in ref_aln.taxa},
+            },
+        )
+        assert code == 400 and "alignment has no sites" in doc["error"]
+        code, listing = _get(f"{server.url}/tenants")
+        assert "e" not in [t["name"] for t in json.loads(listing)["tenants"]]
+
     def test_non_integer_keep_best_400(self, server_case):
         server, _, _, seq = server_case
         code, doc = _post(

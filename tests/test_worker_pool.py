@@ -27,7 +27,6 @@ from repro.parallel.forkjoin import (
     default_workers,
 )
 from repro.parallel.pool import WorkerRestart
-from repro.perf.costmodel import calibrate_forkjoin, measured_sync_cost
 from repro.phylo import CatRates, GammaRates, gtr, simulate_dataset
 from tolerances import LNL_RECOMPUTE_RTOL
 
@@ -217,14 +216,14 @@ class TestObservability:
         ) as pool:
             pool_lnl(pool, sim.tree, serial["edge"], pat.weights)
             assert sum(pool.merged_profile().calls.values()) > 0
-            assert pool.merged_wave_stats().waves > 0
+            assert pool.counters().total_calls() > 0
             assert pool.barrier_stats.regions > 0
             pool.reset_profiles()
             # barrier stats first: the merged_* queries below are
             # themselves pool regions and would re-increment the count
             assert pool.barrier_stats.regions == 0
             assert sum(pool.merged_profile().calls.values()) == 0
-            assert pool.merged_wave_stats().waves == 0
+            assert pool.counters().total_calls() == 0
 
     def test_barrier_stats_feed_cost_model(self, problem, serial):
         sim, pat, model, gamma = problem
@@ -232,22 +231,19 @@ class TestObservability:
             pat, sim.tree.copy(), model, gamma, n_workers=2
         ) as pool:
             pool_lnl(pool, sim.tree, serial["edge"], pat.weights)
-            cost = measured_sync_cost(pool.barrier_stats)
-            assert cost.regions == pool.barrier_stats.regions
-            assert cost.mean_region_s > 0.0
-            assert cost.mean_overhead_s >= 0.0
-            assert 0.0 <= cost.overhead_fraction <= 1.0
-            fitted = calibrate_forkjoin({2: pool.barrier_stats})
-            assert fitted.region_overhead_s(2) >= 0.0
-
-    def test_calibrate_two_points_extrapolates(self):
-        fitted = calibrate_forkjoin(
-            {
-                2: {"regions": 10, "overhead_seconds": 1e-2},  # mean 1 ms
-                4: {"regions": 10, "overhead_seconds": 2e-2},  # mean 2 ms
-            }
-        )
-        assert fitted.region_overhead_s(8) == pytest.approx(4e-3)
+            stats = pool.barrier_stats
+            assert stats.regions > 0
+            assert stats.region_seconds > 0.0
+            assert stats.max_region_seconds <= stats.region_seconds
+            assert 0.0 <= stats.overhead_seconds <= stats.region_seconds
+            assert stats.mean_region_overhead_s == pytest.approx(
+                stats.overhead_seconds / stats.regions
+            )
+            payload = stats.to_dict()
+            assert payload["regions"] == stats.regions
+            assert payload["mean_region_overhead_s"] == (
+                stats.mean_region_overhead_s
+            )
 
 
 NEW_MODEL = gtr(
