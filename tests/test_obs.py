@@ -460,7 +460,6 @@ class TestKernelParity:
         assert [w for _, _, w in summary.wave_timeline] == [
             wave.width for wave in plan.waves
         ]
-        assert sum(w for _, _, w in summary.wave_timeline) == plan.n_ops
         assert "wave timeline" in obs.render_summary(summary)
 
 
