@@ -437,6 +437,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             print(f"resume with: repro search {args.alignment} "
                   f"--resume {checkpoint_path}")
         return 3
+    for stats in result.spr_history:
+        print(
+            f"SPR round: radius {stats.radius}, {stats.moves_tried} moves "
+            f"tried, {stats.moves_accepted} accepted"
+        )
     print(f"final lnL: {result.lnl:.4f}")
     print(f"alpha:     {result.alpha:.4f}")
     print(

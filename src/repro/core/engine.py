@@ -555,8 +555,8 @@ class LikelihoodEngine:
         """Make both CLAs adjacent to ``root_edge`` valid."""
         self.execute_plan(self.plan_execution(root_edge))
         # Topology moves retire node ids; forget their CLAs once the books
-        # clearly outgrow the live tree (node ids are never reused, so a
-        # dead entry can never come back to life).
+        # clearly outgrow the live tree.  A trial undo hands ids back, but
+        # a reused id only ever hits the cache through an equal signature.
         if len(self._valid) > 4 * self.tree.n_leaves:
             live = set(self.tree.nodes)
             for node in [n for n in self._valid if n not in live]:

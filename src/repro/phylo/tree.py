@@ -67,10 +67,10 @@ class PruneRecord:
 class Tree:
     """Mutable unrooted tree over named leaves.
 
-    Nodes are integers; leaves carry a name, internal nodes do not.  Node
-    and edge ids are never reused within a tree's lifetime, so external
-    caches keyed by them (conditional likelihood arrays, parsimony state
-    sets) can be invalidated precisely rather than wholesale.
+    Nodes are integers; leaves carry a name, internal nodes do not.  The
+    undo of a trial move hands the ids it allocated back for the next
+    trial to reuse, so caches keyed by ids must also check content (as
+    the likelihood engine's structural subtree signatures do).
     """
 
     def __init__(self) -> None:
@@ -436,26 +436,19 @@ class Tree:
     ) -> tuple[int, Callable[[], None]]:
         """Perform an SPR move; returns ``(new_pendant_edge, undo)``.
 
-        ``undo`` restores the exact previous topology and branch lengths.
+        ``undo`` restores the exact prior state (see :meth:`_snapshot`).
         ``target_edge`` must survive the prune (i.e. not be one of the two
         edges merged away at the old attachment point).
         """
+        undo = self._snapshot()
         rec = self.prune_subtree(pendant_edge, subtree_root)
         if not self.has_edge(target_edge):
+            undo()
             raise ValueError(
                 "target edge was consumed by the prune; choose an edge outside "
                 "the immediate neighborhood of the pruned attachment node"
             )
-        mid, pend = self.regraft(rec.subtree_root, target_edge, rec.pendant_length)
-
-        def undo() -> None:
-            rec2 = self.prune_subtree(pend, rec.subtree_root)
-            # Re-split the merged edge between x and y at original lengths.
-            merged = self.find_edge(rec.attach_x, rec.attach_y)
-            frac = rec.len_x / (rec.len_x + rec.len_y)
-            mid2 = self.split_edge(merged, frac)
-            self.add_edge(mid2, rec2.subtree_root, rec.pendant_length)
-
+        _, pend = self.regraft(rec.subtree_root, target_edge, rec.pendant_length)
         return pend, undo
 
     def spr_candidates(
@@ -490,12 +483,13 @@ class Tree:
 
         Swaps one of the two subtrees on ``u``'s side with one on ``v``'s
         side (``which`` selects which of ``v``'s subtrees).  Returns an
-        undo callable.
+        exact undo, as :meth:`spr` does.
         """
         edge = self._edges[internal_edge]
         u, v = edge.u, edge.v
         if self.is_leaf(u) or self.is_leaf(v):
             raise ValueError("NNI requires an internal edge")
+        undo = self._snapshot()
         eu = [e for e in self._adj[u] if e != internal_edge][0]
         ev = [e for e in self._adj[v] if e != internal_edge][which]
         a = self._edges[eu].other(u)
@@ -504,14 +498,24 @@ class Tree:
         len_b = self._edges[ev].length
         self.remove_edge(eu)
         self.remove_edge(ev)
-        new_ub = self.add_edge(u, b, len_b)
-        new_va = self.add_edge(v, a, len_a)
+        self.add_edge(u, b, len_b)
+        self.add_edge(v, a, len_a)
+        return undo
+
+    def _snapshot(self) -> Callable[[], None]:
+        """An undo, to call once, restoring this exact state: ids, id
+        counters, every branch length (even one changed since), list and
+        dict order, so that ``to_state()`` is again what it is now."""
+        names, edges = dict(self._names), dict(self._edges)
+        adj = {n: list(es) for n, es in self._adj.items()}
+        lengths = [e.length for e in edges.values()]
+        counters = self._next_node, self._next_edge
 
         def undo() -> None:
-            self.remove_edge(new_ub)
-            self.remove_edge(new_va)
-            self.add_edge(u, a, len_a)
-            self.add_edge(v, b, len_b)
+            self._names, self._adj, self._edges = names, adj, edges
+            for e, length in zip(edges.values(), lengths):
+                e.length = length
+            self._next_node, self._next_edge = counters
 
         return undo
 

@@ -38,6 +38,22 @@ __all__ = [
 ALPHA_BOUNDS = (0.02, 100.0)
 RATE_BOUNDS = (1e-4, 100.0)
 
+#: L-BFGS-B's forward-difference step for the exchangeability gradient,
+#: in log-rate units.  A forward difference errs by ``h·|f''|/2``
+#: (truncation: smooth, and the same on every backend) plus ``2·ε_f/h``
+#: (lnL's rounding noise, where backends differ), least at
+#: ``h = 2·sqrt(ε_f/|f''|)``.  Bounding ε_f by the rounding of the sum
+#: over P patterns, ``P·2⁻⁵³·|lnL|``, gives 1.0e-8 on 2 300 patterns at
+#: lnL ≈ -4.1e4; with ``|f''|`` = 200-900 per log-rate at the optimum,
+#: ``h ≈ 1e-5``.  Smaller alignments, and the noise measured along a
+#: rate axis (1e-11 to 5e-11), put the optimum lower, down to ~4e-7, but
+#: erring high only adds truncation, which is backend-independent and
+#: cheap: the optimiser stops ``h/2`` off the optimum, ``|f''|·h²/8`` ≈
+#: 1e-8 of lnL.  SciPy's default of 1e-8 lies two to three decades below
+#: every such optimum, where the noise term lets the backends' last bits
+#: steer the iterates (DESIGN.md §14).
+RATE_FD_STEP = 1e-5
+
 
 @dataclass
 class ModelOptResult:
@@ -123,7 +139,7 @@ def optimize_rates(engine: LikelihoodEngine, tolerance: float = 1e-6) -> float:
         x0,
         method="L-BFGS-B",
         bounds=[(np.log(RATE_BOUNDS[0]), np.log(RATE_BOUNDS[1]))] * n_free,
-        options={"ftol": tolerance, "maxiter": 100},
+        options={"ftol": tolerance, "maxiter": 100, "eps": RATE_FD_STEP},
     )
     final = ex.copy()
     final[:n_free] = np.exp(res.x)

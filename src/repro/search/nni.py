@@ -55,14 +55,13 @@ def nni_round(
         if tree.is_leaf(u) or tree.is_leaf(v):
             continue
         for which in (0, 1):
-            eid = tree.find_edge(u, v)
             undo = tree.nni_swap(eid, which=which)
             stats.moves_tried += 1
             # quick central-branch polish, then score
             sumbuf = engine.edge_sum_buffer(eid)
-            old_len = tree.edge(eid).length
-            tree.edge(eid).length = polish_branch(
-                engine, sumbuf, old_len, newton_iterations
+            edge = tree.edge(eid)
+            edge.length = polish_branch(
+                engine, sumbuf, edge.length, newton_iterations
             )
             lnl = engine.log_likelihood(eid)
             if lnl > current + epsilon:
@@ -71,8 +70,7 @@ def nni_round(
                 optimize_branch(engine, eid)
                 current = engine.log_likelihood()
             else:
-                tree.edge(eid).length = old_len
-                undo()
+                undo()  # exact: also restores the central length
     stats.lnl_after = current
     return stats
 

@@ -15,7 +15,7 @@ offload-mode invocation latency kills MIC performance (Sec. V-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.engine import LikelihoodEngine
 from ..obs import metrics as _obs_metrics
@@ -29,11 +29,11 @@ __all__ = ["SprRoundStats", "spr_round", "spr_search"]
 class SprRoundStats:
     """Accounting for one SPR round."""
 
+    radius: int = 0
     moves_tried: int = 0
     moves_accepted: int = 0
     lnl_before: float = 0.0
     lnl_after: float = 0.0
-    accepted: list[tuple[int, int]] = field(default_factory=list)
 
 
 def _lazy_insertion_score(
@@ -51,6 +51,7 @@ def spr_round(
     radius: int,
     epsilon: float = 0.01,
     newton_iterations: int = 2,
+    scored_radius: int | None = None,
 ) -> SprRoundStats:
     """One full round of lazy SPR over all prunable subtrees.
 
@@ -59,9 +60,29 @@ def spr_round(
     branches created by the regraft are optimised properly.  When
     tracing is enabled the round is recorded as one
     ``search.spr_round`` span with per-acceptance instants.
+
+    ``scored_radius``: a round at that radius has just scored this very
+    tree and accepted nothing, so only the targets beyond it are scored
+    until a move is accepted; as trial undo is exact, that equals a full
+    round bit for bit.
     """
     with _obs.span("search.spr_round", radius=radius):
-        return _spr_round_impl(engine, radius, epsilon, newton_iterations)
+        return _spr_round_impl(
+            engine, radius, epsilon, newton_iterations, scored_radius
+        )
+
+
+def _prunings(tree) -> list[tuple[frozenset[str], int, int]]:
+    """Every ``(leaf set, pendant edge, subtree root)`` SPR can prune."""
+    out = []
+    for e in tree.edges:
+        for attach, sub in ((e.u, e.v), (e.v, e.u)):
+            if not tree.is_leaf(attach) and tree.degree(attach) == 3:
+                leaves = frozenset(
+                    tree.name(n) for n in tree.subtree_leaves(sub, e.id)
+                )
+                out.append((leaves, e.id, sub))
+    return out
 
 
 def _spr_round_impl(
@@ -69,95 +90,57 @@ def _spr_round_impl(
     radius: int,
     epsilon: float,
     newton_iterations: int,
+    scored_radius: int | None,
 ) -> SprRoundStats:
     tree = engine.tree
-    stats = SprRoundStats(lnl_before=engine.log_likelihood())
+    stats = SprRoundStats(radius=radius, lnl_before=engine.log_likelihood())
     current = stats.lnl_before
 
-    # Trial moves delete and recreate nodes and edges (both ids churn), so
-    # a candidate pruning is identified purely semantically: by the
-    # leaf-name set of the pruned subtree.  The live pendant edge and
-    # subtree-root node are re-located from the leaf set before every
-    # trial.  Candidates are re-enumerated from the live tree after each
-    # processed subtree, since accepted moves create new prunable
-    # subtrees.
-    def enumerate_candidates() -> list[frozenset[str]]:
-        out = []
-        for e in tree.edges:
-            for attach, sub in ((e.u, e.v), (e.v, e.u)):
-                if not tree.is_leaf(attach) and tree.degree(attach) == 3:
-                    out.append(
-                        frozenset(
-                            tree.name(n) for n in tree.subtree_leaves(sub, e.id)
-                        )
-                    )
-        return out
-
-    def locate(leafset: frozenset[str]) -> tuple[int, int] | None:
-        """Current ``(pendant_edge, subtree_root)`` of a leaf set, if any."""
-        for e in tree.edges:
-            for attach, sub in ((e.u, e.v), (e.v, e.u)):
-                if tree.is_leaf(attach) or tree.degree(attach) != 3:
-                    continue
-                side = frozenset(
-                    tree.name(n) for n in tree.subtree_leaves(sub, e.id)
-                )
-                if side == leafset:
-                    return e.id, sub
-        return None
-
+    # A trial regraft and its undo leave the tree exactly as it was, ids
+    # included, so the prunings enumerated for a tree state stay valid
+    # until a move is accepted.  An accepted move creates new prunable
+    # subtrees and re-labels edges: the prunings are then re-enumerated,
+    # and the leaf set of the pruned subtree is what tells a processed
+    # pruning from a new one.
     processed: set[frozenset[str]] = set()
-    while True:
-        leafset = next(
-            (c for c in enumerate_candidates() if c not in processed), None
-        )
-        if leafset is None:
-            break
-        processed.add(leafset)
-        located = locate(leafset)
-        if located is None:
+    pending = _prunings(tree)
+    while pending:
+        leafset, pendant, sub = pending.pop(0)
+        if leafset in processed:
             continue
-        pendant, sub = located
-        target_pairs = [
-            (tree.edge(t).u, tree.edge(t).v)
-            for t in tree.spr_candidates(pendant, radius, subtree_root=sub)
-        ]
-        best_pair = None
+        processed.add(leafset)
+        targets = tree.spr_candidates(pendant, radius, subtree_root=sub)
+        if scored_radius is not None:
+            scored = set(
+                tree.spr_candidates(pendant, scored_radius, subtree_root=sub)
+            )
+            targets = [t for t in targets if t not in scored]
+        best_target = None
         best_lnl = current + epsilon
-        for u, v in target_pairs:
-            located = locate(leafset)
-            if located is None:  # pragma: no cover - defensive
-                break
-            pendant, sub = located
-            try:
-                target = tree.find_edge(u, v)
-            except KeyError:  # pragma: no cover - defensive
-                continue
+        for target in targets:
             new_pendant, undo = tree.spr(pendant, target, subtree_root=sub)
             stats.moves_tried += 1
             lnl = _lazy_insertion_score(engine, new_pendant, newton_iterations)
             undo()
             if lnl > best_lnl:
                 best_lnl = lnl
-                best_pair = (u, v)
-        if best_pair is not None:
-            pendant, sub = locate(leafset)
-            best_target = tree.find_edge(*best_pair)
-            new_pendant, _ = tree.spr(pendant, best_target, subtree_root=sub)
-            # Polish the branches around the new junction.
-            junction = tree.edge(new_pendant).other(sub)
-            for _, eid in tree.neighbors(junction):
-                optimize_branch(engine, eid)
-            current = engine.log_likelihood()
-            stats.moves_accepted += 1
-            stats.accepted.append((sub, best_target))
-            if _obs.ENABLED:
-                _obs.instant(
-                    "search.spr_accept", radius=radius, lnl=current
-                )
-                _obs_metrics.get_registry().counter(
-                    "repro_spr_moves_accepted_total", "accepted SPR moves"
-                ).inc()
+                best_target = target
+        if best_target is None:
+            continue
+        new_pendant, _ = tree.spr(pendant, best_target, subtree_root=sub)
+        # Polish the branches around the new junction.
+        junction = tree.edge(new_pendant).other(sub)
+        for _, eid in tree.neighbors(junction):
+            optimize_branch(engine, eid)
+        current = engine.log_likelihood()
+        stats.moves_accepted += 1
+        scored_radius = None
+        pending = _prunings(tree)
+        if _obs.ENABLED:
+            _obs.instant("search.spr_accept", radius=radius, lnl=current)
+            _obs_metrics.get_registry().counter(
+                "repro_spr_moves_accepted_total", "accepted SPR moves"
+            ).inc()
 
     stats.lnl_after = current
     if _obs.ENABLED:
@@ -183,7 +166,9 @@ def spr_search(
     moves the next radius is tried, and the search stops once the
     largest radius also yields none — RAxML-Light's hill-climbing
     schedule in miniature.  Each productive round is followed by
-    branch-length smoothing.
+    branch-length smoothing.  A round right after one that accepted
+    nothing scores only the new ring of targets (``scored_radius``); the
+    first round of a resumed search scores in full.
 
     Restartability: ``start_round``/``start_radius_idx`` continue the
     schedule from a checkpointed position (a resumed search must not
@@ -195,16 +180,22 @@ def spr_search(
     """
     history: list[SprRoundStats] = []
     radius_idx = start_radius_idx
+    scored_radius = None
     for round_index in range(start_round, max_rounds):
         if radius_idx >= len(radii):
             break
-        stats = spr_round(engine, radii[radius_idx], epsilon=epsilon)
+        stats = spr_round(
+            engine, radii[radius_idx], epsilon=epsilon,
+            scored_radius=scored_radius,
+        )
         history.append(stats)
         done = False
         if stats.moves_accepted == 0:
+            scored_radius = radii[radius_idx]
             radius_idx += 1
             done = radius_idx >= len(radii)
         else:
+            scored_radius = None
             optimize_all_branches(engine, passes=smooth_passes)
         if on_round is not None:
             on_round(round_index, radius_idx, stats)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -89,6 +90,25 @@ class TestSearch:
         assert sorted(tree.leaf_names()) == sorted(sim.alignment.taxa)
         captured = capsys.readouterr().out
         assert "final lnL" in captured
+
+    def test_search_prints_one_line_per_spr_round(self, io_case, capsys):
+        _, _, aln_path, *_ = io_case
+        rc = main(["search", str(aln_path), "--radius", "1", "4", "--no-rates"])
+        assert rc == 0
+        rounds = [
+            re.fullmatch(
+                r"SPR round: radius (\d+), (\d+) moves tried, (\d+) accepted",
+                line,
+            )
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("SPR round")
+        ]
+        assert rounds and all(rounds)
+        radii = [int(m[1]) for m in rounds]
+        assert radii[0] == 1 and radii[-1] == 4
+        # the search stops on a round at the largest radius accepting nothing
+        assert int(rounds[-1][3]) == 0
+        assert sum(int(m[2]) for m in rounds) > 0
 
 
 class TestPlace:

@@ -504,6 +504,37 @@ class TestCrashResumeParity:
         stages = [s for s, _ in resumed.lnl_trajectory]
         assert "start" not in stages  # completed stages are skipped
 
+    def test_resume_after_a_ring_round_is_bitwise(self, tmp_path):
+        """Killed after the radius-5 round accepted nothing, the resumed
+        search scores its radius-10 round in full where the uninterrupted
+        one scores only the ring: same lnL and Newick all the same."""
+        sim = simulate_dataset(n_taxa=16, n_sites=200, seed=56)
+        pat = sim.alignment.compress()
+        ck = tmp_path / "ck.json"
+
+        def config(**kw):
+            return SearchConfig(radii=(5, 10), seed=56, **kw)
+
+        baseline = ml_search(pat, config=config(), starting_tree=sim.tree)
+        first, ring = baseline.spr_history[:2]
+        assert (first.radius, first.moves_accepted) == (5, 0)
+        assert ring.radius == 10 and ring.moves_tried > 0
+
+        plan = FaultPlan((FaultSpec(kind="crash-at-step", step=4),), seed=0)
+        with pytest.raises(InjectedCrash):
+            ml_search(
+                pat, config=config(checkpoint_path=ck), fault_plan=plan,
+                starting_tree=sim.tree,
+            )
+        ckpt, _ = load_latest_checkpoint(ck)
+        assert (ckpt.stage, ckpt.spr_round, ckpt.spr_radius_idx) == ("spr", 0, 1)
+        resumed = ml_search(pat, config=config(), resume_from=ckpt)
+        assert resumed.spr_history[0].moves_tried > ring.moves_tried
+        assert resumed.lnl == baseline.lnl
+        assert resumed.tree.to_newick(precision=17) == baseline.tree.to_newick(
+            precision=17
+        )
+
     def test_fault_abort_writes_emergency_checkpoint(self, problem, tmp_path):
         sim, pat = problem
         ck = tmp_path / "ck.json"

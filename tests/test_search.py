@@ -15,6 +15,7 @@ from repro.search import (
     optimize_branch,
     optimize_model,
     spr_round,
+    spr_search,
 )
 from repro.search.branch_opt import _newton_on_sumbuffer, newton_converged
 from tolerances import BRANCH_LENGTH_RTOL
@@ -238,6 +239,82 @@ class TestSpr:
         stats = spr_round(eng, radius=3, epsilon=0.1)
         # true tree with optimised branches should be (near) SPR-optimal
         assert stats.moves_accepted <= 1
+
+    def test_rejected_trials_leave_the_tree_exactly(self, engine_setup):
+        sim, pat, model = engine_setup
+        eng = fresh_engine(sim, pat, model)
+        optimize_all_branches(eng, passes=1)
+        before = eng.tree.to_state()
+        stats = spr_round(eng, radius=5, epsilon=1e9)
+        assert stats.moves_tried > 0 and stats.moves_accepted == 0
+        assert eng.tree.to_state() == before
+
+
+class TestRingEscalation:
+    """``spr_search`` scores only the ring of new targets after a round
+    that accepted nothing; that must equal re-scoring the full disk."""
+
+    @pytest.fixture(scope="class")
+    def ring_case(self):
+        sim = simulate_dataset(n_taxa=10, n_sites=200, seed=22)
+        return sim.alignment.compress()
+
+    @staticmethod
+    def _engine(pat, tree_seed):
+        tree = random_topology(list(pat.taxa), np.random.default_rng(tree_seed))
+        eng = LikelihoodEngine(pat, tree, gtr(), GammaRates(1.0, 4))
+        optimize_all_branches(eng, passes=1)
+        return eng
+
+    @staticmethod
+    def _full_schedule(engine, radii, max_rounds=10, smooth_passes=2):
+        """``spr_search``'s radius ladder, every round over the full disk."""
+        history, idx = [], 0
+        for _ in range(max_rounds):
+            stats = spr_round(engine, radii[idx])
+            history.append(stats)
+            if stats.moves_accepted:
+                optimize_all_branches(engine, passes=smooth_passes)
+                continue
+            idx += 1
+            if idx == len(radii):
+                break
+        return history
+
+    @pytest.mark.parametrize("tree_seed", [0, 2, 4])
+    def test_ring_rounds_equal_full_rounds_bitwise(self, ring_case, tree_seed):
+        radii = (1, 5)
+        ring = self._engine(ring_case, tree_seed)
+        full = self._engine(ring_case, tree_seed)
+        ring_history = spr_search(ring, radii=radii)
+        full_history = self._full_schedule(full, radii)
+
+        assert ring.log_likelihood() == full.log_likelihood()
+        assert ring.tree.to_state() == full.tree.to_state()
+        assert [(h.radius, h.moves_accepted) for h in ring_history] == [
+            (h.radius, h.moves_accepted) for h in full_history
+        ]
+        ring_trials = sum(h.moves_tried for h in ring_history)
+        assert ring_trials < sum(h.moves_tried for h in full_history)
+        if tree_seed in (0, 4):
+            # the ring round itself accepts: later subtrees of that round
+            # must then score their full disk again
+            assert any(
+                h.moves_accepted
+                for prev, h in zip(ring_history, ring_history[1:])
+                if prev.moves_accepted == 0
+            )
+
+    def test_non_increasing_radii(self, ring_case):
+        ring, full = self._engine(ring_case, 2), self._engine(ring_case, 2)
+        ring_history = spr_search(ring, radii=(3, 1, 3))
+        full_history = self._full_schedule(full, (3, 1, 3))
+        assert ring.tree.to_state() == full.tree.to_state()
+        # the ring of a smaller radius is empty; the last round scores
+        # only what radius 1 did not reach
+        assert [h.radius for h in ring_history][-2:] == [1, 3]
+        assert ring_history[-2].moves_tried == 0
+        assert 0 < ring_history[-1].moves_tried < full_history[-1].moves_tried
 
 
 class TestFullSearch:

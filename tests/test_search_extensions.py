@@ -133,6 +133,14 @@ class TestNni:
         stats = nni_round(engine, epsilon=0.1)
         assert stats.moves_accepted == 0
 
+    def test_rejected_trials_leave_the_tree_exactly(self, base_case):
+        sim, pat = base_case
+        engine = LikelihoodEngine(pat, sim.tree.copy(), gtr(), GammaRates(1.0, 4))
+        before = engine.tree.to_state()
+        stats = nni_round(engine, epsilon=1e9)
+        assert stats.moves_tried > 0 and stats.moves_accepted == 0
+        assert engine.tree.to_state() == before
+
 
 class TestCheckpoint:
     def test_roundtrip_restores_lnl(self, base_case, tmp_path):

@@ -124,7 +124,7 @@ class TestMoves:
     def test_spr_and_undo_restore_topology_and_lengths(self):
         t = six_taxa()
         before_newick = t.to_newick()
-        before_total = t.total_branch_length()
+        before_lengths = {e.id: e.length for e in t.edges}
         a = t.node_by_name("a")
         pendant = t.incident_edges(a)[0]
         targets = t.spr_candidates(pendant, radius=5, subtree_root=a)
@@ -135,7 +135,41 @@ class TestMoves:
         t.check()
         t2 = Tree.from_newick(before_newick)
         assert t.robinson_foulds(t2) == 0
-        assert t.total_branch_length() == pytest.approx(before_total)
+        assert {e.id: e.length for e in t.edges} == before_lengths
+
+    def test_every_trial_spr_undo_is_exact(self):
+        """Trial + undo restores ids, lengths, orders and counters for
+        every (pruning, radius-10 target) pair of a 16-taxon tree, even
+        when the trial changed lengths, as the lazy scorer does."""
+        t = random_topology(
+            [f"t{i}" for i in range(16)], np.random.default_rng(4)
+        )
+        before = t.to_state()
+        trials = 0
+        for e in t.edges:
+            for sub in (e.u, e.v):
+                for target in t.spr_candidates(e.id, 10, subtree_root=sub):
+                    pendant, undo = t.spr(e.id, target, subtree_root=sub)
+                    t.edge(pendant).length *= 3.0
+                    for eid in t.incident_edges(sub):
+                        t.edge(eid).length += 0.125
+                    undo()
+                    assert t.to_state() == before
+                    trials += 1
+        assert trials > 300
+
+    def test_refused_spr_leaves_the_tree_as_it_was(self):
+        t = six_taxa()
+        before = t.to_state()
+        a = t.node_by_name("a")
+        pendant = t.incident_edges(a)[0]
+        merged_away = next(
+            eid for eid in t.incident_edges(t.edge(pendant).other(a))
+            if eid != pendant
+        )
+        with pytest.raises(ValueError, match="consumed by the prune"):
+            t.spr(pendant, merged_away, subtree_root=a)
+        assert t.to_state() == before
 
     def test_spr_changes_topology(self):
         t = six_taxa()
@@ -170,9 +204,10 @@ class TestMoves:
         undo = t.nni_swap(internal_edges[0], which=0)
         t.check()
         assert t.robinson_foulds(before) > 0
+        t.edge(internal_edges[0]).length = 0.7
         undo()
         t.check()
-        assert t.robinson_foulds(before) == 0
+        assert t.to_state() == before.to_state()
 
     def test_prune_requires_direction_when_ambiguous(self):
         t = six_taxa()

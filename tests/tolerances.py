@@ -22,13 +22,15 @@ LNL_RECOMPUTE_RTOL = 1e-12
 
 #: Final lnL of a full ``ml_search``, ``compiled`` vs ``reference``, in
 #: lnL units.  Kernel parity is ~1e-14 relative, but the drivers stop on
-#: thresholds (``SearchConfig.epsilon`` = 0.01 per SPR round, a round of
-#: ``optimize_model`` gaining < its epsilon) and L-BFGS-B differentiates
-#: by finite differences, so a last-ulp difference can decide "one more
-#: round".  Twice the search epsilon; measured on the 20 e2e search
-#: datasets: 19 within 1.7e-3 (4e-8 relative), one 1.07e-2 (an extra
-#: model-optimisation round under ``compiled``), same topology on all.
-SEARCH_LNL_BACKEND_ATOL = 2e-2
+#: thresholds and L-BFGS-B differentiates lnL by finite differences, so
+#: kernel ulps move the model optimiser's iterates a little.  With the
+#: step derived in ``model_opt.RATE_FD_STEP`` (1e-5) that stays far from
+#: any threshold: measured on the 20 e2e search datasets (both searches,
+#: ``rep_seed(1, r)``, r = 0..9): at most 1.38e-6 (``search_wide``, about
+#: 3e-11 relative) and 7.4e-8 on ``search_deep``, same topology on all.
+#: At the parent commit, on SciPy's default step of 1e-8, the same 20
+#: datasets were up to 1.07e-2 apart (an extra model-optimisation round).
+SEARCH_LNL_BACKEND_ATOL = 2e-6
 
 #: Placement lnL (and pendant length) of one query on one edge,
 #: ``compiled`` vs ``reference``, relative.  No model optimisation in
