@@ -28,30 +28,10 @@ from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
 from .plan import FaultError, FaultPlan, InjectedCrash
 
-__all__ = ["FaultRunReport", "run_search_with_faults", "topology_splits"]
+__all__ = ["FaultRunReport", "run_search_with_faults"]
 
 #: Final-likelihood agreement required for ``verify`` to pass.
 VERIFY_LNL_TOL = 1e-8
-
-
-def topology_splits(tree) -> set[frozenset[str]]:
-    """The non-trivial splits (bipartitions) of an unrooted tree.
-
-    Each internal edge contributes the leaf-name set of one side,
-    canonicalized to the side *not* containing the lexicographically
-    smallest taxon, so two trees match iff the sets are equal.
-    """
-    names = sorted(tree.leaf_names())
-    ref = names[0]
-    n = len(names)
-    splits: set[frozenset[str]] = set()
-    for e in tree.edges:
-        side = frozenset(tree.name(x) for x in tree.subtree_leaves(e.v, e.id))
-        if ref in side:
-            side = frozenset(names) - side
-        if 1 < len(side) < n - 1:
-            splits.add(side)
-    return splits
 
 
 @dataclass
@@ -175,7 +155,7 @@ def run_search_with_faults(
         )
         report.baseline_lnl = baseline.lnl
         report.lnl_delta = abs(baseline.lnl - report.result.lnl)
-        report.topology_match = topology_splits(
-            baseline.tree
-        ) == topology_splits(report.result.tree)
+        report.topology_match = (
+            baseline.tree.splits() == report.result.tree.splits()
+        )
     return report

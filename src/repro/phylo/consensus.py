@@ -11,8 +11,6 @@ insertion from the most to the least frequent split.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .tree import Tree
 
 __all__ = ["split_frequencies", "majority_rule_consensus"]
@@ -33,15 +31,6 @@ def split_frequencies(trees: list[Tree]) -> dict[frozenset[str], float]:
     return {s: c / len(trees) for s, c in counts.items()}
 
 
-def _compatible(split: frozenset[str], accepted: list[frozenset[str]], taxa: frozenset[str]) -> bool:
-    """Two splits are compatible iff one side-pair is nested or disjoint."""
-    for other in accepted:
-        a, b = split, other
-        if a & b and a - b and b - a and (taxa - (a | b)):
-            return False
-    return True
-
-
 def majority_rule_consensus(
     trees: list[Tree], threshold: float = 0.5
 ) -> tuple[Tree, dict[frozenset[str], float]]:
@@ -54,64 +43,46 @@ def majority_rule_consensus(
     threshold are excluded, and greedy frequency-ordered insertion keeps
     the accepted set compatible even at thresholds below 0.5.
 
-    The consensus may be multifurcating; it is built as a star tree that
-    gets refined by grouping each accepted split's taxa under a new
-    internal node.
+    Each split is held as its cluster: the leaf bitmask of the side
+    without taxon 0 (:meth:`Tree.split_masks`).  Two splits are
+    compatible exactly when their clusters are nested or disjoint, so
+    the accepted clusters form a hierarchy, and the (possibly
+    multifurcating) tree hangs each leaf and each cluster under the
+    smallest accepted cluster containing it, or under a hub node.
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError("threshold must be in [0, 1)")
     freqs = split_frequencies(trees)
-    taxa = frozenset(trees[0].leaf_names())
+    taxa = sorted(trees[0].leaf_names())
+    bit = {name: 1 << i for i, name in enumerate(taxa)}
+    full = (1 << len(taxa)) - 1
     ordered = sorted(freqs.items(), key=lambda kv: (-kv[1], sorted(kv[0])))
-    accepted: list[frozenset[str]] = []
+    accepted: list[int] = []
     support: dict[frozenset[str], float] = {}
     for split, freq in ordered:
         if freq <= threshold:
             break
-        if _compatible(split, accepted, taxa):
-            accepted.append(split)
+        cluster = full ^ sum(bit[name] for name in split)
+        if all(cluster & c in (0, c, cluster) for c in accepted):
+            accepted.append(cluster)
             support[split] = freq
 
-    # star tree, refined split by split (largest splits first, so nested
-    # splits always find their taxa already grouped under one node)
+    by_size = sorted(accepted, key=int.bit_count)
     tree = Tree()
     hub = tree.add_node()
-    leaf_of: dict[str, int] = {}
-    for name in sorted(taxa):
-        leaf = tree.add_node(name)
-        tree.add_edge(hub, leaf, 0.1)
-        leaf_of[name] = leaf
+    node_of: dict[int, int] = {}
 
-    for split in sorted(accepted, key=len, reverse=True):
-        # find the node currently holding all of the split's subtrees
-        members = set(split)
-        # the common attachment point: the neighbour-counted node whose
-        # adjacent subtrees cover the member set
-        attach = None
-        for node in tree.internal_nodes():
-            cover = []
-            for nbr, eid in tree.neighbors(node):
-                side = {tree.name(n) for n in tree.subtree_leaves(nbr, eid)}
-                if side <= members:
-                    cover.append(eid)
-            covered = set()
-            for eid in cover:
-                e = tree.edge(eid)
-                nbr = e.other(node)
-                covered |= {tree.name(n) for n in tree.subtree_leaves(nbr, eid)}
-            if covered == members:
-                attach = (node, cover)
-                break
-        if attach is None:  # pragma: no cover - accepted splits are compatible
-            continue
-        node, cover = attach
-        new = tree.add_node()
-        for eid in cover:
-            e = tree.edge(eid)
-            other = e.other(node)
-            length = e.length
-            tree.remove_edge(eid)
-            tree.add_edge(new, other, length)
-        tree.add_edge(node, new, 0.1)
+    def parent(mask: int) -> int:
+        """The node of the smallest accepted cluster strictly holding
+        ``mask`` (created before ``mask``'s, being larger), or the hub."""
+        for c in by_size:
+            if c != mask and c & mask == mask:
+                return node_of[c]
+        return hub
 
+    for cluster in reversed(by_size):
+        node_of[cluster] = tree.add_node()
+        tree.add_edge(parent(cluster), node_of[cluster], 0.1)
+    for name in taxa:
+        tree.add_edge(parent(bit[name]), tree.add_node(name), 0.1)
     return tree, support

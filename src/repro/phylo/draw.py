@@ -9,7 +9,7 @@ per-split support values — the kind of quick look RAxML users get from
 
 from __future__ import annotations
 
-from .tree import Tree
+from .tree import Tree, mask_names
 
 __all__ = ["ascii_tree"]
 
@@ -31,7 +31,9 @@ def ascii_tree(
         return tree.leaf_names()[0]
     internals = tree.internal_nodes()
     root = internals[0] if internals else tree.leaves()[0]
-    all_names = frozenset(tree.leaf_names())
+    taxa = sorted(tree.leaf_names())
+    full = (1 << len(taxa)) - 1
+    masks = tree.split_masks()
     lines: list[str] = []
 
     def branch_label(eid: int, node: int) -> str:
@@ -39,12 +41,10 @@ def ascii_tree(
         if show_lengths:
             parts.append(f"{tree.edge(eid).length:.4f}")
         if support is not None and not tree.is_leaf(node):
-            side = frozenset(
-                tree.name(n) for n in tree.subtree_leaves(node, eid)
-            )
-            canon = min(side, all_names - side, key=lambda s: sorted(s))
-            if canon in support:
-                parts.append(f"[{support[canon] * 100:.0f}%]")
+            # support is keyed like Tree.splits: the side holding taxon 0
+            split = frozenset(mask_names(full ^ masks[eid][1], taxa))
+            if split in support:
+                parts.append(f"[{support[split] * 100:.0f}%]")
         return (" " + " ".join(parts)) if parts else ""
 
     def walk(node: int, up_edge: int | None, prefix: str, connector: str) -> None:

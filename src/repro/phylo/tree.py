@@ -26,7 +26,7 @@ import numpy as np
 
 from .newick import NewickError, NewickNode, format_newick, parse_newick
 
-__all__ = ["Edge", "Tree", "PruneRecord", "random_topology"]
+__all__ = ["Edge", "Tree", "PruneRecord", "mask_names", "random_topology"]
 
 DEFAULT_BRANCH_LENGTH = 0.1
 MIN_BRANCH_LENGTH = 1e-8
@@ -247,13 +247,19 @@ class Tree:
     def _postorder_side(
         self, node: int, parent: int, up_edge: int
     ) -> list[tuple[int, int, int]]:
+        # Iterative, so a deep (caterpillar) tree cannot hit the recursion
+        # limit: the reverse of a pre-order taking children last-first is
+        # the post-order taking them first-first, in adjacency order.
         out: list[tuple[int, int, int]] = []
-        for eid in self._adj[node]:
-            if eid == up_edge:
-                continue
-            child = self._edges[eid].other(node)
-            out.extend(self._postorder_side(child, node, eid))
-        out.append((node, parent, up_edge))
+        stack = [(node, parent, up_edge)]
+        while stack:
+            item = stack.pop()
+            out.append(item)
+            node = item[0]
+            for eid in self._adj[node]:
+                if eid != item[2]:
+                    stack.append((self._edges[eid].other(node), node, eid))
+        out.reverse()
         return out
 
     def children(self, node: int, up_edge: int) -> list[tuple[int, int]]:
@@ -522,25 +528,42 @@ class Tree:
     # ------------------------------------------------------------------
     # bipartitions / distances
     # ------------------------------------------------------------------
-    def splits(self) -> set[frozenset[str]]:
-        """Non-trivial bipartitions, each as the smaller-side name set.
+    def split_masks(self) -> dict[int, tuple[int, int]]:
+        """Every edge's split, from one post-order pass: ``edge id ->
+        (node, mask)``, ``mask`` holding the leaves on ``node``'s side.
 
-        Each internal edge splits the taxa in two; we canonicalise by the
-        lexicographically-smallest representation of the side not
-        containing the overall first leaf name.
+        Bit *i* stands for the *i*-th name of ``sorted(leaf_names())``,
+        so masks of trees over the same taxa compare.  Rooted at taxon
+        0's pendant edge, ``node`` is the endpoint away from taxon 0 and
+        ``mask`` the canonical side, the one without it.  A split is
+        non-trivial exactly when both sides hold at least two taxa.
         """
-        all_names = frozenset(self.leaf_names())
-        out: set[frozenset[str]] = set()
-        for e in self.edges:
-            if self.is_leaf(e.u) or self.is_leaf(e.v):
-                continue
-            side = frozenset(
-                self._names[n]  # type: ignore[misc]
-                for n in self.subtree_leaves(e.u, e.id)
-            )
-            canon = min(side, all_names - side, key=lambda s: sorted(s))
-            out.add(canon)
+        taxa = sorted(self.leaf_names())
+        if len(taxa) < 2:
+            return {}
+        bit = {name: 1 << i for i, name in enumerate(taxa)}
+        leaf0 = self.node_by_name(taxa[0])
+        root_edge = self._adj[leaf0][0]
+        below: dict[int, int] = {}
+        out: dict[int, tuple[int, int]] = {}
+        for node, parent, up_edge in self._postorder_side(
+            self._edges[root_edge].other(leaf0), leaf0, root_edge
+        ):
+            mask = below.pop(node, 0) | bit.get(self._names[node], 0)
+            out[up_edge] = (node, mask)
+            below[parent] = below.get(parent, 0) | mask
         return out
+
+    def splits(self) -> set[frozenset[str]]:
+        """Non-trivial bipartitions, each as the name set of the side
+        holding the smallest taxon (a view over :meth:`split_masks`)."""
+        taxa = sorted(self.leaf_names())
+        full = (1 << len(taxa)) - 1
+        return {
+            frozenset(mask_names(full ^ mask, taxa))
+            for _, mask in self.split_masks().values()
+            if mask.bit_count() >= 2 and (full ^ mask).bit_count() >= 2
+        }
 
     def robinson_foulds(self, other: "Tree") -> int:
         """Unnormalised RF distance (symmetric difference of splits)."""
@@ -685,6 +708,12 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(n_leaves={self.n_leaves}, n_edges={len(self._edges)})"
+
+
+def mask_names(mask: int, taxa: list[str]) -> list[str]:
+    """The names of ``taxa`` (sorted, as :meth:`Tree.split_masks` numbers
+    them) whose bits are set in ``mask``, in order."""
+    return [name for i, name in enumerate(taxa) if mask >> i & 1]
 
 
 def random_topology(

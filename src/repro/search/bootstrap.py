@@ -67,9 +67,16 @@ class BootstrapResult:
 def support_values(
     reference: Tree, replicates: list[Tree]
 ) -> dict[frozenset[str], float]:
-    """Fraction of replicate trees containing each reference bipartition."""
+    """Fraction of replicate trees containing each reference bipartition.
+
+    Raises ``ValueError`` when a replicate's taxon set differs from the
+    reference's, as :meth:`Tree.robinson_foulds` does.
+    """
     if not replicates:
         raise ValueError("no replicate trees")
+    taxa = set(reference.leaf_names())
+    if any(set(tree.leaf_names()) != taxa for tree in replicates):
+        raise ValueError("trees have different taxon sets")
     ref_splits = reference.splits()
     counts = {s: 0 for s in ref_splits}
     for tree in replicates:

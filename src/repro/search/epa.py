@@ -51,7 +51,7 @@ from ..obs import server as _obs_server
 from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import GammaRates
-from ..phylo.tree import Tree
+from ..phylo.tree import Tree, mask_names
 from .branch_opt import polish_branch
 
 __all__ = [
@@ -86,16 +86,21 @@ class PlacementResult:
         return self.placements[0]
 
 
+def _edge_labels(tree: Tree) -> dict[int, tuple[str, ...]]:
+    """Stable branch identifiers by edge id: the side of the edge's split
+    that is smaller by ``(size, sorted names)``, as sorted names."""
+    taxa = sorted(tree.leaf_names())
+    full = (1 << len(taxa)) - 1
+    labels = {}
+    for eid, (_, mask) in tree.split_masks().items():
+        sides = mask_names(mask, taxa), mask_names(full ^ mask, taxa)
+        labels[eid] = tuple(min(sides, key=lambda side: (len(side), side)))
+    return labels
+
+
 def _edge_label(tree: Tree, edge_id: int) -> tuple[str, ...]:
-    """Stable branch identifier: the sorted smaller leaf-name side."""
-    edge = tree.edge(edge_id)
-    side = sorted(
-        tree.name(n) for n in tree.subtree_leaves(edge.u, edge_id)
-    )
-    other = sorted(
-        tree.name(n) for n in tree.subtree_leaves(edge.v, edge_id)
-    )
-    return tuple(min(side, other, key=lambda s: (len(s), s)))
+    """One edge's :func:`_edge_labels` entry."""
+    return _edge_labels(tree)[edge_id]
 
 
 def _resolve_session_backend(
@@ -186,14 +191,14 @@ class PlacementSession:
         # clamped to the branch).  Endpoints, not edge ids: those churn on
         # attach / detach, node ids survive, and tree.copy() preserves
         # both.  Labels and distals depend only on the pristine topology.
-        edge_labels = [_edge_label(self.tree, e.id) for e in self.tree.edges]
+        labels = _edge_labels(self.tree)
         self._candidates = [
-            ((e.u, e.v), label, min(0.5 * e.length, e.length))
-            for e, label in zip(self.tree.edges, edge_labels)
+            ((e.u, e.v), labels[e.id], min(0.5 * e.length, e.length))
+            for e in self.tree.edges
         ]
         self._jplace_frame = (
             _annotated_newick(self.tree),
-            {label: i for i, label in enumerate(edge_labels)},
+            {labels[e.id]: i for i, e in enumerate(self.tree.edges)},
         )
         self._ref_engine = None
         self.reference_lnl: float | None = None  # set by warm()
@@ -477,13 +482,11 @@ def to_jplace(
 
     Returns the jplace dictionary (pass to ``json.dump`` to write).
     """
+    labels = _edge_labels(reference_tree)
     return _jplace_document(
         results,
         _annotated_newick(reference_tree),
-        {
-            _edge_label(reference_tree, e.id): i
-            for i, e in enumerate(reference_tree.edges)
-        },
+        {labels[e.id]: i for i, e in enumerate(reference_tree.edges)},
     )
 
 

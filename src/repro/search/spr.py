@@ -72,16 +72,17 @@ def spr_round(
         )
 
 
-def _prunings(tree) -> list[tuple[frozenset[str], int, int]]:
-    """Every ``(leaf set, pendant edge, subtree root)`` SPR can prune."""
+def _prunings(tree) -> list[tuple[int, int, int]]:
+    """Every ``(pruned leaf mask, pendant edge, subtree root)`` SPR can
+    prune (masks as in :meth:`~repro.phylo.tree.Tree.split_masks`)."""
+    masks = tree.split_masks()
+    full = (1 << tree.n_leaves) - 1
     out = []
     for e in tree.edges:
+        node, mask = masks[e.id]
         for attach, sub in ((e.u, e.v), (e.v, e.u)):
             if not tree.is_leaf(attach) and tree.degree(attach) == 3:
-                leaves = frozenset(
-                    tree.name(n) for n in tree.subtree_leaves(sub, e.id)
-                )
-                out.append((leaves, e.id, sub))
+                out.append((mask if sub == node else full ^ mask, e.id, sub))
     return out
 
 
@@ -100,9 +101,9 @@ def _spr_round_impl(
     # included, so the prunings enumerated for a tree state stay valid
     # until a move is accepted.  An accepted move creates new prunable
     # subtrees and re-labels edges: the prunings are then re-enumerated,
-    # and the leaf set of the pruned subtree is what tells a processed
+    # and the leaf mask of the pruned subtree is what tells a processed
     # pruning from a new one.
-    processed: set[frozenset[str]] = set()
+    processed: set[int] = set()
     pending = _prunings(tree)
     while pending:
         leafset, pendant, sub = pending.pop(0)

@@ -85,3 +85,18 @@ class TestMajorityRuleConsensus:
         freqs = split_frequencies(trees)
         for s in cons.splits():
             assert freqs.get(s, 0.0) > 0.5
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.8])
+    def test_consensus_has_exactly_the_supported_splits(self, threshold):
+        for case in range(40):
+            rng = np.random.default_rng(case)
+            names = [f"t{i}" for i in range(int(rng.integers(4, 13)))]
+            base = random_topology(names, rng)
+            trees = [base.copy() for _ in range(int(rng.integers(0, 4)))]
+            trees += [
+                random_topology(names, rng)
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            cons, support = majority_rule_consensus(trees, threshold)
+            assert cons.splits() == set(support)
+            assert sorted(cons.leaf_names()) == sorted(names)

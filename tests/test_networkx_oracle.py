@@ -77,6 +77,30 @@ class TestGraphInvariants:
         theirs = {n for n in comp_u if tree.is_leaf(n)}
         assert ours == theirs
 
+    @pytest.mark.parametrize("after_spr", [False, True])
+    def test_split_masks_match_components(self, tree, after_spr):
+        if after_spr:
+            leaf = tree.leaves()[0]
+            pendant = tree.incident_edges(leaf)[0]
+            targets = tree.spr_candidates(pendant, radius=6, subtree_root=leaf)
+            tree.spr(pendant, targets[-1], subtree_root=leaf)
+        taxa = sorted(tree.leaf_names())
+        g = to_networkx(tree)
+        masks = tree.split_masks()
+        assert set(masks) == set(tree.edge_ids)
+        for e in tree.edges:
+            g.remove_edge(e.u, e.v)
+            side = {
+                tree.name(n)
+                for n in nx.node_connected_component(g, e.u)
+                if tree.is_leaf(n)
+            }
+            g.add_edge(e.u, e.v)
+            if taxa[0] in side:
+                side = set(taxa) - side
+            _, mask = masks[e.id]
+            assert mask == sum(1 << taxa.index(name) for name in side)
+
     def test_degree_sequence(self, tree):
         g = to_networkx(tree)
         for node in tree.nodes:

@@ -69,6 +69,12 @@ class TestSupportValues:
         with pytest.raises(ValueError, match="replicate"):
             support_values(sim.tree, [])
 
+    def test_replicate_taxon_set_must_match(self):
+        reference = Tree.from_newick("((A,B),(C,D),(E,F));")
+        replicate = Tree.from_newick("((A,B),(C,D),(E,G));")
+        with pytest.raises(ValueError, match="taxon sets"):
+            support_values(reference, [reference.copy(), replicate])
+
 
 class TestBootstrapAnalysis:
     def test_strong_signal_gives_high_support(self, base_case):

@@ -88,6 +88,24 @@ class TestQueries:
                 assert child in seen
             seen.add(node)
 
+    def test_postorder_visits_children_in_adjacency_order(self):
+        # the recursive definition the engine's plans were built on
+        def side(t, node, parent, up_edge):
+            out = []
+            for child, eid in t.children(node, up_edge):
+                out += side(t, child, node, eid)
+            return out + [(node, parent, up_edge)]
+
+        for seed in range(10):
+            t = random_topology(
+                [f"t{i}" for i in range(5 + 2 * seed)],
+                np.random.default_rng(seed),
+            )
+            for e in t.edges:
+                assert t.postorder(e.id) == (
+                    side(t, e.u, e.v, e.id) + side(t, e.v, e.u, e.id)
+                )
+
     def test_edges_within_radius_grows(self):
         t = six_taxa()
         eid = t.edge_ids[0]
@@ -236,6 +254,53 @@ class TestSplitsAndRF:
     def test_splits_count(self):
         # unrooted 6-taxon binary tree has n-3 = 3 internal edges
         assert len(six_taxa().splits()) == 3
+
+    def test_split_masks_canonical_side(self):
+        # bit i is the i-th sorted name; each mask is the side without "a"
+        t = six_taxa()
+        masks = t.split_masks()
+        assert set(masks) == set(t.edge_ids)
+        assert sorted(mask for _, mask in masks.values()) == [
+            0b000010, 0b000100, 0b001000, 0b010000, 0b100000,  # b .. f
+            0b110000, 0b111000, 0b111100, 0b111110,  # ef, def, cdef, bcdef
+        ]
+        for eid, (node, mask) in masks.items():
+            side = {t.name(n) for n in t.subtree_leaves(node, eid)}
+            assert side == {"abcdef"[i] for i in range(6) if mask >> i & 1}
+
+    def test_splits_hold_the_smallest_taxon(self):
+        assert six_taxa().splits() == {
+            frozenset("ab"), frozenset("abc"), frozenset("abcd")
+        }
+
+    def test_degree_two_node_has_no_split(self):
+        # the edge above the degree-2 node separates {C} from {A, B}
+        t = Tree.from_newick("(A:1,B:1,(C:1):1);")
+        assert t.splits() == set()
+        assert t.robinson_foulds(Tree.from_newick("(A:1,B:1,C:1);")) == 0
+
+    def test_deep_caterpillar(self):
+        # 1 500 taxa in a chain: deeper than the recursion limit allows
+        from repro.core import LikelihoodEngine
+        from repro.phylo import Alignment, gtr
+
+        names = [f"t{i:04d}" for i in range(1500)]
+        t = Tree()
+        spine = t.add_node(names[0])
+        for name in names[1:-1]:
+            inner = t.add_node()
+            t.add_edge(spine, inner)
+            t.add_edge(inner, t.add_node(name))
+            spine = inner
+        t.add_edge(spine, t.add_node(names[-1]))
+        t.check()
+        assert len(t.splits()) == len(names) - 3
+        rng = np.random.default_rng(0)
+        aln = Alignment.from_sequences(
+            {name: "".join(rng.choice(list("ACGT"), 8)) for name in names}
+        )
+        lnl = LikelihoodEngine(aln.compress(), t, gtr()).log_likelihood()
+        assert np.isfinite(lnl)
 
 
 class TestRandomTopology:
