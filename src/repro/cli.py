@@ -466,9 +466,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 f"parallel regions: {stats.regions} "
                 f"(mean overhead {stats.mean_region_overhead_s * 1e6:.1f} us)"
             )
-        close = getattr(result.engine, "close", None)
-        if callable(close):
-            close()
+        result.engine.close()
     return 0
 
 

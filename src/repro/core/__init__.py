@@ -5,7 +5,7 @@
 them to trees and alignments with structural CLA validity tracking,
 through a rate model (``ratemodel``, ``cat``, ``invariant``) and a CLA
 store (``memsave``);
-``traversal`` levelizes traversal descriptors into dependency waves;
+``traversal`` levelizes planned ``newview`` ops into dependency waves;
 ``vectorized`` re-expresses the kernels as vector programs for the
 simulated MIC (:mod:`repro.mic`); ``layouts`` implements the
 interleaved memory layout of Sec. V-B3.
@@ -35,7 +35,6 @@ from .traversal import (
     KernelCounters,
     KernelKind,
     NewviewOp,
-    TraversalDescriptor,
     Wave,
     levelize,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "KernelCounters",
     "KernelKind",
     "NewviewOp",
-    "TraversalDescriptor",
     "Wave",
     "levelize",
 ]

@@ -22,12 +22,12 @@ is simply recomputed (by the ordinary op, recursively) when next needed.
 
 Validity tracking uses structural *subtree signatures* instead of
 explicit invalidation hooks: a CLA oriented toward edge ``e`` is valid
-iff the topology and branch lengths below it (plus the model parameters)
-are unchanged since it was computed.  The engine recomputes a signature
-per node during traversal planning (O(n) per likelihood evaluation) and
-recomputes exactly the stale CLAs — which makes it impossible for a
-topology move or branch-length change to leave a stale CLA behind, a
-classic source of silent likelihood bugs in hand-invalidated codes.
+iff the topology and branch lengths below it are unchanged since it was
+computed (a model change drops every CLA).  The planning walk builds a
+signature per node (O(n) per likelihood evaluation) and plans exactly
+the stale CLAs — which makes it impossible for a topology move or
+branch-length change to leave a stale CLA behind, a classic source of
+silent likelihood bugs in hand-invalidated codes.
 
 Every kernel dispatch is recorded in :class:`KernelCounters`; a tree
 search run therefore leaves behind the invocation trace that drives the
@@ -52,59 +52,20 @@ from .invariant import InvariantMixture
 from .memsave import PARTIAL, ClaStore
 from .ratemodel import GammaModel
 from .traversal import (
+    COMBINE_KINDS,
     EdgeGradientOp,
     ExecutionPlan,
-    GradientDescriptor,
     GradientPlan,
     KernelCounters,
     KernelKind,
     NewviewOp,
     PreorderOp,
-    TraversalDescriptor,
     Wave,
     levelize,
     levelize_upsweep,
 )
 
-__all__ = ["LikelihoodEngine", "branch_signature", "subtree_signatures"]
-
-
-def subtree_signatures(
-    tree: Tree, root_edge: int, model_version: int
-) -> dict[tuple[int, int], object]:
-    """Subtree signature of every directed (node, up_edge) below the root.
-
-    The signature of a leaf is its name; an internal node's signature
-    combines its children's signatures with the connecting edge ids
-    and lengths, plus the global model version.  Two equal signatures
-    imply equal subtree likelihood content.
-    """
-    sigs: dict[tuple[int, int], object] = {}
-    for node, _parent, up_edge in tree.postorder(root_edge):
-        if tree.is_leaf(node):
-            sigs[(node, up_edge)] = tree.name(node)
-            continue
-        parts = [model_version]
-        for child, eid in tree.children(node, up_edge):
-            parts.append((eid, tree.edge(eid).length, sigs[(child, eid)]))
-        sigs[(node, up_edge)] = tuple(parts)
-    return sigs
-
-
-def branch_signature(tree: Tree, edge_id: int, model_version: int) -> tuple:
-    """``(length, (version, u-side, v-side subtree signatures))`` of a branch.
-
-    Exactly the inputs ``edge_sum_buffer`` + Newton consume, so equal
-    keys mean the deterministic solve would reproduce its last result.
-    It depends only on the tree and the model version — sliced parallel
-    engines compute it at the master, whatever the substrate.
-    """
-    edge = tree.edge(edge_id)
-    sigs = subtree_signatures(tree, edge_id, model_version)
-    return (
-        edge.length,
-        (model_version, sigs[(edge.u, edge_id)], sigs[(edge.v, edge_id)]),
-    )
+__all__ = ["LikelihoodEngine"]
 
 
 class LikelihoodEngine:
@@ -171,7 +132,6 @@ class LikelihoodEngine:
         self.backend = get_backend(backend)
         self.counters = KernelCounters()
         self.store = store if store is not None else ClaStore()
-        self._model_version = 0
         self._valid: dict[int, tuple[int, object]] = {}  # node -> (edge, signature)
         #: Pre-order ops of the running gradient up-sweep by edge id — what
         #: recomputes a partial the store has dropped.  Partials depend on
@@ -224,7 +184,6 @@ class LikelihoodEngine:
             self.rates = InvariantMixture(
                 self.rates, self.patterns, model, self.p_inv
             )
-        self._model_version += 1
         self.drop_caches()
 
     def set_alpha(self, alpha: float) -> None:
@@ -258,17 +217,6 @@ class LikelihoodEngine:
         self.set_model(self.model)
 
     # ------------------------------------------------------------------
-    # signatures (structural CLA validity)
-    # ------------------------------------------------------------------
-    def _signatures(self, root_edge: int) -> dict[tuple[int, int], object]:
-        """:func:`subtree_signatures` under this engine's model version."""
-        return subtree_signatures(self.tree, root_edge, self._model_version)
-
-    def branch_signature(self, edge_id: int) -> tuple:
-        """Key fully determining a per-branch Newton solve on ``edge_id``."""
-        return branch_signature(self.tree, edge_id, self._model_version)
-
-    # ------------------------------------------------------------------
     # traversal planning
     # ------------------------------------------------------------------
     def _make_op(self, node: int, up_edge: int) -> NewviewOp:
@@ -276,36 +224,38 @@ class LikelihoodEngine:
         tree = self.tree
         (c1, e1), (c2, e2) = tree.children(node, up_edge)
         tips = tree.is_leaf(c1) + tree.is_leaf(c2)
-        kind = (
-            KernelKind.NEWVIEW_TIP_TIP
-            if tips == 2
-            else KernelKind.NEWVIEW_TIP_INNER
-            if tips == 1
-            else KernelKind.NEWVIEW_INNER_INNER
-        )
         return NewviewOp(
             node=node, up_edge=up_edge, child1=c1, edge1=e1,
-            child2=c2, edge2=e2, kind=kind,
+            child2=c2, edge2=e2, kind=COMBINE_KINDS["newview", tips],
         )
 
-    def plan_traversal(self, root_edge: int) -> TraversalDescriptor:
-        """List the ``newview`` ops needed to validate both root CLAs."""
+    def plan_traversal(self, root_edge: int) -> list[NewviewOp]:
+        """The ``newview`` ops, in post-order, that validate both root CLAs.
+
+        The same walk builds every directed node's structural signature:
+        a leaf's name, or its children's ``(edge id, length, signature)``.
+        Equal signatures imply equal subtree likelihood content, so a node
+        whose cached entry carries its current signature is skipped.
+        """
         tree = self.tree
-        sigs = self._signatures(root_edge)
-        desc = TraversalDescriptor(root_edge=root_edge)
+        sigs: dict[tuple[int, int], object] = {}
+        ops: list[NewviewOp] = []
         for node, _parent, up_edge in tree.postorder(root_edge):
             if tree.is_leaf(node):
+                sigs[(node, up_edge)] = tree.name(node)
                 continue
-            cached = self._valid.get(node)
-            if cached is not None and cached == (up_edge, sigs[(node, up_edge)]):
-                continue
-            desc.ops.append(self._make_op(node, up_edge))
+            sig = sigs[(node, up_edge)] = tuple(
+                (eid, tree.edge(eid).length, sigs[(child, eid)])
+                for child, eid in tree.children(node, up_edge)
+            )
+            if self._valid.get(node) != (up_edge, sig):
+                ops.append(self._make_op(node, up_edge))
         self._last_sigs = sigs
-        return desc
+        return ops
 
     def plan_execution(self, root_edge: int) -> ExecutionPlan:
         """Plan and levelize the traversal for ``root_edge``."""
-        return levelize(self.plan_traversal(root_edge))
+        return levelize(root_edge, self.plan_traversal(root_edge))
 
     def plan_gradient(self, root_edge: int) -> GradientPlan:
         """Plan the bidirectional traversal for all-branch gradients.
@@ -318,13 +268,13 @@ class LikelihoodEngine:
         branch.
         """
         tree = self.tree
-        desc = GradientDescriptor(root_edge=root_edge)
         edge = tree.edge(root_edge)
-        desc.grad_ops.append(
+        pre_ops: list[PreorderOp] = []
+        grad_ops = [
             EdgeGradientOp(
                 edge=root_edge, top=edge.u, bottom=edge.v, top_is_partial=False
             )
-        )
+        ]
         stack: list[tuple[int, int, int, bool]] = []
         for node, other in ((edge.u, edge.v), (edge.v, edge.u)):
             if not tree.is_leaf(node):
@@ -338,21 +288,14 @@ class LikelihoodEngine:
             ):
                 tips = int(not across_partial and tree.is_leaf(across))
                 tips += int(tree.is_leaf(sib))
-                kind = (
-                    KernelKind.PREORDER_TIP_TIP
-                    if tips == 2
-                    else KernelKind.PREORDER_TIP_INNER
-                    if tips == 1
-                    else KernelKind.PREORDER_INNER_INNER
-                )
-                desc.pre_ops.append(
+                pre_ops.append(
                     PreorderOp(
                         edge=eid, node=node, up_edge=up_edge, across=across,
                         across_is_partial=across_partial, sibling=sib,
-                        sibling_edge=sib_eid, kind=kind,
+                        sibling_edge=sib_eid, kind=COMBINE_KINDS["preorder", tips],
                     )
                 )
-                desc.grad_ops.append(
+                grad_ops.append(
                     EdgeGradientOp(
                         edge=eid, top=node, bottom=child, top_is_partial=True
                     )
@@ -362,7 +305,7 @@ class LikelihoodEngine:
         return GradientPlan(
             root_edge=root_edge,
             down=self.plan_execution(root_edge),
-            up=levelize_upsweep(desc),
+            up=levelize_upsweep(root_edge, pre_ops, grad_ops),
         )
 
     # ------------------------------------------------------------------
@@ -685,6 +628,9 @@ class LikelihoodEngine:
         """Release all CLAs (memory-saving hook; they rebuild lazily)."""
         self.store.clear()
         self._valid.clear()
+
+    def close(self) -> None:
+        """Nothing to release: a serial engine owns no pool or arena."""
 
     def cla_memory_bytes(self) -> int:
         """Current CLA memory footprint (the paper's 8 GB-per-card concern)."""

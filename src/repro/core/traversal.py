@@ -7,8 +7,8 @@ structure: the engine plans a traversal (only the stale nodes), executes
 it, and records every kernel invocation in a :class:`KernelCounters`
 object.
 
-On top of the flat descriptor sits the **execution-plan IR**: the
-:func:`levelize` planner folds a descriptor into dependency *waves*
+On top of the flat op list sits the **execution-plan IR**: the
+:func:`levelize` planner folds the list into dependency *waves*
 (:class:`Wave`), where every op's inner children were produced by an
 earlier wave (or were already valid) and the ops within one wave are
 mutually independent.  The plan is the unit of optimisation for wave
@@ -30,14 +30,13 @@ from enum import Enum
 
 __all__ = [
     "KernelKind",
+    "COMBINE_KINDS",
     "MERGED_KERNEL_KEYS",
     "PAPER_KERNEL_KEYS",
     "merged_kernel_key",
     "NewviewOp",
     "PreorderOp",
     "EdgeGradientOp",
-    "TraversalDescriptor",
-    "GradientDescriptor",
     "Wave",
     "ExecutionPlan",
     "GradientPlan",
@@ -81,6 +80,15 @@ class KernelKind(str, Enum):
     @property
     def preorder_like(self) -> bool:
         return self.value.startswith("preorder")
+
+
+#: The ``newview``-shaped kernel of a ``(family, tips)`` pair: family
+#: ``"newview"`` or ``"preorder"``, ``tips`` the number of tip operands.
+COMBINE_KINDS = {
+    (family, tips): KernelKind(f"{family}_{case}")
+    for family in ("newview", "preorder")
+    for tips, case in ((2, "tip_tip"), (1, "tip_inner"), (0, "inner_inner"))
+}
 
 
 #: Aggregated kernel names: the paper's four plus the two up-sweep
@@ -165,39 +173,6 @@ class EdgeGradientOp:
     kind: KernelKind = KernelKind.EDGE_GRADIENT
 
 
-@dataclass
-class TraversalDescriptor:
-    """An ordered batch of ``newview`` operations for one virtual root.
-
-    ``root_edge`` is where ``evaluate`` (or a derivative computation)
-    will be performed once the listed operations have run.
-    """
-
-    root_edge: int
-    ops: list[NewviewOp] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
-@dataclass
-class GradientDescriptor:
-    """The up-sweep op batch for one-traversal all-branch gradients.
-
-    ``pre_ops`` list the pre-order partials in root-to-tip order
-    (parents before children); ``grad_ops`` carry one
-    :class:`EdgeGradientOp` per branch — ``2N - 3`` of them on an
-    unrooted binary tree, including the virtual root edge itself.
-    """
-
-    root_edge: int
-    pre_ops: list[PreorderOp] = field(default_factory=list)
-    grad_ops: list[EdgeGradientOp] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.pre_ops) + len(self.grad_ops)
-
-
 @dataclass(frozen=True)
 class Wave:
     """One dependency level of an :class:`ExecutionPlan`.
@@ -232,7 +207,7 @@ class Wave:
 class ExecutionPlan:
     """A levelized schedule: the IR between planning and dispatch.
 
-    Produced by :func:`levelize` from a :class:`TraversalDescriptor`;
+    Produced by :func:`levelize` from a planned ``newview`` op list;
     consumed by :meth:`repro.core.engine.LikelihoodEngine.execute_plan`.
     ``depth`` (number of waves) bounds the serial critical path;
     ``max_width`` bounds the exploitable thread parallelism; both feed the
@@ -277,20 +252,20 @@ class ExecutionPlan:
         return self.n_ops
 
 
-def levelize(desc: TraversalDescriptor) -> ExecutionPlan:
-    """Fold a traversal descriptor into dependency waves.
+def levelize(root_edge: int, ops: list[NewviewOp]) -> ExecutionPlan:
+    """Fold the planned ``newview`` ops for ``root_edge`` into waves.
 
     An op's *level* is ``max(level(child1), level(child2)) + 1`` where
-    children not updated by this descriptor (tips, or CLAs that are
-    already valid) sit at level ``-1``.  Descriptors list ops in
-    postorder (children before parents), so a single forward pass
-    assigns final levels; ops sharing a level are mutually independent
-    by construction and become one :class:`Wave`.
+    children not updated by these ops (tips, or CLAs that are already
+    valid) sit at level ``-1``.  Plans list ops in postorder (children
+    before parents), so a single forward pass assigns final levels; ops
+    sharing a level are mutually independent by construction and become
+    one :class:`Wave`.
     """
 
     level: dict[int, int] = {}
     buckets: dict[int, list[NewviewOp]] = {}
-    for op in desc.ops:
+    for op in ops:
         lvl = max(level.get(op.child1, -1), level.get(op.child2, -1)) + 1
         level[op.node] = lvl
         buckets.setdefault(lvl, []).append(op)
@@ -298,7 +273,7 @@ def levelize(desc: TraversalDescriptor) -> ExecutionPlan:
         Wave(index=i, ops=tuple(buckets[lvl]))
         for i, lvl in enumerate(sorted(buckets))
     ]
-    return ExecutionPlan(root_edge=desc.root_edge, waves=waves)
+    return ExecutionPlan(root_edge=root_edge, waves=waves)
 
 
 @dataclass
@@ -333,31 +308,36 @@ class GradientPlan:
         return mix
 
 
-def levelize_upsweep(desc: GradientDescriptor) -> ExecutionPlan:
-    """Fold a gradient descriptor into root-to-tip dependency waves.
+def levelize_upsweep(
+    root_edge: int, pre_ops: list[PreorderOp], grad_ops: list[EdgeGradientOp]
+) -> ExecutionPlan:
+    """Fold the gradient up-sweep into root-to-tip dependency waves.
 
-    A pre-order partial's level is one past its parent partial's level
-    (partials fed by the virtual root's down CLAs sit at level 0); an
-    edge's gradient op runs one level after the partial it consumes, so
-    it shares a wave with the *next* generation of partials — the mixed
-    kernel-kind waves the engine partitions per op class.  The virtual root
-    edge's gradient needs only down CLAs and joins wave 0.
+    ``pre_ops`` list the pre-order partials parents before children;
+    ``grad_ops`` carry one op per branch (``2N - 3`` of them, the
+    virtual root edge included).  A pre-order partial's level is one
+    past its parent partial's level (partials fed by the virtual root's
+    down CLAs sit at level 0); an edge's gradient op runs one level after
+    the partial it consumes, so it shares a wave with the *next*
+    generation of partials — the mixed kernel-kind waves the engine
+    partitions per op class.  The virtual root edge's gradient needs only
+    down CLAs and joins wave 0.
     """
 
     plevel: dict[int, int] = {}
     buckets: dict[int, list] = {}
-    for op in desc.pre_ops:
+    for op in pre_ops:
         lvl = plevel[op.up_edge] + 1 if op.across_is_partial else 0
         plevel[op.edge] = lvl
         buckets.setdefault(lvl, []).append(op)
-    for op in desc.grad_ops:
+    for op in grad_ops:
         lvl = plevel[op.edge] + 1 if op.top_is_partial else 0
         buckets.setdefault(lvl, []).append(op)
     waves = [
         Wave(index=i, ops=tuple(buckets[lvl]))
         for i, lvl in enumerate(sorted(buckets))
     ]
-    return ExecutionPlan(root_edge=desc.root_edge, waves=waves, direction="up")
+    return ExecutionPlan(root_edge=root_edge, waves=waves, direction="up")
 
 
 @dataclass

@@ -275,9 +275,6 @@ class OffloadedEngine:
     def default_edge(self) -> int:
         return self.engine.default_edge()
 
-    def branch_signature(self, edge_id: int) -> tuple:
-        return self.engine.branch_signature(edge_id)
-
     def log_likelihood(self, root_edge=None) -> float:
         out = self.engine.log_likelihood(root_edge)
         self._account()

@@ -466,7 +466,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def json_object(self) -> dict:
         """The request body decoded as a JSON object (else 400)."""
-        body = json.loads(self.body) if self.body else None
+        try:
+            body = json.loads(self.body) if self.body else None
+        except RecursionError:
+            raise _HttpError(400, "JSON body nested too deep") from None
         if not isinstance(body, dict):
             raise _HttpError(400, "JSON object body required")
         return body

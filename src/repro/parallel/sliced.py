@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.backends import KernelBackend, KernelProfile
-from ..core.engine import branch_signature
 from ..core.kernels import derivative_reduce
 from ..core.partitioned import Partition
 from ..core.traversal import KernelCounters
@@ -148,7 +147,6 @@ class SlicedEngine:
         self.rates_model = rates if rates is not None else GammaRates(1.0, 1)
         #: CAT shape parameter (None for plain Gamma engines).
         self.alpha = 1.0 if cat is not None else None
-        self._model_version = 0
 
     def __getattr__(self, name: str):
         if name == "sync":  # not bound yet: nothing to read through to
@@ -194,12 +192,10 @@ class SlicedEngine:
         self.model = model
         if rates is not None:
             self.rates_model = rates
-        self._model_version += 1
         self._replay(lambda: self.substrate.set_model(model, rates))
 
     def set_alpha(self, alpha: float) -> None:
         alpha = float(alpha)
-        self._model_version += 1
         if self.cat is None:
             self.rates_model = self.rates_model.with_alpha(alpha)
             self._replay(lambda: self.substrate.set_alpha(alpha))
@@ -212,10 +208,6 @@ class SlicedEngine:
 
     def default_edge(self) -> int:
         return min(self.tree.edge_ids)
-
-    def branch_signature(self, edge_id: int) -> tuple:
-        """Per-branch Newton memo key (shared tree + model version)."""
-        return branch_signature(self.tree, edge_id, self._model_version)
 
     def log_likelihood(self, root_edge: int | None = None) -> float:
         """The gathered per-site lane reduced in fixed pattern order."""

@@ -25,12 +25,6 @@ methods:
     The ISTA-style proximal-gradient optimiser with an L1 branch-length
     penalty (:mod:`repro.search.proxgrad`) — for sparse /
     near-multifurcating trees.
-
-Per-branch results that are fully determined by unchanged inputs are
-skipped: the engine's structural subtree signatures (the same ones that
-gate CLA invalidation) plus the branch length form a key that decides
-whether a previous pass's converged Newton solve can be reused without
-recomputing the sum buffer.
 """
 
 from __future__ import annotations
@@ -174,36 +168,9 @@ def optimize_branch(
     edge_id: int,
     tolerance: float = 1e-8,
     max_iterations: int = 64,
-    memo: dict | None = None,
 ) -> BranchOptResult:
-    """Optimise one branch length in place on the engine's tree.
-
-    With ``memo`` (as passed by :func:`optimize_all_branches`), a branch
-    whose length and endpoint subtree signatures are unchanged since its
-    last solve (at the same tolerance and iteration budget) is skipped
-    outright — no ``derivativeSum``, no Newton iterations — because the
-    deterministic solve would reproduce the memoised result exactly.
-    """
+    """Optimise one branch length in place on the engine's tree."""
     edge = engine.tree.edge(edge_id)
-    sig = None
-    if memo is not None:
-        # The solver parameters are part of what determines the result,
-        # so they join the key: a retry at a different tolerance must
-        # not be satisfied by a skip.
-        sig = engine.branch_signature(edge_id) + (tolerance, max_iterations)
-    if sig is not None and memo.get(edge_id) == sig:
-        if _obs.ENABLED:
-            _obs_metrics.get_registry().counter(
-                "repro_branch_opt_skips_total",
-                "per-branch Newton solves skipped (inputs unchanged)",
-            ).inc()
-        return BranchOptResult(
-            edge=edge_id,
-            initial_length=edge.length,
-            length=edge.length,
-            iterations=0,
-            converged=True,
-        )
     with _obs.span("search.branch_opt", edge=edge_id):
         sumbuf = engine.edge_sum_buffer(edge_id)
         t, iters, ok = _newton_on_sumbuffer(
@@ -217,13 +184,6 @@ def optimize_branch(
         converged=ok,
     )
     edge.length = t
-    if sig is not None:
-        # The endpoint signatures exclude this branch's own length, so
-        # the post-solve key is the old one with the length swapped in.
-        # Stored even for non-converged solves: the solver is
-        # deterministic in its keyed inputs, so re-running it on an
-        # unchanged branch would reproduce this exact outcome.
-        memo[edge_id] = (t,) + sig[1:]
     return result
 
 
@@ -278,9 +238,6 @@ def _smooth_all(
     tolerance: float,
     improvement_epsilon: float,
 ) -> float:
-    memo = engine.__dict__.setdefault("_branch_opt_memo", {})
-    if len(memo) > 8 * len(tree.edge_ids):  # retired edges after topology moves
-        memo.clear()
     lnl = engine.log_likelihood()
     for _ in range(passes):
         start = tree.leaves()[0]
@@ -298,7 +255,7 @@ def _smooth_all(
                     visited.add(nbr)
                     stack.append(nbr)
         for eid in order:
-            optimize_branch(engine, eid, tolerance=tolerance, memo=memo)
+            optimize_branch(engine, eid, tolerance=tolerance)
         new_lnl = engine.log_likelihood()
         if new_lnl < lnl - 1e-6 and new_lnl < lnl * (1 + 1e-12):
             # A smoothing pass must never make things worse; a drop means

@@ -227,7 +227,7 @@ class PlacementSession:
 
     def close(self) -> None:
         if self._ref_engine is not None:
-            _close(self._ref_engine)
+            self._ref_engine.close()
             self._ref_engine = None
 
     def __enter__(self) -> "PlacementSession":
@@ -294,7 +294,7 @@ class PlacementSession:
                 for candidate in self._candidates
             ]
         finally:
-            _close(engine)
+            engine.close()
         return PlacementResult(
             query=name, placements=self._rank(placements, keep_best)
         )
@@ -344,11 +344,6 @@ class PlacementSession:
     def to_jplace(self, results: list[PlacementResult]) -> dict:
         """:func:`to_jplace` on the frame computed at construction."""
         return _jplace_document(results, *self._jplace_frame)
-
-
-def _close(engine) -> None:
-    """Release an engine's worker pool, when it has one."""
-    getattr(engine, "close", lambda: None)()
 
 
 def place_queries(

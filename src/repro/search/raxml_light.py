@@ -101,14 +101,6 @@ class SearchResult:
         return self.tree.to_newick()
 
 
-def _close_engine(engine) -> None:
-    """Release pool/arena resources held by parallel engines (no-op
-    for the serial engines, which own nothing beyond numpy arrays)."""
-    close = getattr(engine, "close", None)
-    if callable(close):
-        close()
-
-
 class _Progress:
     """The driver's step clock: crash injection + periodic snapshots.
 
@@ -409,7 +401,7 @@ def ml_search(
             # already holds the last periodic snapshot), just propagate.
             # Real worker pools are shut down — the *simulated* crash
             # must not leak actual shared-memory segments.
-            _close_engine(engine)
+            engine.close()
             raise
         except FaultError as exc:
             # Unrecoverable-but-anticipated fault: abort with a final
@@ -422,10 +414,10 @@ def ml_search(
                     error=type(exc).__name__,
                 )
             progress.emergency_write()
-            _close_engine(engine)
+            engine.close()
             raise
         except BaseException:
-            _close_engine(engine)
+            engine.close()
             raise
 
     if _obs_server.ENABLED:

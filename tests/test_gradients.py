@@ -16,8 +16,7 @@ Five angles:
   per-branch re-rooting;
 * optimizer parity: the gradient smoother must reach the Newton sweep's
   final lnL within 1e-6; the proximal optimizer must trade lnL for
-  exact sparsity; the per-branch memo must drive a converged smoothing
-  pass to zero ``derivativeSum`` calls;
+  exact sparsity;
 * plumbing: method validation, checkpoint round-trip of the chosen
   method, and the observability counters/spans of the new code paths.
 """
@@ -33,7 +32,6 @@ from repro.core import LikelihoodEngine
 from repro.core import make_engine as core_make_engine
 from repro.core.partitioned import Partition
 from repro.parallel import PartitionedEngine
-from repro.core.traversal import KernelKind
 from repro.parallel.distributed import DistributedEngine
 from repro.parallel.forkjoin import ForkJoinEngine
 from repro.phylo import GammaRates, gtr, simulate_dataset
@@ -356,37 +354,6 @@ class TestProximalGradient:
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError, match="lam"):
             proximal_smooth(make_engine(3), lam=-1.0)
-
-
-class TestBranchMemoRegression:
-    def test_converged_pass_recomputes_nothing(self):
-        """A smoothing pass at the fixpoint must skip every sum buffer.
-
-        Regression: ``optimize_all_branches`` used to rebuild the sum
-        buffer for branches whose length and endpoint CLAs had not
-        changed since the previous pass.  With the signature memo, once
-        repeated single passes stop moving any branch length, a further
-        pass must cost zero ``derivativeSum`` calls.
-        """
-        engine = make_engine(21, n_taxa=6, n_sites=150)
-
-        def sum_calls() -> int:
-            return engine.counters.calls.get(KernelKind.DERIVATIVE_SUM, 0)
-
-        reached = False
-        for _ in range(60):
-            before = sum_calls()
-            optimize_all_branches(
-                engine, passes=1, improvement_epsilon=0.0
-            )
-            if sum_calls() == before:
-                reached = True
-                break
-        assert reached, "smoothing never reached its fixpoint"
-        # and it stays free: further passes skip every branch
-        before = sum_calls()
-        optimize_all_branches(engine, passes=3, improvement_epsilon=0.0)
-        assert sum_calls() == before
 
 
 # ----------------------------------------------------------------------

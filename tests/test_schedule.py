@@ -26,11 +26,12 @@ from repro.core import (
     available_backends,
     levelize,
 )
+from repro.core import make_engine as make_store_engine
 from repro.core.partitioned import Partition
 from repro.parallel import PartitionedEngine
 from repro.parallel.distributed import DistributedEngine
 from repro.parallel.forkjoin import ForkJoinEngine
-from repro.phylo import Alignment, GammaRates, gtr, random_topology
+from repro.phylo import Alignment, GammaRates, Tree, gtr, random_topology
 
 TAXA = [f"t{i}" for i in range(8)]
 
@@ -105,7 +106,7 @@ class TestLevelizeProperties:
                                  n_sites=n_sites, backend=info.name)
             root = waved.default_edge()
             waved.ensure_valid(root)
-            for op in per_op.plan_traversal(root).ops:
+            for op in per_op.plan_traversal(root):
                 per_op._run_op(op)
             assert len(waved.store) == len(per_op.store)
             for node, (z_w, sc_w) in waved.store.items():
@@ -121,10 +122,33 @@ class TestLevelizeProperties:
 # ----------------------------------------------------------------------
 # invalidation: planned waves == signature-stale nodes
 # ----------------------------------------------------------------------
+def subtree_signatures(tree, root_edge):
+    """Reference signature of every directed ``(node, up_edge)`` below the
+    root: a leaf's name, or its children's ``(edge id, length, signature)``.
+    Equal signatures imply equal subtree likelihood content."""
+    sigs = {}
+
+    def sign(node, up_edge):
+        if tree.is_leaf(node):
+            sig = tree.name(node)
+        else:
+            sig = tuple(
+                (eid, tree.edge(eid).length, sign(child, eid))
+                for child, eid in tree.children(node, up_edge)
+            )
+        sigs[(node, up_edge)] = sig
+        return sig
+
+    edge = tree.edge(root_edge)
+    sign(edge.u, root_edge)
+    sign(edge.v, root_edge)
+    return sigs
+
+
 def stale_nodes(engine, root_edge):
     """Oracle: directed nodes whose cached validity entry is outdated."""
     tree = engine.tree
-    sigs = engine._signatures(root_edge)
+    sigs = subtree_signatures(tree, root_edge)
     return {
         node
         for node, _p, up in tree.postorder(root_edge)
@@ -227,6 +251,77 @@ class TestMoveInvalidation:
             fresh.log_likelihood(root), abs=1e-9
         )
 
+    @pytest.mark.parametrize("max_resident", [None, 3])
+    def test_lengths_model_and_spr_undo_plan_exactly_stale_nodes(
+        self, max_resident
+    ):
+        """Planned nodes == oracle-stale nodes after every kind of change,
+        with every CLA resident or at most three of them."""
+        patterns, tree = make_case(seed=9, n_taxa=10)
+        engine = make_store_engine(
+            patterns, tree, gtr(), GammaRates(0.7, 4), max_resident=max_resident
+        )
+        root = engine.default_edge()
+        internal = len(tree.internal_nodes())
+
+        def replan():
+            expected = stale_nodes(engine, root)
+            assert planned_nodes(engine.plan_execution(root)) == expected
+            lnl = engine.log_likelihood(root)
+            assert engine.plan_execution(root).n_ops == 0
+            return expected, lnl
+
+        stale, lnl0 = replan()
+        assert len(stale) == internal
+        # branch lengths: the root edge is below no CLA; any other edge
+        # stales exactly the path from it to the root, both ways
+        t_root = tree.edge(root).length
+        tree.edge(root).length = 2.0 * t_root
+        assert not replan()[0]
+        tree.edge(root).length = t_root
+        assert not replan()[0]
+        leaf = tree.leaves()[-1]
+        pend = tree.incident_edges(leaf)[0]
+        t_pend = tree.edge(pend).length
+        tree.edge(pend).length = 1.5 * t_pend
+        stale, _ = replan()
+        assert 0 < len(stale) < internal
+        tree.edge(pend).length = t_pend
+        assert replan()[0] == stale
+        # model changes drop every CLA
+        engine.set_alpha(1.3)
+        assert len(replan()[0]) == internal
+        engine.set_model(engine.model)
+        assert len(replan()[0]) == internal
+        engine.set_alpha(0.7)
+        stale, lnl = replan()
+        assert lnl == lnl0
+        # a trial SPR and its undo
+        pendant = tree.incident_edges(leaf)[0]
+        target = tree.spr_candidates(pendant, radius=5, subtree_root=leaf)[-1]
+        _, undo = tree.spr(pendant, target, subtree_root=leaf)
+        assert replan()[0]
+        undo()
+        stale, lnl = replan()
+        assert stale and lnl == lnl0
+
+    def test_one_postorder_walk_per_evaluation(self, monkeypatch):
+        """Signatures and the plan come out of the same tree walk."""
+        engine = make_engine(seed=4)
+        tree = engine.tree
+        engine.log_likelihood()
+        tree.edge(tree.edge_ids[3]).length *= 1.5
+        walks = []
+        postorder = Tree.postorder
+
+        def counted(self, root_edge):
+            walks.append(root_edge)
+            return postorder(self, root_edge)
+
+        monkeypatch.setattr(Tree, "postorder", counted)
+        engine.log_likelihood()
+        assert len(walks) == 1
+
 
 # ----------------------------------------------------------------------
 # accounting and parallel drivers
@@ -305,13 +400,14 @@ class TestParallelDrivers:
 class TestLevelizeUnit:
     def test_levelize_shapes_and_compat(self):
         engine = make_engine(seed=18)
-        desc = engine.plan_traversal(engine.default_edge())
-        plan = levelize(desc)
+        root = engine.default_edge()
+        ops = engine.plan_traversal(root)
+        plan = levelize(root, ops)
         assert isinstance(plan, ExecutionPlan)
         assert isinstance(plan.waves[0], Wave)
-        assert plan.n_ops == len(desc.ops)
-        assert [op.node for op in plan.iter_ops()].sort() == [
-            op.node for op in desc.ops
-        ].sort()
+        assert plan.n_ops == len(ops)
+        assert sorted(op.node for op in plan.iter_ops()) == sorted(
+            op.node for op in ops
+        )
         engine.execute_plan(plan)
         assert engine.plan_execution(engine.default_edge()).n_ops == 0

@@ -531,6 +531,16 @@ class TestHostileInput:
         )
         assert code == 413 and "limit" in doc["error"]
 
+    def test_deeply_nested_json_400(self, server_case):
+        """``json.loads`` runs out of recursion: a 400 naming the nesting."""
+        server, *_ = server_case
+        body = b"[" * 200_000
+        code, doc = _raw_post(
+            server, "/tenants/main/place",
+            {"Content-Length": str(len(body))}, body,
+        )
+        assert code == 400 and "nested too deep" in doc["error"]
+
     def test_body_shorter_than_content_length_400(self, server_case):
         """A client leaving mid-body must not delete the tenant."""
         server, *_ = server_case
