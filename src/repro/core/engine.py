@@ -20,11 +20,11 @@ Every operand is resolved through one get-or-recompute helper and held
 in local variables while its op runs, so an entry the store has dropped
 is simply recomputed (by the ordinary op, recursively) when next needed.
 
-Validity tracking uses structural *subtree signatures* instead of
-explicit invalidation hooks: a CLA oriented toward edge ``e`` is valid
-iff the topology and branch lengths below it are unchanged since it was
-computed (a model change drops every CLA).  The planning walk builds a
-signature per node (O(n) per likelihood evaluation) and plans exactly
+Validity tracking uses interned *subtree ids* instead of explicit
+invalidation hooks: a CLA oriented toward edge ``e`` is valid iff the
+topology and branch lengths below it are unchanged since it was computed
+(a model change drops every CLA).  The planning walk interns each node's
+subtree to an int (O(1) per node, at any tree depth) and plans exactly
 the stale CLAs — which makes it impossible for a topology move or
 branch-length change to leave a stale CLA behind, a classic source of
 silent likelihood bugs in hand-invalidated codes.
@@ -36,6 +36,7 @@ paper's performance model (Sec. VI).
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -66,6 +67,10 @@ from .traversal import (
 )
 
 __all__ = ["LikelihoodEngine"]
+
+#: Interned subtree ids kept between model changes before the table is
+#: cleared (about 8x the largest count the benchmark searches reach).
+MAX_SUBTREE_IDS = 1 << 14
 
 
 class LikelihoodEngine:
@@ -132,7 +137,9 @@ class LikelihoodEngine:
         self.backend = get_backend(backend)
         self.counters = KernelCounters()
         self.store = store if store is not None else ClaStore()
-        self._valid: dict[int, tuple[int, object]] = {}  # node -> (edge, signature)
+        self._valid: dict[int, int] = {}  # node -> interned subtree id
+        self._subtree_ids: dict[tuple, int] = {}
+        self._next_id = itertools.count()
         #: Pre-order ops of the running gradient up-sweep by edge id — what
         #: recomputes a partial the store has dropped.  Partials depend on
         #: the *entire* rest of the tree, so unlike post-order CLAs they
@@ -232,25 +239,30 @@ class LikelihoodEngine:
     def plan_traversal(self, root_edge: int) -> list[NewviewOp]:
         """The ``newview`` ops, in post-order, that validate both root CLAs.
 
-        The same walk builds every directed node's structural signature:
-        a leaf's name, or its children's ``(edge id, length, signature)``.
-        Equal signatures imply equal subtree likelihood content, so a node
-        whose cached entry carries its current signature is skipped.
+        The same walk interns every directed node's subtree: a leaf's id
+        is its name, an inner node's is the int drawn for the flat key
+        ``(up_edge, e1, length(e1), id(c1), e2, length(e2), id(c2))``.
+        Equal ids imply equal subtree content, so a node whose cached id is
+        current is skipped.  Ids are never reused: clearing the table can
+        cost a recomputation, never revive a stale CLA.
         """
         tree = self.tree
-        sigs: dict[tuple[int, int], object] = {}
+        table = self._subtree_ids
+        if len(table) > MAX_SUBTREE_IDS:
+            table.clear()
+        ids = self._walk_ids = {}
         ops: list[NewviewOp] = []
         for node, _parent, up_edge in tree.postorder(root_edge):
-            if tree.is_leaf(node):
-                sigs[(node, up_edge)] = tree.name(node)
+            name = tree.name(node)
+            if name is not None:
+                ids[node] = name
                 continue
-            sig = sigs[(node, up_edge)] = tuple(
-                (eid, tree.edge(eid).length, sigs[(child, eid)])
-                for child, eid in tree.children(node, up_edge)
-            )
-            if self._valid.get(node) != (up_edge, sig):
+            (c1, e1), (c2, e2) = tree.children(node, up_edge)
+            key = (up_edge, e1, tree.edge(e1).length, ids[c1],
+                   e2, tree.edge(e2).length, ids[c2])
+            sid = ids[node] = table.setdefault(key, next(self._next_id))
+            if self._valid.get(node) != sid:
                 ops.append(self._make_op(node, up_edge))
-        self._last_sigs = sigs
         return ops
 
     def plan_execution(self, root_edge: int) -> ExecutionPlan:
@@ -260,7 +272,7 @@ class LikelihoodEngine:
     def plan_gradient(self, root_edge: int) -> GradientPlan:
         """Plan the bidirectional traversal for all-branch gradients.
 
-        The down-sweep is the (signature-gated) post-order plan for the
+        The down-sweep is the (id-gated) post-order plan for the
         virtual root; the up-sweep computes one pre-order partial per
         directed non-root edge (``2N - 4`` of them) and one fused
         gradient per branch (``2N - 3``) — O(N) kernel calls total,
@@ -374,7 +386,7 @@ class LikelihoodEngine:
         z, scale = self.rates.combine(op.kind, a, b)
         self.store.put(key, z, scale)
         if cls is NewviewOp:
-            self._valid[key] = (op.up_edge, self._last_sigs[(key, op.up_edge)])
+            self._valid[key] = self._walk_ids[key]
         self.counters.record(op.kind, self.patterns.n_patterns)
         return z, scale
 
@@ -498,8 +510,9 @@ class LikelihoodEngine:
         """Make both CLAs adjacent to ``root_edge`` valid."""
         self.execute_plan(self.plan_execution(root_edge))
         # Topology moves retire node ids; forget their CLAs once the books
-        # clearly outgrow the live tree.  A trial undo hands ids back, but
-        # a reused id only ever hits the cache through an equal signature.
+        # clearly outgrow the live tree.  A trial undo hands node ids back,
+        # but a reused node only ever hits the cache through an equal
+        # interned subtree id.
         if len(self._valid) > 4 * self.tree.n_leaves:
             live = set(self.tree.nodes)
             for node in [n for n in self._valid if n not in live]:
@@ -628,6 +641,7 @@ class LikelihoodEngine:
         """Release all CLAs (memory-saving hook; they rebuild lazily)."""
         self.store.clear()
         self._valid.clear()
+        self._subtree_ids.clear()
 
     def close(self) -> None:
         """Nothing to release: a serial engine owns no pool or arena."""

@@ -37,11 +37,14 @@ class NewickNode:
 
     def leaves(self) -> list["NewickNode"]:
         """All leaf descendants, left-to-right."""
-        if self.is_leaf:
-            return [self]
         out: list[NewickNode] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                out.append(node)
+            else:
+                stack.extend(reversed(node.children))
         return out
 
 
@@ -95,16 +98,8 @@ def parse_newick(text: str) -> NewickNode:
         pos += 1
         return tok
 
-    def parse_node() -> NewickNode:
-        node = NewickNode()
-        if peek() == "(":
-            take()
-            node.children.append(parse_node())
-            while peek() == ",":
-                take()
-                node.children.append(parse_node())
-            if take() != ")":
-                raise NewickError("expected ')'")
+    def finish(node: NewickNode) -> None:
+        """Read the optional label and ``:length`` closing ``node``."""
         tok = peek()
         if tok is not None and tok not in "(),:;":
             node.label = take()
@@ -115,9 +110,27 @@ def parse_newick(text: str) -> NewickNode:
                 node.length = float(raw)
             except ValueError as exc:
                 raise NewickError(f"bad branch length {raw!r}") from exc
-        return node
 
-    root = parse_node()
+    # Iterative, so nesting depth is bounded by memory, not the recursion
+    # limit: ``parents`` holds the nodes whose ``)`` is still to come.
+    root = node = NewickNode()
+    parents: list[NewickNode] = []
+    while True:
+        if peek() == "(":
+            take()
+            parents.append(node)
+        else:
+            finish(node)
+            while parents and peek() != ",":
+                if take() != ")":
+                    raise NewickError("expected ')'")
+                node = parents.pop()
+                finish(node)
+            if not parents:
+                break
+            take()  # the "," before the next sibling
+        node = NewickNode()
+        parents[-1].children.append(node)
     if peek() == ";":
         take()
     if pos != len(tokens):
@@ -134,19 +147,30 @@ def _needs_quoting(label: str) -> bool:
 def format_newick(root: NewickNode, *, precision: int = 6) -> str:
     """Serialise a :class:`NewickNode` back to Newick text."""
 
-    def fmt(node: NewickNode) -> str:
-        if node.is_leaf:
-            body = _fmt_label(node.label)
-        else:
-            inner = ",".join(fmt(c) for c in node.children)
-            body = f"({inner}){_fmt_label(node.label)}"
-        if node.length is not None:
-            body += f":{node.length:.{precision}f}"
-        return body
-
     def _fmt_label(label: str | None) -> str:
         if label is None:
             return ""
         return f"'{label}'" if _needs_quoting(label) else label
 
-    return fmt(root) + ";"
+    # Iterative: the stack holds nodes still to write and the text that
+    # closes each open node, in the order they are written.
+    parts: list[str] = []
+    stack: list[NewickNode | str] = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):  # a "," or a node's closing text
+            parts.append(node)
+            continue
+        tail = _fmt_label(node.label)
+        if node.length is not None:
+            tail += f":{node.length:.{precision}f}"
+        if node.is_leaf:
+            parts.append(tail)
+            continue
+        parts.append("(")
+        stack.append(")" + tail)
+        for i in range(len(node.children) - 1, -1, -1):
+            stack.append(node.children[i])
+            if i:
+                stack.append(",")
+    return "".join(parts) + ";"

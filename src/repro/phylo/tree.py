@@ -70,7 +70,9 @@ class Tree:
     Nodes are integers; leaves carry a name, internal nodes do not.  The
     undo of a trial move hands the ids it allocated back for the next
     trial to reuse, so caches keyed by ids must also check content (as
-    the likelihood engine's structural subtree signatures do).
+    the likelihood engine does by interning each subtree's edge ids,
+    lengths and leaf names to an integer id).  Newick reading and
+    writing are iterative, so any depth fits.
     """
 
     def __init__(self) -> None:
@@ -652,20 +654,24 @@ class Tree:
                 ]
             )
             return format_newick(root, precision=precision)
-        root_node = internals[0]
-
-        def build(node: int, up_edge: int | None) -> NewickNode:
-            length = None if up_edge is None else self._edges[up_edge].length
-            if self.is_leaf(node):
-                return NewickNode(label=self._names[node], length=length)
-            nn = NewickNode(length=length)
+        # Iterative, so any depth fits: each node's NewickNode takes its
+        # children in adjacency order, whatever order the nodes are visited.
+        root = NewickNode()
+        stack: list[tuple[int, int | None, NewickNode]] = [
+            (internals[0], None, root)
+        ]
+        while stack:
+            node, up_edge, nn = stack.pop()
             for eid in self._adj[node]:
                 if eid == up_edge:
                     continue
-                nn.children.append(build(self._edges[eid].other(node), eid))
-            return nn
-
-        return format_newick(build(root_node, None), precision=precision)
+                child = self._edges[eid].other(node)
+                length = self._edges[eid].length
+                cn = NewickNode(label=self._names[child], length=length)
+                nn.children.append(cn)
+                if not self.is_leaf(child):
+                    stack.append((child, eid, cn))
+        return format_newick(root, precision=precision)
 
     @classmethod
     def from_newick(cls, text: str) -> "Tree":
@@ -680,27 +686,42 @@ class Tree:
         t = cls()
         names: set[str] = set()
 
-        def build(nn: NewickNode) -> int:
-            if nn.is_leaf:
-                if not nn.label:
-                    raise NewickError("Newick leaf without a name")
-                if nn.label in names:
-                    raise NewickError(f"Newick leaf {nn.label!r} appears twice")
-                names.add(nn.label)
-                return t.add_node(nn.label)
-            node = t.add_node()
-            for child in nn.children:
-                cid = build(child)
-                length = DEFAULT_BRANCH_LENGTH if child.length is None else child.length
-                if not 0.0 <= length <= MAX_BRANCH_LENGTH:
-                    raise NewickError(
-                        f"branch length {length} is negative, not finite or "
-                        f"exceeds {MAX_BRANCH_LENGTH}"
-                    )
-                t.add_edge(node, cid, length)
-            return node
+        def add_leaf(nn: NewickNode) -> int:
+            if not nn.label:
+                raise NewickError("Newick leaf without a name")
+            if nn.label in names:
+                raise NewickError(f"Newick leaf {nn.label!r} appears twice")
+            names.add(nn.label)
+            return t.add_node(nn.label)
 
-        root_id = build(root)
+        def attach(parent: int, child: int, nn: NewickNode) -> None:
+            length = DEFAULT_BRANCH_LENGTH if nn.length is None else nn.length
+            if not 0.0 <= length <= MAX_BRANCH_LENGTH:
+                raise NewickError(
+                    f"branch length {length} is negative, not finite or "
+                    f"exceeds {MAX_BRANCH_LENGTH}"
+                )
+            t.add_edge(parent, child, length)
+
+        if root.is_leaf:
+            root_id = add_leaf(root)
+        else:
+            # Iterative, in the order a recursive build would take: ids
+            # are drawn in pre-order, and the edge to an inner child is
+            # added once that child's whole subtree is built.
+            root_id = t.add_node()
+            stack = [(root, root_id, iter(root.children))]
+            while stack:
+                nn, node, pending = stack[-1]
+                child = next(pending, None)
+                if child is None:
+                    stack.pop()
+                    if stack:
+                        attach(stack[-1][1], node, nn)
+                elif child.is_leaf:
+                    attach(node, add_leaf(child), child)
+                else:
+                    stack.append((child, t.add_node(), iter(child.children)))
         # A rooted binary tree yields a degree-2 root: suppress it.
         if not t.is_leaf(root_id) and t.degree(root_id) == 2:
             t.suppress_node(root_id)

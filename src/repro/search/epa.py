@@ -41,12 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core.backends import (
-    KernelBackend,
-    get_backend,
-    make_engine,
-    resolve_backend_name,
-)
+from ..core.backends import KernelBackend, get_backend, make_engine
 from ..obs import server as _obs_server
 from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.models import SubstitutionModel
@@ -103,37 +98,6 @@ def _edge_label(tree: Tree, edge_id: int) -> tuple[str, ...]:
     return _edge_labels(tree)[edge_id]
 
 
-def _resolve_session_backend(
-    backend: "str | KernelBackend | None", workers: int, execution: str
-):
-    """Boundary validation for the backend spec (see ISSUE 9 satellite).
-
-    Thread/process substrates ship backend *names* to workers; a raw
-    instance would otherwise die deep inside :class:`WorkerPool`.
-    Registered instances are translated back to their name here; ad-hoc
-    instances get a clear error at the call boundary.  The serial path
-    resolves to one shared instance so every per-query engine feeds a
-    single profile.
-    """
-    if workers > 1:
-        if (
-            backend is not None
-            and not isinstance(backend, str)
-            and execution != "simulated"
-        ):
-            name = resolve_backend_name(backend)
-            if name is None:
-                raise ValueError(
-                    f"execution={execution!r} with workers={workers} "
-                    "requires a backend *name* (each worker builds its own "
-                    "instance); got an unregistered "
-                    f"{type(backend).__name__} instance"
-                )
-            return name
-        return backend
-    return get_backend(backend)
-
-
 class PlacementSession:
     """Warm, reusable placement state for one reference tree.
 
@@ -175,7 +139,9 @@ class PlacementSession:
         self.workers = workers
         self.execution = execution
         self.max_resident = max_resident
-        self._backend = _resolve_session_backend(backend, workers, execution)
+        # One shared instance feeds every serial per-query engine a single
+        # profile; worker engines resolve (and check) the spec themselves.
+        self._backend = get_backend(backend) if workers == 1 else backend
         self.tree = reference_tree.copy()  # pristine; never mutated
         # Decode reference rows once; _merge re-uses them per query.
         self._ref_seqs = {
@@ -443,23 +409,31 @@ def _annotated_newick(tree: Tree) -> str:
     edge_num = {e.id: i for i, e in enumerate(tree.edges)}
     internals = tree.internal_nodes()
     root_node = internals[0] if internals else tree.leaves()[0]
-
-    def build(node: int, up_edge: int | None) -> str:
+    # Iterative, as format_newick is: the stack holds (node, up edge)
+    # pairs still to write and the text that closes each open node.
+    parts: list[str] = []
+    stack: list[tuple[int, int | None] | str] = [(root_node, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, up_edge = item
+        tail = ""
+        if up_edge is not None:
+            e = tree.edge(up_edge)
+            tail = f":{e.length:.6f}{{{edge_num[up_edge]}}}"
         if tree.is_leaf(node):
-            body = tree.name(node)
-        else:
-            parts = [
-                build(tree.edge(eid).other(node), eid)
-                for eid in tree.incident_edges(node)
-                if eid != up_edge
-            ]
-            body = "(" + ",".join(parts) + ")"
-        if up_edge is None:
-            return body
-        e = tree.edge(up_edge)
-        return f"{body}:{e.length:.6f}{{{edge_num[up_edge]}}}"
-
-    return build(root_node, None) + ";"
+            parts.append(tree.name(node) + tail)
+            continue
+        down = [eid for eid in tree.incident_edges(node) if eid != up_edge]
+        parts.append("(")
+        stack.append(")" + tail)
+        for i in range(len(down) - 1, -1, -1):
+            stack.append((tree.edge(down[i]).other(node), down[i]))
+            if i:
+                stack.append(",")
+    return "".join(parts) + ";"
 
 
 def to_jplace(

@@ -7,9 +7,11 @@ Covers the scheduler satellites:
   wave-by-wave execution reproduces bitwise the CLAs of running the
   un-levelized post-order descriptor one op at a time, for every
   registered backend;
-* a regression test that after SPR/NNI moves the planned waves contain
-  exactly the signature-stale nodes (and none of the untouched pruned
-  subtree);
+* regression tests that after SPR/NNI moves, length changes, undos,
+  model changes and random sequences of them the planned waves contain
+  exactly the nodes an outside oracle calls stale (and none of the
+  untouched pruned subtree), and that a capped subtree-id table changes
+  no search result;
 * unit coverage of the kernel counters and the parallel drivers' wave
   accounting.
 """
@@ -22,16 +24,26 @@ from hypothesis import strategies as st
 from repro.core import (
     ExecutionPlan,
     LikelihoodEngine,
+    NewviewOp,
     Wave,
     available_backends,
     levelize,
 )
+from repro.core import engine as engine_module
 from repro.core import make_engine as make_store_engine
 from repro.core.partitioned import Partition
 from repro.parallel import PartitionedEngine
 from repro.parallel.distributed import DistributedEngine
 from repro.parallel.forkjoin import ForkJoinEngine
-from repro.phylo import Alignment, GammaRates, Tree, gtr, random_topology
+from repro.phylo import (
+    Alignment,
+    GammaRates,
+    Tree,
+    gtr,
+    random_topology,
+    simulate_dataset,
+)
+from repro.search import ml_search
 
 TAXA = [f"t{i}" for i in range(8)]
 
@@ -145,16 +157,43 @@ def subtree_signatures(tree, root_edge):
     return sigs
 
 
-def stale_nodes(engine, root_edge):
-    """Oracle: directed nodes whose cached validity entry is outdated."""
-    tree = engine.tree
-    sigs = subtree_signatures(tree, root_edge)
-    return {
-        node
-        for node, _p, up in tree.postorder(root_edge)
-        if not tree.is_leaf(node)
-        and engine._valid.get(node) != (up, sigs[(node, up)])
-    }
+class ExecutedPlans:
+    """Oracle that reads no engine internals: it wraps ``engine``'s public
+    ``execute_plan`` to record ``(up_edge, signature)`` for every node of
+    every post-order plan the engine runs, and its ``set_model`` (which
+    ``set_alpha`` goes through) to forget them all.  A directed node is
+    stale when its current record differs."""
+
+    def __init__(self, engine):
+        self.record = {}
+        execute_plan, set_model = engine.execute_plan, engine.set_model
+
+        def recording_execute_plan(plan):
+            sigs = subtree_signatures(engine.tree, plan.root_edge)
+            execute_plan(plan)
+            for op in plan.iter_ops():
+                if type(op) is NewviewOp:
+                    self.record[op.node] = (
+                        op.up_edge, sigs[(op.node, op.up_edge)]
+                    )
+
+        def forgetting_set_model(*args, **kwargs):
+            self.record.clear()
+            set_model(*args, **kwargs)
+
+        engine.execute_plan = recording_execute_plan
+        engine.set_model = forgetting_set_model
+        self.engine = engine
+
+    def stale_nodes(self, root_edge):
+        tree = self.engine.tree
+        sigs = subtree_signatures(tree, root_edge)
+        return {
+            node
+            for node, _p, up in tree.postorder(root_edge)
+            if not tree.is_leaf(node)
+            and self.record.get(node) != (up, sigs[(node, up)])
+        }
 
 
 def planned_nodes(plan):
@@ -172,6 +211,7 @@ class TestMoveInvalidation:
 
     def test_nni_plans_exactly_stale_nodes(self):
         engine = make_engine(seed=5)
+        executed = ExecutedPlans(engine)
         tree = engine.tree
         root = engine.default_edge()
         engine.log_likelihood(root)
@@ -186,7 +226,7 @@ class TestMoveInvalidation:
         eid = internal[0]
         u, v = tree.edge(eid).u, tree.edge(eid).v
         tree.nni_swap(eid, 0)
-        expected = stale_nodes(engine, root)
+        expected = executed.stale_nodes(root)
         plan = engine.plan_execution(root)
         got = planned_nodes(plan)
         assert got == expected
@@ -209,6 +249,7 @@ class TestMoveInvalidation:
 
     def test_spr_plans_exactly_stale_nodes_and_spares_pruned_subtree(self):
         engine = make_engine(seed=8, n_taxa=10)
+        executed = ExecutedPlans(engine)
         tree = engine.tree
         root = engine.default_edge()
         engine.log_likelihood(root)
@@ -237,7 +278,7 @@ class TestMoveInvalidation:
                 break
         assert pend is not None, "no suitable SPR case in this topology"
         tree.spr(pend, target, subtree_root=sub_root)
-        expected = stale_nodes(engine, root)
+        expected = executed.stale_nodes(root)
         plan = engine.plan_execution(root)
         assert planned_nodes(plan) == expected
         # the untouched interior of the pruned subtree is NOT recomputed
@@ -261,11 +302,12 @@ class TestMoveInvalidation:
         engine = make_store_engine(
             patterns, tree, gtr(), GammaRates(0.7, 4), max_resident=max_resident
         )
+        executed = ExecutedPlans(engine)
         root = engine.default_edge()
         internal = len(tree.internal_nodes())
 
         def replan():
-            expected = stale_nodes(engine, root)
+            expected = executed.stale_nodes(root)
             assert planned_nodes(engine.plan_execution(root)) == expected
             lnl = engine.log_likelihood(root)
             assert engine.plan_execution(root).n_ops == 0
@@ -304,6 +346,85 @@ class TestMoveInvalidation:
         undo()
         stale, lnl = replan()
         assert stale and lnl == lnl0
+
+    @pytest.mark.parametrize("max_resident", [None, 3])
+    def test_random_move_sequences_plan_exactly_stale_nodes(
+        self, max_resident
+    ):
+        """30 random sequences of NNI, trial SPR + undo, accepted SPR,
+        length change + restore and ``set_alpha``: at every step the plan
+        holds exactly the oracle-stale nodes and the lnL equals a fresh
+        engine's, bit for bit.  (The oracle does not model the engine's
+        sweep of retired nodes, which starts past 48 cached nodes on 12
+        taxa: six moves cannot get there.)"""
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            patterns, tree = make_case(seed=seed, n_taxa=12, n_sites=40)
+            engine = make_store_engine(
+                patterns, tree, gtr(), GammaRates(0.7, 4),
+                max_resident=max_resident,
+            )
+            executed = ExecutedPlans(engine)
+
+            def step():
+                root = engine.default_edge()
+                expected = executed.stale_nodes(root)
+                assert planned_nodes(engine.plan_execution(root)) == expected
+                fresh = make_store_engine(
+                    patterns, tree.copy(), engine.model, engine.rates_model
+                )
+                assert engine.log_likelihood(root) == fresh.log_likelihood(root)
+
+            def random_spr():
+                while True:
+                    eid = int(rng.choice(tree.edge_ids))
+                    edge = tree.edge(eid)
+                    sub = (edge.u, edge.v)[int(rng.integers(2))]
+                    targets = tree.spr_candidates(eid, radius=3, subtree_root=sub)
+                    if targets:
+                        target = targets[int(rng.integers(len(targets)))]
+                        return tree.spr(eid, target, subtree_root=sub)[1]
+
+            step()
+            for move in rng.choice(
+                ["nni", "trial_spr", "spr", "length", "alpha"], size=6
+            ):
+                if move == "nni":
+                    inner = [
+                        e.id for e in tree.edges
+                        if not tree.is_leaf(e.u) and not tree.is_leaf(e.v)
+                    ]
+                    tree.nni_swap(int(rng.choice(inner)), int(rng.integers(2)))
+                elif move == "trial_spr":
+                    undo = random_spr()
+                    step()
+                    undo()
+                elif move == "spr":
+                    random_spr()
+                elif move == "length":
+                    edge = tree.edge(int(rng.choice(tree.edge_ids)))
+                    t = edge.length
+                    edge.length = 1.5 * t
+                    step()
+                    edge.length = t
+                else:
+                    engine.set_alpha(float(rng.uniform(0.3, 2.0)))
+                step()
+
+    def test_capped_subtree_ids_change_no_result(self, monkeypatch):
+        """Clearing the interned-id table (here whenever it holds more
+        than 8 ids) costs recomputation, never a result: a search ends on
+        the uncapped run's lnL and tree, bit for bit."""
+        aln = simulate_dataset(n_taxa=6, n_sites=150, seed=11).alignment
+        uncapped = ml_search(aln, backend="reference")
+        monkeypatch.setattr(engine_module, "MAX_SUBTREE_IDS", 8)
+        capped = ml_search(aln, backend="reference")
+        assert capped.lnl == uncapped.lnl
+        assert capped.newick == uncapped.newick
+        assert (
+            capped.counters.merged()["newview"]
+            > uncapped.counters.merged()["newview"]
+        )
 
     def test_one_postorder_walk_per_evaluation(self, monkeypatch):
         """Signatures and the plan come out of the same tree walk."""

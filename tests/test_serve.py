@@ -585,6 +585,27 @@ class TestHostileInput:
         code, listing = _get(f"{server.url}/tenants")
         assert "e" not in [t["name"] for t in json.loads(listing)["tenants"]]
 
+    def test_deep_caterpillar_tenant_201(self, server_case):
+        """A tree nested 1 200 levels deep registers with 201 (a
+        recursive Newick parser answered 500), and the next request, its
+        eviction, answers 200."""
+        server, *_ = server_case
+        n = 1200
+        newick = (
+            "(" + ",(".join(f"t{i}:0.1" for i in range(n - 1))
+            + f",t{n - 1}:0.1" + "):0.1" * (n - 2) + ");"
+        )
+        code, doc = _post(
+            f"{server.url}/tenants/deep",
+            {"tree": newick, "alignment": {f"t{i}": "ACGTACGT" for i in range(n)}},
+        )
+        assert code == 201 and doc["name"] == "deep"
+        evict = urllib.request.Request(
+            f"{server.url}/tenants/deep", method="DELETE"
+        )
+        with urllib.request.urlopen(evict, timeout=60) as resp:
+            assert resp.status == 200
+
     def test_non_integer_keep_best_400(self, server_case):
         server, _, _, seq = server_case
         code, doc = _post(
