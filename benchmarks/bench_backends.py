@@ -18,6 +18,14 @@ Writes a JSON report (default ``BENCH_backends.json`` next to the repo
 root) and exits non-zero if ``compiled`` fails to beat ``reference`` at
 the largest width >= 100K sites (the gate is skipped when no C toolchain
 is available).
+
+A second, report-only section measures the fixed cost of a call: every
+public method of the ``compiled`` backend at 1, 170 and 2 300 patterns,
+against its bare arithmetic — the C entry point called directly with
+the outputs (and, for the derivative kinds, the ``exp`` table) made
+beforehand.  The difference is what the Python side of a call costs:
+dispatch and timing, output allocation, and for the derivative and
+evaluate kinds the NumPy ``exp`` table and reductions.
 """
 
 from __future__ import annotations
@@ -38,8 +46,10 @@ from repro.core.ckernels import probe_status  # noqa: E402
 
 BACKENDS = ("reference", "compiled")
 DEFAULT_SITES = (1_000, 10_000, 100_000)
+FIXED_COST_PATTERNS = (1, 170, 2_300)
 N_RATES = 4
 N_STATES = 4
+N_CODES = 16
 
 
 def make_operands(n_sites: int, seed: int = 2014) -> dict:
@@ -57,7 +67,97 @@ def make_operands(n_sites: int, seed: int = 2014) -> dict:
         "rate_weights": np.full(N_RATES, 1.0 / N_RATES),
         "pattern_weights": np.ones(n_sites),
         "scale_counts": np.zeros(n_sites, dtype=np.int64),
+        "lookup1": rng.uniform(0.1, 1.0, size=(N_RATES, N_CODES, N_STATES)),
+        "lookup2": rng.uniform(0.1, 1.0, size=(N_RATES, N_CODES, N_STATES)),
+        "codes1": rng.integers(0, N_CODES, size=n_sites).astype(np.uint32),
+        "codes2": rng.integers(0, N_CODES, size=n_sites).astype(np.uint32),
+        "eigenvalues": np.concatenate(
+            [[0.0], -rng.uniform(0.1, 2.0, size=N_STATES - 1)]
+        ),
+        "rates": rng.uniform(0.2, 3.0, size=N_RATES),
+        "t": 0.13,
     }
+
+
+def fixed_cost_cases(d: dict) -> list[tuple]:
+    """``(method, args, entry, entry_args)`` for every public method.
+
+    ``entry`` is the C function doing the method's arithmetic
+    and ``entry_args`` its operands with the outputs preallocated.
+    """
+    p = d["z1"].shape[0]
+    cla, scale = np.empty_like(d["z1"]), np.empty(p, dtype=np.int64)
+    terms = (np.empty(p), np.empty(p), np.empty(p))
+    rate_args = (d["eigenvalues"], d["rates"], d["rate_weights"], d["t"])
+    e = np.exp(np.multiply.outer(d["rates"], d["eigenvalues"]) * d["t"])
+    tables = (e, d["rates"], d["eigenvalues"], d["rate_weights"])
+    sumbuf = d["z1"] * d["z2"]
+    zz = (d["z1"], d["z2"])
+    ev = (*zz, d["exps"], d["rate_weights"])
+    newview = {
+        "tip_tip": (
+            (d["u_inv"], d["lookup1"], d["codes1"], d["lookup2"],
+             d["codes2"]), "nv_tip_tip", (cla,),
+        ),
+        "tip_inner": (
+            (d["u_inv"], d["lookup1"], d["codes1"], d["a2"], d["z2"],
+             d["scale2"]), "nv_tip_inner", (cla, scale),
+        ),
+        "inner_inner": (
+            (d["u_inv"], d["a1"], d["a2"], *zz, d["scale1"], d["scale2"]),
+            "nv_inner_inner", (cla, scale),
+        ),
+    }
+    cases = [
+        (f"{family}_{kind}", args, entry, (*args, *outs))
+        for family in ("newview", "preorder")
+        for kind, (args, entry, outs) in newview.items()
+    ]
+    return cases + [
+        ("site_log_likelihoods", (*ev, d["scale_counts"]),
+         "evaluate_site", (*ev, np.empty(p))),
+        ("evaluate_edge", (*ev, d["pattern_weights"], d["scale_counts"]),
+         "evaluate_site", (*ev, np.empty(p))),
+        ("derivative_sum", zz, "ew_product", (*zz, cla)),
+        ("derivative_core", (sumbuf, *rate_args, d["pattern_weights"]),
+         "deriv_site_terms", (sumbuf, *tables, *terms)),
+        ("derivative_site_terms", (sumbuf, *rate_args),
+         "deriv_site_terms", (sumbuf, *tables, *terms)),
+        ("edge_gradient", (*zz, *rate_args, d["pattern_weights"]),
+         "grad_site_terms", (*zz, *tables, *terms)),
+        ("edge_gradient_terms", (*zz, *rate_args),
+         "grad_site_terms", (*zz, *tables, *terms)),
+    ]
+
+
+def per_call_us(fn, args: tuple, calls: int) -> float:
+    """Mean microseconds of ``fn(*args)`` over ``calls`` calls."""
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn(*args)
+    return (time.perf_counter() - t0) / calls * 1e6
+
+
+def bench_fixed_cost(calls: int, repeats: int) -> list[dict]:
+    """Public-method vs bare-entry microseconds per call (report only)."""
+    backend = get_backend("compiled")
+    lib = backend._lib(N_STATES, N_RATES)
+    rows = []
+    for p in FIXED_COST_PATTERNS:
+        d = make_operands(p)
+        n = calls if p <= 170 else max(calls // 10, 10)
+        for method, args, entry, entry_args in fixed_cost_cases(d):
+            public = bare = float("inf")
+            for _ in range(repeats):  # alternate, keep the best of each
+                public = min(public, per_call_us(
+                    getattr(backend, method), args, n))
+                bare = min(bare, per_call_us(
+                    getattr(lib, entry), entry_args, n))
+            rows.append({
+                "method": method, "patterns": p, "public_us": public,
+                "bare_us": bare, "overhead_us": public - bare,
+            })
+    return rows
 
 
 def _one_pass(backend, d) -> tuple[float, float]:
@@ -150,6 +250,22 @@ def main(argv: list[str] | None = None) -> int:
         "quick": args.quick,
         "results": rows,
     }
+    if compiled_ok:
+        calls = 200 if args.quick else 3_000
+        fixed = bench_fixed_cost(calls, repeats=5)
+        print(f"\nper-call cost, compiled (us; best of 5 x {calls} calls, "
+              f"x1/10 at {FIXED_COST_PATTERNS[-1]} patterns)")
+        print(f"{'method':<22} {'patterns':>8} {'public':>9} {'bare':>9} "
+              f"{'overhead':>9}")
+        for r in fixed:
+            print(f"{r['method']:<22} {r['patterns']:>8} {r['public_us']:>9.2f}"
+                  f" {r['bare_us']:>9.2f} {r['overhead_us']:>9.2f}")
+        report["fixed_cost"] = {
+            "benchmark": "us per call: public method vs bare C entry point "
+                         "(report only)",
+            "calls": calls,
+            "rows": fixed,
+        }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

@@ -21,9 +21,12 @@ seven private arithmetic hooks listed there and calls
 Shipped backends
 ----------------
 ``compiled``
-    Generated C behind ctypes (:mod:`repro.core.ckernels`) — **the
-    default**.  Degrades to the reference arithmetic, with one
-    ``RuntimeWarning``, when no toolchain is available.
+    Generated C built into a CPython extension module per ``(states,
+    rates)`` shape (:mod:`repro.core.ckernels`) — **the default**.  Its
+    entry points take the NumPy operands themselves, so a call costs an
+    output allocation and its arithmetic, not per-array marshalling.
+    Degrades to the reference arithmetic, with one ``RuntimeWarning``,
+    when no toolchain or no ``Python.h`` is available.
 ``reference``
     The NumPy ground-truth kernels from :mod:`repro.core.kernels`: the
     oracle the tests, ``shadow`` and the e2e harness's recompute check

@@ -1,9 +1,9 @@
-"""Compiled C kernel backend (codegen + build cache + ctypes shim).
+"""Compiled C kernel backend (codegen + build cache + extension modules).
 
-See :mod:`repro.core.ckernels.codegen` for the numerical contract,
-:mod:`repro.core.ckernels.build` for the toolchain/cache layer, and
-:mod:`repro.core.ckernels.backend` for the :class:`CompiledBackend`
-that registers as ``backend="compiled"``.
+See :mod:`repro.core.ckernels.codegen` for the numerical contract and
+the entry points, :mod:`repro.core.ckernels.build` for the toolchain,
+cache and extension import, and :mod:`repro.core.ckernels.backend` for
+the :class:`CompiledBackend` that registers as ``backend="compiled"``.
 """
 
 from .backend import CompiledBackend

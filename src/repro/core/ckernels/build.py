@@ -1,8 +1,9 @@
 """Compile-and-cache layer for the generated PLF kernels.
 
-Turns the C source from :mod:`repro.core.ckernels.codegen` into a
-loadable shared object using only the standard library and the system
-compiler — no build-system or packaging dependency, no network:
+Turns the C source from :mod:`repro.core.ckernels.codegen` into an
+importable CPython extension module using only the standard library and
+the system compiler — no build-system or packaging dependency, no
+network:
 
 * the compiler comes from ``$CC`` when set, else the first of ``cc``,
   ``gcc``, ``clang`` found on ``PATH``;
@@ -10,35 +11,41 @@ compiler — no build-system or packaging dependency, no network:
   flag is load-bearing: GCC's default FMA contraction would change
   results at the last ulp and break the parity contract in
   ``codegen``); ``-march=native`` is added when a one-shot probe
-  compile accepts it; the resolved :class:`BuildSpec` is persisted in
-  the cache directory (``toolchain.json``, keyed by the compiler's path,
-  size and mtime), so only its first process pays the probe;
-* shared objects land in the same cache directory (``$REPRO_CKERNEL_CACHE``,
-  default ``~/.cache/repro/ckernels``) keyed by
-  source-hash x compiler x flags x NumPy version, compiled to a
-  temporary name and published with an atomic ``os.replace`` so
-  concurrent processes never observe a half-written ``.so``;
-* every failure mode (no compiler, compile error, unloadable object)
-  raises :class:`CompilerUnavailable` with a reason the backend turns
-  into its one-time fallback warning and ``repro backends`` displays
-  verbatim.
+  compile accepts it; the probe source includes ``Python.h``, so a host
+  without Python headers is refused like one without a compiler; the
+  resolved :class:`BuildSpec` is persisted in the cache directory
+  (``toolchain.json``, keyed by the compiler's path, size and mtime and
+  the include directories), so only its first process pays the probe;
+* extension objects land in the same cache directory
+  (``$REPRO_CKERNEL_CACHE``, default ``~/.cache/repro/ckernels``) keyed
+  by source-hash x compiler x flags x NumPy version x ``EXT_SUFFIX``,
+  compiled to a temporary name and published with an atomic
+  ``os.replace`` so concurrent processes never import a half-written
+  object;
+* every failure mode (no compiler, no ``Python.h``, compile error,
+  unimportable object) raises :class:`CompilerUnavailable` with a reason
+  the backend turns into its one-time fallback warning and ``repro
+  backends`` displays verbatim.
 """
 
 from __future__ import annotations
 
-import ctypes
+import importlib.machinery
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
 from ...util import atomic_write_text
-from .codegen import render_source, source_digest
+from .codegen import module_name, render_source, source_digest
 
 __all__ = [
     "CACHE_ENV",
@@ -49,6 +56,7 @@ __all__ = [
     "find_compiler",
     "probe_toolchain",
     "probe_status",
+    "object_path",
     "load_kernels",
 ]
 
@@ -57,7 +65,14 @@ CACHE_ENV = "REPRO_CKERNEL_CACHE"
 
 _BASE_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
-_PROBE_SOURCE = "int repro_probe(void) { return 42; }\n"
+_PROBE_SOURCE = "#include <Python.h>\nint repro_probe(void) { return 42; }\n"
+
+#: Where ``Python.h`` is looked for, and the file-name suffix (also part
+#: of the cache key) of extension objects for this interpreter.
+PYTHON_INCLUDE_DIRS = tuple(
+    dict.fromkeys(sysconfig.get_path(k) for k in ("include", "platinclude"))
+)
+EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
 
 class CompilerUnavailable(RuntimeError):
@@ -107,7 +122,7 @@ class BuildSpec:
     def cache_key_extra(self) -> str:
         """Non-source part of the shared-object cache key."""
         return "|".join(
-            (self.compiler, *self.flags, "numpy=" + np.__version__)
+            (self.compiler, *self.flags, "numpy=" + np.__version__, EXT_SUFFIX)
         )
 
 
@@ -122,16 +137,6 @@ class ProbeStatus:
     cached_objects: list[str] = field(default_factory=list)
     reason: str | None = None  # fallback reason when unavailable
 
-    def to_dict(self) -> dict:
-        return {
-            "available": self.available,
-            "compiler": self.compiler,
-            "flags": list(self.flags),
-            "cache_dir": self.cache_dir,
-            "cached_objects": list(self.cached_objects),
-            "reason": self.reason,
-        }
-
 
 def _try_compile(
     compiler: str, flags: tuple[str, ...], source: str, out_path: Path
@@ -140,7 +145,10 @@ def _try_compile(
     with tempfile.TemporaryDirectory(prefix="repro-cc-") as tmp:
         src = Path(tmp) / "kernel.c"
         src.write_text(source)
-        cmd = [compiler, *flags, str(src), "-o", str(out_path), "-lm"]
+        includes = [f"-I{d}" for d in PYTHON_INCLUDE_DIRS]
+        cmd = [
+            compiler, *flags, *includes, str(src), "-o", str(out_path), "-lm"
+        ]
         try:
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=120
@@ -190,7 +198,7 @@ def probe_toolchain(refresh: bool = False) -> BuildSpec:
         return _spec_cache
     compiler = find_compiler()
     st = os.stat(compiler)
-    identity = [compiler, st.st_size, st.st_mtime_ns]
+    identity = [compiler, st.st_size, st.st_mtime_ns, *PYTHON_INCLUDE_DIRS]
     spec_path = default_cache_dir() / "toolchain.json"
     _spec_cache = None if refresh else _read_spec(spec_path, identity)
     if _spec_cache is not None:
@@ -201,7 +209,9 @@ def probe_toolchain(refresh: bool = False) -> BuildSpec:
         ok, err = _try_compile(compiler, flags, _PROBE_SOURCE, probe_so)
         if not ok:
             raise CompilerUnavailable(
-                f"compiler {compiler!r} failed a probe compile: {err}"
+                f"compiler {compiler!r} failed a probe compile of "
+                f"#include <Python.h> (include dirs "
+                f"{', '.join(PYTHON_INCLUDE_DIRS)}): {err}"
             )
         native = (*flags, "-march=native")
         ok, _ = _try_compile(compiler, native, _PROBE_SOURCE, probe_so)
@@ -212,8 +222,13 @@ def probe_toolchain(refresh: bool = False) -> BuildSpec:
     return _spec_cache
 
 
-def _object_path(states: int, rates: int, digest: str, cache_dir: Path) -> Path:
-    return cache_dir / f"plf_{states}s_{rates}r_{digest}.so"
+def object_path(
+    states: int, rates: int, spec: BuildSpec, cache_dir: Path
+) -> Path:
+    """Where the extension object for one pair lives in ``cache_dir``."""
+    source = render_source(states, rates)
+    digest = source_digest(source, spec.cache_key_extra())
+    return cache_dir / f"{module_name(states, rates)}_{digest}{EXT_SUFFIX}"
 
 
 def load_kernels(
@@ -221,8 +236,8 @@ def load_kernels(
     rates: int,
     spec: BuildSpec | None = None,
     cache_dir: Path | None = None,
-) -> ctypes.CDLL:
-    """Compile (or reuse) and load the kernels for one (states, rates).
+) -> ModuleType:
+    """Compile (or reuse) and import the kernels for one (states, rates).
 
     Cache hits skip the compiler entirely; misses compile into the cache
     under a temporary name and publish atomically, so parallel workers
@@ -233,9 +248,7 @@ def load_kernels(
         spec = probe_toolchain()
     if cache_dir is None:
         cache_dir = default_cache_dir()
-    source = render_source(states, rates)
-    digest = source_digest(source, spec.cache_key_extra())
-    so_path = _object_path(states, rates, digest, cache_dir)
+    so_path = object_path(states, rates, spec, cache_dir)
     if not so_path.exists():
         cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -244,6 +257,7 @@ def load_kernels(
         os.close(fd)
         tmp_path = Path(tmp_name)
         try:
+            source = render_source(states, rates)
             ok, err = _try_compile(spec.compiler, spec.flags, source, tmp_path)
             if not ok:
                 raise CompilerUnavailable(
@@ -254,14 +268,17 @@ def load_kernels(
         finally:
             if tmp_path.exists():
                 tmp_path.unlink()
+    name = module_name(states, rates)
+    loader = importlib.machinery.ExtensionFileLoader(name, str(so_path))
     try:
-        lib = ctypes.CDLL(str(so_path))
-    except OSError as exc:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader)
+        )
+    except ImportError as exc:
         raise CompilerUnavailable(
-            f"cached kernel object {so_path} failed to load: {exc}"
+            f"cached kernel object {so_path} failed to import: {exc}"
         ) from exc
-    _declare(lib)
-    return lib
+    return module
 
 
 def probe_status() -> ProbeStatus:
@@ -289,37 +306,3 @@ def probe_status() -> ProbeStatus:
         cached_objects=cached,
     )
 
-
-def _declare(lib: ctypes.CDLL) -> None:
-    """Attach argtypes: pointers travel as raw addresses (c_void_p)."""
-    i64 = ctypes.c_int64
-    ptr = ctypes.c_void_p
-    lib.nv_inner_inner.argtypes = [i64, ptr, i64, i64] + [ptr] * 4 + [
-        ptr, ptr, ptr, ptr
-    ]
-    lib.nv_inner_inner.restype = None
-    lib.nv_tip_inner.argtypes = [
-        i64, ptr, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr
-    ]
-    lib.nv_tip_inner.restype = None
-    lib.nv_tip_tip.argtypes = [
-        i64, ptr, i64, i64, ptr, i64, ptr, ptr, i64, ptr, ptr
-    ]
-    lib.nv_tip_tip.restype = None
-    lib.evaluate_site.argtypes = [
-        i64, ptr, i64, i64, i64, ptr, i64, i64, i64, ptr, ptr, ptr
-    ]
-    lib.evaluate_site.restype = None
-    lib.deriv_site_terms.argtypes = [
-        i64, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr
-    ]
-    lib.deriv_site_terms.restype = None
-    lib.grad_site_terms.argtypes = [
-        i64, ptr, i64, i64, i64, ptr, i64, i64, i64,
-        ptr, ptr, ptr, ptr, ptr, ptr,
-    ]
-    lib.grad_site_terms.restype = None
-    lib.ew_product.argtypes = [
-        i64, ptr, i64, i64, i64, ptr, i64, i64, i64, ptr
-    ]
-    lib.ew_product.restype = None

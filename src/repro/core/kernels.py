@@ -202,7 +202,7 @@ def log_site_likelihoods(
     Shared by every backend, so the positivity check and the scale
     correction are applied to their per-site values by the same code.
     """
-    if np.any(site_l <= 0.0):
+    if (site_l <= 0.0).any():
         bad = int(np.argmin(site_l))
         raise FloatingPointError(
             f"non-positive site likelihood {site_l[bad]:g} at pattern {bad}; "
@@ -376,7 +376,7 @@ def derivative_reduce(
     ``np.dot`` over the same full-length arrays always reduces in the
     same order, so parallel results match sequential ones bit-for-bit.
     """
-    if np.any(l0 <= 0.0):
+    if (l0 <= 0.0).any():
         bad = int(np.argmin(l0))
         raise FloatingPointError(
             f"non-positive site likelihood {l0[bad]:g} at pattern {bad} "

@@ -424,33 +424,28 @@ class WorkerPool(Substrate):
     # -- lifetime -------------------------------------------------------
     def close(self) -> None:
         """Shut the pool down and unlink the arena. Idempotent."""
-        if self._closed:
-            return
         self._closed = True
-        self._finalizer.detach()
-        for w in self.alive:
-            try:
-                self._conns[w].send(("close",))
-            except (BrokenPipeError, OSError):
-                continue
-        for w in self.alive:
-            try:
-                self._conns[w].recv()
-            except (EOFError, OSError):
-                pass
-        _shutdown(self._procs, self._conns, self.arena)
+        self._finalizer()  # runs _shutdown once
 
 
 def _shutdown(procs, conns, arena) -> None:
-    """Join/terminate workers, close pipes, unlink the arena."""
+    """Say goodbye, close pipes, join/terminate workers, unlink the arena.
+
+    Workers are told to exit and the pipes closed *before* any join, so
+    a pool dropped without :meth:`WorkerPool.close` does not wait out the
+    join timeout.  Closing alone is not enough: a forked worker holds
+    inherited copies of the master's pipe ends, so its ``recv`` would
+    never see ``EOFError``.
+    """
+    for conn in conns:
+        try:
+            conn.send(("close",))  # no reply awaited
+        except OSError:  # a dead worker's broken pipe
+            pass
+        conn.close()
     for proc in procs:
         proc.join(timeout=2)
         if proc.is_alive():
             proc.terminate()
             proc.join(timeout=2)
-    for conn in conns:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
     arena.close()

@@ -15,9 +15,12 @@ honest backend and catches a planted perturbation.
 Workers: ``ml_search`` and ``place_queries`` on ``compiled`` with
 ``workers=2`` are bit-identical (delta == 0.0) to serial ``compiled``.
 
-Fallback: with a broken ``$CC`` the backend warns once and swaps its
-arithmetic hooks for the reference ones, producing reference results
-bit for bit with no compiler at all.
+Fallback: with a broken ``$CC`` — or without ``Python.h`` — the backend
+warns once and swaps its arithmetic hooks for the reference ones,
+producing reference results bit for bit with no compiler at all.
+
+Binding: a kernel call releases the GIL around its site loop, and the
+object cache is keyed on the interpreter's ``EXT_SUFFIX``.
 
 Warm start: the resolved toolchain is persisted beside the objects, so a
 fresh process on a warm cache directory spawns no compiler at all; a
@@ -30,6 +33,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -61,6 +66,8 @@ N_STATES = 4
 N_CODES = 4
 ATOL = 1e-10
 
+#: The probe compiles ``#include <Python.h>``, so this is false on a host
+#: without a compiler *or* without Python headers.
 HAVE_CC = probe_status().available
 
 
@@ -116,6 +123,17 @@ class TestCodegen:
         assert base != source_digest(render_source(4, 1), "cc|-O3")
         assert base != source_digest(src, "cc|-O3|-march=native")
         assert base == source_digest(src, "cc|-O3")
+
+    def test_object_path_keys_on_ext_suffix(self, monkeypatch, tmp_path):
+        spec = ck_build.BuildSpec("cc", ("-O3",))
+        paths = []
+        for suffix in (".cpython-311-x86_64-linux-gnu.so", ".abi3.so"):
+            monkeypatch.setattr(ck_build, "EXT_SUFFIX", suffix)
+            paths.append(ck_build.object_path(4, 4, spec, tmp_path))
+        assert paths[0] != paths[1]
+        assert paths[0].name.split(".")[0] != paths[1].name.split(".")[0]
+        assert [p.name.endswith(s) for p, s in zip(paths, (".cpython-311"
+                "-x86_64-linux-gnu.so", ".abi3.so"))] == [True, True]
 
 
 class TestPreorderAndGradientParity:
@@ -380,6 +398,28 @@ class TestFallback:
         assert backend.fallback_reason == "object build failed"
         assert backend.profile.calls[KernelKind.NEWVIEW_INNER_INNER] == 1
 
+    @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain here")
+    def test_missing_python_headers_fall_back(self, monkeypatch, tmp_path):
+        """A compiler but no ``Python.h``: refused at the probe, once."""
+        monkeypatch.setenv(ck_build.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(
+            ck_build, "PYTHON_INCLUDE_DIRS", (str(tmp_path / "missing"),)
+        )
+        monkeypatch.setattr(ck_build, "_spec_cache", None)
+        monkeypatch.setattr(ck_backend, "_warned_fallback", False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backend = CompiledBackend()
+            CompiledBackend()
+        assert "Python.h" in backend.fallback_reason
+        assert [issubclass(w.category, RuntimeWarning) for w in caught] == [
+            True
+        ]
+        status = probe_status()
+        assert status.available is False
+        assert "Python.h" in status.reason
+        assert not (tmp_path / "toolchain.json").exists()
+
     def test_find_compiler_error_mentions_cc(self, monkeypatch):
         monkeypatch.setenv("CC", "/nonexistent-compiler")
         with pytest.raises(CompilerUnavailable, match="nonexistent-compiler"):
@@ -425,6 +465,48 @@ class TestBuildCache:
         )
         np.testing.assert_allclose(z, z_ref, rtol=0.0, atol=ATOL)
         np.testing.assert_array_equal(s, s_ref)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain in this environment")
+def test_kernel_call_releases_the_gil():
+    """Another Python thread runs while a 1M-pattern newview is in C.
+
+    With an effectively infinite switch interval the main thread hands
+    the GIL over only when it releases it, so the spinner's counter can
+    advance across the call only if the kernel runs without the GIL.
+    """
+    p = 1_000_000
+    backend = CompiledBackend()
+    args = (
+        np.eye(N_STATES), np.full((1, N_STATES, N_STATES), 0.25),
+        np.full((1, N_STATES, N_STATES), 0.25), np.full((p, 1, N_STATES), 0.5),
+        np.full((p, 1, N_STATES), 0.5), np.zeros(p, dtype=np.int64),
+        np.zeros(p, dtype=np.int64),
+    )
+    backend.newview_inner_inner(*args)  # load the module first
+    count, stop = 0, False
+
+    def spin():
+        nonlocal count
+        while not stop:
+            count += 1
+            time.sleep(0)  # hand the GIL back at once
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(100.0)
+    thread = threading.Thread(target=spin)
+    try:
+        thread.start()
+        while count == 0:
+            time.sleep(0.001)
+        before = count
+        backend.newview_inner_inner(*args)
+        during = count - before
+    finally:
+        stop = True
+        thread.join()
+        sys.setswitchinterval(old)
+    assert during > 0
 
 
 #: A fresh interpreter: build the default-able backend, run one kernel.

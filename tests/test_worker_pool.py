@@ -7,6 +7,9 @@ without double counting, measured barrier statistics feeding the cost
 model, and shared-memory hygiene (no leaked segments after close).
 """
 
+import gc
+import time
+
 import numpy as np
 import pytest
 
@@ -429,4 +432,18 @@ class TestArenaHygiene:
         ) as pool:
             pool.kill_worker(2)
             pool_lnl(pool, sim.tree, serial["edge"], pat.weights)
+        assert active_arena_segments() == []
+
+    def test_dropped_engine_tears_down_promptly(self, problem, serial):
+        """No ``close()``: the finalizer must not wait out a join timeout."""
+        sim, pat, model, gamma = problem
+        engine = make_engine(
+            pat, sim.tree.copy(), model, gamma, workers=2,
+            execution="processes", backend="reference",
+        )
+        assert engine.log_likelihood() - serial["lnl"] == 0.0
+        t0 = time.perf_counter()
+        del engine
+        gc.collect()
+        assert time.perf_counter() - t0 <= 0.5
         assert active_arena_segments() == []
