@@ -109,8 +109,7 @@ def fixed_cost_cases(d: dict) -> list[tuple]:
         ),
     }
     cases = [
-        (f"{family}_{kind}", args, entry, (*args, *outs))
-        for family in ("newview", "preorder")
+        (f"newview_{kind}", args, entry, (*args, *outs))
         for kind, (args, entry, outs) in newview.items()
     ]
     return cases + [

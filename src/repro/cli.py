@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument(
         "--derivatives", action="store_true",
-        help="also print the gradient up-sweep (pre-order) waves",
+        help="also print the waves the all-branch gradient adds to the "
+             "full traversal",
     )
     _add_backend_flag(p_plan)
 
@@ -723,9 +724,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     _show_plan(engine.plan_execution(root), f"full traversal (root edge {root}):")
     if args.derivatives:
         print()
+        engine.ensure_valid(root)
         _show_plan(
-            engine.plan_gradient(root).up,
-            f"gradient up-sweep (root edge {root}, pre-order + edge gradients):",
+            engine.plan_gradient(root),
+            f"gradient up-sweep (root edge {root}): the other CLA "
+            "directions + edge gradients:",
         )
     if args.move != "none":
         rng = np.random.default_rng(args.seed)

@@ -9,7 +9,7 @@ reproduction.
 
 A :class:`KernelBackend` provides the four PLF kernels of Section IV
 (``newview`` in its three tip cases, ``evaluate``, ``derivativeSum``,
-``derivativeCore``) plus their gradient up-sweep mirrors.
+``derivativeCore``) plus the fused per-edge gradient.
 :class:`~repro.core.engine.LikelihoodEngine` — and every engine built
 from it (partitioned, fork-join, distributed) — reaches the kernels
 through its rate model only (:mod:`repro.core.ratemodel`).  The public
@@ -206,7 +206,7 @@ class KernelProfile(KernelCounters):
         """Wall seconds aggregated to the merged kernel names.
 
         Like :meth:`KernelCounters.merged`, seeded with the paper's four
-        families only; up-sweep families appear once observed.
+        families only; ``edge_gradient`` appears once observed.
         """
         out = {k: 0.0 for k in PAPER_KERNEL_KEYS}
         for kind, s in self.seconds.items():
@@ -240,9 +240,7 @@ class _BackendBase:
         _gradient_terms(z_top, z_bottom, eigenvalues, rates, rate_weights, t)
             -> (l, l', l'')
 
-    ``preorder_*`` (the gradient up-sweep's pre-order partials) is the
-    ``newview`` hook under a different :class:`KernelKind`; the log/scale
-    step of ``evaluate`` and the cross-site reductions
+    The log/scale step of ``evaluate`` and the cross-site reductions
     (:func:`kernels.derivative_reduce`, ``np.dot``) are shared, so every
     scalar the engines compare is reduced by the same code whichever
     backend produced the per-site values.
@@ -315,7 +313,7 @@ class _BackendBase:
             pattern_weights,
         )
 
-    # -- newview and its pre-order mirror --------------------------------
+    # -- newview ----------------------------------------------------------
     def newview_tip_tip(
         self,
         u_inv: np.ndarray,
@@ -355,49 +353,6 @@ class _BackendBase:
     ) -> tuple[np.ndarray, np.ndarray]:
         return self._dispatch(
             "newview_inner_inner", KernelKind.NEWVIEW_INNER_INNER, z1.shape[0],
-            "_inner_inner", u_inv, a1, a2, z1, z2, scale1, scale2,
-        )
-
-    def preorder_tip_tip(
-        self,
-        u_inv: np.ndarray,
-        lookup1: np.ndarray,
-        codes1: np.ndarray,
-        lookup2: np.ndarray,
-        codes2: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._dispatch(
-            "preorder_tip_tip", KernelKind.PREORDER_TIP_TIP, codes1.shape[0],
-            "_tip_tip", u_inv, lookup1, codes1, lookup2, codes2,
-        )
-
-    def preorder_tip_inner(
-        self,
-        u_inv: np.ndarray,
-        lookup1: np.ndarray,
-        codes1: np.ndarray,
-        a2: np.ndarray,
-        z2: np.ndarray,
-        scale2: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._dispatch(
-            "preorder_tip_inner", KernelKind.PREORDER_TIP_INNER, z2.shape[0],
-            "_tip_inner", u_inv, lookup1, codes1, a2, z2, scale2,
-        )
-
-    def preorder_inner_inner(
-        self,
-        u_inv: np.ndarray,
-        a1: np.ndarray,
-        a2: np.ndarray,
-        z1: np.ndarray,
-        z2: np.ndarray,
-        scale1: np.ndarray,
-        scale2: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._dispatch(
-            "preorder_inner_inner", KernelKind.PREORDER_INNER_INNER,
-            z1.shape[0],
             "_inner_inner", u_inv, a1, a2, z1, z2, scale1, scale2,
         )
 
@@ -474,7 +429,7 @@ class _BackendBase:
             "_site_terms", sumbuf, eigenvalues, rates, rate_weights, t,
         )
 
-    # -- fused edge gradient (up-sweep) ----------------------------------
+    # -- fused edge gradient --------------------------------------------
     def edge_gradient(
         self,
         z_top: np.ndarray,

@@ -150,7 +150,7 @@ class CompiledBackend(_BackendBase):
         p = sumbuf.shape[0]
         return self._terms("deriv_site_terms", p, (sumbuf,), *rate_args)
 
-    # -- fused edge gradient (up-sweep) --------------------------------
+    # -- fused edge gradient ------------------------------------------
     def _gradient_terms(self, z_top, z_bottom, *rate_args):
         p = max(z_top.shape[0], z_bottom.shape[0])
         return self._terms("grad_site_terms", p, (z_top, z_bottom), *rate_args)

@@ -11,8 +11,8 @@ rest:
   :class:`~repro.core.backends.KernelBackend`, CAT as per-site NumPy
   math, ``p_inv`` as a root-level mixture around either — owns every
   branch-dependent formula;
-* a **CLA store** (:mod:`repro.core.memsave`) holds post-order CLAs and
-  pre-order partials in one pool, fully resident or under a
+* a **CLA store** (:mod:`repro.core.memsave`) holds one CLA per
+  *directed node* ``(node, toward_edge)``, fully resident or under a
   least-recently-used budget.
 
 The engine is the only thing that computes; a store only remembers.
@@ -23,11 +23,14 @@ is simply recomputed (by the ordinary op, recursively) when next needed.
 Validity tracking uses interned *subtree ids* instead of explicit
 invalidation hooks: a CLA oriented toward edge ``e`` is valid iff the
 topology and branch lengths below it are unchanged since it was computed
-(a model change drops every CLA).  The planning walk interns each node's
-subtree to an int (O(1) per node, at any tree depth) and plans exactly
-the stale CLAs — which makes it impossible for a topology move or
-branch-length change to leave a stale CLA behind, a classic source of
-silent likelihood bugs in hand-invalidated codes.
+(a model change drops every CLA).  The planning walk interns each
+directed node's subtree to an int (O(1) per node, at any tree depth) and
+plans exactly the stale CLAs — which makes it impossible for a topology
+move or branch-length change to leave a stale CLA behind, a classic
+source of silent likelihood bugs in hand-invalidated codes.  Moving the
+virtual root keeps every CLA it does not invalidate, and the pre-order
+"partials" of the all-branch gradient are simply the CLAs of the other
+direction: one recurrence, one store, one op class.
 
 Every kernel dispatch is recorded in :class:`KernelCounters`; a tree
 search run therefore leaves behind the invocation trace that drives the
@@ -50,20 +53,17 @@ from ..phylo.tree import Tree
 from .backends import KernelBackend, KernelProfile, get_backend
 from .cat import CatModel
 from .invariant import InvariantMixture
-from .memsave import PARTIAL, ClaStore
+from .memsave import ClaStore
 from .ratemodel import GammaModel
 from .traversal import (
     COMBINE_KINDS,
     EdgeGradientOp,
     ExecutionPlan,
-    GradientPlan,
     KernelCounters,
     KernelKind,
     NewviewOp,
-    PreorderOp,
     Wave,
     levelize,
-    levelize_upsweep,
 )
 
 __all__ = ["LikelihoodEngine"]
@@ -103,8 +103,8 @@ class LikelihoodEngine:
         Proportion of invariable sites in ``[0, 1)``; ``None`` for no
         ``+I`` mixture.
     store:
-        The :class:`~repro.core.memsave.ClaStore` holding CLAs and
-        partials; ``None`` keeps everything resident.
+        The :class:`~repro.core.memsave.ClaStore` holding the directed
+        CLAs; ``None`` keeps everything resident.
 
     :func:`repro.core.backends.make_engine` is the usual way to build one.
     ``rates_model`` keeps the rates object it was given, ``rates`` is the
@@ -137,14 +137,10 @@ class LikelihoodEngine:
         self.backend = get_backend(backend)
         self.counters = KernelCounters()
         self.store = store if store is not None else ClaStore()
-        self._valid: dict[int, int] = {}  # node -> interned subtree id
+        #: ``(node, toward_edge) -> interned subtree id`` of each stored CLA.
+        self._valid: dict[tuple[int, int], int] = {}
         self._subtree_ids: dict[tuple, int] = {}
         self._next_id = itertools.count()
-        #: Pre-order ops of the running gradient up-sweep by edge id — what
-        #: recomputes a partial the store has dropped.  Partials depend on
-        #: the *entire* rest of the tree, so unlike post-order CLAs they
-        #: have no cross-call validity: they leave the store with the sweep.
-        self._pre_ops: dict[int, PreorderOp] = {}
         self._grad: dict[int, tuple] = {}
         self._grad_terms = False
         self._tip_codes: dict[str, np.ndarray] = {
@@ -226,14 +222,16 @@ class LikelihoodEngine:
     # ------------------------------------------------------------------
     # traversal planning
     # ------------------------------------------------------------------
-    def _make_op(self, node: int, up_edge: int) -> NewviewOp:
+    def _make_op(
+        self, node: int, up_edge: int, sid: int | None = None
+    ) -> NewviewOp:
         """Build the ``newview`` op descriptor for one directed node."""
         tree = self.tree
         (c1, e1), (c2, e2) = tree.children(node, up_edge)
         tips = tree.is_leaf(c1) + tree.is_leaf(c2)
         return NewviewOp(
             node=node, up_edge=up_edge, child1=c1, edge1=e1,
-            child2=c2, edge2=e2, kind=COMBINE_KINDS["newview", tips],
+            child2=c2, edge2=e2, kind=COMBINE_KINDS[tips], sid=sid,
         )
 
     def plan_traversal(self, root_edge: int) -> list[NewviewOp]:
@@ -242,14 +240,17 @@ class LikelihoodEngine:
         The same walk interns every directed node's subtree: a leaf's id
         is its name, an inner node's is the int drawn for the flat key
         ``(up_edge, e1, length(e1), id(c1), e2, length(e2), id(c2))``.
-        Equal ids imply equal subtree content, so a node whose cached id is
-        current is skipped.  Ids are never reused: clearing the table can
-        cost a recomputation, never revive a stale CLA.
+        Equal ids imply equal subtree content, so a directed node whose
+        cached id is current is skipped.  Ids are never reused: clearing
+        the table can cost a recomputation, never revive a stale CLA.
         """
         tree = self.tree
         table = self._subtree_ids
         if len(table) > MAX_SUBTREE_IDS:
             table.clear()
+        valid = self._valid
+        # One direction per node in one walk: the id of each node's
+        # subtree below the root, which plan_gradient reads back.
         ids = self._walk_ids = {}
         ops: list[NewviewOp] = []
         for node, _parent, up_edge in tree.postorder(root_edge):
@@ -261,94 +262,75 @@ class LikelihoodEngine:
             key = (up_edge, e1, tree.edge(e1).length, ids[c1],
                    e2, tree.edge(e2).length, ids[c2])
             sid = ids[node] = table.setdefault(key, next(self._next_id))
-            if self._valid.get(node) != sid:
-                ops.append(self._make_op(node, up_edge))
+            if valid.get((node, up_edge)) != sid:
+                ops.append(self._make_op(node, up_edge, sid))
         return ops
 
     def plan_execution(self, root_edge: int) -> ExecutionPlan:
         """Plan and levelize the traversal for ``root_edge``."""
         return levelize(root_edge, self.plan_traversal(root_edge))
 
-    def plan_gradient(self, root_edge: int) -> GradientPlan:
-        """Plan the bidirectional traversal for all-branch gradients.
+    def plan_gradient(self, root_edge: int) -> ExecutionPlan:
+        """Plan first and second derivatives of every branch.
 
-        The down-sweep is the (id-gated) post-order plan for the
-        virtual root; the up-sweep computes one pre-order partial per
-        directed non-root edge (``2N - 4`` of them) and one fused
-        gradient per branch (``2N - 3``) — O(N) kernel calls total,
-        against the O(N^2) of re-rooting ``derivativeSum`` at every
-        branch.
+        The id-gated post-order plan for ``root_edge`` validates every
+        CLA directed toward the root; a pre-order walk then interns the
+        other direction of every inner node — the rest of the tree seen
+        across each child edge, the "pre-order partial" — and plans the
+        stale ones as ordinary ``newview`` ops.  Each branch ends with one
+        fused gradient of its two directed CLAs.  A cold engine plans
+        ``(N - 2) + (2N - 4)`` ``newview`` ops and ``2N - 3`` gradients —
+        O(N), against the O(N^2) of re-rooting ``derivativeSum`` at every
+        branch; an unchanged tree plans only the gradients.
         """
+        ops: list = self.plan_traversal(root_edge)
         tree = self.tree
+        ids, valid, table = self._walk_ids, self._valid, self._subtree_ids
         edge = tree.edge(root_edge)
-        pre_ops: list[PreorderOp] = []
-        grad_ops = [
-            EdgeGradientOp(
-                edge=root_edge, top=edge.u, bottom=edge.v, top_is_partial=False
-            )
+        grads = [EdgeGradientOp(root_edge, edge.u, edge.v)]
+        # (node, its edge toward the root, id of the rest of the tree
+        # seen across that edge)
+        stack = [
+            (n, root_edge, ids[other])
+            for n, other in ((edge.u, edge.v), (edge.v, edge.u))
+            if not tree.is_leaf(n)
         ]
-        stack: list[tuple[int, int, int, bool]] = []
-        for node, other in ((edge.u, edge.v), (edge.v, edge.u)):
-            if not tree.is_leaf(node):
-                stack.append((node, root_edge, other, False))
         while stack:
-            node, up_edge, across, across_partial = stack.pop()
-            (c1, e1), (c2, e2) = tree.children(node, up_edge)
-            for (child, eid), (sib, sib_eid) in (
-                ((c1, e1), (c2, e2)),
-                ((c2, e2), (c1, e1)),
-            ):
-                tips = int(not across_partial and tree.is_leaf(across))
-                tips += int(tree.is_leaf(sib))
-                pre_ops.append(
-                    PreorderOp(
-                        edge=eid, node=node, up_edge=up_edge, across=across,
-                        across_is_partial=across_partial, sibling=sib,
-                        sibling_edge=sib_eid, kind=COMBINE_KINDS["preorder", tips],
-                    )
-                )
-                grad_ops.append(
-                    EdgeGradientOp(
-                        edge=eid, top=node, bottom=child, top_is_partial=True
-                    )
-                )
+            node, up_edge, across = stack.pop()
+            for child, eid in tree.children(node, up_edge):
+                (c1, e1), (c2, e2) = tree.children(node, eid)
+                key = (eid, e1, tree.edge(e1).length,
+                       across if e1 == up_edge else ids[c1],
+                       e2, tree.edge(e2).length,
+                       across if e2 == up_edge else ids[c2])
+                sid = table.setdefault(key, next(self._next_id))
+                if valid.get((node, eid)) != sid:
+                    ops.append(self._make_op(node, eid, sid))
+                grads.append(EdgeGradientOp(eid, node, child))
                 if not tree.is_leaf(child):
-                    stack.append((child, eid, node, True))
-        return GradientPlan(
-            root_edge=root_edge,
-            down=self.plan_execution(root_edge),
-            up=levelize_upsweep(root_edge, pre_ops, grad_ops),
-        )
+                    stack.append((child, eid, sid))
+        return levelize(root_edge, ops + grads)
 
     # ------------------------------------------------------------------
     # the per-op loop: resolve operands, combine, remember
     # ------------------------------------------------------------------
-    def _cla(self, node: int, up_edge: int) -> tuple[np.ndarray, np.ndarray]:
-        """Post-order ``(z, scale)`` of inner ``node`` toward ``up_edge``.
+    def _cla(self, node: int, edge: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(z, scale)`` of inner ``node`` directed toward ``edge``.
 
         Plans run in wave order, so a CLA an op reads was produced by an
         earlier wave or was valid at plan time; if the store has dropped
         it since, it is recomputed here — by the ordinary op, whose own
-        operands resolve the same way.
+        operands resolve the same way (its id is current already).
         """
-        entry = self.store.get(node)
+        entry = self.store.get((node, edge))
         if entry is None:
-            entry = self._run_op(self._make_op(node, up_edge))
+            entry = self._run_op(self._make_op(node, edge))
         return entry
 
-    def _partial(self, edge: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pre-order ``(z, scale)`` above ``edge`` (current sweep only)."""
-        entry = self.store.get((PARTIAL, edge))
-        if entry is None:
-            entry = self._run_op(self._pre_ops[edge])
-        return entry
-
-    def _operand(self, node: int, edge: int, partial: bool = False) -> tuple:
+    def _operand(self, node: int, edge: int) -> tuple:
         """One ``combine`` operand seen across ``edge``: ``(codes, t)`` for
-        a tip, ``(z, scale, t)`` for a CLA or a pre-order partial."""
+        a tip, ``(z, scale, t)`` for a CLA."""
         t = self.tree.edge(edge).length
-        if partial:
-            return (*self._partial(edge), t)
         name = self.tree.name(node)
         if name is not None:
             return self._tip_codes[name], t
@@ -362,50 +344,36 @@ class LikelihoodEngine:
         return self._cla(node, edge)
 
     def _run_op(self, op) -> "tuple[np.ndarray, np.ndarray] | None":
-        """Run one plan op of any class; CLA-producing ops return ``(z, scale)``.
+        """Run one plan op; a ``newview`` returns its ``(z, scale)``.
 
         The operands stay referenced from this frame while the rate model
         combines them, so the store is free to drop them meanwhile.
         """
-        cls = type(op)
-        if cls is NewviewOp:
-            key = op.node
-            a = self._operand(op.child1, op.edge1)
-            b = self._operand(op.child2, op.edge2)
-        elif cls is PreorderOp:
-            # The partial for edge ``e = (node -> child)`` is a ``newview``
-            # at ``node`` combining (a) everything *across* the node's own
-            # up edge — the parent's partial when one exists, else the
-            # CLA/tip on the far side of the virtual root — and (b) the
-            # sibling subtree.
-            key = (PARTIAL, op.edge)
-            a = self._operand(op.across, op.up_edge, op.across_is_partial)
-            b = self._operand(op.sibling, op.sibling_edge)
-        else:
+        if type(op) is not NewviewOp:
             return self._run_gradient_op(op)
+        key = (op.node, op.up_edge)
+        a = self._operand(op.child1, op.edge1)
+        b = self._operand(op.child2, op.edge2)
         z, scale = self.rates.combine(op.kind, a, b)
         self.store.put(key, z, scale)
-        if cls is NewviewOp:
-            self._valid[key] = self._walk_ids[key]
+        if op.sid is not None:
+            self._valid[key] = op.sid
         self.counters.record(op.kind, self.patterns.n_patterns)
         return z, scale
 
     def _run_gradient_op(self, op: EdgeGradientOp) -> None:
         """Fused per-edge ``(d1, d2)`` — or per-pattern terms — of one branch."""
-        if op.top_is_partial:
-            z_t, sc_t = self._partial(op.edge)
-        else:
-            z_t, sc_t = self._view(op.top, op.edge)
-        z_b, sc_b = self._view(op.bottom, op.edge)
+        z_u, sc_u = self._view(op.u, op.edge)
+        z_v, sc_v = self._view(op.v, op.edge)
         t = self.tree.edge(op.edge).length
         if self._grad_terms:
-            self._grad[op.edge] = self.rates.edge_gradient_terms(z_t, z_b, t)
+            self._grad[op.edge] = self.rates.edge_gradient_terms(z_u, z_v, t)
         else:
             # The combined scale counts are unused by plain rate models
             # (derivative ratios are scale-invariant); the +I mixture
             # needs true per-site magnitudes and consumes them.
             self._grad[op.edge] = self.rates.edge_gradient(
-                z_t, z_b, sc_t + sc_b, t
+                z_u, z_v, sc_u + sc_v, t
             )[1:]
         self.counters.record(KernelKind.EDGE_GRADIENT, self.patterns.n_patterns)
 
@@ -414,8 +382,8 @@ class LikelihoodEngine:
     ) -> dict[int, tuple]:
         """First and second lnL derivatives of **every** branch at once.
 
-        One post-order down-sweep (reusing valid CLAs) plus one
-        pre-order up-sweep yields ``{edge_id: (d1, d2)}`` for all
+        One plan makes both directed CLAs of every branch valid (reusing
+        every valid one) and yields ``{edge_id: (d1, d2)}`` for all
         ``2N - 3`` branches — the derivatives each match what
         ``edge_sum_buffer`` + ``branch_derivatives`` computes per branch,
         without re-rooting the traversal 2N - 3 times.
@@ -431,54 +399,63 @@ class LikelihoodEngine:
         return self.execute_gradient(self.plan_gradient(root_edge), terms=terms)
 
     def execute_gradient(
-        self, plan: GradientPlan, *, terms: bool = False
+        self, plan: ExecutionPlan, *, terms: bool = False
     ) -> dict[int, tuple]:
         """Run a :meth:`plan_gradient` plan: its ``plan.depth`` waves
         yield what :meth:`all_branch_gradients` returns."""
-        up_ops = list(plan.up.iter_ops())
-        self._pre_ops = {op.edge: op for op in up_ops if type(op) is PreorderOp}
         out = self._grad = {}
         self._grad_terms = terms
-        try:
-            with _obs.span(
-                "gradient.all_branches",
-                edges=len(up_ops) - len(self._pre_ops),
-                up_waves=plan.up.depth,
-            ):
-                self.execute_plan(plan.down)
-                self.execute_plan(plan.up)
-        finally:
-            # partials are single-sweep; release the memory
-            for edge in self._pre_ops:
-                self.store.discard((PARTIAL, edge))
-            self._pre_ops = {}
+        with _obs.span(
+            "gradient.all_branches",
+            edges=len(self.tree.edge_ids),
+            waves=plan.depth,
+        ):
+            self.execute_plan(plan)
         if _obs.ENABLED:
             reg = _obs_metrics.get_registry()
             reg.counter(
                 "repro_gradient_sweeps_total",
-                "all-branch gradient up-sweeps",
+                "all-branch gradient sweeps",
             ).inc()
             reg.counter(
-                "repro_gradient_upsweep_waves_total",
-                "executed gradient up-sweep waves",
-            ).inc(plan.up.depth)
+                "repro_gradient_waves_total",
+                "executed gradient-plan waves",
+            ).inc(plan.depth)
         return out
 
     def execute_plan(self, plan: ExecutionPlan) -> None:
-        """Run a levelized plan, wave by wave."""
-        if not plan.waves:
+        """Run a levelized plan, wave by wave, then drop dead CLAs."""
+        if plan.waves:
+            with _obs.span("plan", waves=len(plan.waves), ops=plan.n_ops):
+                for wave in plan.waves:
+                    self.run_wave(wave)
+        self._forget_dead()
+
+    def _forget_dead(self) -> None:
+        """Forget every CLA whose edge left the tree or no longer touches
+        its node, once there are more than can be live.
+
+        Three directed CLAs per inner node is the most a tree holds, so
+        past that the books hold CLAs of retired nodes or edges.  A trial
+        undo hands node and edge ids back, but a reused id only ever hits
+        the cache through an equal interned subtree id.
+        """
+        tree = self.tree
+        if len(self._valid) <= 3 * (tree.n_leaves - 2):
             return
-        with _obs.span("plan", waves=len(plan.waves), ops=plan.n_ops):
-            for wave in plan.waves:
-                self.run_wave(wave)
+        for node, eid in list(self._valid):
+            if not tree.has_edge(eid) or node not in (
+                tree.edge(eid).u, tree.edge(eid).v
+            ):
+                del self._valid[node, eid]
+                self.store.discard((node, eid))
 
     def run_wave(self, wave: Wave) -> None:
         """Run one wave (timed as a ``wave`` span when tracing is on).
 
-        Down-sweep waves hold :class:`NewviewOp` only; gradient up-sweep
-        waves may mix :class:`PreorderOp` partials with the
-        :class:`EdgeGradientOp` reductions they unblock.  Parallel
-        drivers (fork-join, distributed, partitioned) call this directly
+        Waves hold :class:`NewviewOp`; a gradient plan's waves may mix
+        them with the :class:`EdgeGradientOp` reductions they unblock.
+        Parallel drivers (fork-join, distributed, partitioned) call this directly
         to interleave their own synchronisation accounting between waves.
         """
         if not wave.ops:
@@ -509,15 +486,6 @@ class LikelihoodEngine:
     def ensure_valid(self, root_edge: int) -> None:
         """Make both CLAs adjacent to ``root_edge`` valid."""
         self.execute_plan(self.plan_execution(root_edge))
-        # Topology moves retire node ids; forget their CLAs once the books
-        # clearly outgrow the live tree.  A trial undo hands node ids back,
-        # but a reused node only ever hits the cache through an equal
-        # interned subtree id.
-        if len(self._valid) > 4 * self.tree.n_leaves:
-            live = set(self.tree.nodes)
-            for node in [n for n in self._valid if n not in live]:
-                del self._valid[node]
-                self.store.discard(node)
 
     # ------------------------------------------------------------------
     # root-level quantities

@@ -12,7 +12,7 @@ where the invariant mass ``I`` is the stationary probability of a state
 compatible with *every* tip character — a branch-length- and
 topology-independent constant per pattern (the rate-0 transition matrix
 is the identity).  The mixture therefore lives entirely at the root:
-CLAs, partials and per-site derivative terms are the inner model's, and
+CLAs and per-site derivative terms are the inner model's, and
 only the final per-site combination is reweighted.
 
 Numerically the mixture is combined in log space so the per-site scaling

@@ -325,12 +325,12 @@ def edge_gradient_terms(
     rate_weights: np.ndarray,
     t: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pattern ``(l, l', l'')`` for one edge of the gradient up-sweep.
+    """Per-pattern ``(l, l', l'')`` for one edge of the all-branch gradient.
 
     Fuses ``derivativeSum`` with the site phase of ``derivativeCore``:
-    ``z_top`` is the pre-order partial of the edge (the tree above it)
-    and ``z_bottom`` the ordinary down CLA (the subtree below it), so the
-    element-wise product is exactly the branch's sum buffer.  Per-pattern
+    ``z_top`` and ``z_bottom`` are the edge's two directed CLAs (the tree
+    on either side of it), so the element-wise product is exactly the
+    branch's sum buffer.  Per-pattern
     values are bitwise identical to ``derivative_site_terms(
     derivative_sum(z_top, z_bottom), ...)`` — the product is formed with
     the same operand order — which is what lets parallel engines gather
@@ -352,7 +352,7 @@ def edge_gradient(
 ) -> tuple[float, float, float]:
     """The fused per-edge gradient kernel: ``(lnL, dlnL/dt, d2lnL/dt2)``.
 
-    One invocation per branch during the up-sweep replaces the separate
+    One invocation per branch of the gradient sweep replaces the separate
     ``derivativeSum`` + ``derivativeCore`` pair of the per-branch Newton
     path.  As with :func:`derivative_core`, scaling counters cancel in
     the log-derivatives and the returned ``lnL`` is unscaled.

@@ -6,9 +6,12 @@ Stamatakis 2012) among the features its MIC port does *not* yet support
 — a gap that matters on the Phi, whose 8 GB of on-card RAM is the
 binding constraint for the 4000K-site dataset (Sec. VI-B2).
 
-:class:`ClaStore` is the engine's one pool for post-order CLAs (keyed by
-node id) *and* the pre-order partials of a gradient sweep (keyed by
-``(PARTIAL, edge id)``) — the single buffer pool of Gangavarapu et al.
+:class:`ClaStore` is the engine's one pool of CLAs, keyed by *directed
+node* ``(node, toward_edge)``: an inner node has one CLA per incident
+edge, and the pre-order partials of a gradient sweep are just the
+directions a post-order walk does not visit — the single indexed buffer
+pool of BEAGLE and Gangavarapu et al.  At most three entries per inner
+node can be live; the engine forgets those of retired nodes and edges.
 It is a mapping with a policy: with ``max_resident=None`` everything
 stays resident; with a budget, at most ``max_resident`` entries do and
 the least recently used one is dropped on every ``put`` beyond it.
@@ -32,10 +35,7 @@ import numpy as np
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
 
-__all__ = ["ClaStore", "PARTIAL"]
-
-#: Key tag of a pre-order partial: ``(PARTIAL, edge_id)``.
-PARTIAL = "pre"
+__all__ = ["ClaStore"]
 
 
 class ClaStore:
@@ -100,7 +100,7 @@ class ClaStore:
                 ).inc()
 
     def discard(self, key: object) -> None:
-        """Forget one entry (a dead node, a finished sweep's partial)."""
+        """Forget one entry (a CLA of a retired node or edge)."""
         self._entries.pop(key, None)
         self._evicted.discard(key)
 

@@ -13,9 +13,9 @@ one — from the rates the engine was given:
     root-level mixture wrapped around either.
 
 The interface (:class:`RateModel`) takes *resolved* operands only — a
-tip is ``(codes, t)``, a CLA or pre-order partial ``(z, scale, t)``,
-``t`` being the length of the branch the operand is seen across — so a
-rate model never sees the tree, the CLA store or an op descriptor.
+tip is ``(codes, t)``, a CLA ``(z, scale, t)``, ``t`` being the length
+of the branch the operand is seen across — so a rate model never sees
+the tree, the CLA store or an op descriptor.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class RateModel:
 
     # -- supplied by the subclass ----------------------------------------
     def combine(self, kind: KernelKind, a: tuple, b: tuple):
-        """``(z, scale)`` of a post- or pre-order op from its two operands."""
+        """``(z, scale)`` of a ``newview`` op from its two operands."""
         raise NotImplementedError
 
     def site_log_likelihoods(self, z_left, z_right, scales, t: float) -> np.ndarray:
@@ -96,7 +96,7 @@ class RateModel:
         )
 
     def edge_gradient_terms(self, z_top, z_bottom, t: float):
-        """Per-pattern ``(l, l', l'')`` of one up-sweep edge."""
+        """Per-pattern ``(l, l', l'')`` of one edge of the gradient sweep."""
         return self.derivative_site_terms(
             self.sum_buffer(z_top, z_bottom, None), t
         )

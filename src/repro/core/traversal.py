@@ -3,14 +3,16 @@
 ExaML replicates the tree-search state on every rank and drives the PLF
 through *traversal descriptors* — ordered lists of ``newview``
 operations that make a virtual root's two CLAs valid.  We keep the same
-structure: the engine plans a traversal (only the stale nodes), executes
-it, and records every kernel invocation in a :class:`KernelCounters`
-object.
+structure: the engine plans a traversal (only the stale directed nodes
+``(node, toward_edge)``), executes it, and records every kernel
+invocation in a :class:`KernelCounters` object.  An all-branch gradient
+is the same IR: ``newview`` ops for both directions of every edge, then
+one :class:`EdgeGradientOp` per branch.
 
 On top of the flat op list sits the **execution-plan IR**: the
 :func:`levelize` planner folds the list into dependency *waves*
-(:class:`Wave`), where every op's inner children were produced by an
-earlier wave (or were already valid) and the ops within one wave are
+(:class:`Wave`), where every directed CLA an op reads was produced by an
+earlier wave (or was already valid) and the ops within one wave are
 mutually independent.  The plan is the unit of optimisation for wave
 dispatch (:meth:`LikelihoodEngine.run_wave`), fork-join wave pickup, and
 distributed sync placement — BEAGLE's ``updatePartials`` operation queue
@@ -35,13 +37,10 @@ __all__ = [
     "PAPER_KERNEL_KEYS",
     "merged_kernel_key",
     "NewviewOp",
-    "PreorderOp",
     "EdgeGradientOp",
     "Wave",
     "ExecutionPlan",
-    "GradientPlan",
     "levelize",
-    "levelize_upsweep",
     "KernelCounters",
 ]
 
@@ -54,10 +53,6 @@ class KernelKind(str, Enum):
     them separately because their arithmetic intensity differs, then the
     cost model aggregates them back into the paper's four kernels.
 
-    The ``PREORDER_*`` kinds are the up-sweep mirror of ``newview``: the
-    pre-order partial toward an edge combines the partial across the
-    parent edge with the sibling CLA — arithmetically the same kernel,
-    counted separately because it belongs to the derivative phase.
     ``EDGE_GRADIENT`` fuses ``derivativeSum`` + ``derivativeCore`` for
     one branch of the one-traversal all-branch gradient.
     """
@@ -68,44 +63,35 @@ class KernelKind(str, Enum):
     EVALUATE = "evaluate"
     DERIVATIVE_SUM = "derivative_sum"
     DERIVATIVE_CORE = "derivative_core"
-    PREORDER_TIP_TIP = "preorder_tip_tip"
-    PREORDER_TIP_INNER = "preorder_tip_inner"
-    PREORDER_INNER_INNER = "preorder_inner_inner"
     EDGE_GRADIENT = "edge_gradient"
 
     @property
     def newview_like(self) -> bool:
         return self.value.startswith("newview")
 
-    @property
-    def preorder_like(self) -> bool:
-        return self.value.startswith("preorder")
 
-
-#: The ``newview``-shaped kernel of a ``(family, tips)`` pair: family
-#: ``"newview"`` or ``"preorder"``, ``tips`` the number of tip operands.
+#: The ``newview`` kernel by the number of tip operands.
 COMBINE_KINDS = {
-    (family, tips): KernelKind(f"{family}_{case}")
-    for family in ("newview", "preorder")
-    for tips, case in ((2, "tip_tip"), (1, "tip_inner"), (0, "inner_inner"))
+    2: KernelKind.NEWVIEW_TIP_TIP,
+    1: KernelKind.NEWVIEW_TIP_INNER,
+    0: KernelKind.NEWVIEW_INNER_INNER,
 }
 
 
-#: Aggregated kernel names: the paper's four plus the two up-sweep
-#: families introduced by the bidirectional plan.  Consumers that only
-#: understand the paper's kernels (cost model calibration, trace replay)
-#: keep iterating their own four-name tuple and are unaffected.
+#: Aggregated kernel names: the paper's four plus the fused per-edge
+#: gradient.  Consumers that only understand the paper's kernels (cost
+#: model calibration, trace replay) keep iterating their own four-name
+#: tuple and are unaffected.
 MERGED_KERNEL_KEYS = (
     "newview",
     "evaluate",
     "derivative_sum",
     "derivative_core",
-    "preorder",
     "edge_gradient",
 )
 
 #: The paper's original kernel families.  Aggregated counter dicts are
-#: seeded with exactly these; the up-sweep families appear only once
+#: seeded with exactly these; ``edge_gradient`` appears only once
 #: observed, so workloads that never run a gradient sweep report the
 #: same keys they always did.
 PAPER_KERNEL_KEYS = MERGED_KERNEL_KEYS[:4]
@@ -113,16 +99,18 @@ PAPER_KERNEL_KEYS = MERGED_KERNEL_KEYS[:4]
 
 def merged_kernel_key(kind: KernelKind) -> str:
     """Collapse a :class:`KernelKind` to its aggregated counter name."""
-    if kind.newview_like:
-        return "newview"
-    if kind.preorder_like:
-        return "preorder"
-    return kind.value
+    return "newview" if kind.newview_like else kind.value
 
 
 @dataclass(frozen=True)
 class NewviewOp:
-    """One planned CLA update: parent from two children across two edges."""
+    """One planned CLA update: the CLA of ``node`` directed toward
+    ``up_edge``, from its two other neighbours across their edges.
+
+    ``sid`` is the interned id of the directed subtree the op computes,
+    which validates the result; ``None`` recomputes a CLA whose id is
+    already current (one the store had dropped).
+    """
 
     node: int
     up_edge: int
@@ -131,29 +119,7 @@ class NewviewOp:
     child2: int
     edge2: int
     kind: KernelKind
-
-
-@dataclass(frozen=True)
-class PreorderOp:
-    """One planned pre-order partial: the tree *above* ``edge``.
-
-    Computes ``P[edge]``, the eigen-CLA of everything on the far side of
-    ``edge`` as seen from its top endpoint ``node``.  The two operands
-    mirror a ``newview``: the view across the parent edge ``up_edge``
-    (either the already-computed partial ``P[up_edge]`` when
-    ``across_is_partial``, or — at the up-sweep roots — the down CLA /
-    tip of ``across``, the node on the far side of the virtual root) and
-    the sibling subtree's down CLA / tip through ``sibling_edge``.
-    """
-
-    edge: int
-    node: int
-    up_edge: int
-    across: int
-    across_is_partial: bool
-    sibling: int
-    sibling_edge: int
-    kind: KernelKind
+    sid: int | None = None
 
 
 @dataclass(frozen=True)
@@ -161,15 +127,13 @@ class EdgeGradientOp:
     """One planned per-edge derivative: lnL', lnL'' for ``edge``.
 
     The sum buffer is the element-wise product of the two views of the
-    branch: the pre-order partial ``P[edge]`` (when ``top_is_partial``)
-    or the down CLA / tip of ``top`` (at the virtual root edge, where
-    both views are down CLAs), and the down CLA / tip of ``bottom``.
+    branch, the CLAs (or tips) of ``u`` and ``v`` each directed toward
+    ``edge``.
     """
 
     edge: int
-    top: int
-    bottom: int
-    top_is_partial: bool
+    u: int
+    v: int
     kind: KernelKind = KernelKind.EDGE_GRADIENT
 
 
@@ -180,10 +144,10 @@ class Wave:
     Every op in a wave reads only CLAs produced by *earlier* waves (or
     tips / already-valid CLAs), so the ops are mutually independent and
     may be dispatched as one batched kernel call, farmed out to
-    fork-join workers, or executed in any order.  Down-sweep waves hold
-    :class:`NewviewOp`; up-sweep waves mix :class:`PreorderOp` and
-    :class:`EdgeGradientOp` (a branch's gradient becomes ready one level
-    after its partial, alongside the next level of partials).
+    fork-join workers, or executed in any order.  Waves hold
+    :class:`NewviewOp`; a gradient plan's waves also hold the
+    :class:`EdgeGradientOp` of every branch whose two directed CLAs an
+    earlier wave produced.
     """
 
     index: int
@@ -207,18 +171,15 @@ class Wave:
 class ExecutionPlan:
     """A levelized schedule: the IR between planning and dispatch.
 
-    Produced by :func:`levelize` from a planned ``newview`` op list;
-    consumed by :meth:`repro.core.engine.LikelihoodEngine.execute_plan`.
-    ``depth`` (number of waves) bounds the serial critical path;
-    ``max_width`` bounds the exploitable thread parallelism; both feed the
-    analytic cost model's serial-depth vs. parallel-width split.
+    Produced by :func:`levelize` from a planned op list; consumed by
+    :meth:`repro.core.engine.LikelihoodEngine.execute_plan`.  ``depth``
+    (number of waves) bounds the serial critical path; ``max_width``
+    bounds the exploitable thread parallelism; both feed the analytic
+    cost model's serial-depth vs. parallel-width split.
     """
 
     root_edge: int
     waves: list[Wave] = field(default_factory=list)
-    #: ``"down"`` for post-order (newview) plans, ``"up"`` for the
-    #: pre-order + gradient sweep of a :class:`GradientPlan`.
-    direction: str = "down"
 
     @property
     def n_ops(self) -> int:
@@ -252,92 +213,37 @@ class ExecutionPlan:
         return self.n_ops
 
 
-def levelize(root_edge: int, ops: list[NewviewOp]) -> ExecutionPlan:
-    """Fold the planned ``newview`` ops for ``root_edge`` into waves.
+def levelize(root_edge: int, ops: list) -> ExecutionPlan:
+    """Fold planned ops for ``root_edge`` into waves.
 
-    An op's *level* is ``max(level(child1), level(child2)) + 1`` where
-    children not updated by these ops (tips, or CLAs that are already
-    valid) sit at level ``-1``.  Plans list ops in postorder (children
-    before parents), so a single forward pass assigns final levels; ops
-    sharing a level are mutually independent by construction and become
-    one :class:`Wave`.
+    An op's *level* is one past the highest level of the two directed
+    CLAs ``(node, toward_edge)`` it reads, where CLAs not produced by
+    these ops (tips, or CLAs that are already valid) sit at level
+    ``-1``.  Ops are listed so that every CLA is produced before it is
+    read, so a single forward pass assigns final levels; ops sharing a
+    level are mutually independent by construction and become one
+    :class:`Wave`.
     """
 
-    level: dict[int, int] = {}
-    buckets: dict[int, list[NewviewOp]] = {}
+    level: dict[tuple[int, int], int] = {}
+    buckets: dict[int, list] = {}
     for op in ops:
-        lvl = max(level.get(op.child1, -1), level.get(op.child2, -1)) + 1
-        level[op.node] = lvl
+        if type(op) is NewviewOp:
+            lvl = max(
+                level.get((op.child1, op.edge1), -1),
+                level.get((op.child2, op.edge2), -1),
+            ) + 1
+            level[op.node, op.up_edge] = lvl
+        else:
+            lvl = max(
+                level.get((op.u, op.edge), -1), level.get((op.v, op.edge), -1)
+            ) + 1
         buckets.setdefault(lvl, []).append(op)
     waves = [
         Wave(index=i, ops=tuple(buckets[lvl]))
         for i, lvl in enumerate(sorted(buckets))
     ]
     return ExecutionPlan(root_edge=root_edge, waves=waves)
-
-
-@dataclass
-class GradientPlan:
-    """The bidirectional plan: one down-sweep, one mixed-kind up-sweep.
-
-    ``down`` is the ordinary post-order plan that validates every CLA
-    toward ``root_edge``; ``up`` is the root-to-tip sweep whose waves
-    interleave pre-order partials with the per-edge gradient ops that
-    become ready as the partials land.  Executing both yields first and
-    second log-likelihood derivatives for all ``2N - 3`` branches in
-    O(N) kernel calls — the linear-time alternative to ``2N - 3``
-    independent ``derivativeSum`` re-traversals.
-    """
-
-    root_edge: int
-    down: ExecutionPlan
-    up: ExecutionPlan
-
-    @property
-    def n_ops(self) -> int:
-        return self.down.n_ops + self.up.n_ops
-
-    @property
-    def depth(self) -> int:
-        return self.down.depth + self.up.depth
-
-    def kernel_mix(self) -> dict[KernelKind, int]:
-        mix = self.down.kernel_mix()
-        for kind, n in self.up.kernel_mix().items():
-            mix[kind] = mix.get(kind, 0) + n
-        return mix
-
-
-def levelize_upsweep(
-    root_edge: int, pre_ops: list[PreorderOp], grad_ops: list[EdgeGradientOp]
-) -> ExecutionPlan:
-    """Fold the gradient up-sweep into root-to-tip dependency waves.
-
-    ``pre_ops`` list the pre-order partials parents before children;
-    ``grad_ops`` carry one op per branch (``2N - 3`` of them, the
-    virtual root edge included).  A pre-order partial's level is one
-    past its parent partial's level (partials fed by the virtual root's
-    down CLAs sit at level 0); an edge's gradient op runs one level after
-    the partial it consumes, so it shares a wave with the *next*
-    generation of partials — the mixed kernel-kind waves the engine
-    partitions per op class.  The virtual root edge's gradient needs only
-    down CLAs and joins wave 0.
-    """
-
-    plevel: dict[int, int] = {}
-    buckets: dict[int, list] = {}
-    for op in pre_ops:
-        lvl = plevel[op.up_edge] + 1 if op.across_is_partial else 0
-        plevel[op.edge] = lvl
-        buckets.setdefault(lvl, []).append(op)
-    for op in grad_ops:
-        lvl = plevel[op.edge] + 1 if op.top_is_partial else 0
-        buckets.setdefault(lvl, []).append(op)
-    waves = [
-        Wave(index=i, ops=tuple(buckets[lvl]))
-        for i, lvl in enumerate(sorted(buckets))
-    ]
-    return ExecutionPlan(root_edge=root_edge, waves=waves, direction="up")
 
 
 @dataclass
@@ -368,8 +274,8 @@ class KernelCounters:
     def merged(self) -> dict[str, int]:
         """Calls aggregated to the :data:`MERGED_KERNEL_KEYS` names.
 
-        Seeded with the paper's four families; "preorder" and
-        "edge_gradient" appear only once a gradient sweep has run.
+        Seeded with the paper's four families; "edge_gradient" appears
+        only once a gradient sweep has run.
         """
         out = {key: 0 for key in PAPER_KERNEL_KEYS}
         for kind, n in self.calls.items():

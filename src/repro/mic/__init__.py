@@ -13,7 +13,7 @@ from .compiler import ArrayRef, Intrinsics, Loop, auto_vectorize, can_vectorize
 from .device import Device, xeon_e5_device, xeon_phi_device
 from .isa import AVX256, MIC512, SSE128, Instruction, Op, VectorISA
 from .memory import CACHE_LINE, DramModel, MIC_GDDR5, SNB_DDR3
-from .offload import NativeRuntime, OffloadedEngine, OffloadRuntime, TransferModel
+from .offload import NativeRuntime, OffloadRuntime, TransferModel
 from .peephole import (
     PeepholeResult,
     eliminate_dead_stores,
@@ -45,7 +45,6 @@ __all__ = [
     "MIC_GDDR5",
     "SNB_DDR3",
     "NativeRuntime",
-    "OffloadedEngine",
     "OffloadRuntime",
     "PeepholeResult",
     "eliminate_dead_stores",

@@ -43,7 +43,7 @@ from ..faults.retry import RetryPolicy
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
 
-__all__ = ["TransferModel", "OffloadRuntime", "NativeRuntime", "OffloadedEngine"]
+__all__ = ["TransferModel", "OffloadRuntime", "NativeRuntime"]
 
 
 @dataclass(frozen=True)
@@ -211,89 +211,3 @@ class NativeRuntime:
     @property
     def overhead_seconds(self) -> float:
         return 0.0
-
-
-class OffloadedEngine:
-    """Functional wrapper: a likelihood engine driven through offload.
-
-    Models the paper's *initial* integration attempt (Sec. V-C): the
-    tree-search algorithm runs on the host and every PLF kernel call is
-    dispatched to the coprocessor.  CLAs stay resident on the card (as
-    in the paper's GPU-inspired design), so no bulk data moves — only
-    the fixed invocation latency accrues, once per kernel call, tracked
-    via the wrapped engine's kernel counters.
-
-    Numerical behaviour is identical to the wrapped engine; only the
-    modelled ``offload_seconds`` accounting differs — which is exactly
-    the paper's finding (correct results, unusable invocation cost).
-    """
-
-    def __init__(self, engine, runtime: OffloadRuntime | None = None) -> None:
-        self.engine = engine
-        self.runtime = runtime if runtime is not None else OffloadRuntime()
-        self._last_total_calls = engine.counters.total_calls()
-
-    def _account(self):
-        now = self.engine.counters.total_calls()
-        new_calls = now - self._last_total_calls
-        self._last_total_calls = now
-        for _ in range(new_calls):
-            self.runtime.invoke(0.0)
-
-    @property
-    def offload_seconds(self) -> float:
-        """Accumulated modelled offload-dispatch time."""
-        return self.runtime.overhead_seconds
-
-    @property
-    def offloaded_calls(self) -> int:
-        return self.runtime.calls
-
-    # -- pass-through engine surface -----------------------------------
-    @property
-    def tree(self):
-        return self.engine.tree
-
-    @property
-    def counters(self):
-        return self.engine.counters
-
-    @property
-    def rates_model(self):
-        return self.engine.rates_model
-
-    @property
-    def model(self):
-        return self.engine.model
-
-    def set_model(self, model, rates=None):
-        self.engine.set_model(model, rates)
-
-    def set_alpha(self, alpha: float) -> None:
-        self.engine.set_alpha(alpha)
-
-    def default_edge(self) -> int:
-        return self.engine.default_edge()
-
-    def log_likelihood(self, root_edge=None) -> float:
-        out = self.engine.log_likelihood(root_edge)
-        self._account()
-        return out
-
-    def site_log_likelihoods(self, root_edge=None):
-        out = self.engine.site_log_likelihoods(root_edge)
-        self._account()
-        return out
-
-    def edge_sum_buffer(self, root_edge: int):
-        out = self.engine.edge_sum_buffer(root_edge)
-        self._account()
-        return out
-
-    def branch_derivatives(self, sumbuf, t: float):
-        out = self.engine.branch_derivatives(sumbuf, t)
-        self._account()
-        return out
-
-    def drop_caches(self) -> None:
-        self.engine.drop_caches()

@@ -251,11 +251,12 @@ class SlicedEngine:
     def all_branch_gradients(
         self, root_edge: int | None = None
     ) -> dict[int, tuple[float, float]]:
-        """All-branch ``(d1, d2)``: every slice runs its own bidirectional
-        sweep; the master reduces each edge's gathered ``(l0, l1, l2)``
-        lanes like the sequential engine.  Up-sweep waves are accounted
-        like any other, and the whole sweep is *one* reduction point of
-        ``2 * (2N - 3)`` doubles — O(1) collectives instead of O(N)."""
+        """All-branch ``(d1, d2)``: every slice runs its own gradient
+        plan; the master reduces each edge's gathered ``(l0, l1, l2)``
+        lanes like the sequential engine.  Gradient-plan waves are
+        accounted like any other, and the whole sweep is *one* reduction
+        point of ``2 * (2N - 3)`` doubles — O(1) collectives instead of
+        O(N)."""
         if root_edge is None:
             root_edge = self.default_edge()
 
@@ -264,7 +265,7 @@ class SlicedEngine:
             return self.substrate.grad(root_edge)
         lanes, waves = self._replay(op)
         for k in range(waves):
-            self.sync.wave(k, "up")
+            self.sync.wave(k, "gradient")
         weights = self.weights
         out = {
             eid: derivative_reduce(*lanes[eid], weights)[1:]

@@ -241,7 +241,7 @@ class SliceWorker:
 
     def cmd_grad(self, root_edge: int) -> dict:
         """``{owner: (executed waves, {edge: (3, slice) site terms})}``:
-        the whole bidirectional sweep runs slice-locally."""
+        the whole gradient plan runs slice-locally."""
         out = {}
         for owner, engine, _index in self._each():
             plan = engine.plan_gradient(root_edge)

@@ -318,7 +318,7 @@ class TestShadowBackend:
         engine.all_branch_gradients()
         eid = engine.tree.edges[0].id
         engine.branch_derivatives(engine.edge_sum_buffer(eid), 0.1)
-        assert len(shadow.profile.calls) >= 6  # newview/preorder/gradient...
+        assert len(shadow.profile.calls) >= 6  # newview kinds, gradient...
         assert shadow.primary.profile.calls == shadow.profile.calls
         assert shadow.reference.profile.calls == shadow.profile.calls
         assert shadow.checks == sum(shadow.profile.calls.values())

@@ -5,8 +5,8 @@ cache digest moves with everything that can change the object's bits.
 
 Parity: the compiled backend must match the reference kernels to 1e-10
 (scale counters exactly) on the kinds the shared registry parity suite
-in ``test_backends.py`` does not already cover — the preorder/gradient
-kinds — and whole engines (GTR+Gamma, CAT, +I, memsave) must agree on
+in ``test_backends.py`` does not already cover — the derivative and
+gradient kinds — and whole engines (GTR+Gamma, CAT, +I, memsave) must agree on
 real data.
 
 Shadow: ``ShadowBackend(primary=CompiledBackend())`` stays silent on the
@@ -48,6 +48,7 @@ from repro.core.backends import (
     BackendMismatchError,
     ReferenceBackend,
     ShadowBackend,
+    get_backend,
     make_engine,
 )
 from repro.core.ckernels import (
@@ -140,29 +141,6 @@ class TestPreorderAndGradientParity:
     """Kinds the shared registry parity suite does not cover."""
 
     @settings(max_examples=15, deadline=None)
-    @given(shape=shape_strategy)
-    def test_preorder_kinds(self, shape):
-        seed, p, c, rescaled = shape
-        d = _random_inputs(seed, p, c, rescaled)
-        backend = CompiledBackend()
-        for method, args in [
-            ("preorder_tip_tip",
-             (d["u_inv"], d["lookup1"], d["codes1"], d["lookup2"],
-              d["codes2"])),
-            ("preorder_tip_inner",
-             (d["u_inv"], d["lookup1"], d["codes1"], d["a2"], d["z2"],
-              d["scale2"])),
-            ("preorder_inner_inner",
-             (d["u_inv"], d["a1"], d["a2"], d["z1"], d["z2"],
-              d["scale1"], d["scale2"])),
-        ]:
-            ref_fn = getattr(kernels, method.replace("preorder", "newview"))
-            z_ref, s_ref = ref_fn(*args)
-            z, s = getattr(backend, method)(*args)
-            np.testing.assert_allclose(z, z_ref, rtol=0.0, atol=ATOL)
-            np.testing.assert_array_equal(s, s_ref)
-
-    @settings(max_examples=15, deadline=None)
     @given(shape=shape_strategy, t=st.floats(min_value=1e-6, max_value=2.0))
     def test_derivative_site_terms(self, shape, t):
         seed, p, c, _ = shape
@@ -211,6 +189,40 @@ class TestPreorderAndGradientParity:
         got = CompiledBackend().edge_gradient(*args)
         for r, g in zip(ref, got):
             assert g == pytest.approx(r, rel=1e-10, abs=ATOL)
+
+
+class TestTipCodeRange:
+    """A tip code at or past the lookup table's code extent raises
+    ``IndexError`` — the NumPy gather's answer — instead of reading past
+    the table."""
+
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @pytest.mark.parametrize("kernel,operand", [
+        ("newview_tip_tip", 1), ("newview_tip_tip", 2), ("newview_tip_inner", 1),
+    ])
+    def test_code_17_on_16_code_table(self, backend, kernel, operand):
+        rng = np.random.default_rng(3)
+        p, c = 9, 4
+        tables = [rng.uniform(0.1, 1.0, size=(c, 16, N_STATES)) for _ in "ab"]
+        codes = [rng.integers(0, 16, size=p).astype(np.uint32) for _ in "ab"]
+        codes[operand - 1][p - 1] = 17
+        u_inv = rng.normal(size=(N_STATES, N_STATES))
+        if kernel == "newview_tip_tip":
+            args = (u_inv, tables[0], codes[0], tables[1], codes[1])
+        else:
+            args = (
+                u_inv, tables[0], codes[0],
+                rng.uniform(0.05, 1.0, size=(c, N_STATES, N_STATES)),
+                rng.uniform(0.1, 1.0, size=(p, c, N_STATES)),
+                np.zeros(p, dtype=np.int64),
+            )
+        impl = get_backend(backend)
+        with pytest.raises(IndexError):
+            getattr(impl, kernel)(*args)
+        # the same call with every code in range succeeds
+        codes[operand - 1][p - 1] = 15
+        z, _ = getattr(impl, kernel)(*args)
+        assert z.shape == (p, c, N_STATES)
 
 
 class TestEngineParity:

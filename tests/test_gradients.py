@@ -11,9 +11,10 @@ Five angles:
   workers, distributed ranks) must agree with the serial sweep exactly
   (delta == 0.0 — the terms-mode lane gather reduces in fixed pattern
   order);
-* kernel budget: one post-order + one pre-order traversal, counted —
-  ``2N - 4`` pre-order partials and ``2N - 3`` edge gradients, zero
-  per-branch re-rooting;
+* kernel budget: every directed CLA computed once, counted — ``N - 2``
+  toward the root and ``2N - 4`` the other way on a cold engine, none on
+  an unchanged tree, ``2N - 3`` edge gradients and zero per-branch
+  re-rooting;
 * optimizer parity: the gradient smoother must reach the Newton sweep's
   final lnL within 1e-6; the proximal optimizer must trade lnL for
   exact sparsity;
@@ -231,14 +232,14 @@ class TestKernelBudget:
     def test_one_traversal_call_counts(self):
         n_taxa = 10
         engine = make_engine(7, n_taxa=n_taxa, n_sites=100)
-        engine.log_likelihood()  # post-order CLAs valid
+        engine.log_likelihood()  # every CLA toward the root valid
         engine.reset_profile()
         grads = engine.all_branch_gradients()
         n_branches = 2 * n_taxa - 3
         assert len(grads) == n_branches
         merged = engine.counters.merged()
-        assert merged["newview"] == 0  # down-sweep reused valid CLAs
-        assert merged["preorder"] == 2 * n_taxa - 4
+        # only the other direction of every inner node is computed
+        assert merged["newview"] == 2 * n_taxa - 4
         assert merged["edge_gradient"] == n_branches
         # the old path's kernels never fire: no re-rooted derivativeSum
         assert merged["derivative_sum"] == 0
@@ -250,9 +251,45 @@ class TestKernelBudget:
         engine.reset_profile()
         engine.all_branch_gradients()
         merged = engine.counters.merged()
-        assert merged["newview"] == n_taxa - 2  # exactly one down-sweep
-        assert merged["preorder"] == 2 * n_taxa - 4
+        # one sweep toward the root, one the other way
+        assert merged["newview"] == (n_taxa - 2) + (2 * n_taxa - 4)
         assert merged["edge_gradient"] == 2 * n_taxa - 3
+
+    def test_unchanged_tree_recomputes_no_cla(self):
+        n_taxa = 10
+        engine = make_engine(7, n_taxa=n_taxa, n_sites=100)
+        first = engine.all_branch_gradients()
+        engine.reset_profile()
+        assert engine.all_branch_gradients() == first
+        merged = engine.counters.merged()
+        assert merged["newview"] == 0
+        assert merged["edge_gradient"] == 2 * n_taxa - 3
+
+
+class TestRootOrder:
+    """``combine`` and the sum buffer are element-wise products, so the
+    order in which directed CLAs were built, and from which root, must
+    not change a single bit of ``(d1, d2)``."""
+
+    @pytest.mark.parametrize("flavour", ["gamma", "cat", "pinv"])
+    def test_two_root_orders_bitwise_equal(self, flavour):
+        patterns, tree = make_parts(17, n_taxa=9, n_sites=180)
+        model = gtr(*MODEL_ARGS)
+        kw = {"rates": GammaRates(0.8, 4)}
+        if flavour == "cat":
+            sc = np.arange(patterns.n_patterns) % 3
+            kw = {"cat": CatRates(
+                category_rates=np.array([0.4, 1.0, 1.6]), site_categories=sc
+            )}
+        elif flavour == "pinv":
+            kw["p_inv"] = 0.15
+        edges = sorted(tree.edge_ids)
+        first = core_make_engine(patterns, tree.copy(), model, **kw)
+        grads = first.all_branch_gradients(edges[0])
+        second = core_make_engine(patterns, tree.copy(), model, **kw)
+        for eid in reversed(edges):  # directions built from every root
+            second.log_likelihood(eid)
+        assert second.all_branch_gradients(edges[-1]) == grads
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,9 @@
-"""Tests for ASCII drawing, the offloaded engine, the report command,
-and the vector-width sweep."""
+"""Tests for ASCII drawing, the report command and the vector-width
+sweep."""
 
-import numpy as np
-import pytest
-
-from repro.core import LikelihoodEngine
 from repro.harness.ablations import vector_width_sweep
-from repro.mic import OffloadedEngine, OffloadRuntime
-from repro.phylo import GammaRates, Tree, gtr, simulate_dataset
+from repro.phylo import Tree
 from repro.phylo.draw import ascii_tree
-from repro.search import optimize_all_branches
 
 
 class TestAsciiTree:
@@ -40,45 +34,6 @@ class TestAsciiTree:
         art = ascii_tree(t, show_lengths=False)
         leaf_lines = [l for l in art.splitlines() if l.rstrip()[-1] in "abcdef"]
         assert len(leaf_lines) == 6
-
-
-class TestOffloadedEngine:
-    @pytest.fixture()
-    def engines(self):
-        sim = simulate_dataset(n_taxa=6, n_sites=120, seed=71)
-        pat = sim.alignment.compress()
-        native = LikelihoodEngine(pat, sim.tree.copy(), gtr(), GammaRates(1.0, 4))
-        wrapped = LikelihoodEngine(pat, sim.tree.copy(), gtr(), GammaRates(1.0, 4))
-        return native, OffloadedEngine(wrapped)
-
-    def test_numerics_identical(self, engines):
-        native, offloaded = engines
-        assert offloaded.log_likelihood() == pytest.approx(
-            native.log_likelihood(), abs=1e-10
-        )
-
-    def test_offload_cost_accrues_per_kernel_call(self, engines):
-        _, offloaded = engines
-        offloaded.log_likelihood()
-        calls_after_first = offloaded.offloaded_calls
-        assert calls_after_first == offloaded.counters.total_calls()
-        assert offloaded.offload_seconds == pytest.approx(
-            calls_after_first * offloaded.runtime.invocation_latency_s
-        )
-
-    def test_search_runs_through_offload(self, engines):
-        _, offloaded = engines
-        before = offloaded.offload_seconds
-        optimize_all_branches(offloaded, passes=1)
-        assert offloaded.offload_seconds > before
-
-    def test_custom_runtime(self):
-        sim = simulate_dataset(n_taxa=5, n_sites=60, seed=72)
-        pat = sim.alignment.compress()
-        engine = LikelihoodEngine(pat, sim.tree.copy(), gtr(), GammaRates(1.0, 4))
-        off = OffloadedEngine(engine, runtime=OffloadRuntime(invocation_latency_s=1.0))
-        off.log_likelihood()
-        assert off.offload_seconds >= 1.0
 
 
 class TestVectorWidthSweep:

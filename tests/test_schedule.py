@@ -9,9 +9,10 @@ Covers the scheduler satellites:
   registered backend;
 * regression tests that after SPR/NNI moves, length changes, undos,
   model changes and random sequences of them the planned waves contain
-  exactly the nodes an outside oracle calls stale (and none of the
-  untouched pruned subtree), and that a capped subtree-id table changes
-  no search result;
+  exactly the directed nodes an outside oracle calls stale (and none of
+  the untouched pruned subtree), for evaluations and gradient sweeps
+  alike; that the store keeps at most three CLAs per inner node; and
+  that a capped subtree-id table changes no search result;
 * unit coverage of the kernel counters and the parallel drivers' wave
   accounting.
 """
@@ -134,34 +135,44 @@ class TestLevelizeProperties:
 # ----------------------------------------------------------------------
 # invalidation: planned waves == signature-stale nodes
 # ----------------------------------------------------------------------
-def subtree_signatures(tree, root_edge):
-    """Reference signature of every directed ``(node, up_edge)`` below the
-    root: a leaf's name, or its children's ``(edge id, length, signature)``.
+def directed_signatures(tree):
+    """Reference signature of every directed ``(node, toward_edge)``: a
+    leaf's name, or its children's ``(edge id, length, signature)``.
     Equal signatures imply equal subtree likelihood content."""
     sigs = {}
 
     def sign(node, up_edge):
-        if tree.is_leaf(node):
-            sig = tree.name(node)
-        else:
-            sig = tuple(
-                (eid, tree.edge(eid).length, sign(child, eid))
-                for child, eid in tree.children(node, up_edge)
-            )
-        sigs[(node, up_edge)] = sig
-        return sig
+        # iterative post-order over the directed subtree, memoised
+        stack = [(node, up_edge, False)]
+        while stack:
+            n, up, ready = stack.pop()
+            if (n, up) in sigs:
+                continue
+            if tree.is_leaf(n):
+                sigs[(n, up)] = tree.name(n)
+            elif ready:
+                sigs[(n, up)] = tuple(
+                    (eid, tree.edge(eid).length, sigs[(child, eid)])
+                    for child, eid in tree.children(n, up)
+                )
+            else:
+                stack.append((n, up, True))
+                stack.extend((c, e, False) for c, e in tree.children(n, up))
 
-    edge = tree.edge(root_edge)
-    sign(edge.u, root_edge)
-    sign(edge.v, root_edge)
+    for node in tree.nodes:
+        for eid in tree.incident_edges(node):
+            sign(node, eid)
     return sigs
 
 
 class ExecutedPlans:
     """Oracle that reads no engine internals: it wraps ``engine``'s public
-    ``execute_plan`` to record ``(up_edge, signature)`` for every node of
-    every post-order plan the engine runs, and its ``set_model`` (which
-    ``set_alpha`` goes through) to forget them all.  A directed node is
+    ``execute_plan`` to record the signature of every directed node
+    ``(node, up_edge)`` a ``newview`` op of a plan computes — evaluations
+    and gradient sweeps alike — and its ``set_model`` (which
+    ``set_alpha`` goes through) to forget them all.  Past three records
+    per inner node it forgets those whose edge left the tree or no longer
+    touches the node, the store's documented rule.  A directed node is
     stale when its current record differs."""
 
     def __init__(self, engine):
@@ -169,13 +180,12 @@ class ExecutedPlans:
         execute_plan, set_model = engine.execute_plan, engine.set_model
 
         def recording_execute_plan(plan):
-            sigs = subtree_signatures(engine.tree, plan.root_edge)
+            sigs = directed_signatures(engine.tree)
             execute_plan(plan)
-            for op in plan.iter_ops():
-                if type(op) is NewviewOp:
-                    self.record[op.node] = (
-                        op.up_edge, sigs[(op.node, op.up_edge)]
-                    )
+            self.record.update(
+                (key, sigs[key]) for key in planned_nodes(plan)
+            )
+            self.forget_dead()
 
         def forgetting_set_model(*args, **kwargs):
             self.record.clear()
@@ -185,19 +195,49 @@ class ExecutedPlans:
         engine.set_model = forgetting_set_model
         self.engine = engine
 
-    def stale_nodes(self, root_edge):
+    def forget_dead(self):
         tree = self.engine.tree
-        sigs = subtree_signatures(tree, root_edge)
-        return {
-            node
-            for node, _p, up in tree.postorder(root_edge)
-            if not tree.is_leaf(node)
-            and self.record.get(node) != (up, sigs[(node, up)])
-        }
+        if len(self.record) <= 3 * (tree.n_leaves - 2):
+            return
+        for node, eid in list(self.record):
+            if not tree.has_edge(eid) or node not in (
+                tree.edge(eid).u, tree.edge(eid).v
+            ):
+                del self.record[(node, eid)]
+
+    def stale_nodes(self, root_edge=None):
+        """Stale directed nodes toward ``root_edge``, or (``None``) in
+        every direction — what a gradient sweep needs."""
+        tree = self.engine.tree
+        sigs = directed_signatures(tree)
+        if root_edge is None:
+            wanted = [
+                (node, eid) for node in tree.internal_nodes()
+                for eid in tree.incident_edges(node)
+            ]
+        else:
+            wanted = [
+                (node, up) for node, _p, up in tree.postorder(root_edge)
+                if not tree.is_leaf(node)
+            ]
+        return {key for key in wanted if self.record.get(key) != sigs[key]}
 
 
 def planned_nodes(plan):
-    return {op.node for op in plan.iter_ops()}
+    """The directed nodes ``(node, up_edge)`` a plan's ``newview`` ops compute."""
+    return {
+        (op.node, op.up_edge) for op in plan.iter_ops() if type(op) is NewviewOp
+    }
+
+
+def gradient_replan(engine, executed, root):
+    """A gradient plan computes exactly the oracle-stale directions, and
+    leaves nothing stale behind."""
+    expected = executed.stale_nodes()
+    assert planned_nodes(engine.plan_gradient(root)) == expected
+    grads = engine.all_branch_gradients(root)
+    assert not planned_nodes(engine.plan_gradient(root))
+    return expected, grads
 
 
 class TestMoveInvalidation:
@@ -231,11 +271,11 @@ class TestMoveInvalidation:
         got = planned_nodes(plan)
         assert got == expected
         # semantic floor: both endpoints of the swapped edge re-run
-        assert {u, v} <= got
+        assert {u, v} <= {node for node, _up in got}
         # independent containment oracle: a replanned node either touches
         # the swapped edge or sees it inside its directed subtree
         for node, _p, up in tree.postorder(root):
-            if tree.is_leaf(node) or node not in got:
+            if tree.is_leaf(node) or (node, up) not in got:
                 continue
             below = set(tree.dfs_from(node, up))
             touches_swap = bool(below & {u, v}) or any(
@@ -246,6 +286,7 @@ class TestMoveInvalidation:
         # after execution the plan drains
         engine.ensure_valid(root)
         assert engine.plan_execution(root).n_ops == 0
+        gradient_replan(engine, executed, root)
 
     def test_spr_plans_exactly_stale_nodes_and_spares_pruned_subtree(self):
         engine = make_engine(seed=8, n_taxa=10)
@@ -282,7 +323,7 @@ class TestMoveInvalidation:
         plan = engine.plan_execution(root)
         assert planned_nodes(plan) == expected
         # the untouched interior of the pruned subtree is NOT recomputed
-        assert not (planned_nodes(plan) & interior)
+        assert not ({node for node, _up in planned_nodes(plan)} & interior)
         # executing the incremental plan reproduces a from-scratch engine
         engine.ensure_valid(root)
         fresh = LikelihoodEngine(
@@ -297,7 +338,8 @@ class TestMoveInvalidation:
         self, max_resident
     ):
         """Planned nodes == oracle-stale nodes after every kind of change,
-        with every CLA resident or at most three of them."""
+        for evaluations and gradient sweeps, with every CLA resident or
+        at most three of them."""
         patterns, tree = make_case(seed=9, n_taxa=10)
         engine = make_store_engine(
             patterns, tree, gtr(), GammaRates(0.7, 4), max_resident=max_resident
@@ -311,6 +353,7 @@ class TestMoveInvalidation:
             assert planned_nodes(engine.plan_execution(root)) == expected
             lnl = engine.log_likelihood(root)
             assert engine.plan_execution(root).n_ops == 0
+            gradient_replan(engine, executed, root)
             return expected, lnl
 
         stale, lnl0 = replan()
@@ -352,11 +395,10 @@ class TestMoveInvalidation:
         self, max_resident
     ):
         """30 random sequences of NNI, trial SPR + undo, accepted SPR,
-        length change + restore and ``set_alpha``: at every step the plan
-        holds exactly the oracle-stale nodes and the lnL equals a fresh
-        engine's, bit for bit.  (The oracle does not model the engine's
-        sweep of retired nodes, which starts past 48 cached nodes on 12
-        taxa: six moves cannot get there.)"""
+        length change + restore and ``set_alpha``: at every step the
+        evaluation and gradient plans hold exactly the oracle-stale
+        directed nodes, and the lnL and every ``(d1, d2)`` equal a fresh
+        engine's, bit for bit."""
         for seed in range(30):
             rng = np.random.default_rng(seed)
             patterns, tree = make_case(seed=seed, n_taxa=12, n_sites=40)
@@ -374,6 +416,9 @@ class TestMoveInvalidation:
                     patterns, tree.copy(), engine.model, engine.rates_model
                 )
                 assert engine.log_likelihood(root) == fresh.log_likelihood(root)
+                if rng.integers(2):
+                    _, grads = gradient_replan(engine, executed, root)
+                    assert grads == fresh.all_branch_gradients(root)
 
             def random_spr():
                 while True:
@@ -444,6 +489,83 @@ class TestMoveInvalidation:
         assert len(walks) == 1
 
 
+class TestResidency:
+    """The directed store forgets what left the tree: at most three CLAs
+    per inner node stay, plus what one running plan adds."""
+
+    @staticmethod
+    def bounded(engine):
+        """Wrap ``execute_plan`` to check the store against the bound
+        during and after every plan."""
+        tree, store = engine.tree, engine.store
+        sizes = []
+        put, execute_plan = store.put, engine.execute_plan
+
+        def counting_put(key, z, scale):
+            put(key, z, scale)
+            sizes.append(len(store))
+
+        def checked_execute_plan(plan):
+            live = 3 * (tree.n_leaves - 2)
+            sizes.clear()
+            execute_plan(plan)
+            assert max(sizes, default=0) <= live + plan.n_ops
+            assert len(store) <= live
+
+        store.put = counting_put
+        engine.execute_plan = checked_execute_plan
+
+    def test_long_random_move_sequence(self):
+        rng = np.random.default_rng(41)
+        patterns, tree = make_case(seed=41, n_taxa=12, n_sites=40)
+        engine = LikelihoodEngine(patterns, tree, gtr(), GammaRates(0.7, 4))
+        self.bounded(engine)
+        for step in range(200):
+            if rng.integers(2):
+                inner = [
+                    e.id for e in tree.edges
+                    if not tree.is_leaf(e.u) and not tree.is_leaf(e.v)
+                ]
+                undo = tree.nni_swap(int(rng.choice(inner)), int(rng.integers(2)))
+            else:
+                while True:
+                    eid = int(rng.choice(tree.edge_ids))
+                    sub = (tree.edge(eid).u, tree.edge(eid).v)[int(rng.integers(2))]
+                    targets = tree.spr_candidates(eid, radius=3, subtree_root=sub)
+                    if targets:
+                        break
+                undo = tree.spr(eid, targets[int(rng.integers(len(targets)))],
+                                subtree_root=sub)[1]
+            engine.log_likelihood(int(rng.choice(tree.edge_ids)))
+            if step % 10 == 0:
+                engine.all_branch_gradients()
+            if rng.integers(2):
+                undo()
+        assert len(engine.store) <= 3 * (tree.n_leaves - 2)
+
+    def test_epa_attach_detach_loop(self):
+        names = [f"t{i}" for i in range(13)]
+        rng = np.random.default_rng(43)
+        data = rng.choice([1, 2, 4, 8], size=(13, 40)).astype(np.uint32)
+        patterns = Alignment(names, data).compress()
+        tree = random_topology(names[:12], rng)
+        engine = LikelihoodEngine(patterns, tree, gtr(), GammaRates(0.7, 4))
+        self.bounded(engine)
+        engine.log_likelihood()
+        ends = [(e.u, e.v) for e in tree.edges]
+        for _ in range(2):
+            for u, v in ends:
+                leaf, mid, pend = tree.attach_leaf(tree.find_edge(u, v), "t12")
+                sumbuf = engine.edge_sum_buffer(pend)
+                engine.branch_derivatives(sumbuf, 0.1)
+                engine.log_likelihood(pend)
+                tree.remove_edge(pend)
+                tree.remove_node(leaf)
+                tree.suppress_node(mid)
+        engine.log_likelihood()
+        assert len(engine.store) <= 3 * (tree.n_leaves - 2)
+
+
 # ----------------------------------------------------------------------
 # accounting and parallel drivers
 # ----------------------------------------------------------------------
@@ -504,18 +626,22 @@ class TestParallelDrivers:
         assert de.comm_seconds > comm0  # only the evaluate AllReduce pays
 
     def test_distributed_gradient_counts_every_executed_wave(self):
-        """A cold all-branch gradient charges one boundary per down-sweep
-        wave and one per up-sweep wave — exactly the serial plan's."""
+        """A cold all-branch gradient charges one boundary per wave of the
+        post-order plan and one per wave of the gradient plan that
+        follows it — exactly the serial plans'."""
         patterns, tree = make_case(seed=16, n_sites=40)
         serial = LikelihoodEngine(patterns, tree.copy(), gtr(),
                                   GammaRates(1.0, 4))
-        plan = serial.plan_gradient(serial.default_edge())
-        assert plan.down.depth > 0 and plan.up.depth > 0
+        root = serial.default_edge()
+        down = serial.plan_execution(root).depth
+        serial.ensure_valid(root)
+        up = serial.plan_gradient(root).depth
+        assert down > 0 and up > 0
         de = DistributedEngine(patterns, tree, gtr(), GammaRates(1.0, 4),
                                n_ranks=2)
         before = de.wave_boundaries
-        de.all_branch_gradients(serial.default_edge())
-        assert de.wave_boundaries - before == plan.down.depth + plan.up.depth
+        de.all_branch_gradients(root)
+        assert de.wave_boundaries - before == down + up
 
 
 class TestLevelizeUnit:
