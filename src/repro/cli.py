@@ -234,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="alignment summary statistics")
     p_stats.add_argument("alignment", type=Path, help="FASTA or PHYLIP file")
 
-    p_place = sub.add_parser("place", help="EPA query placement")
+    p_place = sub.add_parser(
+        "place", help="EPA placement, every query on one reference engine"
+    )
     p_place.add_argument("--reference", type=Path, required=True,
                          help="reference alignment (FASTA/PHYLIP)")
     p_place.add_argument("--tree", type=Path, required=True,
@@ -244,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.add_argument("--out", type=Path, help="jplace output")
     p_place.add_argument("--best", type=int, default=5)
     _add_backend_flag(p_place)
-    _add_parallel_flags(p_place)
     _add_trace_flag(p_place)
     _add_obs_flags(p_place)
 
@@ -479,12 +480,9 @@ def _cmd_place(args: argparse.Namespace) -> int:
     tree = Tree.from_newick(args.tree.read_text())
     query_aln = read_fasta(args.queries)
     queries = {t: query_aln.sequence(t) for t in query_aln.taxa}
-    if args.workers > 1:
-        print(f"parallel: {args.workers} workers, execution={args.execution}")
     results = place_queries(
         reference, tree, queries, gtr(), GammaRates(1.0, 4),
         keep_best=args.best, backend=args.backend,
-        workers=args.workers, execution=args.execution,
     )
     for result in results:
         best = result.best
@@ -651,7 +649,7 @@ def _cmd_backends(_args: argparse.Namespace) -> int:
     print(f"  exec:    {default_execution()}  (from {x_src})")
     print(f"  modes:   {', '.join(EXECUTION_MODES)}")
     print(f"  (override with ${WORKERS_ENV}/${EXEC_ENV} or --workers/--exec "
-          "on 'repro search' and 'repro place')")
+          "on 'repro search' and 'repro serve')")
 
     from .core.ckernels import probe_status
 

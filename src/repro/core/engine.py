@@ -283,7 +283,23 @@ class LikelihoodEngine:
         O(N), against the O(N^2) of re-rooting ``derivativeSum`` at every
         branch; an unchanged tree plans only the gradients.
         """
-        ops: list = self.plan_traversal(root_edge)
+        ops, grads = self._plan_both_directions(root_edge)
+        return levelize(root_edge, ops + grads)
+
+    def ensure_both_directions(self) -> None:
+        """Make both directed CLAs of every branch valid: the ``newview``
+        ops of :meth:`plan_gradient` without its gradients, so an
+        unchanged tree runs none."""
+        root_edge = self.default_edge()
+        ops, _ = self._plan_both_directions(root_edge)
+        self.execute_plan(levelize(root_edge, ops))
+
+    def _plan_both_directions(
+        self, root_edge: int
+    ) -> tuple[list[NewviewOp], list[EdgeGradientOp]]:
+        """The stale ``newview`` ops of both directions and one gradient
+        op per branch, as :meth:`plan_gradient` describes."""
+        ops = self.plan_traversal(root_edge)
         tree = self.tree
         ids, valid, table = self._walk_ids, self._valid, self._subtree_ids
         edge = tree.edge(root_edge)
@@ -309,12 +325,12 @@ class LikelihoodEngine:
                 grads.append(EdgeGradientOp(eid, node, child))
                 if not tree.is_leaf(child):
                     stack.append((child, eid, sid))
-        return levelize(root_edge, ops + grads)
+        return ops, grads
 
     # ------------------------------------------------------------------
     # the per-op loop: resolve operands, combine, remember
     # ------------------------------------------------------------------
-    def _cla(self, node: int, edge: int) -> tuple[np.ndarray, np.ndarray]:
+    def cla(self, node: int, edge: int) -> tuple[np.ndarray, np.ndarray]:
         """``(z, scale)`` of inner ``node`` directed toward ``edge``.
 
         Plans run in wave order, so a CLA an op reads was produced by an
@@ -334,14 +350,14 @@ class LikelihoodEngine:
         name = self.tree.name(node)
         if name is not None:
             return self._tip_codes[name], t
-        return (*self._cla(node, edge), t)
+        return (*self.cla(node, edge), t)
 
     def _view(self, node: int, edge: int) -> tuple[np.ndarray, "np.ndarray | int"]:
         """``(z, scale)`` of a root-level operand: tip view or CLA."""
         name = self.tree.name(node)
         if name is not None:
             return self.rates.tip_view(self._tip_codes[name]), 0
-        return self._cla(node, edge)
+        return self.cla(node, edge)
 
     def _run_op(self, op) -> "tuple[np.ndarray, np.ndarray] | None":
         """Run one plan op; a ``newview`` returns its ``(z, scale)``.

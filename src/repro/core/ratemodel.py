@@ -20,6 +20,8 @@ the tree, the CLA store or an op descriptor.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..phylo.alignment import PatternAlignment
@@ -53,15 +55,36 @@ class RateModel:
         self.backend = backend
         self.weights = patterns.weights
         self.eigen = model.eigen()
-        states = patterns.states
+        self.states = states = patterns.states
+        #: Codes :attr:`tip_eigen` has rows for; ``None`` when it has all.
+        self.tip_codes: np.ndarray | None = None
         if states.n_states <= 8:
             self.tip_eigen = kernels.tip_eigen_table(self.eigen, states.tip_table())
         else:
             # Large alphabets (protein): build rows only for codes present.
-            codes = np.unique(patterns.data)
-            dense = np.zeros((int(codes.max()) + 1, model.n_states))
-            dense[codes] = states.tip_rows(codes)
-            self.tip_eigen = dense @ self.eigen.u_inv.T
+            self.tip_eigen = np.zeros((0, model.n_states))
+            self.tip_codes = np.zeros(0, dtype=patterns.data.dtype)
+            self.cover_codes(patterns.data)
+
+    def cover_codes(self, codes: np.ndarray) -> None:
+        """Give :attr:`tip_eigen` a row for every code in ``codes``.
+
+        Each row is reduced on its own, so its bits do not depend on
+        which other codes were met first (a query brings codes its
+        reference lacks).
+        """
+        if self.tip_codes is None:
+            return
+        new = np.setdiff1d(codes, self.tip_codes)
+        if new.size == 0:
+            return
+        size = max(len(self.tip_eigen), int(new.max()) + 1)
+        table = np.zeros((size, self.tip_eigen.shape[1]))
+        table[: len(self.tip_eigen)] = self.tip_eigen
+        rows = self.states.tip_rows(new)
+        table[new] = (rows[:, None, :] * self.eigen.u_inv).sum(axis=2)
+        self.tip_eigen = table
+        self.tip_codes = np.union1d(self.tip_codes, new)
 
     def tip_view(self, codes: np.ndarray) -> np.ndarray:
         """A tip as a CLA-shaped operand of the root-level kernels."""
@@ -186,6 +209,14 @@ class GammaModel(RateModel):
 
     def sum_buffer(self, z_left, z_right, scales):
         return self.backend.derivative_sum(z_left, z_right)
+
+    def with_weights(self, weights: np.ndarray) -> "GammaModel":
+        """This model reducing over other pattern weights, for a gathered
+        pattern set: Gamma keeps nothing else per pattern, and the twin
+        shares the branch-length operand cache."""
+        twin = copy.copy(self)
+        twin.weights = weights
+        return twin
 
     def _rate_args(self, t: float) -> tuple:
         return self.eigen.eigenvalues, self.rate_values, self.rate_weights, t

@@ -6,15 +6,18 @@ environmental reads) onto a fixed *reference* tree, evaluating every
 (branch, query) pair independently — "allowing for efficient
 parallelization with less communication overhead" than tree search.
 
-This module implements the algorithm on the reproduction's engine:
+This module implements the algorithm on one reference engine:
 
-1. each query is merged into the reference alignment and gets its own
-   engine over the merged patterns (no CLA is shared between queries
-   yet: the O(edges) rewrite on one warm reference engine, ROADMAP,
-   is what changes that),
-2. for each reference branch, the query is attached at the branch
-   midpoint, the pendant branch length gets a few Newton iterations,
-   and the insertion is scored with one ``evaluate``,
+1. each query becomes a row gather of the reference patterns: its
+   sites' distinct ``(reference pattern, query code)`` pairs, in order
+   of first appearance, are exactly the patterns of the merged and
+   compressed alignment, so no query is merged, re-encoded or
+   compressed and no per-query engine is built,
+2. for each reference branch ``(u, v)``, the CLAs of ``u`` and ``v``
+   directed toward it (held by the reference engine) are gathered to
+   the query's patterns and combined at the branch midpoint, the
+   pendant branch to the query's tip gets a few Newton iterations, and
+   the insertion is scored with one ``evaluate`` — no tree surgery,
 3. placements are reported ranked by log-likelihood with likelihood
    weight ratios over the **full** candidate set, then truncated to
    ``keep_best`` (the standard EPA output).
@@ -24,15 +27,13 @@ it generates contains *zero* required reductions per placement, which is
 exactly the communication profile the paper expects to suit the MIC.
 
 :class:`PlacementSession` is the warm-state form of the algorithm: it
-compresses the reference once, caches the decoded reference rows, the
-per-branch labels/distal lengths and the jplace frame (annotated tree,
-label → edge number), and places any number of query sets against
-them.  The long-running placement server (:mod:`repro.serve`)
-keeps one session resident per reference tree; the offline
-:func:`place_queries` entry point is a thin wrapper that builds a
-session, places, and tears it down.  Queries are placed one at a time,
-in the order given: each gets its own engine over its merged alignment,
-which is closed before the next query's is built.
+compresses the reference once, caches the per-branch labels/distal
+lengths and the jplace frame (annotated tree, label -> edge number),
+holds the one reference engine, and places any number of query sets on
+it.  The long-running placement server (:mod:`repro.serve`) keeps one
+session resident per reference tree; the offline :func:`place_queries`
+entry point is a thin wrapper that builds a session, places, and tears
+it down.  Queries are placed one at a time, in the order given.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..core.backends import KernelBackend, get_backend, make_engine
+from ..core.traversal import COMBINE_KINDS, KernelKind
 from ..obs import server as _obs_server
 from ..phylo.alignment import Alignment, PatternAlignment
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import GammaRates
-from ..phylo.tree import Tree, mask_names
+from ..phylo.tree import MIN_BRANCH_LENGTH, Tree, mask_names
 from .branch_opt import polish_branch
 
 __all__ = [
@@ -93,28 +95,55 @@ def _edge_labels(tree: Tree) -> dict[int, tuple[str, ...]]:
     return labels
 
 
-def _edge_label(tree: Tree, edge_id: int) -> tuple[str, ...]:
-    """One edge's :func:`_edge_labels` entry."""
-    return _edge_labels(tree)[edge_id]
+class _QueryScorer:
+    """One query, scored on the reference engine by row gathers.
+
+    Its patterns are the distinct ``(reference pattern, query code)``
+    pairs of its sites in order of first appearance — exactly what
+    compressing the reference plus the query gives — so ``rows`` picks
+    each one's reference pattern and every per-pattern value is the
+    merged engine's.  Kernels run through the engine's rate model, aimed
+    at the query's pattern weights, on the engine's backend, and are
+    counted in its counters; :func:`~repro.search.branch_opt.polish_branch`
+    drives the scorer as it drives an engine.
+    """
+
+    def __init__(self, engine, reference: PatternAlignment, seq: str) -> None:
+        states = reference.states
+        codes = states.encode(seq)
+        key = reference.site_to_pattern * (states.undetermined + 1) + codes
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        order = np.argsort(first, kind="stable")
+        sites = first[order]
+        self.rows = reference.site_to_pattern[sites]
+        engine.rates.cover_codes(codes)
+        self.rates = engine.rates.with_weights(counts[order].astype(np.float64))
+        self.tip = self.rates.tip_view(codes[sites])
+        self.counters = engine.counters
+        self.n_patterns = len(sites)
+
+    def counted(self, kind: KernelKind, out):
+        self.counters.record(kind, self.n_patterns)
+        return out
+
+    def branch_derivatives(self, sumbuf, t: float) -> tuple[float, float, float]:
+        out = self.rates.branch_derivatives(sumbuf, t)
+        return self.counted(KernelKind.DERIVATIVE_CORE, out)
 
 
 class PlacementSession:
     """Warm, reusable placement state for one reference tree.
 
     Construction does the per-reference work once — compress the
-    alignment, decode the reference rows for fast query merging, copy
-    the tree, precompute every candidate branch's stable label and
-    midpoint distal length, the jplace frame — so repeated :meth:`place`
-    calls only pay per-query cost: merge + compress the query into the
-    reference, build that alignment's engine, evaluate every branch.
-
-    ``warm()`` additionally builds a resident reference engine (through
-    the ``max_resident`` memory-saving machinery when requested) for the
-    reference log-likelihood the placement server reports per tenant.
-    Placement does not read it: every query builds its own engine (the
-    O(edges) rewrite, ROADMAP, is what will place on this one).
-    Sessions holding a warm engine should be ``close()``d (or used as
-    context managers).
+    alignment, copy the tree, precompute every candidate branch's
+    stable label and midpoint distal length, the jplace frame.
+    :meth:`warm` builds the session's one engine over the reference
+    (through the ``max_resident`` memory-saving machinery when
+    requested) and validates both directed CLAs of every branch; every
+    query is then scored on it by a row gather of those CLAs — no tree
+    surgery, no per-query engine — so repeated :meth:`place` calls pay
+    only per-query arithmetic.  Sessions should be ``close()``d (or used
+    as context managers).
     """
 
     def __init__(
@@ -126,8 +155,6 @@ class PlacementSession:
         *,
         newton_iterations: int = 4,
         backend: "str | KernelBackend | None" = None,
-        workers: int = 1,
-        execution: str = "simulated",
         max_resident: int | None = None,
     ) -> None:
         if isinstance(reference_alignment, Alignment):
@@ -136,86 +163,54 @@ class PlacementSession:
         self.model = model
         self.gamma = gamma
         self.newton_iterations = newton_iterations
-        self.workers = workers
-        self.execution = execution
         self.max_resident = max_resident
-        # One shared instance feeds every serial per-query engine a single
-        # profile; worker engines resolve (and check) the spec themselves.
-        self._backend = get_backend(backend) if workers == 1 else backend
+        self._backend = get_backend(backend)
         self.tree = reference_tree.copy()  # pristine; never mutated
-        # Decode reference rows once; _merge re-uses them per query.
-        self._ref_seqs = {
-            t: reference_alignment.states.decode(
-                reference_alignment.data[reference_alignment.taxa.index(t)][
-                    reference_alignment.site_to_pattern
-                ]
-            )
-            for t in reference_alignment.taxa
+        self._width = len(reference_alignment.site_to_pattern)
+        self._leaf_rows = {
+            node: reference_alignment.row(self.tree.name(node))
+            for node in self.tree.leaves()
         }
-        self._width = len(next(iter(self._ref_seqs.values())))
-        # Candidate branches as (endpoints, label, midpoint distal length,
-        # clamped to the branch).  Endpoints, not edge ids: those churn on
-        # attach / detach, node ids survive, and tree.copy() preserves
-        # both.  Labels and distals depend only on the pristine topology.
         labels = _edge_labels(self.tree)
         self._candidates = [
-            ((e.u, e.v), labels[e.id], min(0.5 * e.length, e.length))
-            for e in self.tree.edges
+            (e, labels[e.id], 0.5 * e.length) for e in self.tree.edges
         ]
         self._jplace_frame = (
             _annotated_newick(self.tree),
             {labels[e.id]: i for i, e in enumerate(self.tree.edges)},
         )
-        self._ref_engine = None
+        self._engine = None
         self.reference_lnl: float | None = None  # set by warm()
         self.queries_placed = 0
 
     # -- lifecycle -----------------------------------------------------
-    def warm(self) -> float:
-        """Build the resident reference engine and sweep it once.
+    def warm(self):
+        """Build the session's reference engine and validate both
+        directed CLAs of every branch; returns the engine.
 
-        Returns the reference tree's log-likelihood.  Idempotent: the
-        engine stays resident until :meth:`close`; :meth:`place` builds
-        its own per-query engines and does not use it.
+        Sets :attr:`reference_lnl`.  Idempotent: the engine stays
+        resident until :meth:`close`.
         """
-        if self._ref_engine is None:
-            self._ref_engine = make_engine(
-                self.reference,
-                self.tree,
-                self.model,
-                self.gamma,
-                backend=self._backend,
-                max_resident=self.max_resident,
+        if self._engine is None:
+            self._engine = make_engine(
+                self.reference, self.tree, self.model, self.gamma,
+                backend=self._backend, max_resident=self.max_resident,
             )
             root = self.tree.edges[0].id
-            self.reference_lnl = float(self._ref_engine.log_likelihood(root))
-        return self.reference_lnl
+            self.reference_lnl = float(self._engine.log_likelihood(root))
+        self._engine.ensure_both_directions()
+        return self._engine
 
     def close(self) -> None:
-        if self._ref_engine is not None:
-            self._ref_engine.close()
-            self._ref_engine = None
+        if self._engine is not None:
+            self._engine.close()
+            self._engine = None
 
     def __enter__(self) -> "PlacementSession":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- query preparation ---------------------------------------------
-    def _merged_patterns(self, name: str, seq: str) -> PatternAlignment:
-        """Reference + one query row, compressed."""
-        if name in self._ref_seqs:
-            raise ValueError(f"query {name!r} collides with a reference taxon")
-        if len(seq) != self._width:
-            raise ValueError(
-                f"query {name!r} has {len(seq)} sites, reference has "
-                f"{self._width} (queries must be aligned to the reference "
-                "alignment)"
-            )
-        return Alignment.from_sequences(
-            {**self._ref_seqs, name: seq}, self.reference.states
-        ).compress()
 
     # -- placement -----------------------------------------------------
     def place(
@@ -227,64 +222,72 @@ class PlacementSession:
     ) -> list[PlacementResult]:
         """Place every query; ranked, LWR-weighted results in query order.
 
-        Queries are placed one at a time, one engine alive at a time.
         ``on_result`` is called with each :class:`PlacementResult` as it
         completes (progress reporting).
         """
         if not queries:
             raise ValueError("no query sequences given")
+        engine = self.warm()
         results: list[PlacementResult] = []
         for name, seq in queries.items():
-            result = self._place_one(name, seq, keep_best)
+            result = self._place_one(engine, name, seq, keep_best)
             results.append(result)
             if on_result is not None:
                 on_result(result)
         self.queries_placed += len(results)
         return results
 
-    def _place_one(self, name: str, seq: str, keep_best: int) -> PlacementResult:
-        merged = self._merged_patterns(name, seq)
-        tree = self.tree.copy()
-        engine = make_engine(
-            merged,
-            tree,
-            self.model,
-            self.gamma,
-            backend=self._backend,
-            workers=self.workers,
-            execution=self.execution,
-        )
-        try:
-            placements = [
-                self._evaluate_candidate(engine, tree, name, *candidate)
-                for candidate in self._candidates
-            ]
-        finally:
-            engine.close()
+    def _place_one(
+        self, engine, name: str, seq: str, keep_best: int
+    ) -> PlacementResult:
+        if name in self.reference.taxa:
+            raise ValueError(f"query {name!r} collides with a reference taxon")
+        if len(seq) != self._width:
+            raise ValueError(
+                f"query {name!r} has {len(seq)} sites, reference has "
+                f"{self._width} (queries must be aligned to the reference "
+                "alignment)"
+            )
+        scorer = _QueryScorer(engine, self.reference, seq)
+        placements = [
+            self._score_edge(engine, scorer, *candidate)
+            for candidate in self._candidates
+        ]
         return PlacementResult(
             query=name, placements=self._rank(placements, keep_best)
         )
 
-    def _evaluate_candidate(
-        self, engine, tree: Tree, name: str, ends, label, distal: float
+    def _score_edge(
+        self, engine, scorer: _QueryScorer, edge, label, distal: float
     ) -> Placement:
-        """Attach, Newton-optimise the pendant, score, detach."""
-        eid = tree.find_edge(*ends)
-        leaf, mid, pend = tree.attach_leaf(eid, name, pendant_length=0.1)
-        sumbuf = engine.edge_sum_buffer(pend)
-        t = polish_branch(engine, sumbuf, 0.1, self.newton_iterations)
-        tree.edge(pend).length = t
-        placement = Placement(
+        """Insert the query at the midpoint of ``edge`` and score it.
+
+        The junction combines ``u``'s and ``v``'s sides of the edge,
+        gathered to the query's patterns, across the half lengths
+        :meth:`~repro.phylo.tree.Tree.split_edge` gives; the pendant
+        then gets a Newton polish and one ``evaluate``.
+        """
+        half, rows = max(edge.length * 0.5, MIN_BRANCH_LENGTH), scorer.rows
+        sides = [
+            (self._leaf_rows[node][rows], half) if node in self._leaf_rows
+            else (*(a[rows] for a in engine.cla(node, edge.id)), half)
+            for node in (edge.u, edge.v)
+        ]
+        kind = COMBINE_KINDS[sum(len(side) == 2 for side in sides)]
+        rates, tip = scorer.rates, scorer.tip
+        z, scale = scorer.counted(kind, rates.combine(kind, *sides))
+        scales = scale.astype(np.int64)
+        sumbuf = scorer.counted(
+            KernelKind.DERIVATIVE_SUM, rates.sum_buffer(z, tip, scales)
+        )
+        t = polish_branch(scorer, sumbuf, 0.1, self.newton_iterations)
+        lnl = rates.log_likelihood(z, tip, scales, t)
+        return Placement(
             edge_label=label,
-            log_likelihood=engine.log_likelihood(pend),
+            log_likelihood=scorer.counted(KernelKind.EVALUATE, lnl),
             pendant_length=t,
             distal_length=distal,
         )
-        # detach the query again
-        tree.remove_edge(pend)
-        tree.remove_node(leaf)
-        tree.suppress_node(mid)
-        return placement
 
     def _rank(
         self, placements: list[Placement], keep_best: int
@@ -321,8 +324,6 @@ def place_queries(
     newton_iterations: int = 4,
     keep_best: int = 5,
     backend: "str | KernelBackend | None" = None,
-    workers: int = 1,
-    execution: str = "simulated",
 ) -> list[PlacementResult]:
     """Place each query sequence on its best reference branches.
 
@@ -340,15 +341,8 @@ def place_queries(
         truncation, so reported LWRs are true posteriors of the kept
         branches (they sum to <= 1).
     backend:
-        Kernel backend name or instance shared by every per-query engine
-        (see :mod:`repro.core.backends`).
-    workers / execution:
-        ``workers > 1`` evaluates each per-query engine on a
-        :class:`~repro.parallel.forkjoin.ForkJoinEngine` with that many
-        site slices (``execution``: ``simulated``/``threads``/
-        ``processes``); placements stay bit-identical to the serial
-        run.  Engines are closed after each query, so no pool or
-        shared-memory segment outlives the call.
+        Kernel backend name or instance of the one reference engine
+        every query is scored on (see :mod:`repro.core.backends`).
 
     One-shot wrapper over :class:`PlacementSession`; long-running
     callers (the placement server) hold a session instead.
@@ -360,8 +354,6 @@ def place_queries(
         gamma,
         newton_iterations=newton_iterations,
         backend=backend,
-        workers=workers,
-        execution=execution,
     )
     if _obs_server.ENABLED:
         _obs_server.progress_begin(
@@ -369,7 +361,6 @@ def place_queries(
             total_steps=len(queries),
             queries=len(queries),
             reference_taxa=session.reference.n_taxa,
-            workers=workers,
         )
 
     def _report(result: PlacementResult) -> None:

@@ -6,6 +6,10 @@ branch within the rearrangement ``radius``, scores the insertion
 Newton iterations) before a single ``evaluate`` — and keeps the best
 insertion if it improves the likelihood.  Accepted moves get a local
 branch-length polish; rounds repeat until no move improves the tree.
+Before the search gives up, the best few lazily scored trials are scored
+*thoroughly* — RAxML's thorough insertion: the junction branches are
+optimised — since a lazy score can rank the right move first yet below
+the current tree.
 
 This is the loop that generates the kernel-invocation mix the paper
 measures: thousands of small ``newview``/``evaluate`` calls per second
@@ -22,7 +26,11 @@ from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
 from .branch_opt import optimize_all_branches, optimize_branch, polish_branch
 
-__all__ = ["SprRoundStats", "spr_round", "spr_search"]
+__all__ = ["SprRoundStats", "THOROUGH", "spr_round", "spr_search"]
+
+#: Lazily scored trials the search re-scores thoroughly when its largest
+#: radius accepts nothing.
+THOROUGH = 4
 
 
 @dataclass
@@ -52,6 +60,7 @@ def spr_round(
     epsilon: float = 0.01,
     newton_iterations: int = 2,
     scored_radius: int | None = None,
+    trials: dict | None = None,
 ) -> SprRoundStats:
     """One full round of lazy SPR over all prunable subtrees.
 
@@ -65,17 +74,20 @@ def spr_round(
     tree and accepted nothing, so only the targets beyond it are scored
     until a move is accepted; as trial undo is exact, that equals a full
     round bit for bit.
+
+    ``trials``: when given, every lazily scored trial is recorded in it
+    as ``(pruned leaf mask, target split) -> (lnl, pendant edge, subtree
+    root, target edge)``, the keys naming the move independently of ids.
     """
     with _obs.span("search.spr_round", radius=radius):
         return _spr_round_impl(
-            engine, radius, epsilon, newton_iterations, scored_radius
+            engine, radius, epsilon, newton_iterations, scored_radius, trials
         )
 
 
-def _prunings(tree) -> list[tuple[int, int, int]]:
+def _prunings(tree, masks) -> list[tuple[int, int, int]]:
     """Every ``(pruned leaf mask, pendant edge, subtree root)`` SPR can
-    prune (masks as in :meth:`~repro.phylo.tree.Tree.split_masks`)."""
-    masks = tree.split_masks()
+    prune (``masks`` from :meth:`~repro.phylo.tree.Tree.split_masks`)."""
     full = (1 << tree.n_leaves) - 1
     out = []
     for e in tree.edges:
@@ -92,6 +104,7 @@ def _spr_round_impl(
     epsilon: float,
     newton_iterations: int,
     scored_radius: int | None,
+    trials: dict | None,
 ) -> SprRoundStats:
     tree = engine.tree
     stats = SprRoundStats(radius=radius, lnl_before=engine.log_likelihood())
@@ -104,7 +117,8 @@ def _spr_round_impl(
     # and the leaf mask of the pruned subtree is what tells a processed
     # pruning from a new one.
     processed: set[int] = set()
-    pending = _prunings(tree)
+    masks = tree.split_masks()
+    pending = _prunings(tree, masks)
     while pending:
         leafset, pendant, sub = pending.pop(0)
         if leafset in processed:
@@ -123,25 +137,19 @@ def _spr_round_impl(
             stats.moves_tried += 1
             lnl = _lazy_insertion_score(engine, new_pendant, newton_iterations)
             undo()
+            if trials is not None:
+                trials[leafset, masks[target][1]] = (lnl, pendant, sub, target)
             if lnl > best_lnl:
                 best_lnl = lnl
                 best_target = target
         if best_target is None:
             continue
         new_pendant, _ = tree.spr(pendant, best_target, subtree_root=sub)
-        # Polish the branches around the new junction.
-        junction = tree.edge(new_pendant).other(sub)
-        for _, eid in tree.neighbors(junction):
-            optimize_branch(engine, eid)
-        current = engine.log_likelihood()
-        stats.moves_accepted += 1
+        current = _polish_junction(engine, new_pendant, sub)
+        _count_accept(stats, current)
         scored_radius = None
-        pending = _prunings(tree)
-        if _obs.ENABLED:
-            _obs.instant("search.spr_accept", radius=radius, lnl=current)
-            _obs_metrics.get_registry().counter(
-                "repro_spr_moves_accepted_total", "accepted SPR moves"
-            ).inc()
+        masks = tree.split_masks()
+        pending = _prunings(tree, masks)
 
     stats.lnl_after = current
     if _obs.ENABLED:
@@ -149,6 +157,53 @@ def _spr_round_impl(
             "repro_spr_moves_tried_total", "trial SPR regrafts scored"
         ).inc(stats.moves_tried)
     return stats
+
+
+def _polish_junction(engine: LikelihoodEngine, pendant: int, sub: int) -> float:
+    """Optimise the branches around a regrafted subtree's junction;
+    returns the tree's lnL."""
+    tree = engine.tree
+    junction = tree.edge(pendant).other(sub)
+    for _, eid in tree.neighbors(junction):
+        optimize_branch(engine, eid)
+    return engine.log_likelihood()
+
+
+def _count_accept(stats: SprRoundStats, lnl: float) -> None:
+    stats.moves_accepted += 1
+    if _obs.ENABLED:
+        _obs.instant("search.spr_accept", radius=stats.radius, lnl=lnl)
+        _obs_metrics.get_registry().counter(
+            "repro_spr_moves_accepted_total", "accepted SPR moves"
+        ).inc()
+
+
+def _thorough_rescue(
+    engine: LikelihoodEngine, trials: dict, stats: SprRoundStats, epsilon: float
+) -> None:
+    """Score the best :data:`THOROUGH` lazy trials with their junction
+    branches optimised; apply the best that beats the tree by
+    ``epsilon``.
+
+    Ties break on the id-free trial keys, so a resumed search, whose
+    first round scores in full what an uninterrupted one scored over
+    several, picks the same move.
+    """
+    tree = engine.tree
+    best = sorted(trials.items(), key=lambda kv: (-kv[1][0], kv[0]))[:THOROUGH]
+    winner, winner_lnl = None, stats.lnl_after + epsilon
+    for _, (_, pendant, sub, target) in best:
+        new_pendant, undo = tree.spr(pendant, target, subtree_root=sub)
+        lnl = _polish_junction(engine, new_pendant, sub)
+        undo()
+        if lnl > winner_lnl:
+            winner, winner_lnl = (pendant, sub, target), lnl
+    if winner is None:
+        return
+    pendant, sub, target = winner
+    new_pendant, _ = tree.spr(pendant, target, subtree_root=sub)
+    stats.lnl_after = _polish_junction(engine, new_pendant, sub)
+    _count_accept(stats, stats.lnl_after)
 
 
 def spr_search(
@@ -169,7 +224,10 @@ def spr_search(
     schedule in miniature.  Each productive round is followed by
     branch-length smoothing.  A round right after one that accepted
     nothing scores only the new ring of targets (``scored_radius``); the
-    first round of a resumed search scores in full.
+    first round of a resumed search scores in full.  When the largest
+    radius accepts nothing, the lazy trials of the run of rounds that
+    accepted nothing get a thorough re-score (:data:`THOROUGH`); a move
+    it accepts counts toward that round, and the search goes on.
 
     Restartability: ``start_round``/``start_radius_idx`` continue the
     schedule from a checkpointed position (a resumed search must not
@@ -182,14 +240,17 @@ def spr_search(
     history: list[SprRoundStats] = []
     radius_idx = start_radius_idx
     scored_radius = None
+    trials: dict = {}
     for round_index in range(start_round, max_rounds):
         if radius_idx >= len(radii):
             break
         stats = spr_round(
             engine, radii[radius_idx], epsilon=epsilon,
-            scored_radius=scored_radius,
+            scored_radius=scored_radius, trials=trials,
         )
         history.append(stats)
+        if stats.moves_accepted == 0 and radius_idx == len(radii) - 1:
+            _thorough_rescue(engine, trials, stats, epsilon)
         done = False
         if stats.moves_accepted == 0:
             scored_radius = radii[radius_idx]
@@ -197,6 +258,7 @@ def spr_search(
             done = radius_idx >= len(radii)
         else:
             scored_radius = None
+            trials.clear()
             optimize_all_branches(engine, passes=smooth_passes)
         if on_round is not None:
             on_round(round_index, radius_idx, stats)

@@ -3,11 +3,11 @@
 Architecture (DESIGN.md §12):
 
 - A :class:`Tenant` owns one reference tree's warm state — a
-  :class:`~repro.search.epa.PlacementSession` with its resident
-  reference engine (``session.warm()``) and, for process-parallel
-  tenants, a labelled resident
+  :class:`~repro.search.epa.PlacementSession` with its one resident
+  reference engine (``session.warm()``), on which every query is
+  scored, and, for process-parallel tenants, a labelled resident
   :class:`~repro.parallel.forkjoin.ForkJoinEngine` worker pool the
-  faults layer reports on.
+  faults layer reports on (it places no query).
 - A placement request runs on the HTTP thread that received it, under
   its tenant's lock (a session is not re-entrant: one shared backend
   instance, plain counters), so a tenant places one request at a time
@@ -52,11 +52,15 @@ class Tenant:
         session: PlacementSession,
         *,
         keep_best: int = 5,
+        workers: int = 1,
+        execution: str = "simulated",
         pool_engine=None,
     ) -> None:
         self.name = name
         self.session = session
         self.keep_best = keep_best
+        # Options of the resident pool only: placement runs on the session.
+        self.workers, self.execution = workers, execution
         self.pool_engine = pool_engine
         self.last_error: str | None = None
         lane = sanitize_metric_component(name)
@@ -145,8 +149,8 @@ class Tenant:
             "queries_placed": self.session.queries_placed,
             "queue_depth": self.queue_depth,
             "keep_best": self.keep_best,
-            "workers": self.session.workers,
-            "execution": self.session.execution,
+            "workers": self.workers,
+            "execution": self.execution,
             "pool": pool,
             "last_error": self.last_error,
         }
@@ -259,8 +263,6 @@ class PlacementServer(ObsServer):
             gamma,
             newton_iterations=self.newton_iterations,
             backend=backend,
-            workers=workers,
-            execution=execution,
             max_resident=max_resident,
         )
         session.warm()
@@ -285,6 +287,8 @@ class PlacementServer(ObsServer):
             name,
             session,
             keep_best=keep_best if keep_best is not None else self.keep_best,
+            workers=workers,
+            execution=execution,
             pool_engine=pool_engine,
         )
         evicted: Tenant | None = None

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import LikelihoodEngine
-from repro.phylo import GammaRates, gtr, simulate_dataset
+from repro.phylo import GammaRates, Tree, gtr, read_fasta, simulate_dataset
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +36,17 @@ def small_engine(small_sim):
     return LikelihoodEngine(
         patterns, small_sim.tree.copy(), model, GammaRates(0.8, 4)
     )
+
+
+@pytest.fixture(scope="session")
+def search_wide_rep63():
+    """``(alignment, generating tree)`` of the e2e benchmark's
+    ``search_wide`` dataset for seed 1, repetition 63 (8 taxa x 6 000
+    sites): its lazily scored SPR moves all score below the tree the
+    search stops at, although the generating topology is 5.7 lnL better."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "gen.py"
+    spec = importlib.util.spec_from_file_location("e2e_gen", path)
+    gen = sys.modules["e2e_gen"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data = gen.search_dataset(8, 6000, 2300, (0.05, 0.4), 101, 1063)
+    return read_fasta(io.StringIO(data.fasta)), Tree.from_newick(data.newick)

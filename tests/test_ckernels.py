@@ -12,8 +12,8 @@ real data.
 Shadow: ``ShadowBackend(primary=CompiledBackend())`` stays silent on the
 honest backend and catches a planted perturbation.
 
-Workers: ``ml_search`` and ``place_queries`` on ``compiled`` with
-``workers=2`` are bit-identical (delta == 0.0) to serial ``compiled``.
+Workers: ``ml_search`` on ``compiled`` with ``workers=2`` is
+bit-identical (delta == 0.0) to serial ``compiled``.
 
 Fallback: with a broken ``$CC`` — or without ``Python.h`` — the backend
 warns once and swaps its arithmetic hooks for the reference ones,
@@ -333,25 +333,6 @@ class TestWorkersBitParity:
         )
         assert parallel.lnl - serial.lnl == 0.0
         assert parallel.tree.to_newick() == serial.tree.to_newick()
-
-    def test_place_queries_workers_delta_zero(self):
-        from repro.search.epa import place_queries
-
-        sim = simulate_dataset(n_taxa=8, n_sites=220, seed=23)
-        aln = sim.alignment
-        seq = aln.sequence(aln.taxa[0])
-        queries = {"q0": seq, "q1": seq[::-1]}
-        serial = place_queries(
-            aln, sim.tree, queries, gtr(), GammaRates(1.0, 4),
-            backend="compiled",
-        )
-        parallel = place_queries(
-            aln, sim.tree, queries, gtr(), GammaRates(1.0, 4),
-            backend="compiled", workers=2, execution="threads",
-        )
-        for rs, rp in zip(serial, parallel):
-            assert rs.query == rp.query
-            assert rs.placements == rp.placements  # frozen floats: bitwise
 
 
 class TestFallback:

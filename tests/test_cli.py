@@ -255,7 +255,7 @@ class TestFaultsCommand:
 
 
 class TestParallelFlags:
-    """PR 5: --workers/--exec on search and place, env-var defaults."""
+    """--workers/--exec on search and serve, env-var defaults."""
 
     def test_parser_accepts_parallel_flags(self):
         parser = build_parser()
@@ -265,11 +265,15 @@ class TestParallelFlags:
         assert args.workers == 3
         assert args.execution == "processes"
         args = parser.parse_args(
-            ["place", "--reference", "r", "--tree", "t", "--queries", "q",
-             "--workers", "2", "--exec", "threads"]
+            ["serve", "0", "--workers", "2", "--exec", "threads"]
         )
         assert args.workers == 2
         assert args.execution == "threads"
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["place", "--reference", "r", "--tree", "t", "--queries", "q",
+                 "--workers", "2"]
+            )
 
     def test_parser_rejects_unknown_exec(self):
         with pytest.raises(SystemExit):
@@ -310,23 +314,6 @@ class TestParallelFlags:
         from repro.parallel import active_arena_segments
 
         assert active_arena_segments() == []
-
-    def test_place_parallel_matches_serial(self, io_case, tmp_path, capsys):
-        _, sim, _, ref_path, tree_path, q_path, q = io_case
-        out_a = tmp_path / "a.jplace"
-        out_b = tmp_path / "b.jplace"
-        base = [
-            "place", "--reference", str(ref_path), "--tree", str(tree_path),
-            "--queries", str(q_path),
-        ]
-        assert main(base + ["--out", str(out_a)]) == 0
-        assert main(
-            base + ["--out", str(out_b), "--workers", "2", "--exec", "threads"]
-        ) == 0
-        assert (
-            json.loads(out_a.read_text())["placements"]
-            == json.loads(out_b.read_text())["placements"]
-        )
 
     def test_backends_lists_parallel_defaults(self, capsys):
         assert main(["backends"]) == 0

@@ -535,6 +535,31 @@ class TestCrashResumeParity:
             precision=17
         )
 
+    def test_resume_before_a_rescue_is_bitwise(self, search_wide_rep63, tmp_path):
+        """Killed after the radius-5 round accepted nothing, the resumed
+        search collects in one full radius-10 round the lazy trials the
+        uninterrupted one collected over two, and rescues the same move."""
+        alignment, _ = search_wide_rep63
+        ck = tmp_path / "ck.json"
+        baseline = ml_search(alignment)
+        assert [(h.radius, h.moves_accepted) for h in baseline.spr_history[:2]] == [
+            (5, 0), (10, 1)
+        ]
+        plan = FaultPlan((FaultSpec(kind="crash-at-step", step=4),), seed=0)
+        with pytest.raises(InjectedCrash):
+            ml_search(
+                alignment, config=SearchConfig(checkpoint_path=ck),
+                fault_plan=plan,
+            )
+        ckpt, _ = load_latest_checkpoint(ck)
+        assert (ckpt.stage, ckpt.spr_round, ckpt.spr_radius_idx) == ("spr", 0, 1)
+        resumed = ml_search(alignment, resume_from=ckpt)
+        assert resumed.spr_history[0].moves_accepted == 1
+        assert resumed.lnl == baseline.lnl
+        assert resumed.tree.to_newick(precision=17) == baseline.tree.to_newick(
+            precision=17
+        )
+
     def test_fault_abort_writes_emergency_checkpoint(self, problem, tmp_path):
         sim, pat = problem
         ck = tmp_path / "ck.json"

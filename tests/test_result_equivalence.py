@@ -2,11 +2,12 @@
 
 Per-kernel parity (``test_backends.py``, ``test_ckernels.py``) says the
 backends agree call by call; this file says they agree on what a user
-gets back.  One full ``ml_search`` and one full ``place_queries`` on a
-fixed dataset, on every cell of backend {reference, compiled} x workers
-{1, 2}: same topology / same best edge and LWR order everywhere, bitwise
-equal across worker counts, and across backends within the bounds of
-``tolerances.py``.
+gets back.  One full ``ml_search`` on a fixed dataset, on every cell of
+backend {reference, compiled} x workers {1, 2}, and one full
+``place_queries`` per backend (placement has one engine, no workers):
+same topology / same best edge and LWR order everywhere, searches
+bitwise equal across worker counts, and both within the bounds of
+``tolerances.py`` across backends.
 """
 
 from __future__ import annotations
@@ -59,11 +60,10 @@ def placements(sim):
             seq[site] = "ACGT"[rng.integers(4)]
         queries["q_" + taxon] = "".join(seq)
     return {
-        (backend, workers): place_queries(
-            aln, sim.tree, queries, gtr(), GammaRates(1.0, 4),
-            backend=backend, workers=workers, execution="threads",
+        backend: place_queries(
+            aln, sim.tree, queries, gtr(), GammaRates(1.0, 4), backend=backend
         )
-        for backend, workers in CELLS
+        for backend in BACKENDS
     }
 
 
@@ -104,16 +104,8 @@ class TestSearch:
 
 
 class TestPlacement:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worker_counts_agree_bitwise(self, placements, backend):
-        for one, two in zip(placements[backend, 1], placements[backend, 2]):
-            assert one.query == two.query
-            assert one.placements == two.placements
-
     def test_backends_agree_within_the_table(self, placements):
-        for ref, comp in zip(
-            placements["reference", 1], placements["compiled", 1]
-        ):
+        for ref, comp in zip(placements["reference"], placements["compiled"]):
             assert ref.query == comp.query
             # same best edge, same LWR order down the kept list
             assert [p.edge_label for p in comp.placements] == [

@@ -18,6 +18,7 @@ from repro.search import (
     spr_search,
 )
 from repro.search.branch_opt import _newton_on_sumbuffer, newton_converged
+from repro.search.spr import _thorough_rescue
 from tolerances import BRANCH_LENGTH_RTOL
 
 
@@ -268,12 +269,16 @@ class TestRingEscalation:
 
     @staticmethod
     def _full_schedule(engine, radii, max_rounds=10, smooth_passes=2):
-        """``spr_search``'s radius ladder, every round over the full disk."""
-        history, idx = [], 0
+        """``spr_search``'s radius ladder and thorough rescue, every
+        round over the full disk."""
+        history, idx, trials = [], 0, {}
         for _ in range(max_rounds):
-            stats = spr_round(engine, radii[idx])
+            stats = spr_round(engine, radii[idx], trials=trials)
             history.append(stats)
+            if not stats.moves_accepted and idx == len(radii) - 1:
+                _thorough_rescue(engine, trials, stats, 0.01)
             if stats.moves_accepted:
+                trials.clear()
                 optimize_all_branches(engine, passes=smooth_passes)
                 continue
             idx += 1
@@ -310,11 +315,45 @@ class TestRingEscalation:
         ring_history = spr_search(ring, radii=(3, 1, 3))
         full_history = self._full_schedule(full, (3, 1, 3))
         assert ring.tree.to_state() == full.tree.to_state()
-        # the ring of a smaller radius is empty; the last round scores
-        # only what radius 1 did not reach
-        assert [h.radius for h in ring_history][-2:] == [1, 3]
-        assert ring_history[-2].moves_tried == 0
-        assert 0 < ring_history[-1].moves_tried < full_history[-1].moves_tried
+        # the ring of a smaller radius is empty; the round after it
+        # scores only what radius 1 did not reach (a thorough rescue in
+        # that round may add rounds after it)
+        radii = [h.radius for h in ring_history]
+        i = radii.index(1)
+        assert radii[i + 1] == 3 and ring_history[i].moves_tried == 0
+        assert (
+            0 < ring_history[i + 1].moves_tried < full_history[i + 1].moves_tried
+        )
+
+
+class TestThoroughRescue:
+    def test_search_wide_rep63_reaches_the_generating_topology(
+        self, search_wide_rep63
+    ):
+        """Every lazy score sits below the tree the largest radius stops
+        at; re-scoring the best few with their junction branches
+        optimised finds the generating topology."""
+        alignment, true_tree = search_wide_rep63
+        result = ml_search(alignment)
+        assert result.tree.robinson_foulds(true_tree) == 0
+        rescued = [
+            h for h in result.spr_history
+            if h.radius == 10 and h.moves_tried == 0 and h.moves_accepted
+        ]
+        assert rescued  # the ring round accepted nothing lazily
+        assert result.lnl > -41858.5
+
+    def test_no_rescue_below_epsilon(self, engine_setup):
+        sim, pat, model = engine_setup
+        eng = fresh_engine(sim, pat, model)
+        optimize_all_branches(eng, passes=3)
+        trials = {}
+        stats = spr_round(eng, radius=3, epsilon=1e9, trials=trials)
+        before = eng.tree.to_state()
+        assert len(trials) == stats.moves_tried > 0
+        _thorough_rescue(eng, trials, stats, 1e9)
+        assert stats.moves_accepted == 0
+        assert eng.tree.to_state() == before
 
 
 class TestFullSearch:

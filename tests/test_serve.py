@@ -76,11 +76,10 @@ class TestJplaceInvariants:
             ref_aln, ref_tree, {"q": seq}, gtr(), GammaRates(1.0, 4),
             keep_best=1000,
         )
-        lengths = {}
-        from repro.search.epa import _edge_label
+        from repro.search.epa import _edge_labels
 
-        for e in ref_tree.edges:
-            lengths[_edge_label(ref_tree, e.id)] = e.length
+        labels = _edge_labels(ref_tree)
+        lengths = {labels[e.id]: e.length for e in ref_tree.edges}
         for p in results[0].placements:
             assert 0.0 <= p.distal_length <= lengths[p.edge_label]
             # midpoint attachment: distal is exactly half the branch
@@ -130,10 +129,11 @@ class TestBatchedParity:
     def test_batched_equals_serial_bitwise(self, epa_case, backend):
         """One multi-query ``place`` == one single-query call per query.
 
-        Queries are placed one at a time however they arrive, so the
-        results are bitwise equal, and ``on_result`` fires once per
-        query, in query order, as each completes (before the next
-        query is even merged).
+        Queries are scored one at a time on the session's one engine, so
+        the results are bitwise equal, and ``on_result`` fires once per
+        query, in query order, as each completes (after its own one
+        junction ``newview`` per candidate branch, before the next
+        query's first).
         """
         ref_aln, ref_tree, seq = epa_case
         queries = {"q0": seq, "q1": seq[::-1], "q2": seq[150:] + seq[:150]}
@@ -141,20 +141,18 @@ class TestBatchedParity:
         with PlacementSession(
             ref_aln, ref_tree, gtr(), GammaRates(1.0, 4), backend=backend
         ) as session:
-            merge = session._merged_patterns
-
-            def recording_merge(name, query_seq):
-                events.append(("merge", name))
-                return merge(name, query_seq)
-
-            session._merged_patterns = recording_merge
+            counters = session.warm().counters
+            before = counters.merged()["newview"]
             together = session.place(
                 queries,
                 keep_best=1000,
-                on_result=lambda r: events.append(("result", r.query)),
+                on_result=lambda r: events.append(
+                    (r.query, counters.merged()["newview"] - before)
+                ),
             )
+        edges = len(ref_tree.edges)
         assert events == [
-            (kind, name) for name in queries for kind in ("merge", "result")
+            (name, edges * (i + 1)) for i, name in enumerate(queries)
         ]
         assert [r.query for r in together] == list(queries)
         for result, (name, query_seq) in zip(together, queries.items()):
@@ -198,14 +196,14 @@ class TestBackendBoundary:
             engine.close()
 
     def test_unregistered_instance_clear_error(self, epa_case):
-        ref_aln, ref_tree, seq = epa_case
+        ref_aln, ref_tree, _ = epa_case
 
         class NotRegistered:
             pass
 
         with pytest.raises(ValueError, match="backend \\*name\\*"):
-            place_queries(
-                ref_aln, ref_tree, {"q": seq}, gtr(), GammaRates(1.0, 4),
+            make_engine(
+                ref_aln.compress(), ref_tree.copy(), gtr(), GammaRates(1.0, 4),
                 backend=NotRegistered(), workers=2, execution="processes",
             )
 
