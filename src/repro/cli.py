@@ -16,8 +16,8 @@ in practice — files in, files out:
 * ``repro predict``   — trace-driven runtime/energy prediction for one
                         platform and alignment size (Table III cells)
 * ``repro faults``    — run a search under a named fault-injection plan
-                        (crashes, flaky PCIe, dying ranks), auto-resume
-                        from checkpoints, and report survival
+                        (mid-search crashes, a kill mid-checkpoint-write),
+                        auto-resume from checkpoints, and report survival
 * ``repro trace``     — validate + summarise a saved Chrome trace (top
                         spans by self time, per-kernel histograms, wave
                         timeline, hottest folded-stack paths)
@@ -267,10 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-resident", type=int, default=None,
                          help="memsave cap for the warm reference engine")
     p_serve.add_argument("--keep-best", type=int, default=5)
-    p_serve.add_argument("--allow-fault-injection", action="store_true",
-                         help="enable POST /faults/kill-worker")
     _add_backend_flag(p_serve)
-    _add_parallel_flags(p_serve)
 
     sub.add_parser("backends", help="list registered PLF kernel backends")
 
@@ -514,9 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         keep_best=args.keep_best,
         max_resident=args.max_resident,
         backend=args.backend,
-        workers=args.workers,
-        execution=args.execution,
-        allow_fault_injection=args.allow_fault_injection,
     )
     try:
         if args.ref:
@@ -530,8 +524,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"reference taxa, lnL {tenant.session.reference_lnl:.2f}"
             )
         print(f"placement server listening on {server.url}")
-        # SIGTERM must tear down like Ctrl-C: worker pools hold
-        # /dev/shm arena segments that only unlink on server.stop().
+        # SIGTERM must tear down like Ctrl-C: server.stop() waits out
+        # each tenant's request in flight and closes its session.
         import signal
 
         def _terminate(signum, frame):  # pragma: no cover - signal path

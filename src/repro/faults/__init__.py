@@ -1,22 +1,17 @@
 """repro.faults — deterministic fault injection and recovery.
 
-The paper's application story rests on two robustness mechanisms the
-reproduction must model to be credible at scale: ExaML's binary
+The paper's application story rests on ExaML's robustness model: binary
 checkpoint/restart (multi-day supercomputer runs survive job-queue
-kills) and the MIC offload path's tolerance of a flaky PCIe link
-(~20 us AllReduce latency, transfer timeouts, occasional device
-resets — the failure modes the LRZ MIC experience report catalogues).
+kills) and collectives that tolerate a slow or dying MPI rank.
 
 This package supplies the *injection* half, hooked into every layer:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a seedable,
-  deterministic schedule of faults (transfer corruption/timeout,
-  device reset, AllReduce timeout, rank death, crash-at-step,
-  crash-in-write) consulted by instrumented call sites, plus the
-  exception taxonomy (:class:`FaultError` and friends);
+  deterministic schedule of faults (AllReduce timeout, rank death,
+  crash-at-step, crash-in-write) consulted by instrumented call sites,
+  plus the exception taxonomy (:class:`FaultError` and friends);
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`, bounded exponential
-  backoff with seeded jitter, shared by the offload runtime and the
-  simulated MPI collectives;
+  backoff with seeded jitter, used by the simulated MPI collectives;
 * :mod:`repro.faults.plans` — the named built-in plans behind
   ``repro faults --plan NAME`` and :func:`plan_from_json` for custom
   schedules;
@@ -26,8 +21,7 @@ This package supplies the *injection* half, hooked into every layer:
   (Imported lazily — ``from repro.faults import runner`` — because it
   depends on :mod:`repro.search`, which itself consults this package.)
 
-Recovery lives where the work happens: retry/backoff in
-:class:`repro.mic.offload.OffloadRuntime`, collective retry and rank
+Recovery lives where the work happens: collective retry and rank
 adoption in :mod:`repro.parallel`, and crash-safe rotated checkpoints
 in :mod:`repro.search.checkpoint`.  Every injected fault, retry, and
 recovery emits :mod:`repro.obs` counters and instants so an exported
@@ -36,27 +30,19 @@ trace shows the full recovery timeline.
 
 from .plan import (
     AllReduceTimeout,
-    DeviceReset,
     FaultError,
     FaultEvent,
     FaultPlan,
     FaultSpec,
     InjectedCrash,
-    OffloadGaveUp,
     RankFailure,
-    TransferCorruption,
-    TransferTimeout,
 )
 from .plans import available_plans, make_plan, plan_from_json
 from .retry import RetryPolicy
 
 __all__ = [
     "FaultError",
-    "TransferTimeout",
-    "TransferCorruption",
-    "DeviceReset",
     "AllReduceTimeout",
-    "OffloadGaveUp",
     "RankFailure",
     "InjectedCrash",
     "FaultSpec",

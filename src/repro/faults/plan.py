@@ -1,8 +1,8 @@
 """Fault taxonomy and the deterministic, seedable fault schedule.
 
 A :class:`FaultPlan` is the single source of truth for *when things go
-wrong* in a simulated run.  Instrumented call sites (offload dispatch,
-AllReduce, the search-driver step loop, the checkpoint writer) call
+wrong* in a simulated run.  Instrumented call sites (AllReduce, the
+search-driver step loop, the checkpoint writer) call
 :meth:`FaultPlan.consult` with their fault *kind*; the plan decides —
 deterministically, from the seed and the per-kind consultation index —
 whether that call fails, and logs a :class:`FaultEvent` either way a
@@ -13,15 +13,12 @@ fault fires.  Two trigger styles coexist:
   step-indexed kinds (``crash-at-step``); reproductions of a specific
   failure timeline;
 * **stochastic** — ``probability=0.05`` draws from the plan's seeded
-  RNG on every consultation; the flaky-link model.  Same seed, same
-  consultation sequence, same faults — runs stay replayable.
+  RNG on every consultation.  Same seed, same consultation sequence,
+  same faults — runs stay replayable.
 
 Fault kinds and where they are injected:
 
 ================== ====================================================
-``transfer-timeout``    :class:`~repro.mic.offload.OffloadRuntime.invoke`
-``transfer-corruption`` same (checksum detected after a full transfer)
-``device-reset``        same (card dropped off the bus; costly recovery)
 ``allreduce-timeout``   :meth:`~repro.parallel.simmpi.SimMPI.allreduce_sum`
 ``rank-death``          same (a rank stops contributing mid-collective)
 ``crash-at-step``       the search driver's step loop (process dies)
@@ -43,11 +40,7 @@ from ..obs import spans as _obs
 __all__ = [
     "FAULT_KINDS",
     "FaultError",
-    "TransferTimeout",
-    "TransferCorruption",
-    "DeviceReset",
     "AllReduceTimeout",
-    "OffloadGaveUp",
     "RankFailure",
     "InjectedCrash",
     "FaultSpec",
@@ -57,9 +50,6 @@ __all__ = [
 
 #: Every fault kind a plan may schedule (see module docstring).
 FAULT_KINDS = (
-    "transfer-timeout",
-    "transfer-corruption",
-    "device-reset",
     "allreduce-timeout",
     "rank-death",
     "crash-at-step",
@@ -74,24 +64,8 @@ class FaultError(RuntimeError):
     """Base class for every injected-fault failure surfaced to callers."""
 
 
-class TransferTimeout(FaultError):
-    """A PCIe transfer exceeded its deadline (retryable)."""
-
-
-class TransferCorruption(FaultError):
-    """A transfer completed but failed its checksum (retryable)."""
-
-
-class DeviceReset(FaultError):
-    """The coprocessor dropped off the bus mid-invocation (retryable)."""
-
-
 class AllReduceTimeout(FaultError):
     """An AllReduce collective never completed within its deadline."""
-
-
-class OffloadGaveUp(FaultError):
-    """The offload runtime exhausted its retry budget."""
 
 
 class RankFailure(FaultError):

@@ -2,11 +2,13 @@
 
 The ``repro faults`` subcommand (and the CI fault-injection job) refer
 to plans by name; each name maps to a factory so every run gets a fresh
-plan instance (plans are stateful flight recorders).  Custom schedules
-load from JSON via :func:`plan_from_json`::
+plan instance (plans are stateful flight recorders).  Every named plan
+schedules a kind a search consults (``crash-at-step``,
+``crash-in-write``), so each fires under ``repro faults``.  Custom
+schedules load from JSON via :func:`plan_from_json`::
 
     {"seed": 7, "specs": [
-        {"kind": "transfer-timeout", "probability": 0.05},
+        {"kind": "allreduce-timeout", "probability": 0.05},
         {"kind": "crash-at-step", "step": 4}
     ]}
 """
@@ -43,32 +45,6 @@ _register(
     "no faults (baseline control)",
 )
 _register(
-    "flaky-pcie",
-    "5% transfer timeouts + 2% checksum corruption on the PCIe link",
-    FaultSpec(kind="transfer-timeout", probability=0.05),
-    FaultSpec(kind="transfer-corruption", probability=0.02),
-)
-_register(
-    "pcie-storm",
-    "40% transfer timeouts — exercises retry exhaustion (OffloadGaveUp)",
-    FaultSpec(kind="transfer-timeout", probability=0.40),
-)
-_register(
-    "device-reset",
-    "one coprocessor reset on the 6th offloaded invocation",
-    FaultSpec(kind="device-reset", at_calls=(5,)),
-)
-_register(
-    "slow-allreduce",
-    "10% AllReduce timeouts (collective retried with backoff)",
-    FaultSpec(kind="allreduce-timeout", probability=0.10),
-)
-_register(
-    "dying-rank",
-    "rank 1 dies on the 4th collective (degrade-or-abort path)",
-    FaultSpec(kind="rank-death", at_calls=(3,), rank=1),
-)
-_register(
     "crash-midsearch",
     "the process dies at search step 4 (resume from checkpoint)",
     FaultSpec(kind="crash-at-step", step=4),
@@ -88,13 +64,6 @@ _register(
     "crash-in-write",
     "killed between fsync and rename on the 2nd checkpoint write",
     FaultSpec(kind="crash-in-write", at_calls=(1,)),
-)
-_register(
-    "chaos",
-    "flaky link + one mid-search crash + one AllReduce timeout burst",
-    FaultSpec(kind="transfer-timeout", probability=0.05),
-    FaultSpec(kind="allreduce-timeout", probability=0.05),
-    FaultSpec(kind="crash-at-step", step=4),
 )
 
 

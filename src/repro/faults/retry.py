@@ -5,7 +5,7 @@ The recovery half of transient faults: a retry loop pays an increasing
 time instead of sleeping, so fault-heavy tests stay fast and
 deterministic) and gives up after a bounded attempt budget.  The jitter
 is the standard "equal-jitter-ish" multiplicative spread that keeps
-simultaneous retries from resynchronising on a shared PCIe link, drawn
+simultaneous retries from resynchronising on a shared interconnect, drawn
 from the caller's seeded RNG so schedules replay exactly.
 """
 

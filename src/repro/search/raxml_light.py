@@ -210,9 +210,9 @@ def ml_search(
     Crash safety: with ``config.checkpoint_path`` set, a rotated atomic
     snapshot is written every ``checkpoint_every`` steps.  Any
     :class:`~repro.faults.FaultError` *other than* an injected crash
-    (offload retry exhaustion, AllReduce timeout, unabsorbed rank
-    failure) triggers one final abort-checkpoint before propagating —
-    ExaML's "die loudly but restartably".
+    (AllReduce timeout, unabsorbed rank failure) triggers one final
+    abort-checkpoint before propagating — ExaML's "die loudly but
+    restartably".
     """
     t_start = time.perf_counter()
     config = config or SearchConfig()

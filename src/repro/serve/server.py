@@ -5,9 +5,7 @@ Architecture (DESIGN.md §12):
 - A :class:`Tenant` owns one reference tree's warm state — a
   :class:`~repro.search.epa.PlacementSession` with its one resident
   reference engine (``session.warm()``), on which every query is
-  scored, and, for process-parallel tenants, a labelled resident
-  :class:`~repro.parallel.forkjoin.ForkJoinEngine` worker pool the
-  faults layer reports on (it places no query).
+  scored.
 - A placement request runs on the HTTP thread that received it, under
   its tenant's lock (a session is not re-entrant: one shared backend
   instance, plain counters), so a tenant places one request at a time
@@ -19,9 +17,8 @@ Architecture (DESIGN.md §12):
   one level up.
 - The HTTP front is :class:`repro.obs.server.ObsServer`:
   :class:`PlacementServer` adds its tenant routes to that route table
-  and the tenant list to ``/healthz`` (503 once any worker death or
-  degradation event fires); ``/metrics`` (including per-tenant lanes)
-  and ``/progress`` are served unchanged.
+  and the tenant list to ``/healthz``; ``/metrics`` (including
+  per-tenant lanes) and ``/progress`` are served unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from urllib.parse import parse_qs, urlsplit
 
 from ..obs import server as _obs_server
 from ..obs.metrics import get_registry, log_buckets, sanitize_metric_component
@@ -42,6 +38,9 @@ from ..search.epa import PlacementResult, PlacementSession
 
 __all__ = ["Tenant", "PlacementServer", "serve"]
 
+#: The keys a ``POST /tenants/<name>`` body may carry.
+TENANT_KEYS = ("tree", "alignment", "backend", "max_resident", "keep_best")
+
 
 class Tenant:
     """Warm per-reference-tree serving state behind one lock."""
@@ -52,16 +51,10 @@ class Tenant:
         session: PlacementSession,
         *,
         keep_best: int = 5,
-        workers: int = 1,
-        execution: str = "simulated",
-        pool_engine=None,
     ) -> None:
         self.name = name
         self.session = session
         self.keep_best = keep_best
-        # Options of the resident pool only: placement runs on the session.
-        self.workers, self.execution = workers, execution
-        self.pool_engine = pool_engine
         self.last_error: str | None = None
         lane = sanitize_metric_component(name)
         reg = get_registry()
@@ -132,15 +125,6 @@ class Tenant:
 
     # -- introspection / lifecycle --------------------------------------
     def info(self) -> dict:
-        pool = None
-        engine = self.pool_engine
-        if engine is not None and engine.pool is not None:
-            pool = {
-                "label": engine.pool.label,
-                "workers": engine.pool.n_workers,
-                "alive": len(engine.pool.alive),
-                "dead": sorted(engine.pool.dead),
-            }
         return {
             "name": self.name,
             "reference_taxa": self.session.reference.n_taxa,
@@ -149,9 +133,6 @@ class Tenant:
             "queries_placed": self.session.queries_placed,
             "queue_depth": self.queue_depth,
             "keep_best": self.keep_best,
-            "workers": self.workers,
-            "execution": self.execution,
-            "pool": pool,
             "last_error": self.last_error,
         }
 
@@ -159,9 +140,6 @@ class Tenant:
         """Refuse new requests (503), then wait out the one in flight."""
         self._closed = True
         with self._lock:
-            if self.pool_engine is not None:
-                self.pool_engine.close()
-                self.pool_engine = None
             self.session.close()
 
 
@@ -170,8 +148,8 @@ class PlacementServer(ObsServer):
 
     The :class:`~repro.obs.server.ObsServer` front plus the tenant
     routes.  While the server runs the :mod:`repro.obs` gates are on
-    (worker pools self-register, progress/health documents go live);
-    :meth:`stop` closes every tenant.
+    (progress/health documents go live); :meth:`stop` closes every
+    tenant.
     """
 
     def __init__(
@@ -184,9 +162,6 @@ class PlacementServer(ObsServer):
         newton_iterations: int = 4,
         max_resident: int | None = None,
         backend: str | None = None,
-        workers: int = 1,
-        execution: str = "simulated",
-        allow_fault_injection: bool = False,
         request_timeout_s: float = 600.0,
     ) -> None:
         self.max_tenants = max(int(max_tenants), 1)
@@ -194,9 +169,6 @@ class PlacementServer(ObsServer):
         self.newton_iterations = newton_iterations
         self.max_resident = max_resident
         self.backend = backend
-        self.workers = workers
-        self.execution = execution
-        self.allow_fault_injection = allow_fault_injection
         self.request_timeout_s = request_timeout_s
         self._tenants: "OrderedDict[str, Tenant]" = OrderedDict()
         self._lock = threading.Lock()
@@ -224,12 +196,6 @@ class PlacementServer(ObsServer):
             ("POST", "/tenants/<name>/place"): lambda req, name: (
                 200, self.place(name, req.json_object())
             ),
-            ("POST", "/faults/kill-worker"): lambda req: (
-                200,
-                self.kill_worker(
-                    parse_qs(urlsplit(req.path).query).get("tenant", [""])[0]
-                ),
-            ),
         }
 
     # -- tenancy --------------------------------------------------------
@@ -242,8 +208,6 @@ class PlacementServer(ObsServer):
         gamma: GammaRates | None = None,
         *,
         backend: str | None = None,
-        workers: int | None = None,
-        execution: str | None = None,
         max_resident: int | None = None,
         keep_best: int | None = None,
     ) -> Tenant:
@@ -251,8 +215,6 @@ class PlacementServer(ObsServer):
         model = model if model is not None else gtr()
         gamma = gamma if gamma is not None else GammaRates(1.0, 4)
         backend = backend if backend is not None else self.backend
-        workers = workers if workers is not None else self.workers
-        execution = execution if execution is not None else self.execution
         max_resident = (
             max_resident if max_resident is not None else self.max_resident
         )
@@ -266,30 +228,10 @@ class PlacementServer(ObsServer):
             max_resident=max_resident,
         )
         session.warm()
-        pool_engine = None
-        if workers > 1 and execution == "processes":
-            # A labelled resident pool carrying the reference CLAs: the
-            # faults layer reports its deaths on /healthz per tenant.
-            from ..parallel.forkjoin import ForkJoinEngine
-
-            pool_engine = ForkJoinEngine(
-                session.reference,
-                session.tree,
-                model,
-                gamma,
-                n_threads=workers,
-                execution="processes",
-                backend=backend if isinstance(backend, str) else None,
-                label=name,
-            )
-            pool_engine.log_likelihood()  # warm the pool's CLAs too
         tenant = Tenant(
             name,
             session,
             keep_best=keep_best if keep_best is not None else self.keep_best,
-            workers=workers,
-            execution=execution,
-            pool_engine=pool_engine,
         )
         evicted: Tenant | None = None
         with self._lock:
@@ -309,7 +251,17 @@ class PlacementServer(ObsServer):
         return tenant
 
     def register_tenant(self, name: str, body: dict) -> dict:
-        """HTTP tenant registration: newick tree + taxon→sequence map."""
+        """HTTP tenant registration: newick tree + taxon→sequence map.
+
+        Any key outside :data:`TENANT_KEYS` is a 400 naming it.
+        """
+        unknown = sorted(set(body) - set(TENANT_KEYS))
+        if unknown:
+            raise _HttpError(
+                400,
+                f"unknown registration key(s) {', '.join(map(repr, unknown))}; "
+                f"expected {', '.join(TENANT_KEYS)}",
+            )
         tree_text = body.get("tree")
         aln = body.get("alignment")
         if not isinstance(tree_text, str) or not isinstance(aln, dict):
@@ -321,8 +273,6 @@ class PlacementServer(ObsServer):
             Alignment.from_sequences(aln),
             Tree.from_newick(tree_text),
             backend=body.get("backend"),
-            workers=_positive_int(body, "workers"),
-            execution=body.get("execution"),
             max_resident=_positive_int(body, "max_resident"),
             keep_best=_positive_int(body, "keep_best"),
         )
@@ -364,31 +314,6 @@ class PlacementServer(ObsServer):
             self.request_timeout_s,
         )
         return tenant.session.to_jplace(results)
-
-    def kill_worker(self, name: str) -> dict:
-        """Fault-injection hook: kill one pool worker, absorb, report."""
-        if not self.allow_fault_injection:
-            raise _HttpError(403, "fault injection disabled (--allow-fault-injection)")
-        tenant = self.get_tenant(name)
-        engine = tenant.pool_engine
-        if engine is None or engine.pool is None:
-            raise _HttpError(
-                409, f"tenant {name!r} has no resident worker pool"
-            )
-        pool = engine.pool
-        if len(pool.alive) < 2:
-            raise _HttpError(409, "refusing to kill the last worker")
-        victim = pool.alive[-1]
-        pool.kill_worker(victim)
-        # Drive one region so the death is absorbed through the faults
-        # layer (adoption + health_event) rather than discovered lazily.
-        engine.log_likelihood()
-        return {
-            "tenant": name,
-            "killed": victim,
-            "alive": len(pool.alive),
-            "dead": sorted(pool.dead),
-        }
 
     # -- documents ------------------------------------------------------
     def health_snapshot(self) -> dict:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults import make_plan
 from repro.phylo import Alignment, Tree, simulate_dataset, write_fasta, write_phylip
 
 
@@ -233,7 +234,10 @@ class TestFaultsCommand:
         rc = main(["faults", "--list"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "crash-midsearch" in out and "flaky-pcie" in out
+        names = [line.split()[0] for line in out.splitlines() if line.strip()]
+        assert "crash-midsearch" in names
+        for name in names:
+            assert make_plan(name).name == name
 
     def test_requires_alignment(self, capsys):
         rc = main(["faults"])
@@ -255,7 +259,7 @@ class TestFaultsCommand:
 
 
 class TestParallelFlags:
-    """--workers/--exec on search and serve, env-var defaults."""
+    """--workers/--exec on search (not place or serve), env-var defaults."""
 
     def test_parser_accepts_parallel_flags(self):
         parser = build_parser()
@@ -264,16 +268,16 @@ class TestParallelFlags:
         )
         assert args.workers == 3
         assert args.execution == "processes"
-        args = parser.parse_args(
-            ["serve", "0", "--workers", "2", "--exec", "threads"]
-        )
-        assert args.workers == 2
-        assert args.execution == "threads"
-        with pytest.raises(SystemExit):
-            parser.parse_args(
-                ["place", "--reference", "r", "--tree", "t", "--queries", "q",
-                 "--workers", "2"]
-            )
+        # placement runs on one reference engine: nothing to slice
+        for argv in (
+            ["place", "--reference", "r", "--tree", "t", "--queries", "q",
+             "--workers", "2"],
+            ["serve", "0", "--workers", "2"],
+            ["serve", "0", "--exec", "processes"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
 
     def test_parser_rejects_unknown_exec(self):
         with pytest.raises(SystemExit):

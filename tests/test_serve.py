@@ -7,10 +7,10 @@ multi-query :func:`place_queries` call with one call per query, warm
 :class:`PlacementSession` reuse, backend-instance boundary validation,
 the ``/progress`` failure marker, and the HTTP server end to end
 (concurrent clients equal to the offline run, per-request errors,
-multi-tenant LRU eviction, ``/healthz`` flipping to 503 on an injected
-worker death), plus the request path itself: one lock per tenant
-(lock-wait timeout, close under a waiter, queue depth) and hostile
-input at the HTTP front.
+multi-tenant LRU eviction), plus the request path itself: one lock per
+tenant (lock-wait timeout, close under a waiter, queue depth) and
+hostile input at the HTTP front (including registration keys outside
+``TENANT_KEYS``).
 """
 
 import http.client
@@ -233,9 +233,7 @@ class TestMetricSanitizer:
 @pytest.fixture(scope="module")
 def server_case(epa_case):
     ref_aln, ref_tree, seq = epa_case
-    server = PlacementServer(
-        port=0, max_tenants=2, allow_fault_injection=True
-    )
+    server = PlacementServer(port=0, max_tenants=2)
     server.add_tenant("main", ref_aln, ref_tree)
     yield server, ref_aln, ref_tree, seq
     server.stop()
@@ -626,6 +624,25 @@ class TestHostileInput:
         code, body = _get(f"{server.url}/tenants")
         assert "other" not in [t["name"] for t in json.loads(body)["tenants"]]
 
+    @pytest.mark.parametrize(
+        "key, value", [("workers", 2), ("execution", "processes"), ("treee", "x")]
+    )
+    def test_unknown_registration_key_400(self, server_case, key, value):
+        """A registration body carries only ``TENANT_KEYS``: any other key
+        is refused by name, and nothing is registered."""
+        server, ref_aln, ref_tree, _ = server_case
+        code, doc = _post(
+            f"{server.url}/tenants/other",
+            {
+                "tree": ref_tree.to_newick(),
+                "alignment": {t: ref_aln.sequence(t) for t in ref_aln.taxa},
+                key: value,
+            },
+        )
+        assert code == 400 and repr(key) in doc["error"]
+        code, body = _get(f"{server.url}/tenants")
+        assert "other" not in [t["name"] for t in json.loads(body)["tenants"]]
+
     def test_request_racing_eviction_503(self, server_case, monkeypatch):
         server, ref_aln, ref_tree, seq = server_case
         tenant = server.get_tenant("main")
@@ -673,41 +690,3 @@ class TestHostileInput:
             "alignment": {t: ref_aln.sequence(t) for t in ref_aln.taxa},
         })
         assert code == 201
-
-
-class TestWorkerDeathHealthz:
-    def test_healthz_flips_503_on_injected_death(self, epa_case):
-        ref_aln, ref_tree, seq = epa_case
-        with PlacementServer(port=0, allow_fault_injection=True) as server:
-            server.add_tenant(
-                "pooled", ref_aln, ref_tree, workers=2, execution="processes"
-            )
-            code, _ = _get(f"{server.url}/healthz")
-            assert code == 200
-            code, doc = _post(
-                f"{server.url}/faults/kill-worker?tenant=pooled", {}
-            )
-            assert code == 200 and doc["dead"]
-            code, body = _get(f"{server.url}/healthz")
-            assert code == 503
-            snap = json.loads(body)
-            assert snap["status"] == "degraded"
-            labelled = [
-                p for p in snap["worker_pools"] if p.get("label") == "pooled"
-            ]
-            assert labelled and labelled[0]["dead"]
-            # a degraded tenant still serves placements
-            code, doc = _post(
-                f"{server.url}/tenants/pooled/place",
-                {"queries": {"after": seq}},
-            )
-            assert code == 200
-
-    def test_fault_injection_gated(self, epa_case):
-        ref_aln, ref_tree, _ = epa_case
-        with PlacementServer(port=0) as server:
-            server.add_tenant("t", ref_aln, ref_tree)
-            code, doc = _post(
-                f"{server.url}/faults/kill-worker?tenant=t", {}
-            )
-            assert code == 403

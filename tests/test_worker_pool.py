@@ -2,19 +2,24 @@
 
 Covers the PR 5 acceptance criteria: bit-identical log-likelihoods and
 branch derivatives across worker counts and execution substrates,
-worker-death degradation with slice adoption, observability aggregation
+worker-death degradation with slice adoption (and the live ``/healthz``
+turning 503 on a real ``processes`` worker death), observability aggregation
 without double counting, measured barrier statistics feeding the cost
 model, and shared-memory hygiene (no leaked segments after close).
 """
 
 import gc
+import json
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
 
 from repro.core import LikelihoodEngine
 from repro.core.backends import get_backend, make_engine
+from repro.obs import server as obs_server
 from repro.parallel import (
     DistributedEngine,
     ForkJoinEngine,
@@ -363,6 +368,35 @@ class TestForkJoinModes:
             got = fj.branch_derivatives(sb, 0.13)
             assert [g - s for g, s in zip(got, serial["deriv"])] == [0.0] * 3
             assert fj.pool.dead == {1, 2}
+
+
+def test_worker_death_degrades_healthz(problem, serial):
+    """A real ``processes`` worker death, absorbed by adoption, flips the
+    live ``/healthz`` to 503 and names the labelled pool and the dead
+    worker; the likelihood stays exact."""
+    sim, pat, model, gamma = problem
+    srv = obs_server.serve(port=0)
+    try:
+        with ForkJoinEngine(
+            pat, sim.tree.copy(), model, gamma, n_threads=2,
+            execution="processes", backend="reference", label="probe",
+        ) as engine:
+            engine.pool.kill_worker(1)
+            assert engine.log_likelihood() == serial["lnl"]
+            try:
+                with urllib.request.urlopen(srv.url + "/healthz", timeout=10):
+                    raise AssertionError("/healthz answered 2xx after a death")
+            except urllib.error.HTTPError as err:
+                code, snap = err.code, json.loads(err.read())
+        assert code == 503 and snap["status"] == "degraded"
+        probe = [p for p in snap["worker_pools"] if p["label"] == "probe"]
+        assert probe and probe[0]["dead"] == [1]
+        assert any(
+            e["kind"] == "worker_death" for e in snap["degradation_events"]
+        )
+    finally:
+        srv.stop()
+        obs_server.health().reset()
 
 
 class TestMakeEngineParallel:
