@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--checkpoint-every", type=int, default=1, metavar="N",
         help="snapshot period in driver steps (default 1; 0 disables "
-             "periodic writes, abort checkpoints still fire)",
+             "snapshots)",
     )
     p_search.add_argument(
         "--checkpoint-keep", type=int, default=3, metavar="K",
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--radius", type=int, nargs="+", default=[5, 10])
     p_faults.add_argument(
         "--max-restarts", type=int, default=5,
-        help="restart budget after crashes/aborts (default 5)",
+        help="restart budget after crashes (default 5)",
     )
     p_faults.add_argument(
         "--checkpoint", type=Path, metavar="CK.json",
@@ -798,7 +798,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         f"{k} x{v}" for k, v in sorted(report.fault_summary.items())
     ) or "none"
     print(f"faults fired:  {fired}")
-    print(f"crashes:       {report.crashes}  (aborts: {report.aborts})")
+    print(f"crashes:       {report.crashes}")
     print(f"restarts:      {report.restarts} (budget {args.max_restarts})")
     print(f"checkpoints:   {report.checkpoint_path}")
     if report.survived:

@@ -303,10 +303,10 @@ class KernelCounters:
 
         Used to fold one backend's profile into another (a
         :class:`~repro.core.backends.KernelProfile` is a counter set);
-        callers are responsible for not merging the same source twice.  (The dedup-by-identity rule for *profiles* of engines
-        sharing a backend lives in
-        ``repro.parallel.forkjoin.merged_backend_profile``; sliced
-        parallel engines never sum ``calls`` — see
+        callers are responsible for not merging the same source twice.
+        (Sliced parallel engines merge each worker's one backend profile
+        once — ``repro.parallel.substrate.Substrate.merged_profile`` —
+        and never sum ``calls``: see
         ``repro.parallel.substrate.Substrate.counters``.)
         """
         for kind, n in other.calls.items():

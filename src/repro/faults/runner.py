@@ -26,7 +26,7 @@ from pathlib import Path
 
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
-from .plan import FaultError, FaultPlan, InjectedCrash
+from .plan import FaultPlan, InjectedCrash
 
 __all__ = ["FaultRunReport", "run_search_with_faults"]
 
@@ -41,7 +41,6 @@ class FaultRunReport:
     survived: bool
     restarts: int = 0
     crashes: int = 0
-    aborts: int = 0
     faults_fired: int = 0
     fault_summary: dict[str, int] = field(default_factory=dict)
     checkpoint_path: str = ""
@@ -77,11 +76,10 @@ def run_search_with_faults(
 
     ``config`` is a :class:`~repro.search.SearchConfig`; when its
     ``checkpoint_path`` is unset a temporary rotation is used (the
-    harness needs *somewhere* to recover from).  Crashes
-    (:class:`InjectedCrash`) and abort-with-checkpoint faults (any
-    other :class:`FaultError`) both trigger a restart from the newest
-    loadable snapshot, up to ``max_restarts`` fresh processes; beyond
-    that the run is declared dead (``survived=False``).
+    harness needs *somewhere* to recover from).  A crash
+    (:class:`InjectedCrash`) triggers a restart from the newest loadable
+    snapshot, up to ``max_restarts`` fresh processes; beyond that the
+    run is declared dead (``survived=False``).
     """
     # Imported here, not at module top: the search layer imports
     # ``repro.faults`` for the exception taxonomy, so the runner must
@@ -117,9 +115,6 @@ def run_search_with_faults(
                     "faults.crash", step=crash.step, where=crash.where,
                     attempt=attempt,
                 )
-            except FaultError:
-                # Driver already wrote its abort checkpoint.
-                report.aborts += 1
             else:
                 report.survived = True
                 report.result = result

@@ -294,7 +294,6 @@ class HealthState:
             try:
                 out.append(
                     {
-                        "label": getattr(pool, "label", ""),
                         "workers": pool.n_workers,
                         "alive": len(pool.alive),
                         "dead": sorted(pool.dead),

@@ -13,13 +13,12 @@ partition.
 from .distribute import (
     SiteDistribution,
     distribute_block,
-    distribute_cyclic,
     slice_cat,
     slice_patterns,
 )
 from .distributed import DistributedEngine
 from .examl import ExaMLModel, RunPrediction
-from .forkjoin import EXECUTION_MODES, ForkJoinEngine, merged_backend_profile
+from .forkjoin import EXECUTION_MODES, ForkJoinEngine
 from .pool import (
     BarrierStats,
     SumBufferHandle,
@@ -52,12 +51,10 @@ from .simmpi import (
 __all__ = [
     "SiteDistribution",
     "distribute_block",
-    "distribute_cyclic",
     "DistributedEngine",
     "ExaMLModel",
     "EXECUTION_MODES",
     "ForkJoinEngine",
-    "merged_backend_profile",
     "PartitionedEngine",
     "BarrierStats",
     "SumBufferHandle",

@@ -2,8 +2,11 @@
 
 ExaML and RAxML-Light distribute site patterns evenly over workers; the
 quantity that matters for performance is the *maximum* per-worker count
-(the slowest worker gates every barrier).  Partitioned alignments are
-laid out differently: one slice per partition, block after block
+(the slowest worker gates every barrier).  Every substrate slices by
+:func:`distribute_block`: contiguous blocks of ``ceil(n/w)`` patterns,
+so a process worker's share of every shared lane is one plain slice
+(surplus workers hold empty blocks).  Partitioned alignments are laid
+out differently: one slice per partition, block after block
 (:class:`~repro.parallel.sliced.PartitionedEngine`); how whole versus
 split partitions would balance over workers — the concern the paper's
 Sec. V-A and VII flag for multi-gene datasets — is
@@ -23,7 +26,6 @@ from ..phylo.rates import CatRates
 __all__ = [
     "SiteDistribution",
     "distribute_block",
-    "distribute_cyclic",
     "slice_patterns",
     "slice_cat",
 ]
@@ -64,16 +66,6 @@ def distribute_block(n_sites: int, n_workers: int) -> SiteDistribution:
     assignment = tuple(
         tuple(range(w * chunk, min((w + 1) * chunk, n_sites)))
         for w in range(n_workers)
-    )
-    return SiteDistribution(n_sites, n_workers, assignment)
-
-
-def distribute_cyclic(n_sites: int, n_workers: int) -> SiteDistribution:
-    """Round-robin (site ``i`` to worker ``i mod w``) — RAxML's scheme."""
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
-    assignment = tuple(
-        tuple(range(w, n_sites, n_workers)) for w in range(n_workers)
     )
     return SiteDistribution(n_sites, n_workers, assignment)
 

@@ -26,7 +26,6 @@ from ..phylo.alignment import PatternAlignment
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import GammaRates
 from ..phylo.tree import Tree
-from .distribute import SiteDistribution
 from .simmpi import SimMPI
 from .sliced import SlicedEngine, SyncPolicy
 
@@ -45,8 +44,8 @@ class ExaMLSync(SyncPolicy):
       collective is retried among survivors and the search continues
       with identical numerics.  A substrate with real workers kills the
       worker too, so the *next* region exercises real slice adoption;
-    * ``"abort"`` — :class:`~repro.faults.RankFailure` propagates, so a
-      checkpoint-aware driver can snapshot-and-exit.
+    * ``"abort"`` — :class:`~repro.faults.RankFailure` propagates to the
+      caller.
     """
 
     def __init__(self, mpi: SimMPI, on_rank_failure: str = "degrade") -> None:
@@ -185,11 +184,9 @@ class DistributedEngine(SlicedEngine):
         rates: GammaRates | None = None,
         n_ranks: int = 2,
         mpi: SimMPI | None = None,
-        distribution: SiteDistribution | None = None,
         backend: str | KernelBackend | None = None,
         on_rank_failure: str = "degrade",
         execution: str = "simulated",
-        start_method: str | None = None,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("need at least one rank")
@@ -200,8 +197,7 @@ class DistributedEngine(SlicedEngine):
         sync = ExaMLSync(mpi, on_rank_failure)
         super().__init__(
             patterns, tree, model, rates, sync,
-            n_workers=n_ranks, execution=execution,
-            distribution=distribution, backend=backend,
-            on_worker_failure=on_rank_failure, start_method=start_method,
+            n_workers=n_ranks, execution=execution, backend=backend,
+            on_worker_failure=on_rank_failure,
             track=lambda rank: f"rank-{sync.owner_of(rank)}",
         )

@@ -1,10 +1,11 @@
 """RAxML-Light-style PThreads fork-join synchronisation (Sec. V-C).
 
-RAxML-Light distributes sites evenly among worker threads; *every*
-kernel invocation becomes a parallel region bracketed by two
-synchronisation points (job announcement + completion barrier), and
-reductions happen in shared memory at the master.  The paper reuses this
-scheme unchanged for the native MIC port.
+RAxML-Light distributes sites evenly among worker threads (here:
+contiguous blocks, :func:`~repro.parallel.distribute.distribute_block`,
+on every substrate); *every* kernel invocation becomes a parallel
+region bracketed by two synchronisation points (job announcement +
+completion barrier), and reductions happen at the master.  The paper
+reuses this scheme unchanged for the native MIC port.
 
 :class:`ForkJoinEngine` is the :class:`~repro.parallel.sliced.
 SlicedEngine` under that policy (:class:`ForkJoinSync`).  ``execution``
@@ -18,14 +19,13 @@ from __future__ import annotations
 
 import os
 
-from ..core.backends import KernelBackend, KernelProfile
+from ..core.backends import KernelBackend
 from ..obs import metrics as _obs_metrics
 from ..obs import spans as _obs
 from ..phylo.alignment import PatternAlignment
 from ..phylo.models import SubstitutionModel
 from ..phylo.rates import CatRates, GammaRates
 from ..phylo.tree import Tree
-from .distribute import SiteDistribution
 from .pthreads import CPU_PTHREADS, ForkJoinModel
 from .sliced import EXECUTION_MODES, SlicedEngine, SyncPolicy
 
@@ -37,7 +37,6 @@ __all__ = [
     "EXEC_ENV",
     "default_workers",
     "default_execution",
-    "merged_backend_profile",
 ]
 
 #: Environment variables consulted for process-wide parallel defaults
@@ -72,20 +71,6 @@ def default_execution() -> str:
             f"{EXEC_ENV} must be one of {', '.join(EXECUTION_MODES)}; got {raw!r}"
         )
     return raw
-
-
-def merged_backend_profile(engines) -> KernelProfile:
-    """One profile over many engines without double counting.
-
-    Engines sharing one backend *instance* (the simulated fork-join
-    default) contribute that instance's profile exactly once — merging
-    per-engine ``backend.profile`` naively would multiply every batched
-    dispatch by the worker count.
-    """
-    merged = KernelProfile()
-    for backend in {id(e.backend): e.backend for e in engines}.values():
-        merged.merge(backend.profile)
-    return merged
 
 
 class ForkJoinSync(SyncPolicy):
@@ -149,13 +134,10 @@ class ForkJoinEngine(SlicedEngine):
         rates: GammaRates | None = None,
         n_threads: int = 4,
         sync_model: ForkJoinModel = CPU_PTHREADS,
-        distribution: SiteDistribution | None = None,
         backend: str | KernelBackend | None = None,
         execution: str = "simulated",
         cat: CatRates | None = None,
         on_worker_failure: str = "degrade",
-        start_method: str | None = None,
-        label: str = "",
     ) -> None:
         if n_threads < 1:
             raise ValueError("need at least one thread")
@@ -166,7 +148,6 @@ class ForkJoinEngine(SlicedEngine):
                 n_threads, sync_model if execution == "simulated" else None
             ),
             n_workers=n_threads, execution=execution, cat=cat,
-            distribution=distribution, backend=backend,
-            on_worker_failure=on_worker_failure, start_method=start_method,
-            label=label, track="thread-{}".format,
+            backend=backend, on_worker_failure=on_worker_failure,
+            track="thread-{}".format,
         )

@@ -1,15 +1,18 @@
 """Persistent multiprocess worker pool executing the PLF for real.
 
 A spawn-once pool of worker processes, each owning one contiguous site
-slice, all state shared through a :class:`~repro.parallel.shm.
-SharedArena`.  The command surface and the worker-side handler are
-:mod:`repro.parallel.substrate`'s; this module supplies the process
-half — arena lanes, the child main loop and the measured region.
+slice, with what crosses a process shared through a
+:class:`~repro.parallel.shm.SharedArena`.  The command surface and the
+worker-side handler are :mod:`repro.parallel.substrate`'s; this module
+supplies the process half — arena lanes, the child main loop and the
+measured region.
 Design points, mirroring the paper's PThreads scheme (Sec. V-C/V-D):
 
-* **zero-copy state** — tips, CLAs, scale counters, the sum buffer and
-  the result lanes live in the arena; a region's payload is a few dozen
-  bytes of job descriptor over a pipe.
+* **zero-copy lanes** — tips, weights, the sum buffer and the result
+  lanes live in the arena; CLAs and scale counters stay in each
+  worker's private :class:`~repro.core.memsave.ClaStore` (only that
+  worker reads them); a region's payload is a few dozen bytes of job
+  descriptor over a pipe.
 * **deterministic replay** — every worker holds an id-exact replica of
   the tree and levelizes the *same* plan as the master, so a wave index
   fully identifies the work.
@@ -29,13 +32,11 @@ import weakref
 import numpy as np
 
 from ..core.backends import get_backend
-from ..core.memsave import ClaStore
 from ..obs import server as _obs_server
 from ..obs import spans as _obs
 from ..phylo.alignment import PatternAlignment
 from ..phylo.rates import CatRates, GammaRates
 from ..phylo.tree import Tree
-from .distribute import SiteDistribution, distribute_block
 from .shm import SharedArena
 from .substrate import (
     BarrierStats,
@@ -60,58 +61,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class SlabStore(ClaStore):
-    """The CLA store with the shared arena's slab as its allocator.
-
-    ``put`` commits the arrays into a per-key slot of the arena's CLA
-    slab (one ``memcpy`` per op) and remembers the slab views, so every
-    downstream read streams straight from shared memory.  When the slab
-    is full it degrades to private arrays (counted in
-    ``slab_fallbacks``) rather than failing.
-    """
-
-    def __init__(self, arena: SharedArena, lo: int, hi: int) -> None:
-        super().__init__()
-        self._arena = arena
-        self._bounds = (lo, hi)
-        self._free = list(range(arena.n_slots - 1, -1, -1))
-        self._slot: dict[object, int] = {}
-        self.slab_fallbacks = 0
-
-    def get(self, key):
-        entry = super().get(key)
-        if entry is not None and self.max_resident is not None:
-            # A dropped entry's slot is recycled at once, and the engine
-            # holds operands across recomputations: hand out copies.
-            return entry[0].copy(), entry[1].copy()
-        return entry
-
-    def put(self, key, z, scale) -> None:
-        slot = self._slot.get(key)
-        if slot is None and self._free:
-            slot = self._slot[key] = self._free.pop()
-        if slot is None:
-            self.slab_fallbacks += 1
-        else:
-            zv, sv = self._arena.cla_slot(slot, *self._bounds)
-            zv = zv[:, : z.shape[1], :]
-            np.copyto(zv, z)
-            np.copyto(sv, scale)
-            z, scale = zv, sv
-        super().put(key, z, scale)
-
-    def discard(self, key) -> None:
-        super().discard(key)
-        slot = self._slot.pop(key, None)
-        if slot is not None:
-            self._free.append(slot)
-
-    def clear(self) -> None:
-        super().clear()
-        self._free.extend(self._slot.values())
-        self._slot.clear()
-
-
 class ArenaLanes:
     """Result lanes living in the shared arena (zero-copy both sides).
 
@@ -150,12 +99,9 @@ def _worker_main(conn, cfg: dict) -> None:
     )
 
     def build(owner: int, tree: Tree, backend, state: dict):
-        """One slice engine over the arena's pattern data and CLA slab."""
+        """One slice engine over the arena's pattern data."""
         lo, hi = cfg["bounds"][owner]
-        engine = build_slice_engine(
-            patterns, np.arange(lo, hi), tree, backend, state,
-            SlabStore(arena, lo, hi),
-        )
+        engine = build_slice_engine(patterns, np.arange(lo, hi), tree, backend, state)
         return engine, slice(lo, hi)
 
     worker = SliceWorker(
@@ -212,41 +158,29 @@ class WorkerPool(Substrate):
         backend: str | None = None,
         cat: CatRates | None = None,
         on_worker_failure: str = "degrade",
-        distribution: SiteDistribution | None = None,
-        start_method: str | None = None,
-        label: str = "",
     ) -> None:
         require_backend_name(backend, "processes")
         if on_worker_failure not in ("degrade", "abort"):
             raise ValueError("on_worker_failure must be 'degrade' or 'abort'")
         self.patterns = patterns
-        self._init_state(
-            patterns.weights, model, rates, cat, n_workers,
-            distribution or distribute_block(patterns.n_patterns, n_workers),
-        )
+        self._init_state(patterns.weights, model, rates, cat, n_workers)
         self.on_worker_failure = on_worker_failure
-        self.label = label
         self.backend_name = backend
-        self.bounds: list[tuple[int, int]] = []
-        for w in range(n_workers):
-            idx = self.distribution.indices_of(w)
-            lo = int(idx[0]) if idx.size else (self.bounds[-1][1] if w else 0)
-            if not np.array_equal(idx, np.arange(lo, lo + idx.size)):
-                raise ValueError(
-                    "process pools need contiguous slices (block "
-                    "distribution); got a non-contiguous assignment"
-                )
-            self.bounds.append((lo, lo + idx.size))
+        n_patterns = patterns.n_patterns
+        #: Each worker's contiguous block ``[lo, hi)`` (empty blocks at the end).
+        self.bounds = [
+            (a[0], a[-1] + 1) if a else (n_patterns, n_patterns)
+            for a in self.distribution.assignment
+        ]
         self._index = [slice(lo, hi) for lo, hi in self.bounds]
         n_rates = 1 if cat is not None else (rates.rates.shape[0] if rates else 1)
         n_states = patterns.states.n_states
         self.arena = SharedArena.create(
-            n_patterns=patterns.n_patterns,
+            n_patterns=n_patterns,
             n_rates=n_rates,
             n_states=n_states,
             n_taxa=len(patterns.taxa),
             n_workers=n_workers,
-            n_slots=4 * max(tree.n_leaves, 2) + 16,
             tip_dtype=patterns.data.dtype,
         )
         self.arena.view("tips")[:] = patterns.data
@@ -254,9 +188,7 @@ class WorkerPool(Substrate):
         self.lanes = ArenaLanes(self.arena)
 
         methods = mp.get_all_start_methods()
-        method = start_method or ("fork" if "fork" in methods else "spawn")
-        ctx = mp.get_context(method)
-        self.start_method = method
+        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self.worker_failures = 0
         self._conns = []
         self._procs = []

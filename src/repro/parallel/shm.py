@@ -1,27 +1,27 @@
-"""Zero-copy shared-memory arena for real parallel PLF execution.
+"""Shared-memory arena for what crosses a process boundary.
 
-The paper's PThreads scheme (and BEAGLE's multi-core CPU plugin) keeps
-*all* likelihood state — tip lookups, conditional likelihood arrays,
-scale counters, sum buffers — in memory shared by every worker thread,
-so a fork-join region moves **no data**: the master announces a job,
-workers compute their site slice in place, and the only thing crossing
-the synchronisation point is the job descriptor itself.
+In the paper's PThreads scheme each worker computes its own site slice
+and the master does the reductions (Sec. V-C): no worker ever reads
+another worker's conditional likelihood arrays.  So a fork-join region
+needs shared only what the master hands out (tip codes, pattern
+weights) and what it reads back (the result lanes); CLAs and scale
+counters stay in each worker's private
+:class:`~repro.core.memsave.ClaStore`.
 
-:class:`SharedArena` reproduces that layout for *process* workers using
-:mod:`multiprocessing.shared_memory`: one segment, carved into named
-regions whose pattern axis is sliced per worker (contiguous block
-distribution, so a worker's view of every region is a plain ndarray
-slice — zero copies on either side of a region boundary).
+:class:`SharedArena` holds exactly those regions for *process* workers
+using :mod:`multiprocessing.shared_memory`: one segment, carved into
+named regions whose pattern axis is sliced per worker (contiguous block
+distribution, so a worker's lane is a plain ndarray slice — zero copies
+on either side of a region boundary).
 
 Region map (``p`` = patterns, ``c`` = rate categories, ``k`` = states)::
 
     tips     (n_taxa, p)  tip state codes     read-only after creation
     weights  (p,)         pattern weights     read-only after creation
-    cla      (slots, p, c, k)  CLA slab       worker-written, slot per node
-    scale    (slots, p)   scale counters      worker-written, parallel to cla
     site     (p,)         per-site lnL lane   worker-written, master-read
     terms    (3, p)       derivative site terms (l, l', l'')
-    sumbuf   (p, c, k)    the live ``derivativeSum`` buffer
+    sumbuf   (p, c, k)    the live ``derivativeSum`` buffer (an adopter
+                          of a dead worker's slice reads it back)
     partial  (workers, 4) per-worker partial reductions (accounting lane)
 
 The module tracks every segment this process created;
@@ -121,14 +121,11 @@ class SharedArena:
         n_states: int,
         n_taxa: int,
         n_workers: int,
-        n_slots: int,
         tip_dtype: "np.dtype | str" = np.uint8,
     ) -> "SharedArena":
         specs = [
             ("tips", (n_taxa, n_patterns), np.dtype(tip_dtype)),
             ("weights", (n_patterns,), np.dtype(np.float64)),
-            ("cla", (n_slots, n_patterns, n_rates, n_states), np.dtype(np.float64)),
-            ("scale", (n_slots, n_patterns), np.dtype(np.int64)),
             ("site", (n_patterns,), np.dtype(np.float64)),
             ("terms", (3, n_patterns), np.dtype(np.float64)),
             ("sumbuf", (n_patterns, n_rates, n_states), np.dtype(np.float64)),
@@ -179,33 +176,6 @@ class SharedArena:
             v = np.ndarray(shape, dtype=dtype, buffer=self._shm.buf, offset=offset)
             self._views[name] = v
         return v
-
-    def site_slice(self, name: str, lo: int, hi: int) -> np.ndarray:
-        """A worker's slice of a region along its pattern axis.
-
-        The pattern axis is axis 0 for ``weights``/``site``/``sumbuf``,
-        axis 1 for ``tips``/``scale``/``terms`` and the per-slot CLA
-        planes.  Block distribution makes every returned view contiguous
-        in the pattern axis.
-        """
-        v = self.view(name)
-        if name in ("weights", "site", "sumbuf"):
-            return v[lo:hi]
-        if name in ("tips", "scale", "terms"):
-            return v[:, lo:hi]
-        if name == "cla":
-            return v[:, lo:hi]
-        if name == "partial":
-            raise ValueError("partial lane is per-worker, not per-site")
-        raise KeyError(f"no arena region named {name!r}")
-
-    def cla_slot(self, slot: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(z, scale)`` views of one CLA slot over a pattern range."""
-        return self.view("cla")[slot, lo:hi], self.view("scale")[slot, lo:hi]
-
-    @property
-    def n_slots(self) -> int:
-        return self.layout.region("cla")[1][0]
 
     @property
     def nbytes(self) -> int:

@@ -12,7 +12,9 @@ is the same PLF with one slice per partition.
 
 Every reported number comes from the master's fixed-order reduction of
 the gathered lanes, so results are **bit-identical** to the sequential
-engine on every substrate, policy, worker count and distribution.
+engine on every substrate, policy and worker count.  Every substrate
+slices sites into contiguous blocks
+(:func:`~repro.parallel.distribute.distribute_block`).
 """
 
 from __future__ import annotations
@@ -103,11 +105,8 @@ class SlicedEngine:
         n_workers: int,
         execution: str,
         cat: CatRates | None = None,
-        distribution=None,
         backend=None,
         on_worker_failure: str = "degrade",
-        start_method: str | None = None,
-        label: str = "",
         track=None,
         parts=None,
     ) -> None:
@@ -115,15 +114,11 @@ class SlicedEngine:
             raise ValueError(
                 f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
             )
-        slicing = dict(
-            n_workers=n_workers, backend=backend, cat=cat,
-            distribution=distribution,
-        )
+        slicing = dict(n_workers=n_workers, backend=backend, cat=cat)
         if execution == "processes":
             self.pool = self.substrate = WorkerPool(
-                patterns, tree, model, rates, label=label,
-                on_worker_failure=on_worker_failure,
-                start_method=start_method, **slicing,
+                patterns, tree, model, rates,
+                on_worker_failure=on_worker_failure, **slicing,
             )
         else:
             self.pool = None
@@ -138,7 +133,6 @@ class SlicedEngine:
         self.tree = tree
         self.cat = cat
         self.execution = execution
-        self.label = label
         self.distribution = self.substrate.distribution
         #: In-process slice engines in owner order (``[]`` for processes).
         self.slices = list(self.substrate.slices)

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..core.backends import KernelProfile, get_backend
 from ..core.engine import LikelihoodEngine
-from ..core.memsave import ClaStore
 from ..core.traversal import KernelCounters
 from ..obs import spans as _obs
 from ..phylo.alignment import PatternAlignment
@@ -35,7 +34,7 @@ from ..phylo.rates import CatRates
 from ..phylo.tree import Tree
 from .distribute import (
     SiteDistribution,
-    distribute_cyclic,
+    distribute_block,
     slice_cat,
     slice_patterns,
 )
@@ -127,16 +126,14 @@ def require_backend_name(backend, execution: str) -> None:
         )
 
 
-def build_slice_engine(
-    patterns, idx, tree, backend, state: dict, store: ClaStore | None = None
-) -> LikelihoodEngine:
+def build_slice_engine(patterns, idx, tree, backend, state: dict) -> LikelihoodEngine:
     """A slice engine over ``patterns[:, idx]`` in its owner's model
     ``state``: the serial engine, its rates sliced with its patterns."""
     cat = state["cat"]
     engine = LikelihoodEngine(
         slice_patterns(patterns, idx), tree, state["model"],
         state["rates"] if cat is None else slice_cat(cat, idx),
-        backend=backend, store=store,
+        backend=backend,
     )
     engine.store.max_resident = state["max_resident"]
     if state["alpha"] is not None:  # a ghost joining after a shape refit
@@ -313,16 +310,18 @@ class Substrate:
         rates,
         cat: CatRates | None,
         n_workers: int,
-        distribution: SiteDistribution,
+        distribution: SiteDistribution | None = None,
     ) -> None:
+        """Every slicing is :func:`distribute_block` over the lanes, except
+        a partitioned substrate's one block per partition."""
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        if distribution.n_workers != n_workers:
-            raise ValueError("distribution worker count mismatch")
         #: Pattern weights of the full lanes, in lane order.
         self.weights = weights
         self.n_workers = n_workers
-        self.distribution = distribution
+        self.distribution = distribution or distribute_block(
+            weights.shape[0], n_workers
+        )
         self.barrier_stats = BarrierStats()
         self.sumbuf_epoch = 0
         self.dead: set[int] = set()
@@ -476,7 +475,6 @@ class LocalSubstrate(Substrate):
         n_workers: int,
         backend=None,
         cat: CatRates | None = None,
-        distribution: SiteDistribution | None = None,
         threads: bool = False,
         track=None,
         parts=None,
@@ -484,10 +482,7 @@ class LocalSubstrate(Substrate):
         self.patterns = patterns
         self.parts = parts
         if parts is None:
-            weights = patterns.weights
-            distribution = distribution or distribute_cyclic(
-                patterns.n_patterns, n_workers
-            )
+            weights, distribution = patterns.weights, None
         else:
             weights = np.concatenate([p.patterns.weights for p in parts])
             ends = np.cumsum([p.patterns.n_patterns for p in parts])

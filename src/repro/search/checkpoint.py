@@ -263,9 +263,9 @@ class CheckpointWriter:
     """Periodic crash-safe snapshots with last-``keep`` rotation.
 
     ``every`` is the step period (``maybe_write`` fires when
-    ``step % every == 0``); :meth:`write` always fires (used for the
-    abort-with-checkpoint path).  Before a new snapshot lands, existing
-    slots shift ``p`` → ``p.1`` → … → ``p.(keep-1)`` via atomic renames.
+    ``step % every == 0``); :meth:`write` always fires.  Before a new
+    snapshot lands, existing slots shift ``p`` → ``p.1`` → … →
+    ``p.(keep-1)`` via atomic renames.
 
     Fault hook: a ``crash-in-write`` fault from ``fault_plan`` raises
     :class:`~repro.faults.InjectedCrash` *between* the tmp file's fsync

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.backends import KernelBackend, make_engine
 from ..core.engine import LikelihoodEngine
-from ..faults.plan import FaultError, FaultPlan, InjectedCrash
+from ..faults.plan import FaultPlan, InjectedCrash
 from ..obs import metrics as _obs_metrics
 from ..obs import server as _obs_server
 from ..obs import spans as _obs
@@ -121,18 +121,12 @@ class _Progress:
         self.writer = writer
         self.fault_plan = fault_plan
         self.step = first_step
-        self.stage = "start"
-        self.lnl: float | None = None
-        self.spr_round = 0
-        self.spr_radius_idx = 0
 
     def tick(
         self, stage: str, lnl: float, spr_round: int = 0, spr_radius_idx: int = 0
     ) -> None:
         step = self.step
         self.step += 1
-        self.stage, self.lnl = stage, lnl
-        self.spr_round, self.spr_radius_idx = spr_round, spr_radius_idx
         if _obs_server.ENABLED:
             _obs_server.progress_update(
                 stage, lnl=lnl,
@@ -143,18 +137,6 @@ class _Progress:
         if self.writer is not None:
             self.writer.maybe_write(
                 self.engine, lnl, stage, step, spr_round, spr_radius_idx
-            )
-
-    def emergency_write(self) -> None:
-        """Abort-with-checkpoint: persist the last completed state."""
-        if self.writer is not None:
-            self.writer.write(
-                self.engine,
-                self.lnl,
-                self.stage,
-                self.step - 1 if self.step else 0,
-                self.spr_round,
-                self.spr_radius_idx,
             )
 
 
@@ -208,11 +190,8 @@ def ml_search(
         ``close()`` when finished (the CLI does this automatically).
 
     Crash safety: with ``config.checkpoint_path`` set, a rotated atomic
-    snapshot is written every ``checkpoint_every`` steps.  Any
-    :class:`~repro.faults.FaultError` *other than* an injected crash
-    (AllReduce timeout, unabsorbed rank failure) triggers one final
-    abort-checkpoint before propagating — ExaML's "die loudly but
-    restartably".
+    snapshot is written every ``checkpoint_every`` steps (step 0
+    included), so a crash costs only the steps since the last snapshot.
     """
     t_start = time.perf_counter()
     config = config or SearchConfig()
@@ -315,9 +294,6 @@ def ml_search(
                     else engine.log_likelihood()
                 )
                 trajectory.append((f"resume:{resume_from.stage}", lnl))
-                progress.stage, progress.lnl = resume_from.stage, lnl
-                progress.spr_round = resume_from.spr_round
-                progress.spr_radius_idx = resume_from.spr_radius_idx
                 _obs.instant(
                     "search.resume",
                     stage=resume_from.stage,
@@ -396,27 +372,12 @@ def ml_search(
                 progress.tick("final", lnl)
             else:
                 lnl = engine.log_likelihood()
-        except InjectedCrash:
-            # The simulated process is dead: no write (the rotation
-            # already holds the last periodic snapshot), just propagate.
-            # Real worker pools are shut down — the *simulated* crash
-            # must not leak actual shared-memory segments.
-            engine.close()
-            raise
-        except FaultError as exc:
-            # Unrecoverable-but-anticipated fault: abort with a final
-            # checkpoint so the run is restartable, then propagate.
-            if _obs_server.ENABLED:
-                _obs_server.health_event(
-                    "search_abort",
-                    stage=progress.stage,
-                    step=progress.step,
-                    error=type(exc).__name__,
-                )
-            progress.emergency_write()
-            engine.close()
-            raise
         except BaseException:
+            # An injected crash means the simulated process is dead: no
+            # write (the rotation already holds the last periodic
+            # snapshot), just propagate.  Real worker pools are shut
+            # down — a *simulated* crash must not leak actual
+            # shared-memory segments.
             engine.close()
             raise
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import LikelihoodEngine
-from repro.parallel import DistributedEngine, SimMPI, distribute_block
+from repro.parallel import DistributedEngine, SimMPI
 from repro.phylo import GammaRates, gtr, simulate_dataset
 from repro.search import optimize_all_branches, optimize_branch, spr_round
 
@@ -51,19 +51,6 @@ class TestEquivalence:
             a = serial.branch_derivatives(sb_serial, t)
             b = dist.branch_derivatives(sb_dist, t)
             assert [x - y for x, y in zip(a, b)] == [0.0, 0.0, 0.0]
-
-    def test_block_distribution_also_exact(self, problem):
-        sim, pat, model, gamma = problem
-        serial = LikelihoodEngine(pat, sim.tree.copy(), model, gamma)
-        dist = DistributedEngine(
-            pat,
-            sim.tree.copy(),
-            model,
-            gamma,
-            n_ranks=4,
-            distribution=distribute_block(pat.n_patterns, 4),
-        )
-        assert dist.log_likelihood() - serial.log_likelihood() == 0.0
 
 
 class TestSearchOnDistributedEngine:

@@ -518,11 +518,11 @@ class TestCrashResumeParity:
             precision=17
         )
 
-    def test_fault_abort_writes_emergency_checkpoint(self, problem, tmp_path):
+    def test_crash_keeps_step_zero_snapshot(self, problem, tmp_path):
         sim, pat = problem
         ck = tmp_path / "ck.json"
-        # Whatever stops the run (an injected crash here, an aborting
-        # FaultError elsewhere), the step-0 snapshot must have landed.
+        # A crash before the first periodic write still leaves the
+        # step-0 snapshot behind.
         plan = FaultPlan((FaultSpec(kind="crash-at-step", step=2),), seed=0)
         with pytest.raises(InjectedCrash):
             ml_search(

@@ -15,7 +15,6 @@ from repro.parallel import (
     SimMPI,
     allreduce_time,
     distribute_block,
-    distribute_cyclic,
 )
 
 
@@ -134,13 +133,8 @@ class TestDistribution:
         seen = sorted(i for a in d.assignment for i in a)
         assert seen == list(range(103))
 
-    def test_cyclic_covers_all_sites(self):
-        d = distribute_cyclic(103, 7)
-        seen = sorted(i for a in d.assignment for i in a)
-        assert seen == list(range(103))
-
     def test_balance(self):
-        d = distribute_cyclic(1000, 7)
+        d = distribute_block(1000, 7)
         counts = d.per_worker_counts
         assert max(counts) - min(counts) <= 1
         assert d.imbalance < 1.01
@@ -150,7 +144,7 @@ class TestDistribution:
         assert d.max_per_worker == 13
 
     def test_more_workers_than_sites(self):
-        d = distribute_cyclic(3, 8)
+        d = distribute_block(3, 8)
         assert sum(d.per_worker_counts) == 3
 
     def test_invalid_workers(self):
@@ -161,13 +155,13 @@ class TestDistribution:
 class TestDistributionEdgeCases:
     """PR 5 satellites: empty slices and worker-surplus corner cases."""
 
-    @pytest.mark.parametrize("factory", [distribute_block, distribute_cyclic])
+    @pytest.mark.parametrize("factory", [distribute_block])
     def test_zero_patterns_gives_all_empty(self, factory):
         d = factory(0, 3)
         assert d.per_worker_counts == [0, 0, 0]
         assert all(len(a) == 0 for a in d.assignment)
 
-    @pytest.mark.parametrize("factory", [distribute_block, distribute_cyclic])
+    @pytest.mark.parametrize("factory", [distribute_block])
     def test_more_workers_than_patterns(self, factory):
         d = factory(3, 8)
         assert sum(d.per_worker_counts) == 3
@@ -176,7 +170,7 @@ class TestDistributionEdgeCases:
         seen = sorted(i for a in d.assignment for i in a)
         assert seen == [0, 1, 2]
 
-    @pytest.mark.parametrize("factory", [distribute_block, distribute_cyclic])
+    @pytest.mark.parametrize("factory", [distribute_block])
     def test_single_worker_owns_everything(self, factory):
         d = factory(17, 1)
         assert list(d.indices_of(0)) == list(range(17))
@@ -206,25 +200,19 @@ class TestDistributionProperties:
     @given(
         n_patterns=st.integers(min_value=0, max_value=500),
         n_workers=st.integers(min_value=1, max_value=40),
-        scheme=st.sampled_from(["block", "cyclic"]),
     )
-    def test_partition_property(self, n_patterns, n_workers, scheme):
-        factory = distribute_block if scheme == "block" else distribute_cyclic
-        d = factory(n_patterns, n_workers)
+    def test_partition_property(self, n_patterns, n_workers):
+        d = distribute_block(n_patterns, n_workers)
         chunks = [list(d.indices_of(w)) for w in range(n_workers)]
         flat = [i for c in chunks for i in c]
         # disjoint + complete
         assert sorted(flat) == list(range(n_patterns))
         assert len(set(flat)) == len(flat)
         counts = [len(c) for c in chunks]
-        if scheme == "cyclic":
-            # cyclic dealing is balanced to within one site
-            assert max(counts) - min(counts) <= 1
-        else:
-            # ceil-sized blocks: no worker exceeds ceil(n/p), and every
-            # non-empty chunk is a contiguous index range
-            ceil = -(-n_patterns // n_workers)
-            assert max(counts, default=0) <= ceil
-            for c in chunks:
-                if c:
-                    assert c == list(range(c[0], c[-1] + 1))
+        # ceil-sized blocks: no worker exceeds ceil(n/p), and every
+        # non-empty chunk is a contiguous index range
+        ceil = -(-n_patterns // n_workers)
+        assert max(counts, default=0) <= ceil
+        for c in chunks:
+            if c:
+                assert c == list(range(c[0], c[-1] + 1))

@@ -27,13 +27,14 @@ from repro.parallel import (
     WorkerFailure,
     WorkerPool,
     active_arena_segments,
-    merged_backend_profile,
+    distribute_block,
 )
 from repro.parallel.forkjoin import (
     EXECUTION_MODES,
     default_execution,
     default_workers,
 )
+from repro.parallel.distribute import slice_patterns
 from repro.parallel.pool import WorkerRestart
 from repro.phylo import CatRates, GammaRates, gtr, simulate_dataset
 from tolerances import LNL_RECOMPUTE_RTOL
@@ -199,7 +200,7 @@ class TestObservability:
             backend=get_backend("reference"),
         )
         fj.log_likelihood()
-        merged = merged_backend_profile(fj.slices)
+        merged = fj.profile
         shared = fj.slices[0].backend.profile
         assert merged.calls == shared.calls
         # the naive per-engine merge would have multiplied by n_threads
@@ -351,6 +352,35 @@ class TestForkJoinModes:
         assert ref.log_likelihood() - resident.log_likelihood() == 0.0
         assert active_arena_segments() == []
 
+    @pytest.mark.parametrize("execution", EXECUTION_MODES)
+    def test_empty_block_slices_bit_identical(self, problem, execution):
+        """11 patterns on 8 workers: ceil-sized blocks leave the last two
+        slices empty, and every result still equals the serial engine's."""
+        sim, pat, model, gamma = problem
+        few = slice_patterns(pat, np.arange(11))
+        backend = "reference" if execution != "simulated" else None
+        ref = LikelihoodEngine(few, sim.tree.copy(), model, gamma, backend=backend)
+        with ForkJoinEngine(
+            few, sim.tree.copy(), model, gamma, n_threads=8,
+            execution=execution, backend=backend,
+        ) as fj:
+            assert fj.distribution.per_worker_counts == [2] * 5 + [1, 0, 0]
+            assert_equals_serial(fj, ref)
+        assert active_arena_segments() == []
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_every_substrate_slices_by_block(self, problem, workers):
+        sim, pat, model, gamma = problem
+        want = distribute_block(pat.n_patterns, workers).assignment
+        for execution in EXECUTION_MODES:
+            with ForkJoinEngine(
+                pat, sim.tree.copy(), model, gamma, n_threads=workers,
+                execution=execution, backend="reference",
+            ) as fj:
+                assert fj.distribution.assignment == want, execution
+        dist = DistributedEngine(pat, sim.tree.copy(), model, gamma, n_ranks=workers)
+        assert dist.distribution.assignment == want
+
     def test_worker_death_during_engine_use(self, problem, serial):
         sim, pat, model, gamma = problem
         with ForkJoinEngine(
@@ -372,14 +402,14 @@ class TestForkJoinModes:
 
 def test_worker_death_degrades_healthz(problem, serial):
     """A real ``processes`` worker death, absorbed by adoption, flips the
-    live ``/healthz`` to 503 and names the labelled pool and the dead
-    worker; the likelihood stays exact."""
+    live ``/healthz`` to 503 and names the pool and the dead worker;
+    the likelihood stays exact."""
     sim, pat, model, gamma = problem
     srv = obs_server.serve(port=0)
     try:
         with ForkJoinEngine(
             pat, sim.tree.copy(), model, gamma, n_threads=2,
-            execution="processes", backend="reference", label="probe",
+            execution="processes", backend="reference",
         ) as engine:
             engine.pool.kill_worker(1)
             assert engine.log_likelihood() == serial["lnl"]
@@ -389,8 +419,8 @@ def test_worker_death_degrades_healthz(problem, serial):
             except urllib.error.HTTPError as err:
                 code, snap = err.code, json.loads(err.read())
         assert code == 503 and snap["status"] == "degraded"
-        probe = [p for p in snap["worker_pools"] if p["label"] == "probe"]
-        assert probe and probe[0]["dead"] == [1]
+        probe = [p for p in snap["worker_pools"] if p["dead"] == [1]]
+        assert probe and probe[0]["workers"] == 2
         assert any(
             e["kind"] == "worker_death" for e in snap["degradation_events"]
         )
@@ -450,6 +480,23 @@ class TestMakeEngineParallel:
 
 
 class TestArenaHygiene:
+    @pytest.mark.parametrize("rate_model", ["gamma", "cat"])
+    def test_arena_holds_only_cross_process_regions(self, problem, rate_model):
+        """CLAs and scale counters stay in each worker's private store:
+        the arena holds what the master hands out and reads back."""
+        sim, pat, model, gamma = problem
+        rates = {"rates": gamma}
+        if rate_model == "cat":
+            rng = np.random.default_rng(7)
+            rates = {"rates": None, "cat": CatRates.from_gamma(
+                0.9, pat.n_patterns, 4, rng, weights=pat.weights
+            )}
+        with WorkerPool(
+            pat, sim.tree.copy(), model, n_workers=2, **rates
+        ) as pool:
+            names = {region[0] for region in pool.arena.layout.regions}
+        assert names == {"tips", "weights", "site", "terms", "sumbuf", "partial"}
+
     def test_no_leaked_segments_after_close(self, problem, serial):
         sim, pat, model, gamma = problem
         pool = WorkerPool(pat, sim.tree.copy(), model, gamma, n_workers=2)
